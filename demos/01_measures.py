@@ -31,7 +31,7 @@ print(f"  external-angle mass at one corner = {m.tensor.value():.6f} (= 1/4)")
 
 print("\nMeasures vanish on windows missing the relevant skeleton:")
 inner = Region.box([0.25, 0.25], [0.75, 0.75])
-print(f"  edge measure on an interior window: {tcm(cube(2), 1, region=inner).tensor.coeffs}")
+print(f"  edge measure on an interior window: {dict(tcm(cube(2), 1, region=inner).tensor.coeffs)}")
 
 print("\nLower-dimensional bodies work too (a segment in R^3):")
 from tensorgeo import Polytope

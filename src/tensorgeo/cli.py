@@ -209,8 +209,6 @@ def _add_common(sp, samples_default=100000):
     sp.add_argument("--budget", type=int, default=20000,
                     help="Monte-Carlo budget per interior cone moment")
     sp.add_argument("--margin", type=float, default=0.5)
-    sp.add_argument("--threads", type=int, default=None,
-                    help="cap on worker parallelism (recorded in the report)")
     sp.add_argument("--out", help="write the JSON report here as well")
 
 

@@ -68,14 +68,14 @@ def _product_cone_moment(n, s, ray_frame, sub_frame):
     r_i pairwise orthonormal and orthogonal to W.  The intersection with
     the sphere is an 'orthant' in the orthonormal frame [r_1..r_q, W], so
     the integral of a monomial c^a is 2^{1-q} prod Gamma((a_i+1)/2) /
-    Gamma((s+d)/2), vanishing when a W-exponent is odd."""
-    q = ray_frame.shape[1]
-    w = sub_frame.shape[1]
-    d = q + w
-    cols = [ray_frame[:, i] for i in range(q)] + [sub_frame[:, i] for i in range(w)]
-    denom = gamma_half((s + d) / 2)
+    Gamma((s+d)/2), vanishing when a W-exponent is odd.  The frames are
+    (..., n, q) and (..., n, w); leading axes broadcast into the batch."""
+    q = ray_frame.shape[-1]
+    w = sub_frame.shape[-1]
+    cols = [ray_frame[..., :, i] for i in range(q)] + [sub_frame[..., :, i] for i in range(w)]
+    denom = gamma_half((s + q + w) / 2)
     out = SymTensor.zero(n, s)
-    for a in _compositions(s, d):
+    for a in _compositions(s, q + w):
         if any(ai % 2 for ai in a[q:]):
             continue
         val = 2.0 ** (1 - q) / denom
@@ -90,12 +90,12 @@ def _product_cone_moment(n, s, ray_frame, sub_frame):
 
 
 def _arc_moment(n, s, pa, pb, t1, t2):
-    """Moment over the planar arc {cos t pa + sin t pb : t in [t1, t2]}."""
-    out = SymTensor.zero(n, s)
-    for i in range(s + 1):
-        c = math.comb(s, i) * float(trig_integral(i, s - i, t1, t2))
-        if c != 0.0:
-            out = out + (vector_power(pa, i) * vector_power(pb, s - i)).scale(c)
+    """Moment over the planar arc {cos t pa + sin t pb : t in [t1, t2]};
+    pa, pb (..., n) and the angles broadcast into the batch."""
+    out = vector_power(pb, s).scale(trig_integral(0, s, t1, t2))
+    for i in range(1, s + 1):
+        c = math.comb(s, i) * trig_integral(i, s - i, t1, t2)
+        out = out + (vector_power(pa, i) * vector_power(pb, s - i)).scale(c)
     return out
 
 
@@ -117,9 +117,6 @@ def _compositions(total, parts):
     if parts == 0:
         if total == 0:
             yield ()
-        return
-    if parts == 1:
-        yield (total,)
         return
     for head in range(total + 1):
         for tail in _compositions(total - head, parts - 1):
@@ -202,9 +199,7 @@ def _monte_carlo_moment(cone, s, budget, seed, batch=20000):
     n = cone.lin_frame.shape[0]
     d = cone.lin_dim
     area = omega(d)
-    betas = multi_degrees(n, s)
-    sums = np.zeros(len(betas))
-    sq_sums = np.zeros(len(betas))
+    sums = sq_sums = np.zeros(len(multi_degrees(n, s)))
     total = 0
     accepted = 0
     batch_idx = 0
@@ -215,21 +210,17 @@ def _monte_carlo_moment(cone, s, budget, seed, batch=20000):
         z = rng.standard_normal((m, d))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         u = z @ cone.lin_frame.T
-        acc = cone.contains(u)
-        ua = u[acc]
+        ua = u[cone.contains(u)]
         accepted += len(ua)
-        for bi, beta in enumerate(betas):
-            mono = np.prod(ua ** np.array(beta), axis=1) if len(ua) else np.zeros(0)
-            vals = area * mono
-            sums[bi] += vals.sum()
-            sq_sums[bi] += (vals ** 2).sum()
+        vals = area * vector_power(ua, s).coordinates_array()
+        sums = sums + vals.sum(axis=0)
+        sq_sums = sq_sums + (vals ** 2).sum(axis=0)
         total += m
     mean = sums / total
     var = np.maximum(sq_sums / total - mean ** 2, 0.0)
     se = np.sqrt(var / total)
-    tensor = SymTensor.from_coordinates(n, s, dict(zip(betas, mean)))
-    stderr = SymTensor.from_coordinates(n, s, dict(zip(betas, se)))
-    result = MomentResult(tensor, stderr, "monte-carlo", total)
+    result = MomentResult(SymTensor.from_coordinates(n, s, mean),
+                          SymTensor.from_coordinates(n, s, se), "monte-carlo", total)
     if accepted < 1e-4 * total:
         raise ConeMomentBudgetError(
             f"acceptance rate {accepted}/{total} below 1e-4 with budget exhausted", result)

@@ -59,11 +59,7 @@ class MeasureValue:
 
     @property
     def exact(self):
-        return not self.stderr.coeffs
-
-
-def _abs_coeffs(t):
-    return SymTensor(t.dim, t.rank, {b: abs(c) for b, c in t.coeffs.items()})
+        return not self.stderr.data.any()
 
 
 def tcm(P, j, r=0, s=0, l=0, region=None, budget=20000, seed=0):
@@ -98,7 +94,7 @@ def tcm(P, j, r=0, s=0, l=0, region=None, budget=20000, seed=0):
     mc_samples = 0
     cache = P._cone_moment_cache
     for face in sorted(faces, key=lambda f: f.vertex_indices):
-        key = (face.vertex_indices, s)
+        key = (face.vertex_indices, s, budget, seed)
         if key not in cache:
             cache[key] = cone_sphere_moment(P.normal_cone(face), s, budget=budget, seed=seed)
         cm = cache[key]
@@ -110,12 +106,12 @@ def tcm(P, j, r=0, s=0, l=0, region=None, budget=20000, seed=0):
         else:
             face_poly = Polytope.from_vertices(face.vertices, P.tol)
             fmom = polytope_moment(face_poly, r, region)
-        if not fmom.coeffs:
+        if not fmom.data.any():
             continue
         qf = subspace_metric_tensor(face.frame).power(l) if l else SymTensor.scalar(n, 1.0)
         total = total + qf * fmom * cm.tensor
-        if cm.stderr.coeffs:
-            err = err.add_scaled(_abs_coeffs(qf * _abs_coeffs(fmom) * cm.stderr), 1.0)
+        if cm.stderr.data.any():
+            err = err + abs(qf * abs(fmom) * cm.stderr)
     const = c_norm(n, j, r, s, l) / omega(n - j)
     return MeasureValue(total.scale(const), err.scale(abs(const)), len(faces), mc_samples)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symtensor import SymTensor, vector_power
+from .symtensor import SymTensor, multi_degrees, vector_power
 
 __all__ = [
     "GeometryError",
@@ -555,22 +555,13 @@ def simplex_moment(verts, r):
     # the multinomial(r; a) of the expansion cancels the prod a_i! of the
     # barycentric integral, leaving the constant r! j! vol / (j + r)!.
     const = math.factorial(r) * math.factorial(j) * vol / math.factorial(j + r)
-    for a in _compositions(r, j + 1):
+    for a in multi_degrees(j + 1, r):
         term = SymTensor.scalar(n, 1.0)
         for vi, ai in zip(verts, a):
             if ai:
                 term = term * vector_power(vi, ai)
         out = out + term
     return out.scale(const)
-
-
-def _compositions(r, parts):
-    if parts == 1:
-        yield (r,)
-        return
-    for head in range(r + 1):
-        for tail in _compositions(r - head, parts - 1):
-            yield (head,) + tail
 
 
 def polytope_moment(P, r, region=None):

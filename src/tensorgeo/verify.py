@@ -8,15 +8,20 @@ zeros).
 
 Two evaluation paths feed the left-hand side.  The generic path builds
 each random section or intersection as a Polytope and calls the measure
-evaluator; it works for every index but is slow.  Vectorized kernels
-handle the high-sample regimes: line sections in any dimension, plane
-sections of 3-d polytopes, and motion intersections of 2-d polytopes.
-The kernels are cross-checked against the generic path sample by sample
-in the test-suite.
+evaluator; it works for every index but is slow, and the sections' own
+Monte-Carlo errors add to its standard error.  Vectorized kernels handle
+the high-sample regimes: line sections in any dimension, plane sections
+of 3-d polytopes, and motion intersections of 2-d polytopes.  A kernel
+finds the faces of all sections at once and evaluates the same face sum
+as `tcm` on batched tensors: face size times the closed-form moment of
+the normal cone (conemoment) times Q(F)^l or the position power.  The
+kernels are cross-checked against the generic path sample by sample in
+the test-suite.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -24,11 +29,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coeffs import c_norm, d_coeff, thm31_coeff
-from .conemoment import trig_integral
+from .conemoment import _arc_moment, _product_cone_moment
 from .flats import sample_flats_hitting, sample_motions_coupling
 from .measures import tcm, valuation, MeasureIndex
 from .polytope import (
-    EmptyPolytopeError,
     GrazingIntersectionError,
     Polytope,
     Region,
@@ -37,7 +41,7 @@ from .polytope import (
 )
 from .rng import stream
 from .special import gamma_half, kappa_ball, omega
-from .symtensor import SymTensor, metric_tensor, multi_degrees, multinomial, vector_power
+from .symtensor import SymTensor, metric_tensor, multi_degrees, vector_power
 
 __all__ = [
     "VerificationReport",
@@ -55,6 +59,7 @@ __all__ = [
 
 ABS_FLOOR = 1e-9
 _RESAMPLE_SEED_XOR = 0x9E3779B9
+_SPARES = 1024
 
 
 # -- reports ----------------------------------------------------------------
@@ -76,16 +81,11 @@ class VerificationReport:
     notes: str = ""
 
     def coordinate_rows(self):
-        n, rank = self.lhs.dim, self.lhs.rank
-        rows = []
-        for beta in multi_degrees(n, rank):
-            lhs = self.lhs.coordinate(beta)
-            rhs = self.rhs.coordinate(beta)
-            se = self.stderr.coordinate(beta) + self.rhs_stderr.coordinate(beta)
-            rows.append({"index": beta, "lhs": lhs, "rhs": rhs, "stderr": se,
-                         "abs_diff": abs(lhs - rhs),
-                         "allowed": max(3.0 * se, ABS_FLOOR)})
-        return rows
+        lhs, rhs = self.lhs.coordinates_array().tolist(), self.rhs.coordinates_array().tolist()
+        se = (self.stderr.coordinates_array() + self.rhs_stderr.coordinates_array()).tolist()
+        return [{"index": beta, "lhs": a, "rhs": b, "stderr": e, "abs_diff": abs(a - b),
+                 "allowed": max(3.0 * e, ABS_FLOOR)}
+                for beta, a, b, e in zip(multi_degrees(self.lhs.dim, self.lhs.rank), lhs, rhs, se)]
 
     @property
     def max_excess(self):
@@ -170,7 +170,7 @@ def kinematic_rhs(P, P2, j, r=0, s=0, l=0, region=None, region2=None,
         k = n - p + j
         c2 = tcm(P2, k, 0, 0, 0, region=region2, budget=budget, seed=seed)
         cm_val = c2.tensor.value()
-        cm_err = c2.stderr.coordinate((0,) * n) if c2.stderr.coeffs else 0.0
+        cm_err = c2.stderr.value()
         for m in range(s // 2 + 1):
             for i in range(m + 1):
                 coef = d_coeff(n, j, k, s, l, i, m)
@@ -181,49 +181,58 @@ def kinematic_rhs(P, P2, j, r=0, s=0, l=0, region=None, region2=None,
                 total = total.add_scaled(q_pow * mv.tensor, coef * cm_val)
                 err = err.add_scaled(q_pow * mv.stderr, abs(coef) * (abs(cm_val) + cm_err))
                 if cm_err:
-                    err = err.add_scaled(_abs_tensor(q_pow * mv.tensor), abs(coef) * cm_err)
+                    err = err.add_scaled(abs(q_pow * mv.tensor), abs(coef) * cm_err)
     return total, err
-
-
-def _abs_tensor(t):
-    return SymTensor(t.dim, t.rank, {b: abs(c) for b, c in t.coeffs.items()})
 
 
 # -- estimator core ---------------------------------------------------------
 
-class _CoordStats:
-    """Streaming mean/stderr per tensor coordinate (values already include
-    the importance weight)."""
+def _mean_and_stderr(values, weight, section_err=None):
+    """Mean over the sample axis of weight * values, and its standard error
+    per tensor coordinate.  The sections' own Monte-Carlo errors
+    (section_err, one tensor per sample) enter linearly, averaged with the
+    same weight."""
+    coords = weight * values.coordinates_array()
+    count = len(coords)
+    mean = coords.sum(axis=0) / count
+    var = np.maximum((coords ** 2).sum(axis=0) / count - mean ** 2, 0.0)
+    se = np.sqrt(var / count)
+    if section_err is not None:
+        se = se + weight * section_err.coordinates_array().sum(axis=0) / count
+    return (SymTensor.from_coordinates(values.dim, values.rank, mean),
+            SymTensor.from_coordinates(values.dim, values.rank, se))
 
-    def __init__(self, n, rank):
-        self.betas = multi_degrees(n, rank)
-        self.n, self.rank = n, rank
-        self.sums = np.zeros(len(self.betas))
-        self.sq = np.zeros(len(self.betas))
-        self.count = 0
 
-    def add_batch(self, values):
-        """values: (batch, n_coords) per-sample coordinate values."""
-        self.sums += values.sum(axis=0)
-        self.sq += (values ** 2).sum(axis=0)
-        self.count += len(values)
+def _spares(draw, seed):
+    """Endless replacements for rejected (grazing) samples: blocks of
+    _SPARES rows from draw(count, seed), each block under its own seed so
+    that no replacement repeats."""
+    for block in itertools.count():
+        yield from draw(_SPARES, seed ^ _RESAMPLE_SEED_XOR ^ (block << 32))[0]
 
-    def add_tensor(self, t, weight):
-        vals = weight * t.coordinates_array()
-        self.sums += vals
-        self.sq += vals ** 2
-        self.count += 1
 
-    def add_zero(self):
-        self.count += 1
-
-    def finalize(self):
-        mean = self.sums / self.count
-        var = np.maximum(self.sq / self.count - mean ** 2, 0.0)
-        se = np.sqrt(var / self.count)
-        est = SymTensor.from_coordinates(self.n, self.rank, dict(zip(self.betas, mean)))
-        err = SymTensor.from_coordinates(self.n, self.rank, dict(zip(self.betas, se)))
-        return est, err
+def _generic_lhs(n, j, r, s, l, rows, spares, section, weight, budget, seed):
+    """Per-sample path: section(*row) returns (polytope or None, region) or
+    raises GrazingIntersectionError, and then the row is replaced by the
+    next spare; each section is measured by tcm.  Returns (estimate,
+    stderr, rejections)."""
+    rank = r + s + 2 * l
+    values = np.zeros((len(rows), len(multi_degrees(n, rank))))
+    errors = np.zeros_like(values)
+    rejections = 0
+    for idx, row in enumerate(rows):
+        while True:
+            try:
+                sec, region = section(*row)
+                break
+            except GrazingIntersectionError:
+                rejections += 1
+                row = next(spares)
+        if sec is not None:
+            mv = tcm(sec, j, r, s, l, region=region, budget=budget, seed=seed)
+            values[idx], errors[idx] = mv.tensor.data, mv.stderr.data
+    est, err = _mean_and_stderr(SymTensor(n, rank, values), weight, SymTensor(n, rank, errors))
+    return est, err, rejections
 
 
 # -- Crofton left-hand side -------------------------------------------------
@@ -242,33 +251,16 @@ def crofton_lhs(P, k, j, r=0, s=0, l=0, region=None, samples=10000, seed=0,
 
 
 def _crofton_generic(P, k, j, r, s, l, region, samples, seed, margin, budget):
-    n = P.dim
-    stats = _CoordStats(n, r + s + 2 * l)
-    batch = sample_flats_hitting(P, k, samples, seed=seed, margin=margin)
-    reserve = None
-    reserve_pos = 0
-    rejections = 0
-    for idx in range(samples):
-        B, q = batch.frames[idx], batch.points[idx]
-        while True:
-            try:
-                sec = intersect_flat(P, B, q, P.tol)
-                break
-            except GrazingIntersectionError:
-                rejections += 1
-                if reserve is None or reserve_pos >= len(reserve):
-                    reserve = sample_flats_hitting(
-                        P, k, 1024, seed=seed ^ _RESAMPLE_SEED_XOR, margin=margin)
-                    reserve_pos = 0
-                B, q = reserve.frames[reserve_pos], reserve.points[reserve_pos]
-                reserve_pos += 1
-        if sec is None:
-            stats.add_zero()
-            continue
-        mv = tcm(sec, j, r, s, l, region=region, budget=budget, seed=seed)
-        stats.add_tensor(mv.tensor, batch.weight)
-    est, err = stats.finalize()
-    return est, err, rejections
+    def draw(count, seed):
+        batch = sample_flats_hitting(P, k, count, seed=seed, margin=margin)
+        return list(zip(batch.frames, batch.points)), batch.weight
+
+    def section(B, q):
+        return intersect_flat(P, B, q, P.tol), region
+
+    rows, weight = draw(samples, seed)
+    return _generic_lhs(P.dim, j, r, s, l, rows, _spares(draw, seed), section,
+                        weight, budget, seed)
 
 
 # .. line-section kernel ....................................................
@@ -299,49 +291,25 @@ def _clip_lines(P, batch):
 
 
 def _line_kernel(P, j, s, l, samples, seed, margin):
-    """phi_j of line sections, vectorized.  A section is a segment; its
-    only 1-face has the full orthogonal complement as normal cone, whose
-    sphere moment is c(n-1, s) |y - <dir,y>dir|^s (zero for odd s); the
+    """phi_j of line sections, vectorized.  A section is a segment of length
+    L along d; its only 1-face has the full orthogonal complement d-perp as
+    normal cone, whose sphere moment is c(n-1, s) Q(d-perp)^{s/2} (zero for
+    odd s), so the face sum is L c(n-1, s) (Q - d^2)^{s/2} d^{2l}.  The
     j = 0 case (s = l = 0) is the Euler characteristic, 1 per nonempty
     section."""
     n = P.dim
     batch = sample_flats_hitting(P, 1, samples, seed=seed, margin=margin)
     feasible, lo, hi, d = _clip_lines(P, batch)
-    rank = s + 2 * l
-    stats = _CoordStats(n, rank)
     if j == 0:
-        vals = (feasible.astype(float) * batch.weight)[:, None]
-        stats.add_batch(vals)
-        est, err = stats.finalize()
-        return est, err, 0
-    if s % 2 == 1:
-        stats.count = samples
-        est, err = stats.finalize()
-        return est, err, 0
-    L = np.where(feasible, hi - lo, 0.0)
-    # full-sphere moment constant over the (n-2)-sphere of dir-perp
-    c_sphere = 2.0 * math.pi ** ((n - 2) / 2) * gamma_half((s + 1) / 2) / gamma_half((s + n - 1) / 2)
-    const = c_norm(n, 1, 0, s, l) / omega(n - 1) * c_sphere
-    # polynomial per sample: const*L*<d,y>^{2l} * (|y|^2 - <d,y>^2)^{s/2}
-    terms = {}
-    for t in range(s // 2 + 1):
-        ct = math.comb(s // 2, t) * (-1.0) ** t
-        a = 2 * l + 2 * t
-        p = s // 2 - t
-        for gam in multi_degrees(n, a):
-            mg = multinomial(a, gam)
-            for delta in multi_degrees(n, p):
-                beta = tuple(g + 2 * dd for g, dd in zip(gam, delta))
-                terms.setdefault(beta, []).append((ct * mg * multinomial(p, delta), gam))
-    values = np.zeros((samples, len(stats.betas)))
-    base = const * batch.weight * L
-    for bi, beta in enumerate(stats.betas):
-        coeff = np.zeros(samples)
-        for fac, gam in terms.get(beta, []):
-            coeff += fac * np.prod(d ** np.array(gam), axis=1)
-        values[:, bi] = base * coeff / multinomial(rank, beta)
-    stats.add_batch(values)
-    est, err = stats.finalize()
+        values = SymTensor(n, 0, feasible.astype(float)[:, None])
+    elif s % 2:
+        values = SymTensor(n, s + 2 * l, np.zeros((samples, len(multi_degrees(n, s + 2 * l)))))
+    else:
+        L = np.where(feasible, hi - lo, 0.0)
+        c_sphere = 2.0 * math.pi ** ((n - 2) / 2) * gamma_half((s + 1) / 2) / gamma_half((s + n - 1) / 2)
+        perp = (metric_tensor(n) - vector_power(d, 2)).power(s // 2)
+        values = (perp * vector_power(d, 2 * l)).scale(c_norm(n, 1, 0, s, l) / omega(n - 1) * c_sphere * L)
+    est, err = _mean_and_stderr(values, batch.weight)
     return est, err, 0
 
 
@@ -357,8 +325,9 @@ def _plane_kernel(P, s, l, samples, seed, margin):
 
     Each section is a polygon; its edges lie on the facet-plane traces.
     An edge inherits the facet's in-plane outward normal nu and the plane
-    normal w; its normal cone is the half-circle {cos t nu + sin t w},
-    whose moment has the closed product form used below.
+    normal w; its normal cone is the half-plane {a nu + b w : a >= 0}, a
+    ray plus a line, so the face sum is the edge length L times the
+    product-cone moment times Q(edge)^l = e^{2l}.
     """
     A, b = P.ambient_halfspaces()
     F = len(b)
@@ -385,8 +354,7 @@ def _plane_kernel(P, s, l, samples, seed, margin):
         vy = (g1[..., 0] * h2 - g2[..., 0] * h1) / det
     v = np.stack([vx, vy], axis=-1)                   # (N, P, 2)
     v = np.where(np.isfinite(v), v, 0.0)
-    slack = np.einsum("nfj,npj->nfp", g, v) - h[:, :, None]
-    feas = ok & np.all(slack <= 1e-7, axis=1)         # (N, P)
+    feas = ok & np.all(np.einsum("nfj,npj->nfp", g, v) - h[:, :, None] <= 1e-7, axis=1)   # (N, P)
 
     # edge lengths per facet: spread of feasible pair-vertices along the line
     e_dir = np.stack([-g[..., 1], g[..., 0]], axis=-1) / np.where(live, gn, 1.0)[..., None]
@@ -403,38 +371,9 @@ def _plane_kernel(P, s, l, samples, seed, margin):
     nu = np.einsum("nij,nfj->nfi", B, g / np.where(live, gn, 1.0)[..., None])  # (N, F, 3)
     edir3 = np.einsum("nij,nfj->nfi", B, e_dir)                                # (N, F, 3)
 
-    rank = s + 2 * l
-    stats = _CoordStats(3, rank)
-    const = c_norm(3, 1, 0, s, l) / omega(2)
-    # half-circle moment: sum over a+bb=s, bb even, of
-    #   binom(s,a) G((a+1)/2) G((bb+1)/2) / G((s+2)/2) * nu^a w^bb
-    arc = []
-    for a in range(s + 1):
-        bb = s - a
-        if bb % 2:
-            continue
-        arc.append((a, bb, math.comb(s, a) * gamma_half((a + 1) / 2)
-                    * gamma_half((bb + 1) / 2) / gamma_half((s + 2) / 2)))
-    values = np.zeros((N, len(stats.betas)))
-    base = const * batch.weight * L                    # (N, F)
-    for bi, beta in enumerate(stats.betas):
-        coeff = np.zeros((N, F))
-        for a, bb, cab in arc:
-            for g1d in multi_degrees(3, a):
-                m1 = multinomial(a, g1d)
-                p1 = np.prod(nu ** np.array(g1d), axis=2)
-                for g2d in multi_degrees(3, bb):
-                    rem = tuple(x - y - z for x, y, z in zip(beta, g1d, g2d))
-                    if any(x < 0 for x in rem) or sum(rem) != 2 * l:
-                        continue
-                    m2 = multinomial(bb, g2d)
-                    p2 = np.prod(w[:, None, :] ** np.array(g2d), axis=2)
-                    m3 = multinomial(2 * l, rem)
-                    p3 = np.prod(edir3 ** np.array(rem), axis=2) if l else 1.0
-                    coeff += cab * m1 * m2 * m3 * p1 * p2 * p3
-        values[:, bi] = (base * coeff).sum(axis=1) / multinomial(rank, beta)
-    stats.add_batch(values)
-    est, err = stats.finalize()
+    cones = _product_cone_moment(3, s, nu[..., None], w[:, None, :, None])      # (N, F)
+    values = (cones * vector_power(edir3, 2 * l)).scale(L).sum(axis=1)
+    est, err = _mean_and_stderr(values.scale(c_norm(3, 1, 0, s, l) / omega(2)), batch.weight)
     return est, err, 0
 
 
@@ -468,42 +407,26 @@ def kinematic_lhs(P, P2, j, r=0, s=0, l=0, region=None, region2=None,
 
 
 def _kinematic_generic(P, P2, j, r, s, l, region, region2, samples, seed, margin, budget):
-    n = P.dim
-    stats = _CoordStats(n, r + s + 2 * l)
-    batch = sample_motions_coupling(P, P2, samples, seed=seed, margin=margin)
     A1, b1 = P.ambient_halfspaces()
     A2, b2 = P2.ambient_halfspaces()
-    reserve = None
-    reserve_pos = 0
-    rejections = 0
-    for idx in range(samples):
-        rho, t = batch.rotations[idx], batch.translations[idx]
-        while True:
-            Ag = A2 @ rho.T
-            A = np.vstack([A1, Ag])
-            b = np.concatenate([b1, b2 + Ag @ t])
-            verts = _vertices_brute_force(A, b, P.tol)
-            if len(verts) == 0:
-                inter = None
-                break
-            inter = Polytope.from_vertices(verts, P.tol)
-            if inter.aff_dim == n:
-                break
-            rejections += 1
-            if reserve is None or reserve_pos >= len(reserve):
-                reserve = sample_motions_coupling(
-                    P, P2, 1024, seed=seed ^ _RESAMPLE_SEED_XOR, margin=margin)
-                reserve_pos = 0
-            rho, t = reserve.rotations[reserve_pos], reserve.translations[reserve_pos]
-            reserve_pos += 1
-        if inter is None:
-            stats.add_zero()
-            continue
-        reg = _combine_regions(region, region2.transformed(rho, t))
-        mv = tcm(inter, j, r, s, l, region=reg, budget=budget, seed=seed)
-        stats.add_tensor(mv.tensor, batch.weight)
-    est, err = stats.finalize()
-    return est, err, rejections
+
+    def draw(count, seed):
+        batch = sample_motions_coupling(P, P2, count, seed=seed, margin=margin)
+        return list(zip(batch.rotations, batch.translations)), batch.weight
+
+    def section(rho, t):
+        Ag = A2 @ rho.T
+        verts = _vertices_brute_force(np.vstack([A1, Ag]), np.concatenate([b1, b2 + Ag @ t]), P.tol)
+        if len(verts) == 0:
+            return None, None
+        inter = Polytope.from_vertices(verts, P.tol)
+        if inter.aff_dim < P.dim:
+            raise GrazingIntersectionError("lower-dimensional intersection")
+        return inter, _combine_regions(region, region2.transformed(rho, t))
+
+    rows, weight = draw(samples, seed)
+    return _generic_lhs(P.dim, j, r, s, l, rows, _spares(draw, seed), section,
+                        weight, budget, seed)
 
 
 def _combine_regions(r1, r2):
@@ -519,8 +442,8 @@ def _motion_kernel_2d(P, P2, r, s, samples, seed, margin):
 
     Vertices of P cap gP2 come from constraint pairs of the stacked 2-d
     halfplane systems; the normal cone at a vertex is the arc between the
-    two active outward normals (width < pi), with closed-form trig
-    moments.
+    two active outward normals (width < pi), so the face sum is the arc
+    moment times v^r, summed over the feasible pairs.
     """
     A1, b1 = P.ambient_halfspaces()
     A2, b2 = P2.ambient_halfspaces()
@@ -548,8 +471,7 @@ def _motion_kernel_2d(P, P2, r, s, samples, seed, margin):
         vy = (a1[..., 0] * h2 - a2[..., 0] * h1) / det
     v = np.stack([vx, vy], axis=-1)
     v = np.where(np.isfinite(v), v, 0.0)
-    slack = np.einsum("nfj,npj->nfp", A, v) - b[:, :, None]
-    feas = ok & np.all(slack <= 1e-9, axis=1)         # (N, P)
+    feas = ok & np.all(np.einsum("nfj,npj->nfp", A, v) - b[:, :, None] <= 1e-9, axis=1)   # (N, P)
     v = np.where(feas[..., None], v, 0.0)
 
     th1 = np.arctan2(a1[..., 1], a1[..., 0])
@@ -558,28 +480,11 @@ def _motion_kernel_2d(P, P2, r, s, samples, seed, margin):
     # arc runs counterclockwise from start over width < pi
     start = np.where(delta <= math.pi, th1, th2)
     width = np.where(delta <= math.pi, delta, 2.0 * math.pi - delta)
-    end = start + width
+    end = np.where(feas, start + width, start)        # empty arcs at infeasible pairs
 
-    rank = r + s
-    stats = _CoordStats(2, rank)
-    const = c_norm(2, 0, r, s, 0) / omega(2)
-    # arc moment coordinates over multi-degrees of s, then product with x^r
-    arc_coord = {beta: trig_integral(beta[0], beta[1], start, end)
-                 for beta in multi_degrees(2, s)}
-    values = np.zeros((N, len(stats.betas)))
-    w = feas.astype(float)
-    for bi, beta in enumerate(stats.betas):
-        coeff = np.zeros(start.shape)
-        for gsd in multi_degrees(2, s):
-            rem = (beta[0] - gsd[0], beta[1] - gsd[1])
-            if rem[0] < 0 or rem[1] < 0:
-                continue
-            pos = v[..., 0] ** rem[0] * v[..., 1] ** rem[1] if r else 1.0
-            coeff = coeff + (multinomial(s, gsd) * multinomial(r, rem)
-                             * arc_coord[gsd] * pos)
-        values[:, bi] = const * batch.weight * (w * coeff).sum(axis=1) / multinomial(rank, beta)
-    stats.add_batch(values)
-    est, err = stats.finalize()
+    arcs = _arc_moment(2, s, np.array([1.0, 0.0]), np.array([0.0, 1.0]), start, end)   # (N, P)
+    values = (arcs * vector_power(v, r)).sum(axis=1)
+    est, err = _mean_and_stderr(values.scale(c_norm(2, 0, r, s, 0) / omega(2)), batch.weight)
     return est, err, 0
 
 

@@ -158,3 +158,23 @@ class TestSurfaceTensor:
         assert m.coordinate((2, 0)) == pytest.approx(1 / (4 * math.pi))
         assert m.coordinate((1, 1)) == pytest.approx(0.0, abs=1e-14)
         assert m.coordinate((0, 2)) == pytest.approx(1 / (4 * math.pi))
+
+
+class TestConeMomentCache:
+    """Sampled vertex cones of simplex(3) are cached per polytope; the cache
+    must not hand a result drawn with one budget or seed to another."""
+
+    def test_larger_budget_draws_afresh(self):
+        S = simplex(3)
+        small = tcm(S, 0, s=2, budget=200)
+        large = tcm(S, 0, s=2, budget=20000)
+        assert small.mc_samples == 600
+        assert large.mc_samples == 60000
+        assert large.stderr.coordinates_array().max() < small.stderr.coordinates_array().max()
+
+    def test_other_seed_draws_afresh(self):
+        S = simplex(3)
+        a = tcm(S, 0, s=2, budget=500, seed=1)
+        b = tcm(S, 0, s=2, budget=500, seed=2)
+        assert a.tensor.max_abs_coordinate_diff(b.tensor) > 0.0
+        assert tcm(S, 0, s=2, budget=500, seed=1).tensor.max_abs_coordinate_diff(a.tensor) == 0.0

@@ -111,6 +111,45 @@ class TestRotation:
         assert metric_tensor(3).rotate(q).max_abs_coordinate_diff(metric_tensor(3)) < 1e-12
 
 
+class TestBatched:
+    """Each operation on a batch equals the same operation applied sample by
+    sample, and batched products are pointwise polynomial products."""
+
+    @given(dim=st.integers(1, 3), r1=st.integers(0, 3), r2=st.integers(0, 3),
+           batch=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_batched_matches_per_sample(self, dim, r1, r2, batch, seed):
+        rng = np.random.default_rng(seed)
+
+        def random_tensor(rank):
+            return SymTensor(dim, rank, rng.standard_normal((batch, len(multi_degrees(dim, rank)))))
+
+        a, b, c = random_tensor(r1), random_tensor(r2), random_tensor(r1)
+        x = rng.standard_normal((batch, dim))
+        w = rng.standard_normal(batch)
+        rho, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        batched = [a * b, a.power(2), vector_power(x, r2), a.rotate(rho), a.add_scaled(c, w), a.scale(w)]
+        for i in range(batch):
+            ai, bi, ci = (SymTensor(dim, t.rank, t.data[i]) for t in (a, b, c))
+            single = [ai * bi, ai.power(2), vector_power(x[i], r2), ai.rotate(rho),
+                      ai.add_scaled(ci, w[i]), ai.scale(w[i])]
+            for got, want in zip(batched, single):
+                assert got.batch == (batch,) and want.batch == ()
+                assert got.data[i] == pytest.approx(want.data, rel=1e-12, abs=1e-12)
+        total = sum((SymTensor(dim, r1, a.data[i]) for i in range(1, batch)), SymTensor(dim, r1, a.data[0]))
+        assert a.sum().data == pytest.approx(total.data, rel=1e-12, abs=1e-12)
+        y = rng.standard_normal((batch, dim))
+        assert (a * b)(y) == pytest.approx(a(y) * b(y), rel=1e-9, abs=1e-9)
+        assert (a * b)(y[0]) == pytest.approx(a(y[0]) * b(y[0]), rel=1e-9, abs=1e-9)
+
+    def test_coeffs_view_omits_zeros_and_is_read_only(self):
+        t = SymTensor(2, 2, {(2, 0): 1.5, (1, 1): 0.0})
+        assert t.coeffs == {(2, 0): 1.5}
+        with pytest.raises(TypeError):
+            t.coeffs[(0, 2)] = 1.0
+        assert SymTensor.zero(3, 4).coeffs == {}
+
+
 class TestSerialization:
     def test_json_roundtrip(self):
         t = SymTensor.from_coordinates(3, 2, {(2, 0, 0): 1.5, (0, 1, 1): -0.25})

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from tensorgeo.coeffs import alpha, cor38_coeff, iota, kappa_coeff, lambda_coeff
-from tensorgeo.flats import random_rotation
+import tensorgeo.verify as verify_module
+from tensorgeo.flats import random_rotation, sample_motions_coupling
 from tensorgeo.measures import curvature_measure, tcm
-from tensorgeo.polytope import Region, cross_polytope, cube, simplex
+from tensorgeo.polytope import GrazingIntersectionError, Region, cross_polytope, cube, intersect_flat, simplex
 from tensorgeo.rng import stream
 from tensorgeo.symtensor import SymTensor, metric_tensor
 from tensorgeo.verify import (
@@ -128,7 +129,8 @@ class TestKernelsAgainstGenericPath:
 
     @pytest.mark.parametrize("cfg", [
         dict(k=1, j=1, s=2), dict(k=1, j=0), dict(k=2, j=1, s=2),
-        dict(k=2, j=1, s=0), dict(k=2, j=1, s=1), dict(k=2, j=1, s=2, l=1)])
+        dict(k=2, j=1, s=0), dict(k=2, j=1, s=1), dict(k=2, j=1, s=2, l=1),
+        dict(k=2, j=1, s=4), dict(k=2, j=1, s=3, l=1), dict(k=1, j=1, s=4, l=1)])
     def test_kernels_3d(self, cfg):
         P = cube(3)
         fast = crofton_lhs(P, samples=250, seed=22, **cfg)
@@ -145,11 +147,53 @@ class TestKernelsAgainstGenericPath:
     def test_motion_kernel(self):
         P = cube(2)
         P2 = cube(2).transformed(random_rotation(stream(9, 0), 2), np.array([0.2, 0.1]))
-        for (r, s) in [(0, 0), (0, 1), (0, 2), (1, 1), (2, 0)]:
+        for (r, s) in [(0, 0), (0, 1), (0, 2), (1, 1), (2, 0), (0, 4), (1, 3), (2, 2), (4, 0)]:
             fast = kinematic_lhs(P, P2, 0, r=r, s=s, samples=150, seed=24)
             slow = kinematic_lhs(P, P2, 0, r=r, s=s, samples=150, seed=24,
                                  force_generic=True)
             assert fast[0].max_abs_coordinate_diff(slow[0]) < 1e-10, (r, s)
+
+
+class TestGenericPathErrors:
+    def test_section_stderr_adds_to_the_estimate(self, monkeypatch):
+        """Motions in n = 3 with j = 0: the intersections' vertex cones are
+        sampled, and the mean of weight * section stderr adds linearly to
+        the sampling error."""
+        seen = []
+
+        def recording_tcm(*args, **kwargs):
+            seen.append(tcm(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(verify_module, "tcm", recording_tcm)
+        P = cube(3)
+        P2 = cube(3).transformed(random_rotation(stream(12, 0), 3), np.array([0.1, 0.2, -0.1]))
+        samples = 40
+        _, err, _ = kinematic_lhs(P, P2, 0, s=2, samples=samples, seed=3, budget=400)
+        weight = sample_motions_coupling(P, P2, 1).weight
+        hits = [weight * mv.tensor.coordinates_array() for mv in seen]
+        coords = np.vstack(hits + [np.zeros_like(hits[0])] * (samples - len(hits)))
+        sampling = coords.std(axis=0) / math.sqrt(samples)
+        propagated = weight * sum(mv.stderr.coordinates_array() for mv in seen) / samples
+        assert propagated.min() > 0.0
+        np.testing.assert_allclose(err.coordinates_array(), sampling + propagated, rtol=1e-9)
+
+    def test_grazing_replacements_never_repeat(self, monkeypatch):
+        """More rejections than one block of spare flats: every replacement
+        flat is new."""
+        points = []
+
+        def grazing(P, B, q, tol):
+            points.append(q)
+            if len(points) <= 1500:
+                raise GrazingIntersectionError("forced")
+            return intersect_flat(P, B, q, tol)
+
+        monkeypatch.setattr(verify_module, "intersect_flat", grazing)
+        _, _, rejections = crofton_lhs(cube(2), 1, 1, samples=1, seed=4, force_generic=True)
+        assert rejections == 1500
+        spares = np.array(points[1:])
+        assert len(np.unique(spares, axis=0)) == len(spares)
 
 
 class TestSmallVerifications:
