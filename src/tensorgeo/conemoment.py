@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import stream
+from .rng import purpose_key, stream
 from .special import gamma_half, omega
 from .symtensor import SymTensor, multi_degrees, multinomial, vector_power
 
@@ -48,18 +48,20 @@ def trig_integral(p, q, t1, t2):
     """Definite integral of cos^p(t) sin^q(t) over [t1, t2], by the standard
     power-reduction recurrence.  Accepts scalars or numpy arrays for the
     endpoints."""
+    return _trig_recurrence(p, q, t1, t2, np.cos(t1), np.sin(t1), np.cos(t2), np.sin(t2))
+
+
+def _trig_recurrence(p, q, t1, t2, c1, s1, c2, s2):
     if p >= 2:
-        term = (np.cos(t2) ** (p - 1) * np.sin(t2) ** (q + 1)
-                - np.cos(t1) ** (p - 1) * np.sin(t1) ** (q + 1)) / (p + q)
-        return term + (p - 1) / (p + q) * trig_integral(p - 2, q, t1, t2)
+        term = (c2 ** (p - 1) * s2 ** (q + 1) - c1 ** (p - 1) * s1 ** (q + 1)) / (p + q)
+        return term + (p - 1) / (p + q) * _trig_recurrence(p - 2, q, t1, t2, c1, s1, c2, s2)
     if p == 1:
-        return (np.sin(t2) ** (q + 1) - np.sin(t1) ** (q + 1)) / (q + 1)
+        return (s2 ** (q + 1) - s1 ** (q + 1)) / (q + 1)
     if q >= 2:
-        term = (-np.cos(t2) * np.sin(t2) ** (q - 1)
-                + np.cos(t1) * np.sin(t1) ** (q - 1)) / q
-        return term + (q - 1) / q * trig_integral(0, q - 2, t1, t2)
+        term = (-c2 * s2 ** (q - 1) + c1 * s1 ** (q - 1)) / q
+        return term + (q - 1) / q * _trig_recurrence(0, q - 2, t1, t2, c1, s1, c2, s2)
     if q == 1:
-        return -(np.cos(t2) - np.cos(t1))
+        return -(c2 - c1)
     return t2 - t1
 
 
@@ -203,9 +205,10 @@ def _monte_carlo_moment(cone, s, budget, seed, batch=20000):
     total = 0
     accepted = 0
     batch_idx = 0
+    purpose = purpose_key("cone-moment", cone.face_key)
     while total < budget:
         m = min(batch, budget - total)
-        rng = stream(seed, batch_idx)
+        rng = stream(seed, batch_idx, purpose)
         batch_idx += 1
         z = rng.standard_normal((m, d))
         z /= np.linalg.norm(z, axis=1, keepdims=True)

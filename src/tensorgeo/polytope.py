@@ -1,7 +1,12 @@
 """Convex polytopes at desk scale (ambient dimension <= 4, <= ~40 facets).
 
-Vertex and facet enumeration are brute force over affinely determining
-subsets; correctness over speed.  Lower-dimensional polytopes (flat
+Vertex and facet enumeration visit every d-subset of the constraints or
+points, in lexicographic order and in blocks of at most 1024: each block
+is one stack of d x d systems, one batched SVD for the rank or condition
+guard, one batched solve (vertices) or null vector (facets), and one
+matrix product against all constraints or points for the feasibility or
+supporting-side test.  Duplicates are then dropped in that order by one
+greedy pass that compares each kept row with all rows at once.  Lower-dimensional polytopes (flat
 sections, segments, faces) are first class: each polytope records its
 affine hull as an origin plus orthonormal frame, keeps its facet
 description in intrinsic coordinates, and contributes the orthogonal
@@ -56,11 +61,16 @@ class GrazingIntersectionError(GeometryError):
 
 
 def _dedupe_points(points, tol):
-    out = []
-    for p in points:
-        if not any(np.max(np.abs(p - q)) <= tol for q in out):
-            out.append(p)
-    return np.array(out) if out else np.zeros((0, points.shape[1]))
+    """Rows of `points` in order, without those within `tol` of an earlier
+    kept row in every coordinate; `tol` is a scalar or one bound per
+    coordinate."""
+    dropped = np.zeros(len(points), dtype=bool)
+    keep = []
+    for i in range(len(points)):
+        if not dropped[i]:
+            keep.append(i)
+            dropped |= np.all(np.abs(points - points[i]) <= tol, axis=1)
+    return points[keep]
 
 
 def _affine_frame(points, tol):
@@ -69,10 +79,9 @@ def _affine_frame(points, tol):
     centered = points - p0
     if len(points) == 1:
         return p0, np.zeros((points.shape[1], 0)), 0
-    u, sv, _ = np.linalg.svd(centered, full_matrices=False)
+    _, sv, vt = np.linalg.svd(centered, full_matrices=True)
     scale = max(1.0, float(np.max(np.abs(points))))
     d = int(np.sum(sv > tol * scale * 10))
-    _, _, vt = np.linalg.svd(centered, full_matrices=True)
     return p0, vt[:d].T, d
 
 
@@ -263,7 +272,8 @@ class Polytope:
         else:
             lin = np.zeros((self.dim, 0))
         return Cone(generators=gens, lin_frame=lin, apex_point=face.point,
-                    parent_vertices=self.vertices, tol=100 * self.tol * self.scale)
+                    parent_vertices=self.vertices, tol=100 * self.tol * self.scale,
+                    face_key=face.vertex_indices)
 
     # -- set operations --------------------------------------------------
 
@@ -325,6 +335,7 @@ class Cone:
     apex_point: np.ndarray
     parent_vertices: np.ndarray
     tol: float
+    face_key: tuple = ()        # vertex indices of the face; keys its sampling stream
 
     @property
     def lin_dim(self):
@@ -399,7 +410,22 @@ class Region:
         return Region([h["normal"] for h in hs], [h["offset"] for h in hs])
 
 
-# -- brute-force enumeration ------------------------------------------------
+# -- d-subset enumeration ---------------------------------------------------
+
+_BLOCK = 1024  # d-subsets per array pass; bounds the size of the stacks
+
+
+def _subset_blocks(m, d):
+    """The d-subsets of range(m) in lexicographic order, as (K, d) index
+    arrays of at most _BLOCK rows."""
+    combos = itertools.combinations(range(m), d)
+    while True:
+        flat = np.fromiter(itertools.chain.from_iterable(itertools.islice(combos, _BLOCK)),
+                           dtype=np.intp)
+        if not flat.size:
+            return
+        yield flat.reshape(-1, d)
+
 
 def _facets_brute_force(X, tol):
     """Facets of a full-dimensional polytope in R^d given its vertices, by
@@ -411,30 +437,23 @@ def _facets_brute_force(X, tol):
     if d == 1:
         lo, hi = float(np.min(X[:, 0])), float(np.max(X[:, 0]))
         return np.array([[1.0], [-1.0]]), np.array([hi, -lo])
-    facets = []
-    for idx in itertools.combinations(range(m), d):
-        pts = X[list(idx)]
-        M = pts[1:] - pts[0]
-        _, sv, vt = np.linalg.svd(M, full_matrices=True)
-        if np.sum(sv > 1e-8 * scale) < d - 1:  # points do not span a hyperplane
-            continue
-        a = vt[-1]
-        h = float(a @ pts[0])
-        side = X @ a - h
-        if np.max(side) <= 100 * tol * scale:
-            cand = (a, h)
-        elif np.min(side) >= -100 * tol * scale:
-            cand = (-a, -h)
-        else:
-            continue
-        if not any(np.max(np.abs(cand[0] - a2)) <= 1e-7 and abs(cand[1] - h2) <= 1e-7 * scale
-                   for a2, h2 in facets):
-            facets.append(cand)
-    if not facets:
+    bound = 100 * tol * scale
+    cand = [np.zeros((0, d + 1))]
+    for idx in _subset_blocks(m, d):
+        pts = X[idx]
+        _, sv, vt = np.linalg.svd(pts[:, 1:] - pts[:, :1], full_matrices=True)
+        spans = np.sum(sv > 1e-8 * scale, axis=1) >= d - 1  # points span a hyperplane
+        a = vt[spans, -1]
+        h = (a[:, None, :] @ pts[spans, 0, :, None])[:, 0, 0]  # the dot kernel of a @ pts[0]
+        side = a @ X.T - h[:, None]
+        below = np.max(side, axis=1) <= bound
+        supporting = below | (np.min(side, axis=1) >= -bound)
+        sign = np.where(below, 1.0, -1.0)[supporting, None]
+        cand.append(sign * np.column_stack([a, h])[supporting])
+    facets = _dedupe_points(np.concatenate(cand), np.append(np.full(d, 1e-7), 1e-7 * scale))
+    if not len(facets):
         raise GeometryError("facet enumeration failed (degenerate vertex set)")
-    A = np.array([f[0] for f in facets])
-    b = np.array([f[1] for f in facets])
-    return A, b
+    return facets[:, :d], facets[:, d]
 
 
 def _vertices_brute_force(A, b, tol):
@@ -454,18 +473,15 @@ def _vertices_brute_force(A, b, tol):
         if lo > hi + 100 * tol * scale:
             return np.zeros((0, 1))
         return _dedupe_points(np.array([[lo], [hi]]), 100 * tol * scale)
-    cand = []
-    for idx in itertools.combinations(range(f), d):
-        M = A[list(idx)]
+    cand = [np.zeros((0, d))]
+    for idx in _subset_blocks(f, d):
+        M = A[idx]
         sv = np.linalg.svd(M, compute_uv=False)
-        if sv[-1] <= sv[0] / _COND_GUARD or sv[-1] <= 1e-12:
-            continue
-        x = np.linalg.solve(M, b[list(idx)])
-        if np.all(A @ x <= b + 100 * tol * max(scale, np.max(np.abs(x)))):
-            cand.append(x)
-    if not cand:
-        return np.zeros((0, d))
-    return _dedupe_points(np.array(cand), 1e-7 * max(scale, 1.0))
+        ok = (sv[:, -1] > sv[:, 0] / _COND_GUARD) & (sv[:, -1] > 1e-12)
+        x = np.linalg.solve(M[ok], b[idx[ok], None])[..., 0]
+        slack = 100 * tol * np.maximum(scale, np.max(np.abs(x), axis=1))
+        cand.append(x[np.all(x @ A.T <= b + slack[:, None], axis=1)])
+    return _dedupe_points(np.concatenate(cand), 1e-7 * max(scale, 1.0))
 
 
 # -- flat sections ----------------------------------------------------------

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from tensorgeo import conemoment, flats
 from tensorgeo.conemoment import (
     cone_sphere_moment,
     trig_integral,
     _monte_carlo_moment,
 )
+from tensorgeo.flats import sample_flats_hitting
 from tensorgeo.polytope import cross_polytope, cube, simplex
+from tensorgeo.rng import stream
 from tensorgeo.special import omega
 from tensorgeo.symtensor import multi_degrees
 
@@ -27,6 +30,33 @@ class TestTrigIntegral:
         vals = trig_integral(2, 1, 0.0, t2)
         for i, t in enumerate(t2):
             assert vals[i] == pytest.approx(trig_integral(2, 1, 0.0, float(t)))
+
+
+    def test_equals_recursion_on_arrays(self):
+        # the recursion that evaluates cos and sin at every level, kept as
+        # the reference: sharing them must not change a bit
+        def recursion(p, q, t1, t2):
+            if p >= 2:
+                term = (np.cos(t2) ** (p - 1) * np.sin(t2) ** (q + 1)
+                        - np.cos(t1) ** (p - 1) * np.sin(t1) ** (q + 1)) / (p + q)
+                return term + (p - 1) / (p + q) * recursion(p - 2, q, t1, t2)
+            if p == 1:
+                return (np.sin(t2) ** (q + 1) - np.sin(t1) ** (q + 1)) / (q + 1)
+            if q >= 2:
+                term = (-np.cos(t2) * np.sin(t2) ** (q - 1)
+                        + np.cos(t1) * np.sin(t1) ** (q - 1)) / q
+                return term + (q - 1) / q * recursion(0, q - 2, t1, t2)
+            if q == 1:
+                return -(np.cos(t2) - np.cos(t1))
+            return t2 - t1
+
+        rng = np.random.default_rng(0)
+        t1 = rng.uniform(-4, 4, (50, 7))
+        t2 = t1 + rng.uniform(0, 4, (50, 7))
+        for p in range(7):
+            for q in range(7 - p):
+                assert np.array_equal(trig_integral(p, q, t1, t2), recursion(p, q, t1, t2))
+                assert trig_integral(p, q, -0.3, 1.1) == recursion(p, q, -0.3, 1.1)
 
 
 class TestExactPaths:
@@ -128,3 +158,40 @@ class TestMonteCarloPath:
         res = cone_sphere_moment(P.normal_cone(face), 0, budget=300000, seed=3)
         se = max(res.stderr.value() if res.stderr.coeffs else 0.0, 1e-12)
         assert abs(res.tensor.value() - omega(3) / 6) <= 4 * se
+
+
+def _record_draws(module, monkeypatch):
+    """Patch module.stream so every stream it opens records its first draws."""
+    draws = []
+
+    def recording(*args):
+        draws.append(stream(*args).standard_normal(8))
+        return stream(*args)
+    monkeypatch.setattr(module, "stream", recording)
+    return draws
+
+
+class TestStreams:
+    def test_simplex_vertex_cones_draw_different_numbers(self, monkeypatch):
+        draws = _record_draws(conemoment, monkeypatch)
+        P = simplex(3)
+        methods = [cone_sphere_moment(P.normal_cone(f), 2, budget=100, seed=0).method
+                   for f in P.faces(0)]
+        assert methods.count("monte-carlo") == 3 == len(draws)
+        assert len({tuple(d) for d in draws}) == 3
+
+    def test_cone_moment_and_flat_sampler_draw_different_numbers(self, monkeypatch):
+        cone_draws = _record_draws(conemoment, monkeypatch)
+        flat_draws = _record_draws(flats, monkeypatch)
+        P = simplex(3)
+        _monte_carlo_moment(P.normal_cone(P.faces(0)[1]), 2, budget=100, seed=5)
+        sample_flats_hitting(P, 1, 100, seed=5)
+        assert cone_draws and flat_draws
+        assert not any(np.array_equal(a, b) for a in cone_draws for b in flat_draws)
+
+    def test_sampler_stream_keyed_by_seed_alone(self):
+        # the flat and motion samplers keep the streams they drew before
+        # purpose words existed
+        bg = np.random.Philox(key=np.uint64(5))
+        bg.advance(3 << 40)
+        assert np.array_equal(stream(5, 3).random(8), np.random.Generator(bg).random(8))

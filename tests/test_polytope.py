@@ -1,10 +1,16 @@
+import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tensorgeo import polytope
 from tensorgeo.polytope import (
     EmptyPolytopeError,
+    GeometryError,
     GrazingIntersectionError,
     Polytope,
     Region,
@@ -206,6 +212,194 @@ class TestBuiltins:
         assert builtin_polytope("random3-7").aff_dim == 3
 
     def test_unknown_name(self):
-        from tensorgeo.polytope import GeometryError
         with pytest.raises(GeometryError):
             builtin_polytope("dodecahedron")
+
+
+# -- per-subset loops: the reference for the batched d-subset enumeration ----
+
+def _dedupe_loop(points, tol):
+    out = []
+    for p in points:
+        if not any(np.max(np.abs(p - q)) <= tol for q in out):
+            out.append(p)
+    return np.array(out) if out else np.zeros((0, points.shape[1]))
+
+
+def _facets_loop(X, tol):
+    m, d = X.shape
+    if d == 0:
+        return np.zeros((0, 0)), np.zeros(0)
+    scale = max(1.0, float(np.max(np.abs(X))))
+    if d == 1:
+        lo, hi = float(np.min(X[:, 0])), float(np.max(X[:, 0]))
+        return np.array([[1.0], [-1.0]]), np.array([hi, -lo])
+    facets = []
+    for idx in itertools.combinations(range(m), d):
+        pts = X[list(idx)]
+        M = pts[1:] - pts[0]
+        _, sv, vt = np.linalg.svd(M, full_matrices=True)
+        if np.sum(sv > 1e-8 * scale) < d - 1:
+            continue
+        a = vt[-1]
+        h = float(a @ pts[0])
+        side = X @ a - h
+        if np.max(side) <= 100 * tol * scale:
+            cand = (a, h)
+        elif np.min(side) >= -100 * tol * scale:
+            cand = (-a, -h)
+        else:
+            continue
+        if not any(np.max(np.abs(cand[0] - a2)) <= 1e-7 and abs(cand[1] - h2) <= 1e-7 * scale
+                   for a2, h2 in facets):
+            facets.append(cand)
+    if not facets:
+        raise GeometryError("facet enumeration failed (degenerate vertex set)")
+    return np.array([f[0] for f in facets]), np.array([f[1] for f in facets])
+
+
+def _vertices_loop(A, b, tol):
+    f, d = A.shape
+    if d == 1:
+        return polytope._vertices_brute_force(A, b, tol)
+    scale = max(1.0, float(np.max(np.abs(b))) if len(b) else 1.0)
+    cand = []
+    for idx in itertools.combinations(range(f), d):
+        M = A[list(idx)]
+        sv = np.linalg.svd(M, compute_uv=False)
+        if sv[-1] <= sv[0] / polytope._COND_GUARD or sv[-1] <= 1e-12:
+            continue
+        x = np.linalg.solve(M, b[list(idx)])
+        if np.all(A @ x <= b + 100 * tol * max(scale, np.max(np.abs(x)))):
+            cand.append(x)
+    if not cand:
+        return np.zeros((0, d))
+    return _dedupe_loop(np.array(cand), 1e-7 * max(scale, 1.0))
+
+
+def _same_rows(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def _check_vertices(A, b, tol=polytope.GEOM_TOL):
+    _same_rows(polytope._vertices_brute_force(A, b, tol), _vertices_loop(A, b, tol))
+
+
+def _check_build(points):
+    """Polytope.from_vertices with the batched enumeration against the
+    loops: same vertices in the same order, same facets, same faces."""
+    def build():
+        try:
+            return Polytope.from_vertices(points)
+        except GeometryError as exc:
+            return type(exc)
+    got = build()
+    with mock.patch.multiple(polytope, _dedupe_points=_dedupe_loop,
+                             _facets_brute_force=_facets_loop):
+        want = build()
+    if isinstance(want, type):
+        assert got is want
+        return None
+    _same_rows(got.vertices, want.vertices)
+    _same_rows(got.A, want.A)
+    _same_rows(got.b, want.b)
+    assert got._face_vertex_sets() == want._face_vertex_sets()
+    # the loop makes one SVD per subset: skip the vertex check on the
+    # 48-56-facet 4-bodies that perturbed 4-cubes become (C(56, 4) = 367290)
+    if got.aff_dim == got.dim and math.comb(len(got.b), got.dim) <= 20000:
+        _check_vertices(*got.ambient_halfspaces())
+    return got
+
+
+def _rotation(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * np.sign(np.diag(r))
+
+
+seeds = st.integers(0, 2 ** 32 - 1)
+
+
+class TestBatchedEnumeration:
+    @given(n=st.integers(2, 4), extra=st.integers(1, 8), seed=seeds)
+    @settings(max_examples=40, deadline=None)
+    def test_random_points(self, n, extra, seed):
+        rng = np.random.default_rng(seed)
+        P = _check_build(rng.standard_normal((n + extra, n)))
+        # a random k-flat section system of the same body
+        k = int(rng.integers(1, n)) if P is not None and P.aff_dim == n else 0
+        if k:
+            A, b = P.ambient_halfspaces()
+            B = _rotation(rng, n)[:, :k]
+            q = 0.3 * rng.standard_normal(n)
+            _check_vertices(A @ B, b - A @ q)
+
+    @given(n=st.integers(2, 4), seed=seeds)
+    @settings(max_examples=20, deadline=None)
+    def test_rotated_cubes_and_cross_polytopes(self, n, seed):
+        rng = np.random.default_rng(seed)
+        rho, t = _rotation(rng, n), rng.standard_normal(n)
+        for body in (cube(n), cross_polytope(n)):
+            P = _check_build(body.vertices @ rho.T + t)
+            assert len(P.b) == len(body.b)
+
+    @given(n=st.integers(2, 4), seed=seeds, eps=st.sampled_from([0.0, 1e-13, 1e-10]))
+    @settings(max_examples=20, deadline=None)
+    def test_duplicate_vertices(self, n, seed, eps):
+        rng = np.random.default_rng(seed)
+        pts = rng.standard_normal((n + 3, n))
+        dup = pts[rng.integers(0, len(pts), 4)] + eps * rng.standard_normal((4, n))
+        pts = np.vstack([pts, dup])[rng.permutation(len(pts) + 4)]
+        _same_rows(polytope._dedupe_points(pts, 1e-9), _dedupe_loop(pts, 1e-9))
+        _check_build(pts)
+
+    @given(n=st.integers(2, 4), k=st.integers(0, 3), seed=seeds)
+    @settings(max_examples=30, deadline=None)
+    def test_lower_dimensional(self, n, k, seed):
+        rng = np.random.default_rng(seed)
+        k = min(k, n - 1)
+        pts = rng.standard_normal((k + 4, k)) @ _rotation(rng, n)[:k] + rng.standard_normal(n)
+        P = _check_build(pts)
+        assert P.aff_dim == k
+
+    @given(n=st.integers(2, 4), seed=seeds, eps=st.sampled_from([1e-13, 1e-11, 1e-9, 1e-7, 1e-5]))
+    @settings(max_examples=30, deadline=None)
+    def test_near_coplanar(self, n, seed, eps):
+        rng = np.random.default_rng(seed)
+        pts = cube(n).vertices + eps * rng.standard_normal((2 ** n, n))
+        _check_build(pts)
+        flat = rng.standard_normal((n + 4, n))
+        flat[:, -1] = eps * rng.standard_normal(n + 4)
+        _check_build(flat)
+
+    @given(n=st.integers(2, 4), seed=seeds)
+    @settings(max_examples=20, deadline=None)
+    def test_fewer_constraints_than_dimension_and_empty(self, n, seed):
+        rng = np.random.default_rng(seed)
+        for f in range(n):
+            A, b = rng.standard_normal((f, n)), rng.standard_normal(f)
+            assert polytope._vertices_brute_force(A, b, polytope.GEOM_TOL).shape == (0, n)
+            _check_vertices(A, b)
+        # an infeasible system: x_0 <= -1 and x_0 >= 1 inside a box
+        A = np.vstack([np.eye(n), -np.eye(n)])
+        b = np.ones(2 * n)
+        b[0] = -1.0
+        _check_vertices(A, b)
+
+    @pytest.mark.parametrize("block", [1024, 1034, 1035])
+    def test_block_boundaries(self, block, monkeypatch):
+        # 46 tangents of the unit circle (a regular 46-gon) and its 46
+        # vertices: C(46, 2) = 1035 subsets, so a block of 1034 leaves a last
+        # block of one subset and a block of 1035 takes them all in one.
+        monkeypatch.setattr(polytope, "_BLOCK", block)
+        t = 2 * math.pi * np.arange(46) / 46
+        A = np.column_stack([np.cos(t), np.sin(t)])
+        _check_vertices(A, np.ones(46))
+        P = _check_build(A)
+        assert len(P.b) == 46
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_forty_points_in_r3(self, seed):
+        # C(40, 3) = 9880 subsets: nine full blocks and one of 664
+        P = _check_build(np.random.default_rng(seed).standard_normal((40, 3)))
+        assert P.aff_dim == 3
