@@ -26,6 +26,7 @@ from .symtensor import SymTensor, multi_degrees, multinomial, vector_power
 __all__ = ["MomentResult", "ConeMomentBudgetError", "cone_sphere_moment", "trig_integral"]
 
 _DIR_TOL = 1e-9
+_RATE_FLOOR = 1e-4   # sampled cones accepting fewer directions than this raise
 
 
 class ConeMomentBudgetError(RuntimeError):
@@ -206,8 +207,11 @@ def _monte_carlo_moment(cone, s, budget, seed, batch=20000):
     accepted = 0
     batch_idx = 0
     purpose = purpose_key("cone-moment", cone.face_key)
-    while total < budget:
-        m = min(batch, budget - total)
+    # a cone that none of the budget's directions hit is sampled on until one
+    # does or 1 / _RATE_FLOOR directions put its rate below the floor: no hit
+    # gives a zero standard error, which would claim an exact zero
+    while total < budget or (not accepted and total < 1 / _RATE_FLOOR):
+        m = min(batch, (budget if total < budget else round(1 / _RATE_FLOOR)) - total)
         rng = stream(seed, batch_idx, purpose)
         batch_idx += 1
         z = rng.standard_normal((m, d))
@@ -224,7 +228,7 @@ def _monte_carlo_moment(cone, s, budget, seed, batch=20000):
     se = np.sqrt(var / total)
     result = MomentResult(SymTensor.from_coordinates(n, s, mean),
                           SymTensor.from_coordinates(n, s, se), "monte-carlo", total)
-    if accepted < 1e-4 * total:
+    if accepted < _RATE_FLOOR * total:
         raise ConeMomentBudgetError(
-            f"acceptance rate {accepted}/{total} below 1e-4 with budget exhausted", result)
+            f"acceptance rate {accepted}/{total} below {_RATE_FLOOR} with budget exhausted", result)
     return result

@@ -44,6 +44,7 @@ class FlatBatch:
     importance weight."""
 
     frames: np.ndarray       # (count, n, k) orthonormal direction frames
+    complements: np.ndarray  # (count, n, n-k) orthonormal complements of the frames
     points: np.ndarray       # (count, n) footpoints
     weight: float
 
@@ -75,6 +76,7 @@ def sample_flats_hitting(P, k, count, seed=0, margin=0.5):
     c, r0 = P.circumdata()
     R = r0 + margin
     frames = np.empty((count, n, k))
+    complements = np.empty((count, n, n - k))
     points = np.empty((count, n))
     done = 0
     batch_idx = 0
@@ -90,9 +92,10 @@ def sample_flats_hitting(P, k, count, seed=0, margin=0.5):
         rad = R * rng.random(m) ** (1.0 / (n - k))
         t = center + rad[:, None] * z
         frames[done:done + m] = rho[:, :, :k]
+        complements[done:done + m] = comp
         points[done:done + m] = np.einsum("mij,mj->mi", comp, t)
         done += m
-    return FlatBatch(frames, points, kappa_ball(n - k) * R ** (n - k))
+    return FlatBatch(frames, complements, points, kappa_ball(n - k) * R ** (n - k))
 
 
 def sample_motions_coupling(P, P2, count, seed=0, margin=0.5):

@@ -6,17 +6,17 @@ integral from flat or motion samples, and reports per-coordinate
 agreement against 3 standard errors (with an absolute floor for exact
 zeros).
 
-Two evaluation paths feed the left-hand side.  The generic path builds
-each random section or intersection as a Polytope and calls the measure
-evaluator; it works for every index but is slow, and the sections' own
-Monte-Carlo errors add to its standard error.  Vectorized kernels handle
-the high-sample regimes: line sections in any dimension, plane sections
-of 3-d polytopes, and motion intersections of 2-d polytopes.  A kernel
-finds the faces of all sections at once and evaluates the same face sum
-as `tcm` on batched tensors: face size times the closed-form moment of
-the normal cone (conemoment) times Q(F)^l or the position power.  The
-kernels are cross-checked against the generic path sample by sample in
-the test-suite.
+Two evaluation paths feed the left-hand side.  The batched section path
+takes all samples as sections {q + B y : g y <= h} of dimension d <= 2
+(lines and planes for Crofton, P cap gP2 in the plane for motions),
+finds their vertices from the d-subsets of the constraints, and sums
+`tcm`'s face sum over facets, segments or polygon vertices with
+conemoment's closed forms, in blocks of samples.  Every other index
+(windows, n = 3 motions, r > 0 above j = 0, ...) takes the generic path,
+which builds each section as a Polytope and calls `tcm`; the sections'
+own Monte-Carlo errors add to its standard error, and each section's
+sampled cones draw their own streams.  The generic path is the reference
+the test-suite checks the batched one against, sample by sample.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coeffs import c_norm, d_coeff, thm31_coeff
-from .conemoment import _arc_moment, _product_cone_moment
-from .flats import sample_flats_hitting, sample_motions_coupling
+from .conemoment import _arc_moment, _lune_moment, _product_cone_moment
+from .flats import _BATCH, sample_flats_hitting, sample_motions_coupling
 from .measures import tcm, valuation, MeasureIndex
 from .polytope import (
     GrazingIntersectionError,
@@ -40,7 +40,7 @@ from .polytope import (
     _vertices_brute_force,
 )
 from .rng import stream
-from .special import gamma_half, kappa_ball, omega
+from .special import kappa_ball, omega
 from .symtensor import SymTensor, metric_tensor, multi_degrees, vector_power
 
 __all__ = [
@@ -228,11 +228,107 @@ def _generic_lhs(n, j, r, s, l, rows, spares, section, weight, budget, seed):
             except GrazingIntersectionError:
                 rejections += 1
                 row = next(spares)
-        if sec is not None:
-            mv = tcm(sec, j, r, s, l, region=region, budget=budget, seed=seed)
+        if sec is not None:   # each section's sampled cones draw from their own streams
+            mv = tcm(sec, j, r, s, l, region=region, budget=budget, seed=seed ^ ((idx + 1) << 32))
             values[idx], errors[idx] = mv.tensor.data, mv.stderr.data
     est, err = _mean_and_stderr(SymTensor(n, rank, values), weight, SymTensor(n, rank, errors))
     return est, err, rejections
+
+
+# -- the batched section path ---------------------------------------------------
+
+def _batched(n, d, j, r, l, regions, bodies):
+    """Whether `_section_lhs` evaluates phi_j^{r,s,l} on the d-dimensional
+    sections of these bodies: whole-space regions, full-dimensional bodies,
+    r > 0 only at j = 0, and one of its three face kinds: the facets of the
+    section (j = d - 1), a segment itself (j = d = 1 < n), or polygon
+    vertices whose cone has at most one line (j = 0, d = 2, n - d <= 1)."""
+    return (all(reg.is_universe for reg in regions) and all(B.aff_dim == B.dim for B in bodies)
+            and d <= 2 and j <= 1 and (r == 0 or j == 0) and (l == 0 or j > 0)
+            and (j == d - 1 or j == d < n or (j == d - 2 and n - d <= 1)))
+
+
+def _spread(t, on):
+    """max - min of t over the entries marked `on` (last axis); 0 where none."""
+    hi = np.max(np.where(on, t, -np.inf), axis=-1)
+    lo = np.min(np.where(on, t, np.inf), axis=-1)
+    return np.where(on.any(axis=-1), hi - lo, 0.0)
+
+
+def _subset_vertices(g, h, subsets, slack):
+    """Solutions y (d, m, P) of g_S y = h_S for the d-subsets S (rows of
+    `subsets`) of the constraints g y <= h with unit rows g (m, F, d),
+    d <= 2, by Cramer's rule, and which of them satisfy every constraint
+    within slack."""
+    G, H = g[:, subsets], h[:, subsets]                                  # (m, P, d, d), (m, P, d)
+    if subsets.shape[1] == 1:
+        det, y = G[..., 0, 0], [H[..., 0]]
+    else:
+        det = G[..., 0, 0] * G[..., 1, 1] - G[..., 0, 1] * G[..., 1, 0]
+        y = [H[..., 0] * G[..., 1, 1] - H[..., 1] * G[..., 0, 1],
+             G[..., 0, 0] * H[..., 1] - G[..., 1, 0] * H[..., 0]]
+    ok = np.abs(det) > 1e-12
+    y = np.stack(y)
+    y /= np.where(ok, det, 1.0)
+    del G, H, det   # bounds the memory of the residual pass below
+    if subsets.shape[1] == 1:   # rows are +-1 (or 0), so the worst residual is the nearest bound
+        up = g[..., 0] > 0
+        excess = np.maximum(y[0] - np.min(np.where(ok & up, y[0], np.inf), axis=1)[:, None],
+                            np.max(np.where(ok & ~up, y[0], -np.inf), axis=1)[:, None] - y[0])
+        excess = np.maximum(excess, np.max(np.where(ok, -np.inf, -h), axis=1)[:, None])
+    else:
+        excess = np.full(ok.shape, -np.inf)
+        for f in range(g.shape[1]):
+            np.maximum(excess, np.einsum("cmp,mc->mp", y, g[:, f]) - h[:, f, None], out=excess)
+    return y, ok & (excess <= slack)
+
+
+def _section_lhs(n, j, r, s, l, B, W, q, g, h, weight, slack):
+    """phi_j^{r,s,l} of N sections {q + B y : g y <= h} of dimension d <= 2
+    (B (N, n, d) and W (N, n, n - d) orthonormal frames of the section and
+    its complement, q (N, n), g (N, F, d), h (N, F)), for the face kinds
+    `_batched` admits.  Vertices come from the d-subsets of the constraints
+    and are feasible within `slack` (100 tol scale of the body); each face
+    contributes its size or position power times the closed-form moment of
+    its normal cone, as in `tcm`.  Samples go through in blocks of _BATCH.
+    Returns (estimate, stderr, rejections = 0)."""
+    N, F, d = g.shape
+    gn = np.linalg.norm(g, axis=-1)
+    gn[gn == 0] = 1.0
+    g, h = g / gn[..., None], h / gn                                     # unit in-frame normals
+    subsets = np.array(list(itertools.combinations(range(F), d)), dtype=np.intp)    # (P, d)
+    members = np.argsort(subsets.ravel(), kind="stable").reshape(F, -1)  # where f sits in them
+    rank = r + s + 2 * l
+    values = np.empty((N, len(multi_degrees(n, rank))))
+    for at in range(0, N, _BATCH):
+        Bb, Wb, unit = B[at:at + _BATCH], W[at:at + _BATCH], g[at:at + _BATCH]
+        y, feas = _subset_vertices(unit, h[at:at + _BATCH], subsets, slack)
+        vr = vector_power(q[at:at + _BATCH, None] + np.einsum("mic,cmp->mpi", Bb, y), r) if r else 1.0
+        if j == d:          # the segment: length, full sphere of W, Q(segment)^l
+            vals = (_product_cone_moment(n, s, np.zeros((n, 0)), Wb)
+                    * vector_power(Bb[..., 0], 2 * l)).scale(_spread(y[0], feas))
+        elif j == d - 1:    # facets: a ray and W; endpoints weigh v^r, edges length e^{2l}
+            on = np.repeat(feas, d, axis=1)[:, members]                 # (m, F, C(F-1, d-1))
+            nu = np.einsum("mij,mfj->mfi", Bb, unit)
+            if d == 1:
+                fmom = on[..., 0] * vr
+            else:
+                e = np.stack([-unit[..., 1], unit[..., 0]], axis=-1)
+                t = np.einsum("mpkc,cmp->mpk", e[:, subsets], y).reshape(len(e), -1)[:, members]
+                fmom = vector_power(np.einsum("mij,mfj->mfi", Bb, e), 2 * l).scale(_spread(t, on))
+            vals = (_product_cone_moment(n, s, nu[..., None], Wb[:, None]) * fmom).sum(axis=1)
+        else:               # polygon vertices: the arc between the two normals (+ W) times v^r
+            theta = np.arctan2(unit[..., 1], unit[..., 0])[:, subsets]   # (m, P, 2)
+            delta = np.mod(theta[..., 1] - theta[..., 0], 2.0 * math.pi)
+            start = np.where(delta <= math.pi, theta[..., 0], theta[..., 1])
+            end = start + np.where(feas, np.minimum(delta, 2.0 * math.pi - delta), 0.0)
+            pa, pb = Bb[:, None, :, 0], Bb[:, None, :, 1]
+            cones = (_arc_moment(n, s, pa, pb, start, end) if n == d
+                     else _lune_moment(n, s, pa, pb, start, end, Wb[:, None, :, 0]))
+            vals = (cones * vr).sum(axis=1)
+        values[at:at + _BATCH] = vals.data
+    est, err = _mean_and_stderr(SymTensor(n, rank, values), weight * c_norm(n, j, r, s, l) / omega(n - j))
+    return est, err, 0
 
 
 # -- Crofton left-hand side -------------------------------------------------
@@ -241,12 +337,13 @@ def crofton_lhs(P, k, j, r=0, s=0, l=0, region=None, samples=10000, seed=0,
                 margin=0.5, budget=20000, force_generic=False):
     """Monte-Carlo estimate of the integral of phi_j^{r,s,l}(P cap E, region)
     over k-flats; returns (tensor, stderr, rejections)."""
-    n = P.dim
     region = Region.universe() if region is None else region
-    if not force_generic and _line_kernel_applies(P, k, j, r, s, l, region):
-        return _line_kernel(P, j, s, l, samples, seed, margin)
-    if not force_generic and _plane_kernel_applies(P, k, j, r, region):
-        return _plane_kernel(P, s, l, samples, seed, margin)
+    if not force_generic and _batched(P.dim, k, j, r, l, [region], [P]):
+        A, b = P.ambient_halfspaces()
+        batch = sample_flats_hitting(P, k, samples, seed=seed, margin=margin)
+        return _section_lhs(P.dim, j, r, s, l, batch.frames, batch.complements, batch.points,
+                            A @ batch.frames, b - batch.points @ A.T, batch.weight,
+                            100 * P.tol * P.scale)
     return _crofton_generic(P, k, j, r, s, l, region, samples, seed, margin, budget)
 
 
@@ -261,120 +358,6 @@ def _crofton_generic(P, k, j, r, s, l, region, samples, seed, margin, budget):
     rows, weight = draw(samples, seed)
     return _generic_lhs(P.dim, j, r, s, l, rows, _spares(draw, seed), section,
                         weight, budget, seed)
-
-
-# .. line-section kernel ....................................................
-
-def _line_kernel_applies(P, k, j, r, s, l, region):
-    if k != 1 or r != 0 or not region.is_universe or P.aff_dim != P.dim:
-        return False
-    if j == 1:
-        return True
-    return j == 0 and s == 0 and l == 0
-
-
-def _clip_lines(P, batch):
-    """Vectorized clipping of line flats against P's halfspaces: returns
-    (feasible mask, entry parameter, exit parameter)."""
-    A, b = P.ambient_halfspaces()
-    d = batch.frames[:, :, 0]                     # (N, n)
-    den = d @ A.T                                 # (N, F)
-    num = b[None, :] - batch.points @ A.T
-    tol = 1e-12
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = num / den
-    hi = np.min(np.where(den > tol, ratio, np.inf), axis=1)
-    lo = np.max(np.where(den < -tol, ratio, -np.inf), axis=1)
-    parallel_bad = np.any((np.abs(den) <= tol) & (num < 0), axis=1)
-    feasible = (~parallel_bad) & (hi - lo > 0) & np.isfinite(hi) & np.isfinite(lo)
-    return feasible, lo, hi, d
-
-
-def _line_kernel(P, j, s, l, samples, seed, margin):
-    """phi_j of line sections, vectorized.  A section is a segment of length
-    L along d; its only 1-face has the full orthogonal complement d-perp as
-    normal cone, whose sphere moment is c(n-1, s) Q(d-perp)^{s/2} (zero for
-    odd s), so the face sum is L c(n-1, s) (Q - d^2)^{s/2} d^{2l}.  The
-    j = 0 case (s = l = 0) is the Euler characteristic, 1 per nonempty
-    section."""
-    n = P.dim
-    batch = sample_flats_hitting(P, 1, samples, seed=seed, margin=margin)
-    feasible, lo, hi, d = _clip_lines(P, batch)
-    if j == 0:
-        values = SymTensor(n, 0, feasible.astype(float)[:, None])
-    elif s % 2:
-        values = SymTensor(n, s + 2 * l, np.zeros((samples, len(multi_degrees(n, s + 2 * l)))))
-    else:
-        L = np.where(feasible, hi - lo, 0.0)
-        c_sphere = 2.0 * math.pi ** ((n - 2) / 2) * gamma_half((s + 1) / 2) / gamma_half((s + n - 1) / 2)
-        perp = (metric_tensor(n) - vector_power(d, 2)).power(s // 2)
-        values = (perp * vector_power(d, 2 * l)).scale(c_norm(n, 1, 0, s, l) / omega(n - 1) * c_sphere * L)
-    est, err = _mean_and_stderr(values, batch.weight)
-    return est, err, 0
-
-
-# .. plane-section kernel (n = 3) ...........................................
-
-def _plane_kernel_applies(P, k, j, r, region):
-    return (P.dim == 3 and k == 2 and j == 1 and r == 0
-            and region.is_universe and P.aff_dim == 3)
-
-
-def _plane_kernel(P, s, l, samples, seed, margin):
-    """phi_1 of plane sections of a 3-polytope, vectorized over samples.
-
-    Each section is a polygon; its edges lie on the facet-plane traces.
-    An edge inherits the facet's in-plane outward normal nu and the plane
-    normal w; its normal cone is the half-plane {a nu + b w : a >= 0}, a
-    ray plus a line, so the face sum is the edge length L times the
-    product-cone moment times Q(edge)^l = e^{2l}.
-    """
-    A, b = P.ambient_halfspaces()
-    F = len(b)
-    batch = sample_flats_hitting(P, 2, samples, seed=seed, margin=margin)
-    N = samples
-    B = batch.frames                                  # (N, 3, 2)
-    q = batch.points
-    w = np.cross(B[:, :, 0], B[:, :, 1])              # (N, 3) plane normals
-    g = np.einsum("fi,nij->nfj", A, B)                # (N, F, 2) in-plane normals
-    h = b[None, :] - q @ A.T                          # (N, F)
-    gn = np.linalg.norm(g, axis=2)                    # (N, F)
-    live = gn > 1e-10
-
-    pairs = [(i, jj) for i in range(F) for jj in range(i + 1, F)]
-    P_ = len(pairs)
-    i_idx = np.array([p[0] for p in pairs])
-    j_idx = np.array([p[1] for p in pairs])
-    g1, g2 = g[:, i_idx], g[:, j_idx]                 # (N, P, 2)
-    h1, h2 = h[:, i_idx], h[:, j_idx]
-    det = g1[..., 0] * g2[..., 1] - g1[..., 1] * g2[..., 0]
-    ok = np.abs(det) > 1e-10 * np.maximum(gn[:, i_idx] * gn[:, j_idx], 1e-30)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vx = (h1 * g2[..., 1] - h2 * g1[..., 1]) / det
-        vy = (g1[..., 0] * h2 - g2[..., 0] * h1) / det
-    v = np.stack([vx, vy], axis=-1)                   # (N, P, 2)
-    v = np.where(np.isfinite(v), v, 0.0)
-    feas = ok & np.all(np.einsum("nfj,npj->nfp", g, v) - h[:, :, None] <= 1e-7, axis=1)   # (N, P)
-
-    # edge lengths per facet: spread of feasible pair-vertices along the line
-    e_dir = np.stack([-g[..., 1], g[..., 0]], axis=-1) / np.where(live, gn, 1.0)[..., None]
-    tpar = np.einsum("nfj,npj->nfp", e_dir, v)        # (N, F, P)
-    on_line = np.zeros((N, F, P_), dtype=bool)
-    for pi, (fi, fj) in enumerate(pairs):
-        on_line[:, fi, pi] = feas[:, pi]
-        on_line[:, fj, pi] = feas[:, pi]
-    tmax = np.max(np.where(on_line, tpar, -np.inf), axis=2)
-    tmin = np.min(np.where(on_line, tpar, np.inf), axis=2)
-    L = np.where(live & np.isfinite(tmax) & np.isfinite(tmin),
-                 np.maximum(tmax - tmin, 0.0), 0.0)   # (N, F)
-
-    nu = np.einsum("nij,nfj->nfi", B, g / np.where(live, gn, 1.0)[..., None])  # (N, F, 3)
-    edir3 = np.einsum("nij,nfj->nfi", B, e_dir)                                # (N, F, 3)
-
-    cones = _product_cone_moment(3, s, nu[..., None], w[:, None, :, None])      # (N, F)
-    values = (cones * vector_power(edir3, 2 * l)).scale(L).sum(axis=1)
-    est, err = _mean_and_stderr(values.scale(c_norm(3, 1, 0, s, l) / omega(2)), batch.weight)
-    return est, err, 0
 
 
 def crofton_verify(P, k, j, r=0, s=0, l=0, region=None, samples=10000, seed=0,
@@ -399,9 +382,16 @@ def kinematic_lhs(P, P2, j, r=0, s=0, l=0, region=None, region2=None,
     n = P.dim
     region = Region.universe() if region is None else region
     region2 = Region.universe() if region2 is None else region2
-    if (not force_generic and n == 2 and j == 0 and l == 0 and r + s <= 4
-            and region.is_universe and region2.is_universe):
-        return _motion_kernel_2d(P, P2, r, s, samples, seed, margin)
+    if not force_generic and _batched(n, n, j, r, l, [region, region2], [P, P2]):
+        (A1, b1), (A2, b2) = P.ambient_halfspaces(), P2.ambient_halfspaces()
+        batch = sample_motions_coupling(P, P2, samples, seed=seed, margin=margin)
+        Ag = A2 @ np.swapaxes(batch.rotations, 1, 2)                   # (N, F2, n): A2 rho^T
+        g = np.concatenate([np.broadcast_to(A1, (samples,) + A1.shape), Ag], axis=1)
+        h = np.concatenate([np.broadcast_to(b1, (samples, len(b1))),
+                            b2 + (Ag @ batch.translations[..., None])[..., 0]], axis=1)
+        return _section_lhs(n, j, r, s, l, np.broadcast_to(np.eye(n), (samples, n, n)),
+                            np.zeros((samples, n, 0)), np.zeros((samples, n)), g, h,
+                            batch.weight, 100 * P.tol * P.scale)
     return _kinematic_generic(P, P2, j, r, s, l, region, region2,
                               samples, seed, margin, budget)
 
@@ -435,57 +425,6 @@ def _combine_regions(r1, r2):
     if r2.is_universe:
         return r1
     return Region(np.vstack([r1.A, r2.A]), np.concatenate([r1.b, r2.b]))
-
-
-def _motion_kernel_2d(P, P2, r, s, samples, seed, margin):
-    """phi_0^{r,s,0} of random planar intersections, vectorized.
-
-    Vertices of P cap gP2 come from constraint pairs of the stacked 2-d
-    halfplane systems; the normal cone at a vertex is the arc between the
-    two active outward normals (width < pi), so the face sum is the arc
-    moment times v^r, summed over the feasible pairs.
-    """
-    A1, b1 = P.ambient_halfspaces()
-    A2, b2 = P2.ambient_halfspaces()
-    batch = sample_motions_coupling(P, P2, samples, seed=seed, margin=margin)
-    N = samples
-    rho, t = batch.rotations, batch.translations
-    Ag = np.einsum("fi,nji->nfj", A2, rho)            # (N, F2, 2): A2 rho^T
-    bg = b2[None, :] + np.einsum("nfj,nj->nf", Ag, t)
-    A = np.concatenate([np.broadcast_to(A1, (N,) + A1.shape), Ag], axis=1)  # (N, F, 2)
-    b = np.concatenate([np.broadcast_to(b1, (N,) + b1.shape), bg], axis=1)
-    F = A.shape[1]
-    norms = np.linalg.norm(A, axis=2)
-    A = A / norms[..., None]
-    b = b / norms
-
-    pairs = [(i, jj) for i in range(F) for jj in range(i + 1, F)]
-    i_idx = np.array([p[0] for p in pairs])
-    j_idx = np.array([p[1] for p in pairs])
-    a1, a2 = A[:, i_idx], A[:, j_idx]                 # (N, P, 2)
-    h1, h2 = b[:, i_idx], b[:, j_idx]
-    det = a1[..., 0] * a2[..., 1] - a1[..., 1] * a2[..., 0]
-    ok = np.abs(det) > 1e-10
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vx = (h1 * a2[..., 1] - h2 * a1[..., 1]) / det
-        vy = (a1[..., 0] * h2 - a2[..., 0] * h1) / det
-    v = np.stack([vx, vy], axis=-1)
-    v = np.where(np.isfinite(v), v, 0.0)
-    feas = ok & np.all(np.einsum("nfj,npj->nfp", A, v) - b[:, :, None] <= 1e-9, axis=1)   # (N, P)
-    v = np.where(feas[..., None], v, 0.0)
-
-    th1 = np.arctan2(a1[..., 1], a1[..., 0])
-    th2 = np.arctan2(a2[..., 1], a2[..., 0])
-    delta = np.mod(th2 - th1, 2.0 * math.pi)
-    # arc runs counterclockwise from start over width < pi
-    start = np.where(delta <= math.pi, th1, th2)
-    width = np.where(delta <= math.pi, delta, 2.0 * math.pi - delta)
-    end = np.where(feas, start + width, start)        # empty arcs at infeasible pairs
-
-    arcs = _arc_moment(2, s, np.array([1.0, 0.0]), np.array([0.0, 1.0]), start, end)   # (N, P)
-    values = (arcs * vector_power(v, r)).sum(axis=1)
-    est, err = _mean_and_stderr(values.scale(c_norm(2, 0, r, s, 0) / omega(2)), batch.weight)
-    return est, err, 0
 
 
 def kinematic_verify(P, P2, j, r=0, s=0, l=0, region=None, region2=None,

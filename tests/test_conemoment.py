@@ -10,7 +10,7 @@ from tensorgeo.conemoment import (
     _monte_carlo_moment,
 )
 from tensorgeo.flats import sample_flats_hitting
-from tensorgeo.polytope import cross_polytope, cube, simplex
+from tensorgeo.polytope import Polytope, cross_polytope, cube, simplex
 from tensorgeo.rng import stream
 from tensorgeo.special import omega
 from tensorgeo.symtensor import multi_degrees
@@ -158,6 +158,23 @@ class TestMonteCarloPath:
         res = cone_sphere_moment(P.normal_cone(face), 0, budget=300000, seed=3)
         se = max(res.stderr.value() if res.stderr.coeffs else 0.0, 1e-12)
         assert abs(res.tensor.value() - omega(3) / 6) <= 4 * se
+
+    def test_unseen_thin_cone_is_sampled_until_seen(self):
+        """The apex of a flat pyramid has a normal cone of about 0.1 % of the
+        sphere, which 400 directions miss at seed 0 (the sampler used to
+        raise there, with an estimate of zero and a zero stderr).  It is
+        sampled on, in the same batches, until a direction falls inside."""
+        t = np.array([0.0, 2 * math.pi / 3, 4 * math.pi / 3])
+        P = Polytope.from_vertices(np.vstack([np.stack([np.cos(t), np.sin(t), 0 * t], 1),
+                                              [[0.0, 0.0, 0.05]]]))
+        cone = P.normal_cone([f for f in P.faces(0) if f.point[2] > 0.01][0])
+        thin = cone_sphere_moment(cone, 0, budget=400, seed=0)
+        assert thin.method == "monte-carlo" and 400 < thin.samples <= 10000
+        assert thin.tensor.value() > 0.0 and thin.stderr.value() > 0.0
+        reference = cone_sphere_moment(cone, 0, budget=400000, seed=1)
+        assert abs(thin.tensor.value() - reference.tensor.value()) <= 4 * thin.stderr.value()
+        # a cone hit within the budget draws exactly the budget, as before
+        assert cone_sphere_moment(cone, 0, budget=400, seed=7).samples == 400
 
 
 def _record_draws(module, monkeypatch):

@@ -15,6 +15,14 @@ from tensorgeo.polytope import cube, simplex
 from tensorgeo.rng import stream
 
 
+def _hits(P, batch):
+    """Whether each sampled line in the plane meets P: P's vertices lie on
+    both sides of it (the complement column is the line's normal)."""
+    normal = batch.complements[:, :, 0]
+    side = normal @ P.vertices.T - np.einsum("mi,mi->m", normal, batch.points)[:, None]
+    return (side.min(axis=1) <= 0) & (side.max(axis=1) >= 0)
+
+
 class TestRandomRotation:
     def test_orthogonal_det_one(self):
         rng = stream(0, 0)
@@ -75,18 +83,46 @@ class TestFlatSampler:
         for i in range(0, 200, 17):
             B = batch.frames[i]
             assert np.max(np.abs(B.T @ B - np.eye(2))) < 1e-10
+            # the complement column completes the frame to an orthonormal basis
+            W = batch.complements[i]
+            assert W.shape == (3, 1)
+            assert np.max(np.abs(W.T @ W - np.eye(1))) < 1e-10
+            assert np.max(np.abs(B.T @ W)) < 1e-10
             # base point lies in the complement disk of radius R around the
             # projected circumcenter
             q = batch.points[i]
             assert abs(q @ B[:, 0]) < 1e-9 and abs(q @ B[:, 1]) < 1e-9
         assert batch.weight > 0
 
+    def test_draws_unchanged_for_a_fixed_seed(self):
+        """Carrying the complement columns changes no draw: frames and
+        points as drawn before, in the first and in a later block of
+        4096."""
+        small = sample_flats_hitting(cube(3), 2, 200, seed=1)
+        large = sample_flats_hitting(cube(3), 2, 5000, seed=1)
+        expected = [
+            (small, 0, [[0.5068718837435828, 0.2561413226797328],
+                        [0.2196201681515176, 0.8849530796901441],
+                        [-0.8335753566482941, 0.3889083048262226]],
+             [1.426216711085348, -0.7115422587764871, 0.6797707201102929]),
+            (small, 199, [[-0.391736406055877, -0.004462559516995727],
+                          [-0.5414896193155717, 0.8095869065274615],
+                          [-0.7438626085130926, -0.5869830715973445]],
+             [1.3430746494000005, -0.3308148871196947, -0.4664818542552653]),
+            (large, 4321, [[-0.2695905237571954, 0.45486736990052223],
+                           [-0.706627382036091, -0.6922453349518553],
+                           [0.6542160900322932, -0.5602607179137007]],
+             [-0.43169344302241236, -0.0745317761344817, -0.25839574695728357]),
+        ]
+        for batch, i, frame, point in expected:
+            np.testing.assert_allclose(batch.frames[i], frame, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(batch.points[i], point, rtol=0, atol=1e-15)
+
     def test_hitting_probability_square(self):
         # mu_1-measure of lines meeting the unit square: alpha(2,0,1) * 2 V_1
         P = cube(2)
         batch = sample_flats_hitting(P, 1, 200000, seed=3)
-        from tensorgeo.verify import _clip_lines
-        feasible, _, _, _ = _clip_lines(P, batch)
+        feasible = _hits(P, batch)
         est = batch.weight * feasible.mean()
         se = batch.weight * feasible.std() / math.sqrt(len(feasible))
         expected = alpha(2, 0, 1) * intrinsic_volume(P, 1)
@@ -100,8 +136,7 @@ class TestFlatSampler:
         se = []
         for margin in (0.5, 0.5 + 1.0 + simplex(2).circumdata()[1]):
             batch = sample_flats_hitting(P, 1, 100000, seed=9, margin=margin)
-            from tensorgeo.verify import _clip_lines
-            feasible, _, _, _ = _clip_lines(P, batch)
+            feasible = _hits(P, batch)
             est.append(batch.weight * feasible.mean())
             se.append(batch.weight * feasible.std() / math.sqrt(len(feasible)))
         assert abs(est[0] - est[1]) <= 3 * math.hypot(*se)

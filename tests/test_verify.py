@@ -154,6 +154,97 @@ class TestKernelsAgainstGenericPath:
             assert fast[0].max_abs_coordinate_diff(slow[0]) < 1e-10, (r, s)
 
 
+    @pytest.mark.parametrize("body, cfg", [
+        ("cube2", dict(k=1, j=0, r=1, s=2)), ("cube3", dict(k=1, j=0, r=2, s=1)),
+        ("cube4", dict(k=1, j=1, s=2)), ("cube3", dict(k=2, j=0, s=2)),
+        ("cube3", dict(k=2, j=0, r=1, s=3)), ("simplex3", dict(k=2, j=0, s=2)),
+        ("cube4", dict(k=2, j=1, s=2, l=1))])
+    def test_more_line_and_plane_sections(self, body, cfg):
+        """Line endpoints with r > 0, lines in R^4, plane-section vertices
+        (lunes) and edges of plane sections in R^4."""
+        P = _BODIES[body]()
+        fast = crofton_lhs(P, samples=200, seed=25, **cfg)
+        slow = crofton_lhs(P, samples=200, seed=25, force_generic=True, **cfg)
+        assert fast[0].max_abs_coordinate_diff(slow[0]) < 1e-10
+
+    @pytest.mark.parametrize("j, r, s, l", [(0, 1, 5, 0), (1, 0, 2, 0), (1, 0, 3, 1)])
+    def test_more_planar_motions(self, j, r, s, l):
+        P = cube(2)
+        P2 = cube(2).transformed(random_rotation(stream(9, 0), 2), np.array([0.2, 0.1]))
+        fast = kinematic_lhs(P, P2, j, r=r, s=s, l=l, samples=150, seed=26)
+        slow = kinematic_lhs(P, P2, j, r=r, s=s, l=l, samples=150, seed=26, force_generic=True)
+        assert fast[0].max_abs_coordinate_diff(slow[0]) < 1e-10
+
+    def test_blocks_of_samples(self, monkeypatch):
+        """Blocks of 7: 20 samples are two full blocks and a partial one."""
+        monkeypatch.setattr(verify_module, "_BATCH", 7)
+        P2 = cube(2).transformed(random_rotation(stream(9, 0), 2), np.array([0.2, 0.1]))
+        runs = [lambda **kw: crofton_lhs(cube(2), 1, 1, s=2, samples=20, seed=27, **kw),
+                lambda **kw: crofton_lhs(cube(3), 2, 0, s=2, samples=20, seed=27, **kw),
+                lambda **kw: crofton_lhs(cube(3), 2, 1, s=1, l=1, samples=20, seed=27, **kw),
+                lambda **kw: kinematic_lhs(cube(2), P2, 0, r=1, s=1, samples=20, seed=27, **kw)]
+        for run in runs:
+            fast, slow = run(), run(force_generic=True)
+            assert fast[0].max_abs_coordinate_diff(slow[0]) < 1e-10
+            assert fast[1].max_abs_coordinate_diff(slow[1]) < 1e-10
+
+
+_BODIES = {
+    "cube2": lambda: cube(2), "cube3": lambda: cube(3), "cube4": lambda: cube(4),
+    "simplex3": lambda: simplex(3).transformed(random_rotation(stream(8, 0), 3),
+                                               np.array([0.2, -0.1, 0.4])),
+}
+
+
+class TestRouting:
+    """Which indices take the batched section path and which the per-sample
+    generic path."""
+
+    @staticmethod
+    def _refuse_generic(monkeypatch):
+        class Generic(Exception):
+            pass
+
+        def generic(*args, **kwargs):
+            raise Generic
+        monkeypatch.setattr(verify_module, "_generic_lhs", generic)
+        return Generic
+
+    def test_table_rows_take_the_batched_path(self, monkeypatch):
+        self._refuse_generic(monkeypatch)
+        line_rows = [dict(k=1, j=0), dict(k=1, j=1, s=2), dict(k=1, j=1, s=0, l=1),
+                     dict(k=1, j=1, s=4), dict(k=1, j=1, s=2, l=1)]
+        rows_3d = [dict(k=1, j=1, s=2), dict(k=1, j=0), dict(k=2, j=1, s=2),
+                   dict(k=2, j=1, s=0), dict(k=2, j=1, s=1), dict(k=2, j=1, s=2, l=1),
+                   dict(k=2, j=1, s=4), dict(k=2, j=1, s=3, l=1), dict(k=1, j=1, s=4, l=1)]
+        for cfg in line_rows:
+            crofton_lhs(cube(2), samples=20, seed=21, **cfg)
+        for cfg in rows_3d:
+            crofton_lhs(cube(3), samples=20, seed=22, **cfg)
+        crofton_lhs(_BODIES["simplex3"](), k=2, j=1, s=2, samples=20, seed=23)
+        P2 = cube(2).transformed(random_rotation(stream(9, 0), 2), np.array([0.2, 0.1]))
+        for (r, s) in [(0, 0), (0, 1), (0, 2), (1, 1), (2, 0), (0, 4), (1, 3), (2, 2), (4, 0)]:
+            kinematic_lhs(cube(2), P2, 0, r=r, s=s, samples=20, seed=24)
+
+    def test_the_rest_reaches_the_generic_path(self, monkeypatch):
+        Generic = self._refuse_generic(monkeypatch)
+        window = Region.box([-1, -1], [0.5, 2])
+        P2 = cube(2).transformed(random_rotation(stream(9, 0), 2), np.array([0.2, 0.1]))
+        cases = [
+            lambda: crofton_lhs(cube(2), 1, 1, region=window, samples=5, seed=1),
+            lambda: kinematic_lhs(cube(2), P2, 0, region2=window, samples=5, seed=1),
+            lambda: kinematic_lhs(cube(3), cube(3), 0, samples=5, seed=1),
+            lambda: crofton_lhs(cube(3), 2, 1, r=1, s=1, samples=5, seed=1),
+            lambda: crofton_lhs(cube(3), 1, 1, r=1, samples=5, seed=1),
+            lambda: kinematic_lhs(cube(2), P2, 1, r=1, samples=5, seed=1),
+            lambda: kinematic_lhs(cube(2), P2, 2, samples=5, seed=1),
+            lambda: crofton_lhs(cube(4), 2, 0, s=2, samples=5, seed=1),
+        ]
+        for case in cases:
+            with pytest.raises(Generic):
+                case()
+
+
 class TestGenericPathErrors:
     def test_section_stderr_adds_to_the_estimate(self, monkeypatch):
         """Motions in n = 3 with j = 0: the intersections' vertex cones are
@@ -194,6 +285,29 @@ class TestGenericPathErrors:
         assert rejections == 1500
         spares = np.array(points[1:])
         assert len(np.unique(spares, axis=0)) == len(spares)
+
+
+    def test_sections_draw_their_own_cone_streams(self, monkeypatch):
+        """Sampled vertex cones of different sections never share a stream:
+        no (seed, purpose) key is drawn for two sections."""
+        import tensorgeo.conemoment as conemoment_module
+        section = [0]
+        keys = {}
+
+        def counting_tcm(*args, **kwargs):
+            section[0] += 1
+            return tcm(*args, **kwargs)
+
+        def recording_stream(seed, index=0, purpose=0):
+            keys.setdefault((seed, purpose), set()).add(section[0])
+            return stream(seed, index, purpose)
+
+        monkeypatch.setattr(verify_module, "tcm", counting_tcm)
+        monkeypatch.setattr(conemoment_module, "stream", recording_stream)
+        P2 = cube(3).transformed(random_rotation(stream(12, 0), 3), np.array([0.1, 0.2, -0.1]))
+        kinematic_lhs(cube(3), P2, 0, samples=12, seed=3, budget=200)
+        assert len({s for owners in keys.values() for s in owners}) >= 2
+        assert all(len(owners) == 1 for owners in keys.values())
 
 
 class TestSmallVerifications:
