@@ -49,7 +49,12 @@ def trig_integral(p, q, t1, t2):
     """Definite integral of cos^p(t) sin^q(t) over [t1, t2], by the standard
     power-reduction recurrence.  Accepts scalars or numpy arrays for the
     endpoints."""
-    return _trig_recurrence(p, q, t1, t2, np.cos(t1), np.sin(t1), np.cos(t2), np.sin(t2))
+    return _trig_recurrence(p, q, *_arc_ends(t1, t2))
+
+
+def _arc_ends(t1, t2):
+    """`_trig_recurrence`'s endpoint arguments, shared by all integrals on an arc."""
+    return t1, t2, np.cos(t1), np.sin(t1), np.cos(t2), np.sin(t2)
 
 
 def _trig_recurrence(p, q, t1, t2, c1, s1, c2, s2):
@@ -78,7 +83,7 @@ def _product_cone_moment(n, s, ray_frame, sub_frame):
     cols = [ray_frame[..., :, i] for i in range(q)] + [sub_frame[..., :, i] for i in range(w)]
     denom = gamma_half((s + q + w) / 2)
     out = SymTensor.zero(n, s)
-    for a in _compositions(s, q + w):
+    for a in multi_degrees(q + w, s):
         if any(ai % 2 for ai in a[q:]):
             continue
         val = 2.0 ** (1 - q) / denom
@@ -92,38 +97,32 @@ def _product_cone_moment(n, s, ray_frame, sub_frame):
     return out
 
 
-def _arc_moment(n, s, pa, pb, t1, t2):
-    """Moment over the planar arc {cos t pa + sin t pb : t in [t1, t2]};
-    pa, pb (..., n) and the angles broadcast into the batch."""
-    out = vector_power(pb, s).scale(trig_integral(0, s, t1, t2))
+def _arc_moment(n, s, pa, pb, ends):
+    """Moment over the planar arc {cos t pa + sin t pb : t in [t1, t2]},
+    with ends = _arc_ends(t1, t2); pa, pb (..., n) and the angles
+    broadcast into the batch."""
+    out = vector_power(pb, s).scale(_trig_recurrence(0, s, *ends))
     for i in range(1, s + 1):
-        c = math.comb(s, i) * trig_integral(i, s - i, t1, t2)
+        c = math.comb(s, i) * _trig_recurrence(i, s - i, *ends)
         out = out + (vector_power(pa, i) * vector_power(pb, s - i)).scale(c)
     return out
 
 
-def _lune_moment(n, s, pa, pb, t1, t2, w):
+_HALF_TURN = _arc_ends(-math.pi / 2, math.pi / 2)
+
+
+def _lune_moment(n, s, pa, pb, ends, w):
     """Moment over (arc in span{pa, pb}) + span{w}: parametrize
     u = cos(phi) v(theta) + sin(phi) w with phi in (-pi/2, pi/2) and area
     element cos(phi) dphi dtheta."""
     out = SymTensor.zero(n, s)
     for i in range(s + 1):
-        phi = float(trig_integral(i + 1, s - i, -math.pi / 2, math.pi / 2))
+        phi = float(_trig_recurrence(i + 1, s - i, *_HALF_TURN))
         if phi == 0.0:
             continue
-        arc = _arc_moment(n, i, pa, pb, t1, t2)
+        arc = _arc_moment(n, i, pa, pb, ends)
         out = out + (arc * vector_power(w, s - i)).scale(math.comb(s, i) * phi)
     return out
-
-
-def _compositions(total, parts):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
 
 
 def _split_lineality(cone):
@@ -192,9 +191,10 @@ def cone_sphere_moment(cone, s, budget=20000, seed=0):
         if t2 - t1 >= math.pi - 1e-9:
             # boundary rays nearly antipodal; leave it to the sampler
             return _monte_carlo_moment(cone, s, budget, seed)
+        ends = _arc_ends(t1, t2)
         if wdim == 0:
-            return MomentResult(_arc_moment(n, s, pa, pb, t1, t2), zero, "arc", 0)
-        return MomentResult(_lune_moment(n, s, pa, pb, t1, t2, W[:, 0]), zero, "arc", 0)
+            return MomentResult(_arc_moment(n, s, pa, pb, ends), zero, "arc", 0)
+        return MomentResult(_lune_moment(n, s, pa, pb, ends, W[:, 0]), zero, "arc", 0)
     return _monte_carlo_moment(cone, s, budget, seed)
 
 

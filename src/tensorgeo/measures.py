@@ -3,9 +3,11 @@
 The core evaluator follows the face-sum definition: a weight
 c / omega_{n-j} times the sum over j-faces of Q(F)^l, the exact monomial
 moment of the face clipped to the window, and the spherical moment of
-the face's normal cone.  The top index j = n is the volume case.  Both
-constant factors are kept literally (they cancel for 0 < j < n) so the
-j = 0 and j = n special constants need no separate code path.
+the face's normal cone.  Face moments come from the body's cached face
+lattice and window clip (`Polytope.face_moments`).  The top index j = n
+is the volume case.  Both constant factors are kept literally (they
+cancel for 0 < j < n) so the j = 0 and j = n special constants need no
+separate code path.
 
 Lower-dimensional polytopes (flat sections) evaluate through the same
 face sum: their top face is the polytope itself, whose normal cone is
@@ -20,9 +22,9 @@ import numpy as np
 
 from .coeffs import c_norm
 from .conemoment import cone_sphere_moment
-from .polytope import Polytope, Region, polytope_moment
+from .polytope import Region, polytope_moment
 from .special import omega
-from .symtensor import SymTensor, metric_tensor, subspace_metric_tensor, vector_power
+from .symtensor import SymTensor, metric_tensor, subspace_metric_tensor
 
 __all__ = [
     "MeasureIndex",
@@ -68,7 +70,6 @@ def tcm(P, j, r=0, s=0, l=0, region=None, budget=20000, seed=0):
     Out-of-range indices return the zero tensor (the measures are
     extended by zero); j = n requires s = 0.
     """
-    region = Region.universe() if region is None else region
     n = P.dim
     rank = r + s + 2 * l
     zero = MeasureValue(SymTensor.zero(n, rank), SymTensor.zero(n, rank), 0, 0)
@@ -89,25 +90,20 @@ def tcm(P, j, r=0, s=0, l=0, region=None, budget=20000, seed=0):
     faces = P.faces(j)
     if not faces:
         return zero
+    moments = P.face_moments(j, r, region)
     total = SymTensor.zero(n, rank)
     err = SymTensor.zero(n, rank)
     mc_samples = 0
     cache = P._cone_moment_cache
-    for face in sorted(faces, key=lambda f: f.vertex_indices):
+    for face, fdata in zip(faces, moments.data):
         key = (face.vertex_indices, s, budget, seed)
         if key not in cache:
             cache[key] = cone_sphere_moment(P.normal_cone(face), s, budget=budget, seed=seed)
         cm = cache[key]
         mc_samples += cm.samples
-        if j == 0:
-            if not bool(region.contains(face.point)[0]):
-                continue
-            fmom = vector_power(face.point, r)
-        else:
-            face_poly = Polytope.from_vertices(face.vertices, P.tol)
-            fmom = polytope_moment(face_poly, r, region)
-        if not fmom.data.any():
+        if not fdata.any():
             continue
+        fmom = SymTensor(n, r, fdata)
         qf = subspace_metric_tensor(face.frame).power(l) if l else SymTensor.scalar(n, 1.0)
         total = total + qf * fmom * cm.tensor
         if cm.stderr.data.any():

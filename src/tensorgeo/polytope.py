@@ -11,6 +11,16 @@ sections, segments, faces) are first class: each polytope records its
 affine hull as an origin plus orthonormal frame, keeps its facet
 description in intrinsic coordinates, and contributes the orthogonal
 complement of its hull to every normal cone.
+
+Each body builds its face lattice once, from the incidence: every face,
+the body included, with its vertex set, dimension, origin x0 (the vertex
+mean) and frame, and for each facet G of a k-face F the distance h_G
+from x0 to aff G.  Monomial moments M_r(F) = integral of x^r over F come
+down the lattice by Lasserre's divergence-theorem recursion
+(k + r) M_r(F) = sum_G h_G M_r(G) + r x0 M_{r-1}(F), M_r(v) = v^r, one
+array pass per (k, r), memoised on the body.  A window clips the body
+once (cached per window); F meets it in the face of the clip whose
+vertices lie on every facet of the body containing F.
 """
 
 from __future__ import annotations
@@ -85,15 +95,6 @@ def _affine_frame(points, tol):
     return p0, vt[:d].T, d
 
 
-def _affine_rank(points, tol):
-    if len(points) <= 1:
-        return 0
-    centered = points - points.mean(axis=0)
-    sv = np.linalg.svd(centered, compute_uv=False)
-    scale = max(1.0, float(np.max(np.abs(points))))
-    return int(np.sum(sv > tol * scale * 10))
-
-
 def _orth_complement(frame, n):
     """Orthonormal basis of the orthogonal complement of the column span."""
     d = frame.shape[1]
@@ -121,7 +122,9 @@ class Polytope:
             self.incidence = np.abs(self.intrinsic @ self.A.T - self.b) <= 100 * tol * self.scale
         else:
             self.incidence = np.zeros((len(self.vertices), 0), dtype=bool)
-        self._face_sets = None
+        self._lattice = None
+        self._moments = {}          # (k, r) -> moments of the k-faces
+        self._clips = {}            # window halfspaces -> clip or None
         self._cone_moment_cache = {}
 
     # -- constructors ----------------------------------------------------
@@ -194,7 +197,7 @@ class Polytope:
 
     def volume(self):
         """Intrinsic aff_dim-volume."""
-        return sum(_simplex_volume(s) for s in triangulate(self))
+        return float(self._level_moments(self.aff_dim, 0)[0, 0])
 
     # -- transforms ------------------------------------------------------
 
@@ -215,42 +218,95 @@ class Polytope:
     def _face_vertex_sets(self):
         """All proper nonempty faces as vertex-index frozensets: the closure
         of the facet sets under intersection."""
-        if self._face_sets is None:
-            facet_sets = [frozenset(np.nonzero(self.incidence[:, f])[0]) for f in range(len(self.b))]
-            found = set(fs for fs in facet_sets if fs)
-            frontier = set(found)
-            while frontier:
-                new = set()
-                for fs in frontier:
-                    for gs in facet_sets:
-                        h = fs & gs
-                        if h and h not in found:
-                            new.add(h)
-                found |= new
-                frontier = new
-            self._face_sets = found
-        return self._face_sets
+        facet_sets = [frozenset(np.nonzero(self.incidence[:, f])[0]) for f in range(len(self.b))]
+        found = set(fs for fs in facet_sets if fs)
+        frontier = set(found)
+        while frontier:
+            new = set()
+            for fs in frontier:
+                for gs in facet_sets:
+                    h = fs & gs
+                    if h and h not in found:
+                        new.add(h)
+            found |= new
+            frontier = new
+        return found
+
+    def _face_lattice(self):
+        """Levels of faces in `faces` order, the map vertex set -> (k, i),
+        and per k >= 1 the heights h[F, G] (zero where G is no facet of F)."""
+        if self._lattice is None:
+            d, m = self.aff_dim, len(self.vertices)
+            proper = [self._make_face(tuple(sorted(fs)))
+                      for fs in sorted(self._face_vertex_sets(), key=sorted) if len(fs) > 1]
+            levels = ([[self._make_face((i,)) for i in range(m)]] if d else []) \
+                + [[f for f in proper if f.j == k] for k in range(1, d)] \
+                + [[self._make_face(tuple(range(m)))]]
+            heights = [None]
+            for k in range(1, d + 1):
+                upper, lower = levels[k], levels[k - 1]
+                f, g = np.array([(a, b) for a, F in enumerate(upper) for b, G in enumerate(lower)
+                                 if set(G.vertex_indices) <= set(F.vertex_indices)]).T
+                U = np.array([G.frame for G in lower])[g]
+                gap = np.array([G.point for G in lower])[g] - np.array([F.point for F in upper])[f]
+                gap -= np.einsum("pij,pj->pi", U, np.einsum("pij,pi->pj", U, gap))
+                heights.append(np.zeros((len(upper), len(lower))))
+                heights[k][f, g] = np.linalg.norm(gap, axis=1)
+            index = {frozenset(face.vertex_indices): (k, i)
+                     for k, level in enumerate(levels) for i, face in enumerate(level)}
+            self._lattice = (levels, index, heights)
+        return self._lattice
 
     def faces(self, j):
         """All j-dimensional faces; faces(aff_dim) is the polytope itself."""
-        d = self.aff_dim
-        if j < 0 or j > d:
+        if j < 0 or j > self.aff_dim:
             return []
-        if j == d:
-            return [self._make_face(tuple(range(len(self.vertices))))]
-        if j == 0:
-            return [self._make_face((i,)) for i in range(len(self.vertices))]
-        out = []
-        for fs in sorted(self._face_vertex_sets(), key=sorted):
-            idx = tuple(sorted(fs))
-            if _affine_rank(self.vertices[list(idx)], self.tol) == j:
-                out.append(self._make_face(idx))
-        return out
+        return list(self._face_lattice()[0][j])
 
     def _make_face(self, idx):
         pts = self.vertices[list(idx)]
         p0, U, d = _affine_frame(pts, self.tol)
         return Face(j=d, vertex_indices=idx, vertices=pts, frame=U, point=p0)
+
+    def _level_moments(self, k, r):
+        """Coefficient rows of M_r(F) for the k-faces F, in `faces(k)` order."""
+        if (k, r) not in self._moments:
+            levels, _, heights = self._face_lattice()
+            x0 = np.array([face.point for face in levels[k]])
+            if k == 0:
+                mom = vector_power(x0, r).data
+            else:
+                mom = heights[k] @ self._level_moments(k - 1, r)
+                if r:
+                    lower = SymTensor(self.dim, r - 1, self._level_moments(k, r - 1))
+                    mom = mom + r * (vector_power(x0, 1) * lower).data
+                mom = mom / (k + r)
+            self._moments[k, r] = mom
+        return self._moments[k, r]
+
+    def face_moments(self, j, r, region=None):
+        """Moments of F cut by `region` for the j-faces F, in `faces(j)`
+        order; zero where the cut is empty or of dimension below j."""
+        faces = self.faces(j)
+        out = np.zeros((len(faces), len(multi_degrees(self.dim, r))))
+        clip = self.intersect_region(Region.universe() if region is None else region)
+        if clip is None or not faces or j > clip.aff_dim:
+            return SymTensor(self.dim, r, out)
+        _, index, _ = clip._face_lattice()
+        moments = clip._level_moments(j, r)
+        # the clip's vertices on each facet of P, and each face's facets of P
+        on_facet = np.abs(((clip.vertices - self.origin) @ self.frame) @ self.A.T - self.b) \
+            <= 100 * self.tol * self.scale
+        for i, face in enumerate(faces):
+            facets = np.all(self.incidence[list(face.vertex_indices)], axis=0)
+            on_face = frozenset(np.flatnonzero(np.all(on_facet[:, facets], axis=1)).tolist())
+            found = index.get(on_face)
+            if found is None and on_face:
+                raise GeometryError(f"the window meets face {face.vertex_indices} "
+                                    "outside the clip's face lattice")
+            if found and found[0] == j:
+                out[i] = moments[found[1]]
+        return SymTensor(self.dim, r, out)
 
     def normal_cone(self, face):
         """Ambient normal cone at `face`: generated by the outer normals of
@@ -278,9 +334,15 @@ class Polytope:
     # -- set operations --------------------------------------------------
 
     def intersect_region(self, region):
-        """P intersected with a Region; returns None when empty."""
+        """P intersected with a Region (cached per window); None when empty."""
         if region.is_universe:
             return self
+        key = (region.A.shape, region.A.tobytes(), region.b.tobytes())
+        if key not in self._clips:
+            self._clips[key] = self._clip(region)
+        return self._clips[key]
+
+    def _clip(self, region):
         Ar = region.A @ self.frame
         br = region.b - region.A @ self.origin
         d = self.aff_dim
@@ -319,9 +381,6 @@ class Face:
     vertices: np.ndarray
     frame: np.ndarray           # ambient orthonormal frame of the direction space
     point: np.ndarray           # relative interior point
-
-    def key(self):
-        return self.vertex_indices
 
 
 @dataclass(frozen=True)
@@ -581,15 +640,9 @@ def simplex_moment(verts, r):
 
 
 def polytope_moment(P, r, region=None):
-    """Integral of x^r over P intersected with `region`, as a rank-r tensor."""
-    region = Region.universe() if region is None else region
-    clipped = P.intersect_region(region)
-    if clipped is None:
-        return SymTensor.zero(P.dim, r)
-    out = SymTensor.zero(P.dim, r)
-    for s in triangulate(clipped):
-        out = out + simplex_moment(s, r)
-    return out
+    """Integral of x^r over P intersected with `region`, as a rank-r tensor
+    (zero when the intersection is lower-dimensional than P)."""
+    return SymTensor(P.dim, r, P.face_moments(P.aff_dim, r, region).data[0])
 
 
 # -- built-ins --------------------------------------------------------------

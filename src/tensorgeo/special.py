@@ -9,6 +9,7 @@ would hit a pole of Gamma are routed through `gamma_ratio_continued` /
 nonpositive argument.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -33,11 +34,12 @@ def _as_half_integer(x):
     return int(two_x)
 
 
+@functools.lru_cache(maxsize=None)
 def gamma_half(x):
     """Gamma(x) for a positive half-integer x, evaluated exactly.
 
     Integer x gives (x-1)!; odd half-integer x = k + 1/2 gives
-    (2k)! / (4^k k!) * sqrt(pi).  Raises ValueError otherwise.
+    (2k)! / (4^k k!) * sqrt(pi).  Raises ValueError otherwise, on every call.
     """
     two_x = _as_half_integer(x)
     if two_x is None or two_x <= 0:

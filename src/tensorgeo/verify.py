@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coeffs import c_norm, d_coeff, thm31_coeff
-from .conemoment import _arc_moment, _lune_moment, _product_cone_moment
+from .conemoment import _arc_ends, _arc_moment, _lune_moment, _product_cone_moment
 from .flats import _BATCH, sample_flats_hitting, sample_motions_coupling
 from .measures import tcm, valuation, MeasureIndex
 from .polytope import (
@@ -323,8 +323,9 @@ def _section_lhs(n, j, r, s, l, B, W, q, g, h, weight, slack):
             start = np.where(delta <= math.pi, theta[..., 0], theta[..., 1])
             end = start + np.where(feas, np.minimum(delta, 2.0 * math.pi - delta), 0.0)
             pa, pb = Bb[:, None, :, 0], Bb[:, None, :, 1]
-            cones = (_arc_moment(n, s, pa, pb, start, end) if n == d
-                     else _lune_moment(n, s, pa, pb, start, end, Wb[:, None, :, 0]))
+            ends = _arc_ends(start, end)
+            cones = (_arc_moment(n, s, pa, pb, ends) if n == d
+                     else _lune_moment(n, s, pa, pb, ends, Wb[:, None, :, 0]))
             vals = (cones * vr).sum(axis=1)
         values[at:at + _BATCH] = vals.data
     est, err = _mean_and_stderr(SymTensor(n, rank, values), weight * c_norm(n, j, r, s, l) / omega(n - j))

@@ -17,7 +17,7 @@ from tensorgeo.coeffs import (
     lambda_coeff,
     thm31_coeff,
 )
-from tensorgeo.special import omega
+from tensorgeo.special import gamma_half, omega
 
 
 def gamma_quad(x):
@@ -230,3 +230,14 @@ class TestCNorm:
     def test_top_requires_s_zero(self):
         with pytest.raises(ValueError):
             c_norm(3, 3, 0, 2, 0)
+
+
+class TestGammaHalfCache:
+    def test_values_are_cached_and_bad_arguments_raise_every_time(self):
+        assert gamma_half(4.5) == gamma_half(9 / 2) == gamma_half(4.5)
+        hits = gamma_half.cache_info().hits
+        gamma_half(4.5)
+        assert gamma_half.cache_info().hits == hits + 1
+        for bad in (0, -0.5, 0.3, 0.3):
+            with pytest.raises(ValueError):
+                gamma_half(bad)

@@ -13,7 +13,7 @@ from tensorgeo.flats import sample_flats_hitting
 from tensorgeo.polytope import Polytope, cross_polytope, cube, simplex
 from tensorgeo.rng import stream
 from tensorgeo.special import omega
-from tensorgeo.symtensor import multi_degrees
+from tensorgeo.symtensor import SymTensor, multi_degrees, vector_power
 
 
 class TestTrigIntegral:
@@ -57,6 +57,45 @@ class TestTrigIntegral:
             for q in range(7 - p):
                 assert np.array_equal(trig_integral(p, q, t1, t2), recursion(p, q, t1, t2))
                 assert trig_integral(p, q, -0.3, 1.1) == recursion(p, q, -0.3, 1.1)
+
+
+def _arc_per_integral(n, s, pa, pb, t1, t2):
+    """The arc moment assembled from one `trig_integral` per term, each
+    computing cos and sin of both endpoints afresh."""
+    out = vector_power(pb, s).scale(trig_integral(0, s, t1, t2))
+    for i in range(1, s + 1):
+        c = math.comb(s, i) * trig_integral(i, s - i, t1, t2)
+        out = out + (vector_power(pa, i) * vector_power(pb, s - i)).scale(c)
+    return out
+
+
+def _lune_per_integral(n, s, pa, pb, t1, t2, w):
+    out = SymTensor.zero(n, s)
+    for i in range(s + 1):
+        phi = float(trig_integral(i + 1, s - i, -math.pi / 2, math.pi / 2))
+        if phi == 0.0:
+            continue
+        arc = _arc_per_integral(n, i, pa, pb, t1, t2)
+        out = out + (arc * vector_power(w, s - i)).scale(math.comb(s, i) * phi)
+    return out
+
+
+class TestSharedEndpoints:
+    """Arc and lune moments take cos and sin of the endpoints once per call;
+    the result is bit-identical to one `trig_integral` per term."""
+
+    @pytest.mark.parametrize("s", range(7))
+    def test_batched_arcs_and_lunes(self, s):
+        rng = np.random.default_rng(s)
+        frames = np.linalg.qr(rng.standard_normal((40, 3, 3)))[0]
+        pa, pb, w = frames[..., 0], frames[..., 1], frames[..., 2]
+        t1 = rng.uniform(-1.5, 1.5, 40)
+        t2 = t1 + rng.uniform(0.0, 3.0, 40)
+        ends = conemoment._arc_ends(t1, t2)
+        assert np.array_equal(conemoment._arc_moment(3, s, pa, pb, ends).data,
+                              _arc_per_integral(3, s, pa, pb, t1, t2).data)
+        assert np.array_equal(conemoment._lune_moment(3, s, pa, pb, ends, w).data,
+                              _lune_per_integral(3, s, pa, pb, t1, t2, w).data)
 
 
 class TestExactPaths:

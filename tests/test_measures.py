@@ -1,8 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from tensorgeo.coeffs import c_norm
+from tensorgeo.conemoment import cone_sphere_moment
 from tensorgeo.flats import random_rotation
 from tensorgeo.measures import (
     MeasureIndex,
@@ -17,11 +20,15 @@ from tensorgeo.polytope import (
     Region,
     cross_polytope,
     cube,
+    polytope_moment,
     random_polytope,
     simplex,
+    simplex_moment,
+    triangulate,
 )
 from tensorgeo.rng import stream
-from tensorgeo.symtensor import metric_tensor
+from tensorgeo.special import omega
+from tensorgeo.symtensor import SymTensor, metric_tensor, subspace_metric_tensor
 
 
 class TestIntrinsicVolumes:
@@ -178,3 +185,108 @@ class TestConeMomentCache:
         b = tcm(S, 0, s=2, budget=500, seed=2)
         assert a.tensor.max_abs_coordinate_diff(b.tensor) > 0.0
         assert tcm(S, 0, s=2, budget=500, seed=1).tensor.max_abs_coordinate_diff(a.tensor) == 0.0
+
+
+def _windowed_bodies():
+    """Random bodies in R^2, R^3 and R^4 and rotated, translated copies,
+    each with a box window cutting it by two planes."""
+    out = []
+    for n, npoints in [(2, 12), (3, 14), (4, 8)]:
+        rng = np.random.default_rng(40 + n)
+        P = random_polytope(n, npoints=npoints, seed=n)
+        for body in (P, P.transformed(random_rotation(rng, n), rng.standard_normal(n))):
+            c, ptp = body.vertices.mean(axis=0), np.ptp(body.vertices, axis=0)
+            lo, hi = body.vertices.min(axis=0) - 1.0, body.vertices.max(axis=0) + 1.0
+            hi[0], lo[1] = c[0] + 0.1 * ptp[0], c[1] - 0.1 * ptp[1]
+            out.append((body, Region.box(lo, hi)))
+    return out
+
+
+class TestPerFaceRoute:
+    """tcm from the body's face lattice and one clip per window against the
+    route it replaced: every j-face rebuilt as a polytope, clipped to the
+    window and triangulated into simplices.  Some of these tensors vanish
+    (Minkowski's relation), so the bound is 1e-10 of the largest coordinate
+    or of 1, the size of these bodies."""
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_exact_measures_match(self, case):
+        P, window = _windowed_bodies()[case]
+        n = P.dim
+        simplices, cones = {}, {}
+
+        def moment(vertices, r, region):
+            key = (vertices.tobytes(), region is None)
+            if key not in simplices:
+                clipped = Polytope.from_vertices(vertices).intersect_region(region or Region.universe())
+                simplices[key] = triangulate(clipped) if clipped is not None else []
+            return sum((simplex_moment(simp, r) for simp in simplices[key]), SymTensor.zero(n, r))
+
+        def cone(face, s):
+            if (face.vertex_indices, s) not in cones:
+                cones[face.vertex_indices, s] = cone_sphere_moment(P.normal_cone(face), s).tensor
+            return cones[face.vertex_indices, s]
+
+        def per_face(j, r, s, l, region):
+            if j == n:
+                return (metric_tensor(n).power(l) * moment(P.vertices, r, region)).scale(
+                    c_norm(n, n, r, 0, l))
+            total = SymTensor.zero(n, r + s + 2 * l)
+            for face in P.faces(j):
+                qf = subspace_metric_tensor(face.frame).power(l)
+                total = total + qf * moment(face.vertices, r, region) * cone(face, s)
+            return total.scale(c_norm(n, j, r, s, l) / omega(n - j))
+
+        compared = 0
+        for region in (None, window):
+            for j in range(n + 1):
+                for r in range(3):
+                    for s in range(3 if j < n else 1):
+                        for l in range(2 if j else 1):
+                            mv = tcm(P, j, r, s, l, region=region, budget=200)
+                            if not mv.exact:
+                                continue
+                            want = per_face(j, r, s, l, region).coordinates_array()
+                            diff = np.max(np.abs(mv.tensor.coordinates_array() - want))
+                            assert diff <= 1e-10 * max(1.0, np.max(np.abs(want))), (j, r, s, l, region)
+                            compared += 1
+        assert compared >= 20
+
+
+class TestLatticeReuse:
+    """tcm builds no polytope for a face: the whole space reads the body's
+    lattice, and a window costs one clip per body and window."""
+
+    def test_unwindowed_tcm_builds_nothing(self):
+        P = random_polytope(3, npoints=14, seed=3)
+        with mock.patch.object(Polytope, "from_vertices", wraps=Polytope.from_vertices) as build:
+            for j in range(4):
+                tcm(P, j, r=2, s=1 if j < 3 else 0, l=1 if j else 0, budget=500)
+            polytope_moment(P, 2)
+            P.volume()
+        assert build.call_count == 0
+
+    def test_one_clip_per_distinct_window(self):
+        P = random_polytope(3, npoints=14, seed=3)
+        c = P.vertices.mean(axis=0)
+        w1 = Region.box(c - 0.5, c + 0.5)
+        w2 = Region.box(c - 0.5, c + 0.6)               # other offsets
+        w3 = Region(-w1.A, w1.b)                        # other normals, same offsets
+        with mock.patch.object(Polytope, "from_vertices", wraps=Polytope.from_vertices) as build:
+            first = [tcm(P, j, r=1, region=w1).tensor for j in (1, 2, 3)]
+            again = [tcm(P, j, r=1, region=Region(w1.A.copy(), w1.b.copy())).tensor
+                     for j in (1, 2, 3)]
+            assert build.call_count == 1
+            second = [tcm(P, j, r=1, region=w2).tensor for j in (1, 2, 3)]
+            assert build.call_count == 2
+            third = [tcm(P, j, r=1, region=w3).tensor for j in (1, 2, 3)]
+            assert build.call_count == 3
+        for got, want in zip(again, first):
+            assert got.max_abs_coordinate_diff(want) == 0.0
+        # each window's values are those of a fresh body, which has no clips
+        for window, values in [(w1, first), (w2, second), (w3, third)]:
+            fresh = random_polytope(3, npoints=14, seed=3)
+            for j, got in zip((1, 2, 3), values):
+                assert got.max_abs_coordinate_diff(tcm(fresh, j, r=1, region=window).tensor) == 0.0
+        assert first[2].max_abs_coordinate_diff(second[2]) > 1e-3
+        assert first[2].max_abs_coordinate_diff(third[2]) > 1e-3

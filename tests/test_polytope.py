@@ -403,3 +403,98 @@ class TestBatchedEnumeration:
         # C(40, 3) = 9880 subsets: nine full blocks and one of 664
         P = _check_build(np.random.default_rng(seed).standard_normal((40, 3)))
         assert P.aff_dim == 3
+
+
+# -- the face lattice and its moment recursion ------------------------------
+
+def lattice_bodies():
+    """Random bodies in R^2, R^3 and R^4, each with a rotated and
+    translated copy, and a box window that cuts each of them by two
+    planes through points near the vertex mean."""
+    out = []
+    for n, npoints in [(2, 12), (3, 14), (4, 8)]:
+        rng = np.random.default_rng(40 + n)
+        P = random_polytope(n, npoints=npoints, seed=n)
+        for body in (P, P.transformed(_rotation(rng, n), rng.standard_normal(n))):
+            c, ptp = body.vertices.mean(axis=0), np.ptp(body.vertices, axis=0)
+            lo, hi = body.vertices.min(axis=0) - 1.0, body.vertices.max(axis=0) + 1.0
+            hi[0], lo[1] = c[0] + 0.1 * ptp[0], c[1] - 0.1 * ptp[1]
+            out.append((body, Region.box(lo, hi)))
+    return out
+
+
+def _qhull_moments(points):
+    """Volume (Qhull) and first moment (sum over Delaunay simplices of
+    volume times centroid) of the hull of `points`."""
+    from scipy.spatial import ConvexHull, Delaunay
+    simp = points[Delaunay(points).simplices]
+    vols = np.abs(np.linalg.det(simp[:, 1:] - simp[:, :1])) / math.factorial(points.shape[1])
+    return ConvexHull(points).volume, vols @ simp.mean(axis=1)
+
+
+def _rank_faces(P, j):
+    """(vertex indices, frame, point) of the j-faces by the affine-rank
+    filter over the closure of the facet sets, the enumeration the lattice
+    replaced."""
+    def rank(points):
+        sv = np.linalg.svd(points - points.mean(axis=0), compute_uv=False)
+        return int(np.sum(sv > P.tol * max(1.0, float(np.max(np.abs(points)))) * 10))
+
+    m = len(P.vertices)
+    if j == P.aff_dim:
+        sets = [tuple(range(m))]
+    elif j == 0:
+        sets = [(i,) for i in range(m)]
+    else:
+        sets = [tuple(sorted(fs)) for fs in sorted(P._face_vertex_sets(), key=sorted)
+                if len(fs) > 1 and rank(P.vertices[sorted(fs)]) == j]
+    return [(idx, *polytope._affine_frame(P.vertices[list(idx)], P.tol)[:2]) for idx in sets]
+
+
+class TestFaceLattice:
+    @pytest.mark.parametrize("case", range(6))
+    def test_volume_and_first_moment_against_qhull(self, case):
+        from scipy.spatial import HalfspaceIntersection
+        P, window = lattice_bodies()[case]
+        A, b = P.ambient_halfspaces()
+        cut = HalfspaceIntersection(np.column_stack([np.vstack([A, window.A]),
+                                                     -np.concatenate([b, window.b])]),
+                                    P.vertices.mean(axis=0)).intersections
+        for region, points in [(None, P.vertices), (window, cut)]:
+            vol, first = _qhull_moments(points)
+            assert polytope_moment(P, 0, region).value() == pytest.approx(vol, rel=1e-12, abs=0)
+            got = polytope_moment(P, 1, region).coordinates_array()
+            assert np.max(np.abs(got - first)) <= 1e-12 * np.max(np.abs(first))
+        assert P.volume() == pytest.approx(_qhull_moments(P.vertices)[0], rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_recursion_matches_simplex_moment(self, n):
+        rng = np.random.default_rng(n)
+        for j in range(n + 1):
+            verts = rng.standard_normal((j + 1, n)) + rng.standard_normal(n)
+            S = Polytope.from_vertices(verts)
+            assert S.aff_dim == j
+            for r in range(5):
+                want = simplex_moment(verts, r).coordinates_array()
+                got = polytope_moment(S, r).coordinates_array()
+                assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_faces_match_the_rank_enumeration(self, case):
+        P, window = lattice_bodies()[case]
+        for body in (P, P.intersect_region(window), cube(P.dim), cross_polytope(P.dim)):
+            for j in range(body.aff_dim + 1):
+                want = _rank_faces(body, j)
+                got = body.faces(j)
+                assert [f.vertex_indices for f in got] == [w[0] for w in want]
+                for f, (_, point, frame) in zip(got, want):
+                    assert f.j == j
+                    assert np.array_equal(f.frame, frame) and np.array_equal(f.point, point)
+
+    def test_lower_dimensional_body_and_point(self):
+        seg = Polytope.from_vertices([[0.0, 1.0, 2.0], [2.0, 3.0, 3.0]])
+        assert polytope_moment(seg, 2).coordinates_array() == pytest.approx(
+            simplex_moment(seg.vertices, 2).coordinates_array(), rel=1e-13)
+        point = Polytope.from_vertices([[1.0, -2.0]])
+        assert point.volume() == 1.0
+        assert polytope_moment(point, 3).coordinate((1, 2)) == pytest.approx(4.0)
