@@ -285,6 +285,8 @@ def main(argv=None):
         ap.print_usage(sys.stderr)
         return 2
     try:
+        if getattr(args, "samples", 1) < 1:
+            raise SystemExit2(f"--samples must be at least 1, got {args.samples}")
         return args.func(args)
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)

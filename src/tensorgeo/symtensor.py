@@ -205,7 +205,7 @@ class SymTensor:
         if other.dim != self.dim:
             raise ValueError("dimension mismatch in sym_product")
         outer = self.data[..., :, None] * other.data[..., None, :]
-        outer = outer.reshape(outer.shape[:-2] + (-1,))
+        outer = outer.reshape(outer.shape[:-2] + (outer.shape[-2] * outer.shape[-1],))
         return SymTensor(self.dim, self.rank + other.rank,
                          outer @ _product_table(self.dim, self.rank, other.rank))
 

@@ -7,16 +7,16 @@ agreement against 3 standard errors (with an absolute floor for exact
 zeros).
 
 Two evaluation paths feed the left-hand side.  The batched section path
-takes all samples as sections {q + B y : g y <= h} of dimension d <= 2
-(lines and planes for Crofton, P cap gP2 in the plane for motions),
+takes blocks of samples as sections {q + B y : g y <= h} of dimension
+d <= 2 (lines and planes for Crofton, P cap gP2 in the plane for motions),
 finds their vertices from the d-subsets of the constraints, and sums
-`tcm`'s face sum over facets, segments or polygon vertices with
-conemoment's closed forms, in blocks of samples.  Every other index
-(windows, n = 3 motions, r > 0 above j = 0, ...) takes the generic path,
-which builds each section as a Polytope and calls `tcm`; the sections'
-own Monte-Carlo errors add to its standard error, and each section's
-sampled cones draw their own streams.  The generic path is the reference
-the test-suite checks the batched one against, sample by sample.
+`tcm`'s face sum over the faces that exist (segments, facets or polygon
+vertices) with conemoment's closed forms, scatter-added onto the samples.
+Every other index (windows, n = 3 motions, r > 0 above j = 0, ...) takes
+the generic path, which builds each section as a Polytope and calls `tcm`;
+the sections' own Monte-Carlo errors add to its standard error, and each
+section's sampled cones draw their own streams.  The generic path is the
+reference the test-suite checks the batched one against, sample by sample.
 """
 
 from __future__ import annotations
@@ -283,51 +283,55 @@ def _subset_vertices(g, h, subsets, slack):
     return y, ok & (excess <= slack)
 
 
-def _section_lhs(n, j, r, s, l, B, W, q, g, h, weight, slack):
-    """phi_j^{r,s,l} of N sections {q + B y : g y <= h} of dimension d <= 2
-    (B (N, n, d) and W (N, n, n - d) orthonormal frames of the section and
-    its complement, q (N, n), g (N, F, d), h (N, F)), for the face kinds
-    `_batched` admits.  Vertices come from the d-subsets of the constraints
-    and are feasible within `slack` (100 tol scale of the body); each face
-    contributes its size or position power times the closed-form moment of
-    its normal cone, as in `tcm`.  Samples go through in blocks of _BATCH.
-    Returns (estimate, stderr, rejections = 0)."""
-    N, F, d = g.shape
-    gn = np.linalg.norm(g, axis=-1)
-    gn[gn == 0] = 1.0
-    g, h = g / gn[..., None], h / gn                                     # unit in-frame normals
-    subsets = np.array(list(itertools.combinations(range(F), d)), dtype=np.intp)    # (P, d)
-    members = np.argsort(subsets.ravel(), kind="stable").reshape(F, -1)  # where f sits in them
+def _section_lhs(n, j, r, s, l, N, sections, weight, slack):
+    """phi_j^{r,s,l} of N sections {q + B y : g y <= h} of dimension d <= 2,
+    for the face kinds `_batched` admits, in blocks of _BATCH samples:
+    sections(block) gives a block's frames B (m, n, d) and W (m, n, n - d)
+    of the section and its complement, q (m, n), g (m, F, d) and h (m, F).
+    Vertices come from the d-subsets of the constraints, feasible within
+    `slack` (100 tol scale of the body).  Only faces that exist (segments
+    that hit, facets with a feasible vertex, feasible vertices) are summed:
+    each face's size or position power times the closed-form moment of its
+    normal cone, as in `tcm`, scatter-added onto its sample.  Returns
+    (estimate, stderr, rejections = 0)."""
     rank = r + s + 2 * l
-    values = np.empty((N, len(multi_degrees(n, rank))))
+    values = np.zeros((N, len(multi_degrees(n, rank))))
     for at in range(0, N, _BATCH):
-        Bb, Wb, unit = B[at:at + _BATCH], W[at:at + _BATCH], g[at:at + _BATCH]
-        y, feas = _subset_vertices(unit, h[at:at + _BATCH], subsets, slack)
-        vr = vector_power(q[at:at + _BATCH, None] + np.einsum("mic,cmp->mpi", Bb, y), r) if r else 1.0
+        B, W, q, g, h = sections(slice(at, at + _BATCH))
+        F, d = g.shape[1:]
+        gn = np.linalg.norm(g, axis=-1)
+        gn[gn == 0] = 1.0
+        g, h = g / gn[..., None], h / gn                                 # unit in-frame normals
+        subsets = np.array(list(itertools.combinations(range(F), d)), dtype=np.intp)    # (P, d)
+        y, feas = _subset_vertices(g, h, subsets, slack)
         if j == d:          # the segment: length, full sphere of W, Q(segment)^l
-            vals = (_product_cone_moment(n, s, np.zeros((n, 0)), Wb)
-                    * vector_power(Bb[..., 0], 2 * l)).scale(_spread(y[0], feas))
+            i, = np.nonzero(feas.any(axis=-1))
+            vals = (_product_cone_moment(n, s, np.zeros((n, 0)), W[i])
+                    * vector_power(B[i, :, 0], 2 * l)).scale(_spread(y[0, i], feas[i]))
         elif j == d - 1:    # facets: a ray and W; endpoints weigh v^r, edges length e^{2l}
-            on = np.repeat(feas, d, axis=1)[:, members]                 # (m, F, C(F-1, d-1))
-            nu = np.einsum("mij,mfj->mfi", Bb, unit)
+            holds = np.argsort(subsets.ravel(), kind="stable").reshape(F, -1) // d   # subsets with f
+            on = feas[:, holds]                                          # (m, F, C(F-1, d-1))
+            i, f = np.nonzero(on.any(axis=-1))
+            unit = g[i, f]
             if d == 1:
-                fmom = on[..., 0] * vr
+                fmom = vector_power(q[i] + B[i, :, 0] * y[0, i, f, None], r) if r else np.ones(len(i))
             else:
-                e = np.stack([-unit[..., 1], unit[..., 0]], axis=-1)
-                t = np.einsum("mpkc,cmp->mpk", e[:, subsets], y).reshape(len(e), -1)[:, members]
-                fmom = vector_power(np.einsum("mij,mfj->mfi", Bb, e), 2 * l).scale(_spread(t, on))
-            vals = (_product_cone_moment(n, s, nu[..., None], Wb[:, None]) * fmom).sum(axis=1)
+                e = np.stack([-unit[:, 1], unit[:, 0]], axis=-1)
+                t = np.einsum("kc,ckp->kp", e, y[:, i[:, None], holds[f]])
+                fmom = vector_power(np.einsum("kij,kj->ki", B[i], e), 2 * l).scale(_spread(t, on[i, f]))
+            vals = _product_cone_moment(n, s, np.einsum("kij,kj->ki", B[i], unit)[..., None], W[i]) * fmom
         else:               # polygon vertices: the arc between the two normals (+ W) times v^r
-            theta = np.arctan2(unit[..., 1], unit[..., 0])[:, subsets]   # (m, P, 2)
-            delta = np.mod(theta[..., 1] - theta[..., 0], 2.0 * math.pi)
-            start = np.where(delta <= math.pi, theta[..., 0], theta[..., 1])
-            end = start + np.where(feas, np.minimum(delta, 2.0 * math.pi - delta), 0.0)
-            pa, pb = Bb[:, None, :, 0], Bb[:, None, :, 1]
-            ends = _arc_ends(start, end)
+            i, p = np.nonzero(feas)
+            theta = np.arctan2(g[..., 1], g[..., 0])[i[:, None], subsets[p]]      # (K, 2)
+            delta = np.mod(theta[:, 1] - theta[:, 0], 2.0 * math.pi)
+            start = np.where(delta <= math.pi, theta[:, 0], theta[:, 1])
+            ends = _arc_ends(start, start + np.minimum(delta, 2.0 * math.pi - delta))
+            pa, pb = B[i, :, 0], B[i, :, 1]
             cones = (_arc_moment(n, s, pa, pb, ends) if n == d
-                     else _lune_moment(n, s, pa, pb, ends, Wb[:, None, :, 0]))
-            vals = (cones * vr).sum(axis=1)
-        values[at:at + _BATCH] = vals.data
+                     else _lune_moment(n, s, pa, pb, ends, W[i, :, 0]))
+            vals = cones * (vector_power(q[i] + np.einsum("kic,ck->ki", B[i], y[:, i, p]), r) if r else 1.0)
+        starts = np.flatnonzero(np.diff(i, prepend=-1))                 # i is sorted by sample
+        values[at + i[starts]] = np.add.reduceat(vals.data, starts, axis=0)
     est, err = _mean_and_stderr(SymTensor(n, rank, values), weight * c_norm(n, j, r, s, l) / omega(n - j))
     return est, err, 0
 
@@ -338,12 +342,17 @@ def crofton_lhs(P, k, j, r=0, s=0, l=0, region=None, samples=10000, seed=0,
                 margin=0.5, budget=20000, force_generic=False):
     """Monte-Carlo estimate of the integral of phi_j^{r,s,l}(P cap E, region)
     over k-flats; returns (tensor, stderr, rejections)."""
+    if samples < 1:
+        raise ValueError(f"need at least one sample, got {samples}")
     region = Region.universe() if region is None else region
     if not force_generic and _batched(P.dim, k, j, r, l, [region], [P]):
         A, b = P.ambient_halfspaces()
         batch = sample_flats_hitting(P, k, samples, seed=seed, margin=margin)
-        return _section_lhs(P.dim, j, r, s, l, batch.frames, batch.complements, batch.points,
-                            A @ batch.frames, b - batch.points @ A.T, batch.weight,
+
+        def sections(block):
+            B, q = batch.frames[block], batch.points[block]
+            return B, batch.complements[block], q, A @ B, b - q @ A.T
+        return _section_lhs(P.dim, j, r, s, l, samples, sections, batch.weight,
                             100 * P.tol * P.scale)
     return _crofton_generic(P, k, j, r, s, l, region, samples, seed, margin, budget)
 
@@ -380,19 +389,23 @@ def crofton_verify(P, k, j, r=0, s=0, l=0, region=None, samples=10000, seed=0,
 def kinematic_lhs(P, P2, j, r=0, s=0, l=0, region=None, region2=None,
                   samples=10000, seed=0, margin=0.5, budget=20000,
                   force_generic=False):
+    if samples < 1:
+        raise ValueError(f"need at least one sample, got {samples}")
     n = P.dim
     region = Region.universe() if region is None else region
     region2 = Region.universe() if region2 is None else region2
     if not force_generic and _batched(n, n, j, r, l, [region, region2], [P, P2]):
         (A1, b1), (A2, b2) = P.ambient_halfspaces(), P2.ambient_halfspaces()
         batch = sample_motions_coupling(P, P2, samples, seed=seed, margin=margin)
-        Ag = A2 @ np.swapaxes(batch.rotations, 1, 2)                   # (N, F2, n): A2 rho^T
-        g = np.concatenate([np.broadcast_to(A1, (samples,) + A1.shape), Ag], axis=1)
-        h = np.concatenate([np.broadcast_to(b1, (samples, len(b1))),
-                            b2 + (Ag @ batch.translations[..., None])[..., 0]], axis=1)
-        return _section_lhs(n, j, r, s, l, np.broadcast_to(np.eye(n), (samples, n, n)),
-                            np.zeros((samples, n, 0)), np.zeros((samples, n)), g, h,
-                            batch.weight, 100 * P.tol * P.scale)
+
+        def sections(block):
+            Ag = A2 @ np.swapaxes(batch.rotations[block], 1, 2)            # (m, F2, n): A2 rho^T
+            m = len(Ag)
+            g = np.concatenate([np.broadcast_to(A1, (m,) + A1.shape), Ag], axis=1)
+            h = np.concatenate([np.broadcast_to(b1, (m, len(b1))),
+                                b2 + (Ag @ batch.translations[block, :, None])[..., 0]], axis=1)
+            return np.broadcast_to(np.eye(n), (m, n, n)), np.zeros((m, n, 0)), np.zeros((m, n)), g, h
+        return _section_lhs(n, j, r, s, l, samples, sections, batch.weight, 100 * P.tol * P.scale)
     return _kinematic_generic(P, P2, j, r, s, l, region, region2,
                               samples, seed, margin, budget)
 
@@ -574,6 +587,8 @@ def _dist2_to_polytope(P, x):
 def steiner_check(P, eps_list, samples=10 ** 6, seed=0):
     """Monte-Carlo volume of the eps-parallel body against the polynomial
     in intrinsic volumes; n in {2, 3}."""
+    if samples < 1:
+        raise ValueError(f"need at least one sample, got {samples}")
     n = P.dim
     vols = [kappa_ball(n - q) * tcm(P, q).tensor.value() for q in range(n + 1)]
     lo = P.vertices.min(axis=0)

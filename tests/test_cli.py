@@ -26,6 +26,16 @@ class TestUsage:
         code = main(["measure", "--j", "1"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["crofton-verify", "--builtin", "cube2", "--k", "1", "--j", "0"],
+        ["kinematic-verify", "--builtin", "cube2", "--builtin2", "cube2", "--j", "0"],
+        ["steiner-check", "--builtin", "cube2", "--eps", "0.5"]])
+    @pytest.mark.parametrize("samples", ["0", "-2"])
+    def test_samples_below_one(self, capsys, argv, samples):
+        assert main(argv + ["--samples", samples]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--samples" in captured.err
+
 
 class TestMeasure:
     def test_builtin_cube(self, capsys):

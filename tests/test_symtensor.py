@@ -142,6 +142,20 @@ class TestBatched:
         assert (a * b)(y) == pytest.approx(a(y) * b(y), rel=1e-9, abs=1e-9)
         assert (a * b)(y[0]) == pytest.approx(a(y[0]) * b(y[0]), rel=1e-9, abs=1e-9)
 
+    @pytest.mark.parametrize("batch", [(0,), (3, 0)])
+    def test_empty_batch(self, batch):
+        """A batch with no tensors (a block of sections without a face)
+        goes through every operation and sums to zero."""
+        x = np.ones(batch + (3,))
+        a, b = vector_power(x, 2), vector_power(x, 1)
+        assert a.batch == batch and a.data.shape == batch + (6,)
+        for t in (a * b, b * a, a * metric_tensor(3), metric_tensor(3) * b, a.power(2),
+                  b.power(0), a.scale(np.ones(batch)), a * np.ones(batch)):
+            assert t.batch == batch
+        assert (a * b).rank == 3 and a.power(2).rank == 4
+        assert np.array_equal(a.sum().data, np.zeros(6))
+        assert a.sum(axis=(len(batch) - 1,)).batch == batch[:-1]
+
     def test_coeffs_view_omits_zeros_and_is_read_only(self):
         t = SymTensor(2, 2, {(2, 0): 1.5, (1, 1): 0.0})
         assert t.coeffs == {(2, 0): 1.5}

@@ -1,15 +1,19 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from tensorgeo.coeffs import alpha, cor38_coeff, iota, kappa_coeff, lambda_coeff
+from tensorgeo.coeffs import alpha, c_norm, cor38_coeff, iota, kappa_coeff, lambda_coeff
+from tensorgeo.conemoment import _arc_ends, _arc_moment, _lune_moment, _product_cone_moment
 import tensorgeo.verify as verify_module
-from tensorgeo.flats import random_rotation, sample_motions_coupling
+from tensorgeo.flats import random_rotation, sample_flats_hitting, sample_motions_coupling
 from tensorgeo.measures import curvature_measure, tcm
-from tensorgeo.polytope import GrazingIntersectionError, Region, cross_polytope, cube, intersect_flat, simplex
+from tensorgeo.polytope import (GrazingIntersectionError, Polytope, Region, cross_polytope, cube,
+                                intersect_flat, simplex)
 from tensorgeo.rng import stream
-from tensorgeo.symtensor import SymTensor, metric_tensor
+from tensorgeo.special import omega
+from tensorgeo.symtensor import SymTensor, metric_tensor, multi_degrees, vector_power
 from tensorgeo.verify import (
     crofton_lhs,
     crofton_rhs,
@@ -194,6 +198,201 @@ _BODIES = {
     "simplex3": lambda: simplex(3).transformed(random_rotation(stream(8, 0), 3),
                                                np.array([0.2, -0.1, 0.4])),
 }
+
+
+def _dense_section_lhs(n, j, r, s, l, B, W, q, g, h, weight, slack):
+    """The all-subsets assembly the batched path replaced, kept as its
+    oracle: every d-subset of the constraints is a candidate vertex, and the
+    infeasible ones enter the face sum with zero length or a zero arc."""
+    N, F, d = g.shape
+    gn = np.linalg.norm(g, axis=-1)
+    gn[gn == 0] = 1.0
+    unit, h = g / gn[..., None], h / gn
+    subsets = np.array(list(itertools.combinations(range(F), d)), dtype=np.intp)
+    members = np.argsort(subsets.ravel(), kind="stable").reshape(F, -1)
+    y, feas = verify_module._subset_vertices(unit, h, subsets, slack)
+    vr = vector_power(q[:, None] + np.einsum("mic,cmp->mpi", B, y), r) if r else 1.0
+    if j == d:
+        vals = (_product_cone_moment(n, s, np.zeros((n, 0)), W)
+                * vector_power(B[..., 0], 2 * l)).scale(verify_module._spread(y[0], feas))
+    elif j == d - 1:
+        on = np.repeat(feas, d, axis=1)[:, members]
+        nu = np.einsum("mij,mfj->mfi", B, unit)
+        if d == 1:
+            fmom = on[..., 0] * vr
+        else:
+            e = np.stack([-unit[..., 1], unit[..., 0]], axis=-1)
+            t = np.einsum("mpkc,cmp->mpk", e[:, subsets], y).reshape(N, -1)[:, members]
+            fmom = vector_power(np.einsum("mij,mfj->mfi", B, e), 2 * l).scale(
+                verify_module._spread(t, on))
+        vals = (_product_cone_moment(n, s, nu[..., None], W[:, None]) * fmom).sum(axis=1)
+    else:
+        theta = np.arctan2(unit[..., 1], unit[..., 0])[:, subsets]
+        delta = np.mod(theta[..., 1] - theta[..., 0], 2.0 * math.pi)
+        start = np.where(delta <= math.pi, theta[..., 0], theta[..., 1])
+        end = start + np.where(feas, np.minimum(delta, 2.0 * math.pi - delta), 0.0)
+        pa, pb = B[:, None, :, 0], B[:, None, :, 1]
+        ends = _arc_ends(start, end)
+        cones = (_arc_moment(n, s, pa, pb, ends) if n == d
+                 else _lune_moment(n, s, pa, pb, ends, W[:, None, :, 0]))
+        vals = (cones * vr).sum(axis=1)
+    rank = r + s + 2 * l
+    values = np.broadcast_to(vals.data, (N, len(multi_degrees(n, rank))))
+    return verify_module._mean_and_stderr(SymTensor(n, rank, values),
+                                          weight * c_norm(n, j, r, s, l) / omega(n - j))
+
+
+def _flat_sections(P, k, samples, seed):
+    """crofton_lhs's sections, for all samples at once."""
+    A, b = P.ambient_halfspaces()
+    batch = sample_flats_hitting(P, k, samples, seed=seed, margin=0.5)
+    return (batch.frames, batch.complements, batch.points, A @ batch.frames,
+            b - batch.points @ A.T, batch.weight)
+
+
+def _motion_sections(P, P2, samples, seed):
+    """kinematic_lhs's sections P cap gP2 in the plane, for all samples at once."""
+    (A1, b1), (A2, b2) = P.ambient_halfspaces(), P2.ambient_halfspaces()
+    batch = sample_motions_coupling(P, P2, samples, seed=seed, margin=0.5)
+    Ag = A2 @ np.swapaxes(batch.rotations, 1, 2)
+    g = np.concatenate([np.broadcast_to(A1, (samples,) + A1.shape), Ag], axis=1)
+    h = np.concatenate([np.broadcast_to(b1, (samples, len(b1))),
+                        b2 + (Ag @ batch.translations[..., None])[..., 0]], axis=1)
+    return (np.broadcast_to(np.eye(2), (samples, 2, 2)), np.zeros((samples, 2, 0)),
+            np.zeros((samples, 2)), g, h, batch.weight)
+
+
+def _hexagon(turn, shift):
+    angles = 2 * math.pi * np.arange(6) / 6 + turn
+    return Polytope.from_vertices(np.c_[np.cos(angles), np.sin(angles)] + shift)
+
+
+def _relative_gap(a, b):
+    return np.abs(a.data - b.data).max() / np.abs(b.data).max()
+
+
+class TestFacesThatExist:
+    """The batched path sums cone moments over the faces that exist only;
+    the dense all-subsets assembly is its oracle."""
+
+    @pytest.mark.parametrize("body, cfg", [
+        ("cube2", dict(k=1, j=0)), ("cube2", dict(k=1, j=1, s=2, l=1)),
+        ("cube3", dict(k=1, j=0, r=2, s=1)), ("cube4", dict(k=1, j=1, s=2)),
+        ("cube3", dict(k=2, j=1, s=2)), ("simplex3", dict(k=2, j=1, s=3, l=1)),
+        ("cube4", dict(k=2, j=1, s=2, l=1)), ("cube3", dict(k=2, j=0, s=2)),
+        ("simplex3", dict(k=2, j=0, r=1, s=3))])
+    @pytest.mark.parametrize("seed", [31, 32])
+    def test_lines_and_planes_match_the_dense_assembly(self, body, cfg, seed):
+        P = _BODIES[body]()
+        est, err, _ = crofton_lhs(P, samples=1500, seed=seed, **cfg)
+        cfg = dict(dict(r=0, s=0, l=0), **cfg)
+        dense = _dense_section_lhs(P.dim, cfg["j"], cfg["r"], cfg["s"], cfg["l"],
+                                   *_flat_sections(P, cfg["k"], 1500, seed),
+                                   100 * P.tol * P.scale)
+        assert _relative_gap(est, dense[0]) <= 1e-14
+        assert _relative_gap(err, dense[1]) <= 1e-14
+
+    @pytest.mark.parametrize("pair, j, r, s, l", [
+        ("squares", 0, 1, 3, 0), ("squares", 1, 0, 2, 1),
+        ("hexagons", 0, 0, 4, 0), ("hexagons", 0, 2, 2, 0), ("hexagons", 1, 0, 3, 1)])
+    @pytest.mark.parametrize("seed", [33, 34])
+    def test_planar_motions_match_the_dense_assembly(self, pair, j, r, s, l, seed):
+        P, P2 = {"squares": (cube(2), cube(2).transformed(random_rotation(stream(9, 0), 2),
+                                                           np.array([0.2, 0.1]))),
+                 "hexagons": (_hexagon(0.1, [0.0, 0.0]), _hexagon(0.4, [0.3, -0.2]))}[pair]
+        est, err, _ = kinematic_lhs(P, P2, j, r=r, s=s, l=l, samples=1500, seed=seed)
+        dense = _dense_section_lhs(2, j, r, s, l, *_motion_sections(P, P2, 1500, seed),
+                                   100 * P.tol * P.scale)
+        assert _relative_gap(est, dense[0]) <= 1e-14
+        assert _relative_gap(err, dense[1]) <= 1e-14
+
+    @staticmethod
+    def _record(monkeypatch):
+        """Per block, the number of samples with a hit, of feasible vertices
+        and of facets with a feasible vertex; and the batch each cone-moment
+        call receives."""
+        blocks, cones = [], []
+        real_vertices = verify_module._subset_vertices
+
+        def vertices(g, h, subsets, slack):
+            y, feas = real_vertices(g, h, subsets, slack)
+            holds = (subsets[:, :, None] == np.arange(g.shape[1])).any(axis=1)   # (P, F)
+            blocks.append(dict(hits=int(feas.any(axis=-1).sum()), vertices=int(feas.sum()),
+                               facets=int(((feas.astype(int) @ holds) > 0).sum())))
+            return y, feas
+
+        def recording(name, rows):
+            real = getattr(verify_module, name)
+
+            def moment(*args):
+                cones.append((name, rows(*args)))
+                return real(*args)
+            monkeypatch.setattr(verify_module, name, moment)
+
+        monkeypatch.setattr(verify_module, "_subset_vertices", vertices)
+        recording("_arc_moment", lambda n, s, pa, pb, ends: len(pa))
+        recording("_lune_moment", lambda n, s, pa, pb, ends, w: len(pa))
+        recording("_product_cone_moment", lambda n, s, rays, sub: len(sub))
+        monkeypatch.setattr(verify_module, "_BATCH", 50)
+        return blocks, cones
+
+    @pytest.mark.parametrize("run, moment, faces", [
+        (lambda: kinematic_lhs(cube(2), _hexagon(0.4, [0.3, -0.2]), 0, s=2, samples=200, seed=35),
+         "_arc_moment", "vertices"),
+        (lambda: crofton_lhs(cube(3), 2, 0, s=2, samples=200, seed=35), "_lune_moment", "vertices"),
+        (lambda: crofton_lhs(_BODIES["simplex3"](), 2, 1, s=2, samples=200, seed=35),
+         "_product_cone_moment", "facets"),
+        (lambda: crofton_lhs(cube(3), 1, 0, r=1, s=2, samples=200, seed=35),
+         "_product_cone_moment", "facets"),
+        (lambda: crofton_lhs(cube(3), 1, 1, s=2, samples=200, seed=35),
+         "_product_cone_moment", "hits")])
+    def test_cone_moments_receive_only_faces_that_exist(self, monkeypatch, run, moment, faces):
+        blocks, cones = self._record(monkeypatch)
+        run()
+        assert len(blocks) == 4
+        assert [rows for name, rows in cones] == [block[faces] for block in blocks]
+        assert {name for name, _ in cones} == {moment}
+
+    def test_blocks_without_a_hit(self, monkeypatch):
+        """Blocks of 7 samples, some of which hit nothing, give the estimate
+        and stderr of the default blocks."""
+        P2 = cube(2).transformed(random_rotation(stream(9, 0), 2), np.array([0.2, 0.1]))
+        runs = [lambda: kinematic_lhs(cube(2), P2, 0, s=2, samples=40, seed=27),
+                lambda: kinematic_lhs(cube(2), P2, 1, s=1, l=1, samples=40, seed=27),
+                lambda: crofton_lhs(cube(3), 2, 0, r=1, s=1, samples=40, seed=27, margin=2.0),
+                lambda: crofton_lhs(cube(3), 2, 1, s=2, samples=40, seed=27, margin=2.0),
+                lambda: crofton_lhs(cube(3), 1, 1, s=2, samples=40, seed=27, margin=4.0),
+                lambda: crofton_lhs(cube(3), 1, 0, samples=40, seed=27, margin=4.0)]
+        default = [run() for run in runs]
+        blocks, _ = self._record(monkeypatch)
+        monkeypatch.setattr(verify_module, "_BATCH", 7)
+        for run, (est, err, _) in zip(runs, default):
+            blocks.clear()
+            est7, err7, _ = run()
+            assert len(blocks) == 6 and min(block["hits"] for block in blocks) == 0
+            assert _relative_gap(est7, est) <= 1e-14
+            assert _relative_gap(err7, err) <= 1e-14
+
+
+class TestSampleCount:
+    P2 = cube(2).transformed(random_rotation(stream(9, 0), 2), np.array([0.2, 0.1]))
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    @pytest.mark.parametrize("force_generic", [False, True])
+    def test_crofton_lhs_needs_a_sample(self, samples, force_generic):
+        with pytest.raises(ValueError, match="at least one sample"):
+            crofton_lhs(cube(2), 1, 0, samples=samples, force_generic=force_generic)
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    @pytest.mark.parametrize("force_generic", [False, True])
+    def test_kinematic_lhs_needs_a_sample(self, samples, force_generic):
+        with pytest.raises(ValueError, match="at least one sample"):
+            kinematic_lhs(cube(2), self.P2, 0, samples=samples, force_generic=force_generic)
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_steiner_check_needs_a_sample(self, samples):
+        with pytest.raises(ValueError, match="at least one sample"):
+            steiner_check(cube(2), [0.5], samples=samples)
 
 
 class TestRouting:
