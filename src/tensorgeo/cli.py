@@ -57,6 +57,14 @@ class SystemExit2(Exception):
     pass
 
 
+def _check_indices(j, k, n, l=0):
+    """Usage errors (exit 2) for indices outside 0 <= j <= k <= n, or l > 0 at j = 0."""
+    if not 0 <= j <= k <= n:
+        raise SystemExit2(f"need 0 <= j <= k <= n, got j = {j}, k = {k}, n = {n}")
+    if j == 0 and l:
+        raise SystemExit2("j = 0 requires l = 0")
+
+
 def _run_config(args, command):
     cfg = {k: v for k, v in sorted(vars(args).items())
            if k != "func" and v is not None}
@@ -90,6 +98,7 @@ def _json_default(obj):
 
 def _cmd_measure(args):
     P = _load_polytope(args)
+    _check_indices(args.j, P.dim, P.dim)   # tcm extends by zero in r, s and l
     region = _load_region(args.region)
     mv = tcm(P, args.j, args.r, args.s, args.l, region=region,
              budget=args.budget, seed=args.seed)
@@ -156,6 +165,7 @@ def _cmd_coeff(args):
 
 def _cmd_crofton(args):
     P = _load_polytope(args)
+    _check_indices(args.j, args.k, P.dim, args.l)
     region = _load_region(args.region)
     rep = crofton_verify(P, args.k, args.j, args.r, args.s, args.l, region=region,
                          samples=args.samples, seed=args.seed, margin=args.margin,
@@ -167,6 +177,7 @@ def _cmd_crofton(args):
 def _cmd_kinematic(args):
     P = _load_polytope(args)
     P2 = _load_polytope(args, attr="builtin2", file_attr="polytope2")
+    _check_indices(args.j, P.dim, P.dim, args.l)
     if args.rotate2:
         from .flats import random_rotation
         from .rng import stream

@@ -33,6 +33,7 @@ from .conemoment import _arc_ends, _arc_moment, _lune_moment, _product_cone_mome
 from .flats import _BATCH, sample_flats_hitting, sample_motions_coupling
 from .measures import tcm, valuation, MeasureIndex
 from .polytope import (
+    GeometryError,
     GrazingIntersectionError,
     Polytope,
     Region,
@@ -531,84 +532,65 @@ class SteinerReport:
                 "steiner_volume": self.steiner_volume, "rel_error": self.rel_error}
 
 
-def _point_segment_dist2(x, a, b):
-    ab = b - a
-    tt = np.clip(((x - a) @ ab) / (ab @ ab), 0.0, 1.0)
-    d = x - (a + tt[:, None] * ab)
-    return np.einsum("ij,ij->i", d, d)
-
-
-def _point_triangle_dist2(x, a, b, c):
-    """Squared distances from points x (N, 3) to triangle abc: project to
-    the plane, clamp into the triangle via edge distances."""
-    # distance to plane-clamped point; compare against all three edges
-    e1, e2 = b - a, c - a
-    nrm = np.cross(e1, e2)
-    nn = nrm @ nrm
-    if nn < 1e-24:
-        return np.minimum(_point_segment_dist2(x, a, b),
-                          np.minimum(_point_segment_dist2(x, a, c),
-                                     _point_segment_dist2(x, b, c)))
-    w = x - a
-    g11, g12, g22 = e1 @ e1, e1 @ e2, e2 @ e2
-    r1, r2 = w @ e1, w @ e2
-    det = g11 * g22 - g12 * g12
-    u = (g22 * r1 - g12 * r2) / det
-    vv = (g11 * r2 - g12 * r1) / det
-    inside = (u >= 0) & (vv >= 0) & (u + vv <= 1)
-    proj = a + u[:, None] * e1 + vv[:, None] * e2
-    d_in = x - proj
-    d2 = np.einsum("ij,ij->i", d_in, d_in)
-    edge = np.minimum(_point_segment_dist2(x, a, b),
-                      np.minimum(_point_segment_dist2(x, a, c),
-                                 _point_segment_dist2(x, b, c)))
-    return np.where(inside, d2, edge)
-
-
-def _dist2_to_polytope(P, x):
-    """Squared distance from each row of x to P (n <= 3)."""
-    inside = P.contains(x)
-    d2 = np.full(len(x), np.inf)
-    n = P.dim
-    from .polytope import triangulate
-    for f in range(len(P.b)):
-        members = np.nonzero(P.incidence[:, f])[0]
-        facet = Polytope.from_vertices(P.vertices[members], P.tol)
-        for simp in triangulate(facet):
-            if n == 2:
-                d2 = np.minimum(d2, _point_segment_dist2(x, simp[0], simp[1]))
-            elif n == 3:
-                d2 = np.minimum(d2, _point_triangle_dist2(x, simp[0], simp[1], simp[2]))
-            else:
-                raise ValueError("distance supported for n in {2, 3}")
-    return np.where(inside, 0.0, d2)
+def _within(P, x, eps):
+    """Which rows of x lie within eps of the full-dimensional P.  The
+    largest facet slack (unit normals) bounds the distance from below: at
+    most 100 tol scale is inside, as in `contains`, and above eps is a miss.
+    The shell between is tested against P's faces from the vertices up, and
+    a point that hits leaves the later levels: a point within eps of aff F
+    whose projection onto aff F lies in P (hence in F) is a hit, and the
+    nearest point of P is such a projection from its own face, so this is
+    exactly dist(x, P) <= eps."""
+    A, b = P.ambient_halfspaces()
+    bound = 100 * P.tol * P.scale
+    worst = np.max(A @ x.T - b[:, None], axis=0)
+    hit = worst <= bound
+    live = np.flatnonzero(~hit & (worst <= eps))                        # the shell
+    for k in range(P.dim):
+        faces = P.faces(k)
+        x0 = np.array([face.point for face in faces])                   # (K, n)
+        U = np.array([face.frame for face in faces])                    # (K, n, k)
+        y = x[live].T                                                   # (n, m)
+        c = (np.concatenate(U, axis=1).T @ y).reshape(len(faces), k, len(live))
+        c -= np.einsum("fi,fik->fk", x0, U)[..., None]                  # (y - x0)^T U, (K, k, m)
+        d2 = x0 @ y                                                     # |y - x0|^2 - |c|^2: to aff F
+        d2 *= -2.0
+        d2 += np.einsum("im,im->m", y, y)
+        d2 += np.einsum("fi,fi->f", x0, x0)[:, None]
+        d2 -= np.einsum("fkm,fkm->fm", c, c)
+        f, i = np.nonzero(d2 <= eps * eps)
+        if k:
+            proj = x0[f] + np.einsum("pik,pk->pi", U[f], c[f, :, i])
+            i = i[np.max(A @ proj.T - b[:, None], axis=0) <= bound]
+        found = np.zeros(len(live), dtype=bool)
+        found[i] = True
+        hit[live[found]] = True
+        live = live[~found]
+    return hit
 
 
 def steiner_check(P, eps_list, samples=10 ** 6, seed=0):
-    """Monte-Carlo volume of the eps-parallel body against the polynomial
-    in intrinsic volumes; n in {2, 3}."""
+    """Monte-Carlo volume of the eps-parallel body of a full-dimensional P
+    (any n <= 4) against the Steiner polynomial sum_q kappa_{n-q} V_q(P)
+    eps^{n-q}.  Each eps draws uniform points in chunks from its own
+    streams, in P's bounding box grown by eps, and counts those within eps
+    of P (`_within`, from P's face lattice)."""
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
+    if P.aff_dim < P.dim:
+        raise GeometryError(f"the Steiner check needs a full-dimensional body, "
+                            f"got dimension {P.aff_dim} in R^{P.dim}")
     n = P.dim
     vols = [kappa_ball(n - q) * tcm(P, q).tensor.value() for q in range(n + 1)]
-    lo = P.vertices.min(axis=0)
-    hi = P.vertices.max(axis=0)
+    lo, hi = P.vertices.min(axis=0), P.vertices.max(axis=0)
     mc_vol, mc_se, exact = [], [], []
     for ei, eps in enumerate(eps_list):
         box_lo, box_hi = lo - eps, hi + eps
         box_vol = float(np.prod(box_hi - box_lo))
-        hits = 0
-        done = 0
-        chunk = 200000
-        bi = 0
-        while done < samples:
-            m = min(chunk, samples - done)
-            rng = stream(seed, ei * 1024 + bi)
-            bi += 1
-            x = box_lo + (box_hi - box_lo) * rng.random((m, n))
-            d2 = _dist2_to_polytope(P, x)
-            hits += int(np.sum(d2 <= eps * eps))
-            done += m
+        hits, chunk = 0, 200000
+        for bi, at in enumerate(range(0, samples, chunk)):
+            u = stream(seed, ei * 1024 + bi).random((min(chunk, samples - at), n))
+            hits += int(np.count_nonzero(_within(P, box_lo + (box_hi - box_lo) * u, eps)))
         frac = hits / samples
         mc_vol.append(frac * box_vol)
         mc_se.append(box_vol * math.sqrt(max(frac * (1 - frac), 0.0) / samples))

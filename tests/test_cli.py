@@ -36,6 +36,21 @@ class TestUsage:
         captured = capsys.readouterr()
         assert captured.out == "" and "--samples" in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["measure", "--builtin", "cube2", "--j", "5"],
+        ["measure", "--builtin", "cube2", "--j", "-1"],
+        ["crofton-verify", "--builtin", "cube2", "--k", "1", "--j", "2"],
+        ["crofton-verify", "--builtin", "cube2", "--k", "3", "--j", "0"],
+        ["crofton-verify", "--builtin", "cube2", "--k", "1", "--j", "0", "--l", "1"],
+        ["kinematic-verify", "--builtin", "cube2", "--builtin2", "cube2", "--j", "3"],
+        ["kinematic-verify", "--builtin", "cube2", "--builtin2", "cube2", "--j", "0", "--l", "1"]],
+        ids=["measure-j-above-n", "measure-j-negative", "crofton-j-above-k", "crofton-k-above-n",
+             "crofton-l-at-j0", "kinematic-j-above-n", "kinematic-l-at-j0"])
+    def test_index_out_of_range(self, capsys, argv):
+        assert main(argv + ["--samples", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
 
 class TestMeasure:
     def test_builtin_cube(self, capsys):
@@ -121,6 +136,19 @@ class TestVerifyCommands:
         report = json.loads(out)
         assert report["passed"] is True
         assert report["steiner_volume"][0] == pytest.approx(1 + 2 + math.pi / 4, rel=1e-12)
+
+    def test_steiner_cube4(self, capsys):
+        code, out = run(capsys, "steiner-check", "--builtin", "cube4",
+                        "--eps", "0.5", "--samples", "200000", "--seed", "2")
+        assert code == 0
+        assert json.loads(out)["passed"] is True
+
+    def test_steiner_rejects_a_segment(self, tmp_path, capsys):
+        path = tmp_path / "segment.json"
+        path.write_text(json.dumps({"vertices": [[0.0, 0.0], [1.0, 0.0]]}))
+        assert main(["steiner-check", "--polytope", str(path), "--samples", "1000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "full-dimensional" in captured.err
 
 
 class TestReproducibility:

@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from tensorgeo.conemoment import _arc_ends, _arc_moment, _lune_moment, _product_
 import tensorgeo.verify as verify_module
 from tensorgeo.flats import random_rotation, sample_flats_hitting, sample_motions_coupling
 from tensorgeo.measures import curvature_measure, tcm
-from tensorgeo.polytope import (GrazingIntersectionError, Polytope, Region, cross_polytope, cube,
-                                intersect_flat, simplex)
+from tensorgeo.polytope import (GeometryError, GrazingIntersectionError, Polytope, Region,
+                                cross_polytope, cube, intersect_flat, random_polytope, simplex,
+                                triangulate)
 from tensorgeo.rng import stream
 from tensorgeo.special import omega
 from tensorgeo.symtensor import SymTensor, metric_tensor, multi_degrees, vector_power
@@ -591,3 +593,126 @@ class TestSteiner:
         expected = 0.5 + 0.5 * (2 + math.sqrt(2)) + math.pi * 0.25
         assert rep.steiner_volume[0] == pytest.approx(expected, rel=1e-12)
         assert rep.rel_error[0] < 0.01
+
+    def test_cube4_passes_the_gate(self):
+        P = cube(4)
+        rep = steiner_check(P, [0.25, 0.5], samples=200000, seed=4)
+        for mc, se, exact in zip(rep.mc_volume, rep.mc_stderr, rep.steiner_volume):
+            assert abs(mc - exact) <= 3 * se
+        # V_q of the unit 4-cube is C(4, q)
+        assert rep.steiner_volume[1] == pytest.approx(
+            sum(math.comb(4, q) * math.pi ** ((4 - q) / 2) / math.gamma((4 - q) / 2 + 1) * 0.5 ** (4 - q)
+                for q in range(5)), rel=1e-12)
+
+    def test_lower_dimensional_body_is_rejected(self):
+        segment = Polytope.from_vertices([[0.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(GeometryError, match="full-dimensional"):
+            steiner_check(segment, [0.5], samples=1000)
+
+
+# -- the triangle/segment distance the Steiner check used before the face lattice
+
+def _point_segment_dist2(x, a, b):
+    ab = b - a
+    tt = np.clip(((x - a) @ ab) / (ab @ ab), 0.0, 1.0)
+    d = x - (a + tt[:, None] * ab)
+    return np.einsum("ij,ij->i", d, d)
+
+
+def _point_triangle_dist2(x, a, b, c):
+    """Project onto the plane of abc; outside the triangle, the nearest of
+    its three edges."""
+    e1, e2 = b - a, c - a
+    w = x - a
+    g11, g12, g22 = e1 @ e1, e1 @ e2, e2 @ e2
+    r1, r2 = w @ e1, w @ e2
+    det = g11 * g22 - g12 * g12
+    u = (g22 * r1 - g12 * r2) / det
+    vv = (g11 * r2 - g12 * r1) / det
+    inside = (u >= 0) & (vv >= 0) & (u + vv <= 1)
+    d_in = x - (a + u[:, None] * e1 + vv[:, None] * e2)
+    edge = np.minimum(_point_segment_dist2(x, a, b),
+                      np.minimum(_point_segment_dist2(x, a, c), _point_segment_dist2(x, b, c)))
+    return np.where(inside, np.einsum("ij,ij->i", d_in, d_in), edge)
+
+
+def _oracle_dist2(P, x):
+    """Squared distance from each row of x to P (n in {2, 3}): zero where
+    P.contains, else the least over the fan triangles of every facet.  (Its
+    branch for degenerate triangles is gone: `triangulate` drops them.)"""
+    d2 = np.full(len(x), np.inf)
+    for f in range(len(P.b)):
+        facet = Polytope.from_vertices(P.vertices[P.incidence[:, f]], P.tol)
+        for simp in triangulate(facet):
+            d2 = np.minimum(d2, _point_segment_dist2(x, *simp) if P.dim == 2
+                            else _point_triangle_dist2(x, *simp))
+    return np.where(P.contains(x), 0.0, d2)
+
+
+def _near_faces(P, eps, rng):
+    """Points within 1e-9 of every face below P (inside and out, along an
+    outer normal of the face) and within 1e-9 of eps from it, plus points
+    within 1e-9 of each face's centre in random directions."""
+    A, _ = P.ambient_halfspaces()
+    out = []
+    for k in range(P.dim):
+        for face in P.faces(k):
+            u = A[np.all(P.incidence[list(face.vertex_indices)], axis=0)].sum(axis=0)
+            u /= np.linalg.norm(u)
+            for t in (-1e-9, 1e-9, eps - 1e-9, eps + 1e-9):
+                out.append(face.point + t * u)
+            w = rng.standard_normal((4, P.dim))
+            out.extend(face.point + 1e-9 * rng.random((4, 1)) * w / np.linalg.norm(w, axis=1)[:, None])
+    return np.array(out)
+
+
+def _rotated_cube(n, seed):
+    rng = stream(seed, 0)
+    return cube(n).transformed(random_rotation(rng, n), rng.random(n) - 0.5)
+
+
+_STEINER_BODIES = [random_polytope(2, npoints=8, seed=s) for s in (1, 2)] \
+    + [random_polytope(3, npoints=12, seed=s) for s in (3, 4)] \
+    + [_rotated_cube(2, 5), _rotated_cube(3, 6), simplex(3)]
+
+
+class TestWithin:
+    """`_within` reads the face lattice; its mask equals the triangle/segment
+    oracle's d2 <= eps^2, and a Steiner report equals the one the oracle
+    gives on the same draws."""
+
+    @pytest.mark.parametrize("body", range(len(_STEINER_BODIES)))
+    @pytest.mark.parametrize("eps", [0.0, 0.25, 1.0])
+    def test_mask_equals_the_oracle(self, body, eps):
+        P = _STEINER_BODIES[body]
+        rng = stream(body, 1)
+        lo, hi = P.vertices.min(axis=0) - eps - 0.1, P.vertices.max(axis=0) + eps + 0.1
+        x = np.vstack([lo + (hi - lo) * rng.random((20000, P.dim)), _near_faces(P, eps, rng)])
+        want = _oracle_dist2(P, x) <= eps * eps
+        assert np.array_equal(verify_module._within(P, x, eps), want)
+        assert 0 < np.count_nonzero(want) < len(x)
+
+    @pytest.mark.parametrize("eps", [0.1, 0.3, 0.7])
+    def test_rotated_4cube_equals_the_box_distance(self, eps):
+        rng = stream(7, 0)
+        rho, t = random_rotation(rng, 4), rng.random(4) - 0.5
+        P = cube(4).transformed(rho, t)
+        z = -1.0 + 3.0 * rng.random((40000, 4))                         # cube coordinates
+        dist = np.linalg.norm(np.maximum(np.abs(z - 0.5) - 0.5, 0.0), axis=1)
+        got = verify_module._within(P, z @ rho.T + t, eps)
+        assert np.array_equal(got, dist <= eps)
+        assert 0 < np.count_nonzero(got) < len(z)
+
+    @pytest.mark.parametrize("body", [cube(2), simplex(2), cube(3)] + _STEINER_BODIES[1::2],
+                             ids=range(6))
+    def test_reports_equal_the_oracle(self, monkeypatch, body):
+        got = steiner_check(body, [0.0, 0.25, 1.0], samples=30000, seed=11)
+        monkeypatch.setattr(verify_module, "_within", lambda P, x, eps: _oracle_dist2(P, x) <= eps * eps)
+        want = steiner_check(body, [0.0, 0.25, 1.0], samples=30000, seed=11)
+        assert got.mc_volume == want.mc_volume and got.mc_stderr == want.mc_stderr
+
+    def test_builds_no_polytope(self):
+        P = random_polytope(3, npoints=14, seed=3)
+        with mock.patch.object(Polytope, "from_vertices", wraps=Polytope.from_vertices) as build:
+            steiner_check(P, [0.25, 1.0], samples=20000, seed=1)
+        assert build.call_count == 0
