@@ -203,6 +203,7 @@ def _cmd_independence(args):
 
 def _cmd_steiner(args):
     P = _load_polytope(args)
+    args.eps = args.eps or [0.25, 0.5, 1.0]     # "extend" would append to a list default
     rep = steiner_check(P, args.eps, samples=args.samples, seed=args.seed)
     passed = all(e <= args.rel_tol for e in rep.rel_error)
     report = dict(rep.to_dict())
@@ -281,7 +282,8 @@ def build_parser():
 
     sp = sub.add_parser("steiner-check", help="parallel-volume cross-check")
     _add_polytope_args(sp)
-    sp.add_argument("--eps", type=float, nargs="+", default=[0.25, 0.5, 1.0])
+    sp.add_argument("--eps", type=float, nargs="+", action="extend",
+                    help="parallel distances; repeatable (default 0.25 0.5 1.0)")
     sp.add_argument("--rel-tol", type=float, default=0.005)
     _add_common(sp, samples_default=10 ** 6)
     sp.set_defaults(func=_cmd_steiner)

@@ -4,9 +4,10 @@ For a cone N with lin(N) of dimension d, computes the rank-s tensor with
 polynomial y -> integral of <u, y>^s over N intersected with the unit
 sphere, with respect to H^{d-1}.
 
-The cone is first split into its lineality space W and a pointed part C.
+The cone carries its unit rays and its lineality space W; the rays span
+a pointed part C of dimension lin_dim - dim W.
 Exact paths cover: full subspaces, rays (+ W, i.e. half-subspaces),
-pointed cones with pairwise orthogonal generators (+ W), planar arcs,
+pointed cones with pairwise orthogonal rays (+ W), planar arcs,
 and arcs crossed with a line (spherical lunes).  Everything else falls
 back to Monte-Carlo sampling on the sphere of lin(N) filtered by the
 cone's membership oracle, with per-coordinate standard errors.
@@ -25,7 +26,6 @@ from .symtensor import SymTensor, multi_degrees, multinomial, vector_power
 
 __all__ = ["MomentResult", "ConeMomentBudgetError", "cone_sphere_moment", "trig_integral"]
 
-_DIR_TOL = 1e-9
 _RATE_FLOOR = 1e-4   # sampled cones accepting fewer directions than this raise
 
 
@@ -125,68 +125,38 @@ def _lune_moment(n, s, pa, pb, ends, w):
     return out
 
 
-def _split_lineality(cone):
-    """Unit generators split into the lineality space W (spanned by the
-    generators whose negatives also belong to the cone) and the pointed
-    remainder, projected into the orthogonal complement of W."""
-    gens = cone.generators
-    if len(gens) == 0:
-        return np.zeros((cone.lin_frame.shape[0], 0)), np.zeros((0, cone.lin_frame.shape[0]))
-    in_line = cone.contains(-gens)
-    if np.any(in_line):
-        u, sv, _ = np.linalg.svd(gens[in_line].T, full_matrices=False)
-        wdim = int(np.sum(sv > _DIR_TOL))
-        W = u[:, :wdim]
-    else:
-        W = np.zeros((gens.shape[1], 0))
-    pointed = []
-    for g in gens[~in_line]:
-        p = g - W @ (W.T @ g)
-        nrm = np.linalg.norm(p)
-        if nrm > _DIR_TOL:
-            p = p / nrm
-            if not any(np.linalg.norm(p - q) <= 1e-8 for q in pointed):
-                pointed.append(p)
-    pointed = np.array(pointed) if pointed else np.zeros((0, gens.shape[1]))
-    return W, pointed
-
-
 def cone_sphere_moment(cone, s, budget=20000, seed=0):
     """Rank-s spherical moment tensor of a normal cone; exact whenever one
     of the closed-form geometries applies, Monte-Carlo otherwise."""
     n = cone.lin_frame.shape[0]
-    d = cone.lin_dim
     zero = SymTensor.zero(n, s)
-    if d == 0:
+    if cone.lin_dim == 0:
         return MomentResult(zero, zero, "empty", 0)
-    W, pointed = _split_lineality(cone)
-    dc = 0
-    if len(pointed):
-        sv = np.linalg.svd(pointed.T, compute_uv=False)
-        dc = int(np.sum(sv > _DIR_TOL))
+    rays, W = cone.rays, cone.lineality
     wdim = W.shape[1]
+    dc = cone.lin_dim - wdim
 
     if dc == 0:
         return MomentResult(_product_cone_moment(n, s, np.zeros((n, 0)), cone.lin_frame),
                             zero, "full-sphere", 0)
     if dc == 1:
-        ray = pointed[0][:, None]
+        ray = rays[0][:, None]
         method = "point" if wdim == 0 else "product"
         return MomentResult(_product_cone_moment(n, s, ray, W), zero, method, 0)
-    ortho = (len(pointed) == dc
-             and np.max(np.abs(pointed @ pointed.T - np.eye(dc))) <= 1e-8)
+    ortho = (len(rays) == dc
+             and np.max(np.abs(rays @ rays.T - np.eye(dc))) <= 1e-8)
     if ortho:
-        return MomentResult(_product_cone_moment(n, s, pointed.T, W), zero, "product", 0)
+        return MomentResult(_product_cone_moment(n, s, rays.T, W), zero, "product", 0)
     if dc == 2 and wdim <= 1:
-        mean = pointed.sum(axis=0)
+        mean = rays.sum(axis=0)
         mean /= np.linalg.norm(mean)
-        u, svv, _ = np.linalg.svd(pointed.T, full_matrices=False)
+        u, svv, _ = np.linalg.svd(rays.T, full_matrices=False)
         plane = u[:, :2]
         pa = mean
         pb = plane @ np.array([-(plane.T @ mean)[1], (plane.T @ mean)[0]])
         # pb: rotate pa by +90 degrees inside the plane
         pb = pb / np.linalg.norm(pb)
-        rel = np.arctan2(pointed @ pb, pointed @ pa)
+        rel = np.arctan2(rays @ pb, rays @ pa)
         t1, t2 = float(np.min(rel)), float(np.max(rel))
         if t2 - t1 >= math.pi - 1e-9:
             # boundary rays nearly antipodal; leave it to the sampler

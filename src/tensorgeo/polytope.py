@@ -6,11 +6,13 @@ is one stack of d x d systems, one batched SVD for the rank or condition
 guard, one batched solve (vertices) or null vector (facets), and one
 matrix product against all constraints or points for the feasibility or
 supporting-side test.  Duplicates are then dropped in that order by one
-greedy pass that compares each kept row with all rows at once.  Lower-dimensional polytopes (flat
-sections, segments, faces) are first class: each polytope records its
-affine hull as an origin plus orthonormal frame, keeps its facet
-description in intrinsic coordinates, and contributes the orthogonal
-complement of its hull to every normal cone.
+greedy pass that compares each kept row with all rows at once.  Only
+vertex input needs the facet search: a halfspace system (section, clip,
+intersection) keeps its rows tight on maximal vertex sets as its facets.
+Lower-dimensional polytopes are first class: each records its affine
+hull as an origin plus orthonormal frame, keeps its facets in intrinsic
+coordinates, and gives every normal cone the hull's orthogonal complement
+as its lineality space.
 
 Each body builds its face lattice once, from the incidence: every face,
 the body included, with its vertex set, dimension, origin x0 (the vertex
@@ -147,14 +149,37 @@ class Polytope:
         return Polytope(points, p0, U, A, b, tol)
 
     @staticmethod
-    def from_halfspaces(A, b, tol=GEOM_TOL):
-        """Full-dimensional polytope in R^d from inequalities A x <= b."""
+    def from_halfspaces(A, b, origin=None, frame=None, tol=GEOM_TOL):
+        """{origin + frame y : A y <= b}, frame orthonormal (default: R^d).
+        The nonzero rows, normalised, are the facets, less each row whose
+        tight vertices are a strict subset of another row's or equal an
+        earlier row's; as in from_vertices, vertices on fewer than d facets
+        drop.  Vertices spanning less than the frame go to from_vertices."""
         A = np.asarray(A, dtype=float)
         b = np.asarray(b, dtype=float)
+        d = A.shape[1]
+        origin = np.zeros(d) if origin is None else np.asarray(origin, dtype=float)
+        frame = np.eye(d) if frame is None else np.asarray(frame, dtype=float)
         verts = _vertices_brute_force(A, b, tol)
         if len(verts) == 0:
             raise EmptyPolytopeError("halfspace intersection is empty")
-        return Polytope.from_vertices(verts, tol)
+        points = origin + verts @ frame.T
+        scale = max(1.0, float(np.max(np.abs(points))))
+        points = _dedupe_points(points, 100 * tol * scale)
+        p0, U, dim = _affine_frame(points, tol)
+        if dim < d:
+            return Polytope.from_vertices(points, tol)
+        A_amb = A @ frame.T
+        norm = np.linalg.norm(A, axis=1)
+        rows = norm > tol
+        A = A_amb[rows] @ U / norm[rows, None]
+        b = (b[rows] + A_amb[rows] @ (origin - p0)) / norm[rows]
+        tight = (np.abs(((points - p0) @ U) @ A.T - b) <= 100 * tol * scale).astype(int)
+        size = tight.sum(axis=0)
+        within = tight.T @ tight == size[:, None]          # [i, j]: row i's set in row j's
+        earlier = np.arange(len(b))[:, None] > np.arange(len(b))
+        keep = ~np.any(within & ((size[:, None] < size) | earlier), axis=1)
+        return Polytope(points[tight[:, keep].sum(axis=1) >= d], p0, U, A[keep], b[keep], tol)
 
     # -- basic queries ---------------------------------------------------
 
@@ -309,25 +334,17 @@ class Polytope:
         return SymTensor(self.dim, r, out)
 
     def normal_cone(self, face):
-        """Ambient normal cone at `face`: generated by the outer normals of
-        the facets containing the face, plus the orthogonal complement of
-        the affine hull when the polytope is lower-dimensional."""
-        tight = np.all(self.incidence[list(face.vertex_indices)], axis=0) if self.A.size else \
-            np.zeros(0, dtype=bool)
-        gens = [self.frame @ self.A[f] for f in np.nonzero(tight)[0]]
+        """Ambient normal cone at `face`: the unit outer normals of the
+        facets containing the face are its rays, and the orthogonal
+        complement of the affine hull is its lineality space."""
+        tight = np.all(self.incidence[list(face.vertex_indices)], axis=0)
         W = self.complement_basis
-        for i in range(W.shape[1]):
-            gens.append(W[:, i])
-            gens.append(-W[:, i])
-        gens = np.array(gens) if gens else np.zeros((0, self.dim))
-        if len(gens):
-            gens = gens / np.linalg.norm(gens, axis=1)[:, None]
-            u, sv, _ = np.linalg.svd(gens.T, full_matrices=False)
-            dlin = int(np.sum(sv > 1e-10))
-            lin = u[:, :dlin]
-        else:
-            lin = np.zeros((self.dim, 0))
-        return Cone(generators=gens, lin_frame=lin, apex_point=face.point,
+        gens = np.array([self.frame @ self.A[f] for f in np.flatnonzero(tight)]
+                        + [g for w in W.T for g in (w, -w)]).reshape(-1, self.dim)
+        gens = gens / np.linalg.norm(gens, axis=1)[:, None]
+        u, sv, _ = np.linalg.svd(gens.T, full_matrices=False)
+        return Cone(rays=gens[:np.count_nonzero(tight)], lineality=W,
+                    lin_frame=u[:, :int(np.sum(sv > 1e-10))], apex_point=face.point,
                     parent_vertices=self.vertices, tol=100 * self.tol * self.scale,
                     face_key=face.vertex_indices)
 
@@ -343,20 +360,14 @@ class Polytope:
         return self._clips[key]
 
     def _clip(self, region):
-        Ar = region.A @ self.frame
-        br = region.b - region.A @ self.origin
-        d = self.aff_dim
-        if d == 0:
+        if self.aff_dim == 0:
             ok = np.all(region.A @ self.vertices[0] <= region.b + 100 * self.tol * self.scale)
             return self if ok else None
-        A = np.vstack([self.A, Ar])
-        b = np.concatenate([self.b, br])
-        verts = _vertices_brute_force(A, b, self.tol)
-        if len(verts) == 0:
-            return None
-        ambient = self.origin + verts @ self.frame.T
         try:
-            return Polytope.from_vertices(ambient, self.tol)
+            return Polytope.from_halfspaces(
+                np.vstack([self.A, region.A @ self.frame]),
+                np.concatenate([self.b, region.b - region.A @ self.origin]),
+                self.origin, self.frame, self.tol)
         except EmptyPolytopeError:
             return None
 
@@ -385,12 +396,13 @@ class Face:
 
 @dataclass(frozen=True)
 class Cone:
-    """Finitely generated cone with apex at the origin; membership is
-    decided against the parent polytope's vertices, u in N iff
-    <u, v - x0> <= tol for every vertex v."""
+    """The cone {sum_i a_i rays_i + W c : a_i >= 0} with apex at the
+    origin; membership is decided against the parent polytope's vertices,
+    u in N iff <u, v - x0> <= tol for every vertex v."""
 
-    generators: np.ndarray
-    lin_frame: np.ndarray
+    rays: np.ndarray            # (q, n) unit rays, orthogonal to the lineality space
+    lineality: np.ndarray       # (n, w) orthonormal basis W of the lineality space
+    lin_frame: np.ndarray       # (n, lin_dim) orthonormal basis of the cone's span
     apex_point: np.ndarray
     parent_vertices: np.ndarray
     tol: float
@@ -557,18 +569,14 @@ def intersect_flat(P, B, q, tol=GEOM_TOL):
     q = np.asarray(q, dtype=float)
     k = B.shape[1]
     A_amb, b_amb = P.ambient_halfspaces()
-    A = A_amb @ B
-    b = b_amb - A_amb @ q
-    verts = _vertices_brute_force(A, b, tol)
-    if len(verts) == 0:
+    try:
+        poly = Polytope.from_halfspaces(A_amb @ B, b_amb - A_amb @ q, q, B, tol)
+    except EmptyPolytopeError:
         return None
-    ambient = q + verts @ B.T
-    poly = Polytope.from_vertices(ambient, tol)
     if poly.aff_dim < k:
         raise GrazingIntersectionError(f"flat meets polytope in dimension {poly.aff_dim} < {k}")
-    scale = max(1.0, float(np.max(np.abs(ambient))))
-    resid = np.abs(ambient @ A_amb.T - b_amb)
-    if np.any(np.max(resid, axis=0) <= 100 * tol * scale):
+    resid = np.abs(poly.vertices @ A_amb.T - b_amb)
+    if np.any(np.max(resid, axis=0) <= 100 * tol * poly.scale):
         raise GrazingIntersectionError("flat is tangent to a facet")
     return poly
 

@@ -33,12 +33,12 @@ from .conemoment import _arc_ends, _arc_moment, _lune_moment, _product_cone_mome
 from .flats import _BATCH, sample_flats_hitting, sample_motions_coupling
 from .measures import tcm, valuation, MeasureIndex
 from .polytope import (
+    EmptyPolytopeError,
     GeometryError,
     GrazingIntersectionError,
     Polytope,
     Region,
     intersect_flat,
-    _vertices_brute_force,
 )
 from .rng import stream
 from .special import kappa_ball, omega
@@ -164,6 +164,8 @@ def kinematic_rhs(P, P2, j, r=0, s=0, l=0, region=None, region2=None,
     sum over measures of P times scalar curvature measures of P2, with
     the redefined coefficient at the top summand."""
     n = P.dim
+    if not 0 <= j <= n or (j == 0 and l != 0):
+        raise ValueError(f"need 0 <= j <= n, and l = 0 at j = 0; got {(n, j, l)}")
     rank = r + s + 2 * l
     total = SymTensor.zero(n, rank)
     err = SymTensor.zero(n, rank)
@@ -421,10 +423,11 @@ def _kinematic_generic(P, P2, j, r, s, l, region, region2, samples, seed, margin
 
     def section(rho, t):
         Ag = A2 @ rho.T
-        verts = _vertices_brute_force(np.vstack([A1, Ag]), np.concatenate([b1, b2 + Ag @ t]), P.tol)
-        if len(verts) == 0:
+        try:
+            inter = Polytope.from_halfspaces(np.vstack([A1, Ag]), np.concatenate([b1, b2 + Ag @ t]),
+                                             tol=P.tol)
+        except EmptyPolytopeError:
             return None, None
-        inter = Polytope.from_vertices(verts, P.tol)
         if inter.aff_dim < P.dim:
             raise GrazingIntersectionError("lower-dimensional intersection")
         return inter, _combine_regions(region, region2.transformed(rho, t))

@@ -137,6 +137,18 @@ class TestVerifyCommands:
         assert report["passed"] is True
         assert report["steiner_volume"][0] == pytest.approx(1 + 2 + math.pi / 4, rel=1e-12)
 
+    @pytest.mark.parametrize("argv, eps", [([], [0.25, 0.5, 1.0]),
+                                           (["--eps", "0.25", "--eps", "0.5"], [0.25, 0.5]),
+                                           (["--eps", "0.25", "0.5", "--eps", "1"], [0.25, 0.5, 1.0])],
+                             ids=["default", "repeated", "list-then-repeated"])
+    def test_steiner_eps_accumulates(self, capsys, argv, eps):
+        code, out = run(capsys, "steiner-check", "--builtin", "cube2", *argv,
+                        "--samples", "2000", "--seed", "2", "--rel-tol", "1")
+        assert code == 0
+        report = json.loads(out)
+        assert report["eps"] == report["config"]["eps"] == eps
+        assert len(report["mc_volume"]) == len(eps)
+
     def test_steiner_cube4(self, capsys):
         code, out = run(capsys, "steiner-check", "--builtin", "cube4",
                         "--eps", "0.5", "--samples", "200000", "--seed", "2")

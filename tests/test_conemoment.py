@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -10,7 +11,9 @@ from tensorgeo.conemoment import (
     _monte_carlo_moment,
 )
 from tensorgeo.flats import sample_flats_hitting
-from tensorgeo.polytope import Polytope, cross_polytope, cube, simplex
+from tensorgeo.measures import tcm
+from tensorgeo.polytope import (Polytope, cross_polytope, cube, intersect_flat, random_polytope,
+                                simplex)
 from tensorgeo.rng import stream
 from tensorgeo.special import omega
 from tensorgeo.symtensor import SymTensor, multi_degrees, vector_power
@@ -251,3 +254,106 @@ class TestStreams:
         bg = np.random.Philox(key=np.uint64(5))
         bg.advance(3 << 40)
         assert np.array_equal(stream(5, 3).random(8), np.random.Generator(bg).random(8))
+
+
+# -- normal cones: rays and lineality space -----------------------------------
+
+def _plane_sections():
+    """Plane sections of three 4-bodies through points near their centres."""
+    rng = np.random.default_rng(11)
+    out = []
+    for P in (cube(4), cross_polytope(4), random_polytope(4, npoints=12, seed=2)):
+        c = P.vertices.mean(axis=0)
+        for _ in range(6):
+            S = intersect_flat(P, flats.random_rotation(rng, 4)[:, :2], c + 0.2 * rng.standard_normal(4))
+            if S is not None:
+                out.append(S)
+    return out
+
+
+def _generator_span(P, face):
+    """The span frame of the cone's generator list: the facet normals, then
+    +w and -w for each lineality vector w, normalised, and one SVD.  The
+    Monte-Carlo sampler draws its directions in this frame, so a change in
+    its last bit changes every draw."""
+    tight = np.all(P.incidence[list(face.vertex_indices)], axis=0)
+    gens = [P.frame @ P.A[f] for f in np.nonzero(tight)[0]]
+    W = P.complement_basis
+    for i in range(W.shape[1]):
+        gens += [W[:, i], -W[:, i]]
+    gens = np.array(gens).reshape(-1, P.dim)
+    gens = gens / np.linalg.norm(gens, axis=1)[:, None]
+    u, sv, _ = np.linalg.svd(gens.T, full_matrices=False)
+    return u[:, :int(np.sum(sv > 1e-10))]
+
+
+class TestNormalCones:
+    @pytest.mark.parametrize("which", ["bodies", "sections"])
+    def test_rays_and_lineality(self, which):
+        rng = np.random.default_rng(3)
+        bodies = [cube(3), simplex(3), cross_polytope(4), random_polytope(3, npoints=12, seed=1)]
+        if which == "sections":
+            bodies = _plane_sections() + [
+                intersect_flat(P, flats.random_rotation(rng, P.dim)[:, :k], P.vertices.mean(axis=0))
+                for P in bodies for k in range(1, P.dim)]
+        for P in bodies:
+            for j in range(P.aff_dim + 1):
+                for face in P.faces(j):
+                    cone = P.normal_cone(face)
+                    W = cone.lineality
+                    assert W.shape == (P.dim, P.dim - P.aff_dim)
+                    # W spans the orthogonal complement of the hull
+                    assert np.max(np.abs(W.T @ W - np.eye(W.shape[1])), initial=0.0) <= 1e-12
+                    assert np.max(np.abs(P.frame.T @ W), initial=0.0) <= 1e-12
+                    assert np.max(np.abs(np.linalg.norm(cone.rays, axis=1) - 1.0), initial=0.0) <= 1e-12
+                    assert np.max(np.abs(cone.rays @ W), initial=0.0) <= 1e-12
+                    # one ray per facet of P at the face, and none for P itself
+                    facets = np.all(P.incidence[list(face.vertex_indices)], axis=0)
+                    assert len(cone.rays) == np.count_nonzero(facets) and (j < P.aff_dim or not len(cone.rays))
+                    assert cone.lin_dim - W.shape[1] == (np.linalg.matrix_rank(cone.rays) if len(cone.rays) else 0)
+                    assert np.array_equal(cone.lin_frame, _generator_span(P, face))
+
+    def test_method_histogram(self):
+        """The closed form chosen for every face; the counts were measured
+        while the lineality space was recovered from the generators."""
+        def methods(bodies):
+            count = collections.Counter()
+            for P in bodies:
+                for j in range(P.aff_dim + 1):
+                    for face in P.faces(j):
+                        try:
+                            count[cone_sphere_moment(P.normal_cone(face), 0, budget=100).method] += 1
+                        except conemoment.ConeMomentBudgetError as exc:
+                            count[exc.partial.method] += 1
+            return dict(count)
+
+        assert methods([cube(4)]) == {"product": 72, "point": 8, "empty": 1}
+        assert methods([simplex(3)]) == {"product": 4, "monte-carlo": 3, "arc": 3, "point": 4, "empty": 1}
+        assert methods([cross_polytope(4)]) == {"monte-carlo": 32, "arc": 32, "point": 16, "empty": 1}
+        sections = _plane_sections()
+        assert len(sections) == 18
+        assert methods(sections) == {"monte-carlo": 142, "product": 142, "full-sphere": 18}
+
+    @pytest.mark.parametrize("body, samples, tensor, stderr", [
+        (simplex(3), 60000,
+         [0.0783968187552003, -2.1148725654883375e-05, 0.0003312850729987171, 0.0783714921697716,
+          0.00029411404601472626, 0.07967227253234788],
+         [0.0010851159441970521, 0.0006833945173320319, 0.0006892927245172336, 0.0010838906549900586,
+          0.0006869316381556987, 0.0010973986445027778]),
+        (cross_polytope(4), 160000,
+         [0.07849010958317446, -0.00041592591497020554, 0.0003451904958360775, 0.00024467791357538765,
+          0.07899968904375308, -0.0004685430573823538, 0.0003966006666138227, 0.0790476545657057,
+          -8.077063491537971e-05, 0.07943285532770658],
+         [0.0017573160965551656, 0.0011993901664173513, 0.0012065394865985255, 0.0011959900933385126,
+          0.0017566572236042072, 0.0012083857279399466, 0.0012060127562657642, 0.0017655935009248237,
+          0.0012013174996868068, 0.001760255085310251]),
+    ], ids=["simplex3", "cross4"])
+    def test_monte_carlo_vertex_measures_keep_their_draws(self, body, samples, tensor, stderr):
+        """tcm(P, 0, s=2) as measured while cones carried generator lists.
+        The values are bit-identical on x86-64 with OpenBLAS; the tolerance
+        lets other BLAS builds round the sums differently, while other draws
+        would move them by about one stderr."""
+        mv = tcm(body, 0, s=2)
+        assert mv.mc_samples == samples
+        np.testing.assert_allclose(mv.tensor.coordinates_array(), tensor, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(mv.stderr.coordinates_array(), stderr, rtol=1e-12, atol=0)

@@ -272,7 +272,7 @@ class TestLatticeReuse:
         w1 = Region.box(c - 0.5, c + 0.5)
         w2 = Region.box(c - 0.5, c + 0.6)               # other offsets
         w3 = Region(-w1.A, w1.b)                        # other normals, same offsets
-        with mock.patch.object(Polytope, "from_vertices", wraps=Polytope.from_vertices) as build:
+        with mock.patch.object(Polytope, "from_halfspaces", wraps=Polytope.from_halfspaces) as build:
             first = [tcm(P, j, r=1, region=w1).tensor for j in (1, 2, 3)]
             again = [tcm(P, j, r=1, region=Region(w1.A.copy(), w1.b.copy())).tensor
                      for j in (1, 2, 3)]

@@ -70,6 +70,18 @@ class TestCroftonRhsStructure:
             manual = manual.add_scaled(term, c)
         assert rhs.max_abs_coordinate_diff(manual) < 1e-14
 
+    @pytest.mark.parametrize("rhs", [lambda j, l: crofton_rhs(cube(2), 1, j, l=l),
+                                     lambda j, l: kinematic_rhs(cube(2), cube(2), j, l=l),
+                                     lambda j, l: kinematic_verify(cube(2), cube(2), j, l=l,
+                                                                   samples=10)],
+                             ids=["crofton_rhs", "kinematic_rhs", "kinematic_verify"])
+    @pytest.mark.parametrize("j, l", [(0, 1), (-1, 0), (3, 0)])
+    def test_indices_out_of_range_raise(self, rhs, j, l):
+        # the measures vanish there, so a right-hand side would be compared
+        # with a zero left-hand side
+        with pytest.raises(ValueError):
+            rhs(j, l)
+
 
 class TestSpecialisedFamilyExpansions:
     """The specialised coefficient families must reproduce the generic
