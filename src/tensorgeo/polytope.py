@@ -121,7 +121,7 @@ class Polytope:
         self.scale = max(1.0, float(np.max(np.abs(self.vertices))) if len(self.vertices) else 1.0)
         self.intrinsic = (self.vertices - self.origin) @ self.frame
         if self.A.size:
-            self.incidence = np.abs(self.intrinsic @ self.A.T - self.b) <= 100 * tol * self.scale
+            self.incidence = np.abs(self.intrinsic @ self.A.T - self.b) <= self.slack
         else:
             self.incidence = np.zeros((len(self.vertices), 0), dtype=bool)
         self._lattice = None
@@ -192,6 +192,13 @@ class Polytope:
         return self.frame.shape[1]
 
     @property
+    def slack(self):
+        """The body's distance tolerance, 100 tol times its coordinate
+        scale: a point this close to a facet or to the affine hull counts
+        as on it."""
+        return 100 * self.tol * self.scale
+
+    @property
     def complement_basis(self):
         return _orth_complement(self.frame, self.dim)
 
@@ -210,9 +217,9 @@ class Polytope:
         ok = np.ones(len(x), dtype=bool)
         if self.aff_dim < self.dim:
             resid = y - (y @ self.frame) @ self.frame.T
-            ok &= np.max(np.abs(resid), axis=1) <= 100 * self.tol * self.scale
+            ok &= np.max(np.abs(resid), axis=1) <= self.slack
         if self.A.size:
-            ok &= np.all((y @ self.frame) @ self.A.T <= self.b + 100 * self.tol * self.scale, axis=1)
+            ok &= np.all((y @ self.frame) @ self.A.T <= self.b + self.slack, axis=1)
         return ok
 
     def circumdata(self):
@@ -320,8 +327,7 @@ class Polytope:
         _, index, _ = clip._face_lattice()
         moments = clip._level_moments(j, r)
         # the clip's vertices on each facet of P, and each face's facets of P
-        on_facet = np.abs(((clip.vertices - self.origin) @ self.frame) @ self.A.T - self.b) \
-            <= 100 * self.tol * self.scale
+        on_facet = np.abs(((clip.vertices - self.origin) @ self.frame) @ self.A.T - self.b) <= self.slack
         for i, face in enumerate(faces):
             facets = np.all(self.incidence[list(face.vertex_indices)], axis=0)
             on_face = frozenset(np.flatnonzero(np.all(on_facet[:, facets], axis=1)).tolist())
@@ -345,7 +351,7 @@ class Polytope:
         u, sv, _ = np.linalg.svd(gens.T, full_matrices=False)
         return Cone(rays=gens[:np.count_nonzero(tight)], lineality=W,
                     lin_frame=u[:, :int(np.sum(sv > 1e-10))], apex_point=face.point,
-                    parent_vertices=self.vertices, tol=100 * self.tol * self.scale,
+                    parent_vertices=self.vertices, tol=self.slack,
                     face_key=face.vertex_indices)
 
     # -- set operations --------------------------------------------------
@@ -361,7 +367,7 @@ class Polytope:
 
     def _clip(self, region):
         if self.aff_dim == 0:
-            ok = np.all(region.A @ self.vertices[0] <= region.b + 100 * self.tol * self.scale)
+            ok = np.all(region.A @ self.vertices[0] <= region.b + self.slack)
             return self if ok else None
         try:
             return Polytope.from_halfspaces(
@@ -576,7 +582,7 @@ def intersect_flat(P, B, q, tol=GEOM_TOL):
     if poly.aff_dim < k:
         raise GrazingIntersectionError(f"flat meets polytope in dimension {poly.aff_dim} < {k}")
     resid = np.abs(poly.vertices @ A_amb.T - b_amb)
-    if np.any(np.max(resid, axis=0) <= 100 * tol * poly.scale):
+    if np.any(np.max(resid, axis=0) <= poly.slack):
         raise GrazingIntersectionError("flat is tangent to a facet")
     return poly
 

@@ -9,9 +9,10 @@ zeros).
 Two evaluation paths feed the left-hand side.  The batched section path
 takes blocks of samples as sections {q + B y : g y <= h} of dimension
 d <= 2 (lines and planes for Crofton, P cap gP2 in the plane for motions),
-finds their vertices from the d-subsets of the constraints, and sums
-`tcm`'s face sum over the faces that exist (segments, facets or polygon
-vertices) with conemoment's closed forms, scatter-added onto the samples.
+clips each line (the section itself for d = 1, each constraint line for
+d = 2) to one parameter interval, whose ends give the section's segment,
+edges and vertices, and sums `tcm`'s face sum over those faces with
+conemoment's closed forms, scatter-added onto the samples.
 Every other index (windows, n = 3 motions, r > 0 above j = 0, ...) takes
 the generic path, which builds each section as a Polytope and calls `tcm`;
 the sections' own Monte-Carlo errors add to its standard error, and each
@@ -251,39 +252,21 @@ def _batched(n, d, j, r, l, regions, bodies):
             and (j == d - 1 or j == d < n or (j == d - 2 and n - d <= 1)))
 
 
-def _spread(t, on):
-    """max - min of t over the entries marked `on` (last axis); 0 where none."""
-    hi = np.max(np.where(on, t, -np.inf), axis=-1)
-    lo = np.min(np.where(on, t, np.inf), axis=-1)
-    return np.where(on.any(axis=-1), hi - lo, 0.0)
-
-
-def _subset_vertices(g, h, subsets, slack):
-    """Solutions y (d, m, P) of g_S y = h_S for the d-subsets S (rows of
-    `subsets`) of the constraints g y <= h with unit rows g (m, F, d),
-    d <= 2, by Cramer's rule, and which of them satisfy every constraint
-    within slack."""
-    G, H = g[:, subsets], h[:, subsets]                                  # (m, P, d, d), (m, P, d)
-    if subsets.shape[1] == 1:
-        det, y = G[..., 0, 0], [H[..., 0]]
-    else:
-        det = G[..., 0, 0] * G[..., 1, 1] - G[..., 0, 1] * G[..., 1, 0]
-        y = [H[..., 0] * G[..., 1, 1] - H[..., 1] * G[..., 0, 1],
-             G[..., 0, 0] * H[..., 1] - G[..., 1, 0] * H[..., 0]]
-    ok = np.abs(det) > 1e-12
-    y = np.stack(y)
-    y /= np.where(ok, det, 1.0)
-    del G, H, det   # bounds the memory of the residual pass below
-    if subsets.shape[1] == 1:   # rows are +-1 (or 0), so the worst residual is the nearest bound
-        up = g[..., 0] > 0
-        excess = np.maximum(y[0] - np.min(np.where(ok & up, y[0], np.inf), axis=1)[:, None],
-                            np.max(np.where(ok & ~up, y[0], -np.inf), axis=1)[:, None] - y[0])
-        excess = np.maximum(excess, np.max(np.where(ok, -np.inf, -h), axis=1)[:, None])
-    else:
-        excess = np.full(ok.shape, -np.inf)
-        for f in range(g.shape[1]):
-            np.maximum(excess, np.einsum("cmp,mc->mp", y, g[:, f]) - h[:, f, None], out=excess)
-    return y, ok & (excess <= slack)
+def _clip_lines(ge, gap, slack):
+    """The parameter interval [lo, hi] of each line y = p + t e under the
+    unit rows g y <= h, from ge = g e and gap = h - g p (m, L, F): its ends
+    lo and hi (m, L), the rows that bound them, and whether the line meets
+    the section: lo < hi, and no row parallel to the line (|ge| <= 1e-12)
+    violated by more than slack."""
+    par = np.abs(ge) <= 1e-12
+    ruled_out = np.any(par & (gap < -slack), axis=-1)
+    lower = gap / np.where(par, 1.0, ge)
+    upper = np.where(ge > 1e-12, lower, np.inf)
+    lower[ge >= -1e-12] = -np.inf
+    lo_row, hi_row = np.argmax(lower, axis=-1), np.argmin(upper, axis=-1)
+    lo = np.take_along_axis(lower, lo_row[..., None], axis=-1)[..., 0]
+    hi = np.take_along_axis(upper, hi_row[..., None], axis=-1)[..., 0]
+    return lo, hi, lo_row, hi_row, (lo < hi) & ~ruled_out
 
 
 def _section_lhs(n, j, r, s, l, N, sections, weight, slack):
@@ -291,48 +274,54 @@ def _section_lhs(n, j, r, s, l, N, sections, weight, slack):
     for the face kinds `_batched` admits, in blocks of _BATCH samples:
     sections(block) gives a block's frames B (m, n, d) and W (m, n, n - d)
     of the section and its complement, q (m, n), g (m, F, d) and h (m, F).
-    Vertices come from the d-subsets of the constraints, feasible within
-    `slack` (100 tol scale of the body).  Only faces that exist (segments
-    that hit, facets with a feasible vertex, feasible vertices) are summed:
-    each face's size or position power times the closed-form moment of its
-    normal cone, as in `tcm`, scatter-added onto its sample.  Returns
-    (estimate, stderr, rejections = 0)."""
+    The faces come from `_clip_lines`, with the body's `slack`.  For d = 1
+    the section's own line y = t is clipped: [lo, hi] is the segment, and
+    its endpoints lie on the two bounding rows.  For d = 2 the constraint
+    lines y = h_f g_f + t e_f, e_f = g_f turned by +90 degrees, are
+    clipped: the lines that meet are the edges, run counterclockwise, and
+    their hi ends are the vertices, whose normal cone is the arc (< pi)
+    from g_f counterclockwise to the normal of the row that bounds that
+    end.  Each face's size or position power times the closed-form moment
+    of its normal cone, as in `tcm`, is scatter-added onto its sample.
+    Returns (estimate, stderr, rejections = 0)."""
     rank = r + s + 2 * l
     values = np.zeros((N, len(multi_degrees(n, rank))))
     for at in range(0, N, _BATCH):
         B, W, q, g, h = sections(slice(at, at + _BATCH))
-        F, d = g.shape[1:]
+        d = g.shape[-1]
         gn = np.linalg.norm(g, axis=-1)
         gn[gn == 0] = 1.0
         g, h = g / gn[..., None], h / gn                                 # unit in-frame normals
-        subsets = np.array(list(itertools.combinations(range(F), d)), dtype=np.intp)    # (P, d)
-        y, feas = _subset_vertices(g, h, subsets, slack)
-        if j == d:          # the segment: length, full sphere of W, Q(segment)^l
-            i, = np.nonzero(feas.any(axis=-1))
-            vals = (_product_cone_moment(n, s, np.zeros((n, 0)), W[i])
-                    * vector_power(B[i, :, 0], 2 * l)).scale(_spread(y[0, i], feas[i]))
-        elif j == d - 1:    # facets: a ray and W; endpoints weigh v^r, edges length e^{2l}
-            holds = np.argsort(subsets.ravel(), kind="stable").reshape(F, -1) // d   # subsets with f
-            on = feas[:, holds]                                          # (m, F, C(F-1, d-1))
-            i, f = np.nonzero(on.any(axis=-1))
-            unit = g[i, f]
-            if d == 1:
-                fmom = vector_power(q[i] + B[i, :, 0] * y[0, i, f, None], r) if r else np.ones(len(i))
-            else:
-                e = np.stack([-unit[:, 1], unit[:, 0]], axis=-1)
-                t = np.einsum("kc,ckp->kp", e, y[:, i[:, None], holds[f]])
-                fmom = vector_power(np.einsum("kij,kj->ki", B[i], e), 2 * l).scale(_spread(t, on[i, f]))
-            vals = _product_cone_moment(n, s, np.einsum("kij,kj->ki", B[i], unit)[..., None], W[i]) * fmom
-        else:               # polygon vertices: the arc between the two normals (+ W) times v^r
-            i, p = np.nonzero(feas)
-            theta = np.arctan2(g[..., 1], g[..., 0])[i[:, None], subsets[p]]      # (K, 2)
-            delta = np.mod(theta[:, 1] - theta[:, 0], 2.0 * math.pi)
-            start = np.where(delta <= math.pi, theta[:, 0], theta[:, 1])
-            ends = _arc_ends(start, start + np.minimum(delta, 2.0 * math.pi - delta))
-            pa, pb = B[i, :, 0], B[i, :, 1]
-            cones = (_arc_moment(n, s, pa, pb, ends) if n == d
-                     else _lune_moment(n, s, pa, pb, ends, W[i, :, 0]))
-            vals = cones * (vector_power(q[i] + np.einsum("kic,ck->ki", B[i], y[:, i, p]), r) if r else 1.0)
+        if d == 1:          # the section's own line: p = 0, e = 1
+            p, e = np.zeros((len(g), 1, 1)), np.ones((len(g), 1, 1))
+        else:               # the constraint lines
+            p, e = h[..., None] * g, np.stack([-g[..., 1], g[..., 0]], axis=-1)
+        gt = np.swapaxes(g, 1, 2)
+        lo, hi, lo_row, hi_row, meets = _clip_lines(e @ gt, h[:, None] - p @ gt, slack)
+        i, f = np.nonzero(meets)
+        if j == 1:          # segments or edges: length, direction^{2l}, W (+ the edge normal)
+            rays = np.einsum("kij,kj->ki", B[i], g[i, f])[..., None] if d == 2 else np.zeros((n, 0))
+            direction = np.einsum("kij,kj->ki", B[i], e[i, f])
+            vals = (_product_cone_moment(n, s, rays, W[i])
+                    * vector_power(direction, 2 * l)).scale(hi[i, f] - lo[i, f])
+        else:               # points, times v^r: segment endpoints or polygon vertices
+            if d == 1:      # the ray of the bounding row, and W
+                y = np.stack([lo, hi], axis=-1)[i, f].reshape(-1, 1)
+                rows = np.stack([lo_row, hi_row], axis=-1)[i, f].ravel()
+                i = np.repeat(i, 2)
+                ray = np.einsum("kij,kj->ki", B[i], g[i, rows])
+                cones = _product_cone_moment(n, s, ray[..., None], W[i])
+            else:           # edge f's hi end: the arc from g_f to the bounding row's normal (+ W)
+                y = p[i, f] + hi[i, f, None] * e[i, f]
+                theta = np.arctan2(g[..., 1], g[..., 0])
+                start = theta[i, f]
+                turn = np.mod(theta[i, hi_row[i, f]] - start, 2.0 * math.pi)
+                ends = _arc_ends(start, start + turn)
+                pa, pb = B[i, :, 0], B[i, :, 1]
+                cones = (_arc_moment(n, s, pa, pb, ends) if n == d
+                         else _lune_moment(n, s, pa, pb, ends, W[i, :, 0]))
+            vals = cones * (vector_power(q[i] + np.einsum("kic,kc->ki", B[i], y), r) if r
+                            else np.ones(len(i)))
         starts = np.flatnonzero(np.diff(i, prepend=-1))                 # i is sorted by sample
         values[at + i[starts]] = np.add.reduceat(vals.data, starts, axis=0)
     est, err = _mean_and_stderr(SymTensor(n, rank, values), weight * c_norm(n, j, r, s, l) / omega(n - j))
@@ -342,21 +331,20 @@ def _section_lhs(n, j, r, s, l, N, sections, weight, slack):
 # -- Crofton left-hand side -------------------------------------------------
 
 def crofton_lhs(P, k, j, r=0, s=0, l=0, region=None, samples=10000, seed=0,
-                margin=0.5, budget=20000, force_generic=False):
+                margin=0.5, budget=20000):
     """Monte-Carlo estimate of the integral of phi_j^{r,s,l}(P cap E, region)
     over k-flats; returns (tensor, stderr, rejections)."""
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
     region = Region.universe() if region is None else region
-    if not force_generic and _batched(P.dim, k, j, r, l, [region], [P]):
+    if _batched(P.dim, k, j, r, l, [region], [P]):
         A, b = P.ambient_halfspaces()
         batch = sample_flats_hitting(P, k, samples, seed=seed, margin=margin)
 
         def sections(block):
             B, q = batch.frames[block], batch.points[block]
             return B, batch.complements[block], q, A @ B, b - q @ A.T
-        return _section_lhs(P.dim, j, r, s, l, samples, sections, batch.weight,
-                            100 * P.tol * P.scale)
+        return _section_lhs(P.dim, j, r, s, l, samples, sections, batch.weight, P.slack)
     return _crofton_generic(P, k, j, r, s, l, region, samples, seed, margin, budget)
 
 
@@ -374,12 +362,11 @@ def _crofton_generic(P, k, j, r, s, l, region, samples, seed, margin, budget):
 
 
 def crofton_verify(P, k, j, r=0, s=0, l=0, region=None, samples=10000, seed=0,
-                   margin=0.5, budget=20000, force_generic=False):
+                   margin=0.5, budget=20000):
     t0 = time.perf_counter()
     rhs, rhs_err = crofton_rhs(P, k, j, r, s, l, region=region, budget=budget, seed=seed)
     lhs, err, rej = crofton_lhs(P, k, j, r, s, l, region=region, samples=samples,
-                                seed=seed, margin=margin, budget=budget,
-                                force_generic=force_generic)
+                                seed=seed, margin=margin, budget=budget)
     return VerificationReport(
         theorem="crofton", params={"n": P.dim, "k": k, "j": j, "r": r, "s": s, "l": l},
         lhs=lhs, stderr=err, rhs=rhs, rhs_stderr=rhs_err,
@@ -390,14 +377,13 @@ def crofton_verify(P, k, j, r=0, s=0, l=0, region=None, samples=10000, seed=0,
 # -- kinematic formula ------------------------------------------------------
 
 def kinematic_lhs(P, P2, j, r=0, s=0, l=0, region=None, region2=None,
-                  samples=10000, seed=0, margin=0.5, budget=20000,
-                  force_generic=False):
+                  samples=10000, seed=0, margin=0.5, budget=20000):
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
     n = P.dim
     region = Region.universe() if region is None else region
     region2 = Region.universe() if region2 is None else region2
-    if not force_generic and _batched(n, n, j, r, l, [region, region2], [P, P2]):
+    if _batched(n, n, j, r, l, [region, region2], [P, P2]):
         (A1, b1), (A2, b2) = P.ambient_halfspaces(), P2.ambient_halfspaces()
         batch = sample_motions_coupling(P, P2, samples, seed=seed, margin=margin)
 
@@ -408,7 +394,7 @@ def kinematic_lhs(P, P2, j, r=0, s=0, l=0, region=None, region2=None,
             h = np.concatenate([np.broadcast_to(b1, (m, len(b1))),
                                 b2 + (Ag @ batch.translations[block, :, None])[..., 0]], axis=1)
             return np.broadcast_to(np.eye(n), (m, n, n)), np.zeros((m, n, 0)), np.zeros((m, n)), g, h
-        return _section_lhs(n, j, r, s, l, samples, sections, batch.weight, 100 * P.tol * P.scale)
+        return _section_lhs(n, j, r, s, l, samples, sections, batch.weight, P.slack)
     return _kinematic_generic(P, P2, j, r, s, l, region, region2,
                               samples, seed, margin, budget)
 
@@ -446,14 +432,13 @@ def _combine_regions(r1, r2):
 
 
 def kinematic_verify(P, P2, j, r=0, s=0, l=0, region=None, region2=None,
-                     samples=10000, seed=0, margin=0.5, budget=20000,
-                     force_generic=False):
+                     samples=10000, seed=0, margin=0.5, budget=20000):
     t0 = time.perf_counter()
     rhs, rhs_err = kinematic_rhs(P, P2, j, r, s, l, region=region, region2=region2,
                                  budget=budget, seed=seed)
     lhs, err, rej = kinematic_lhs(P, P2, j, r, s, l, region=region, region2=region2,
                                   samples=samples, seed=seed, margin=margin,
-                                  budget=budget, force_generic=force_generic)
+                                  budget=budget)
     return VerificationReport(
         theorem="kinematic", params={"n": P.dim, "j": j, "r": r, "s": s, "l": l},
         lhs=lhs, stderr=err, rhs=rhs, rhs_stderr=rhs_err,
@@ -538,16 +523,15 @@ class SteinerReport:
 def _within(P, x, eps):
     """Which rows of x lie within eps of the full-dimensional P.  The
     largest facet slack (unit normals) bounds the distance from below: at
-    most 100 tol scale is inside, as in `contains`, and above eps is a miss.
+    most P.slack is inside, as in `contains`, and above eps is a miss.
     The shell between is tested against P's faces from the vertices up, and
     a point that hits leaves the later levels: a point within eps of aff F
     whose projection onto aff F lies in P (hence in F) is a hit, and the
     nearest point of P is such a projection from its own face, so this is
     exactly dist(x, P) <= eps."""
     A, b = P.ambient_halfspaces()
-    bound = 100 * P.tol * P.scale
     worst = np.max(A @ x.T - b[:, None], axis=0)
-    hit = worst <= bound
+    hit = worst <= P.slack
     live = np.flatnonzero(~hit & (worst <= eps))                        # the shell
     for k in range(P.dim):
         faces = P.faces(k)
@@ -564,7 +548,7 @@ def _within(P, x, eps):
         f, i = np.nonzero(d2 <= eps * eps)
         if k:
             proj = x0[f] + np.einsum("pik,pk->pi", U[f], c[f, :, i])
-            i = i[np.max(A @ proj.T - b[:, None], axis=0) <= bound]
+            i = i[np.max(A @ proj.T - b[:, None], axis=0) <= P.slack]
         found = np.zeros(len(live), dtype=bool)
         found[i] = True
         hit[live[found]] = True

@@ -532,7 +532,7 @@ class TestFromHalfspaces:
             assert intersect_flat(P, B, c).aff_dim == 2
             assert P.intersect_region(window).aff_dim == 3
             assert intersect_flat(P, B, c).intersect_region(window).aff_dim == 2
-            est, _, rejections = kinematic_lhs(P, Q, 1, samples=30, seed=2, force_generic=True)
+            est, _, rejections = kinematic_lhs(P, Q, 1, samples=30, seed=2)
         assert np.any(est.data) and rejections == 0
 
 

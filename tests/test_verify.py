@@ -10,9 +10,9 @@ from tensorgeo.conemoment import _arc_ends, _arc_moment, _lune_moment, _product_
 import tensorgeo.verify as verify_module
 from tensorgeo.flats import random_rotation, sample_flats_hitting, sample_motions_coupling
 from tensorgeo.measures import curvature_measure, tcm
-from tensorgeo.polytope import (GeometryError, GrazingIntersectionError, Polytope, Region,
-                                cross_polytope, cube, intersect_flat, random_polytope, simplex,
-                                triangulate)
+from tensorgeo.polytope import (EmptyPolytopeError, GeometryError, GrazingIntersectionError,
+                                Polytope, Region, cross_polytope, cube, intersect_flat,
+                                random_polytope, simplex, triangulate)
 from tensorgeo.rng import stream
 from tensorgeo.special import omega
 from tensorgeo.symtensor import SymTensor, metric_tensor, multi_degrees, vector_power
@@ -132,6 +132,18 @@ class TestSpecialisedFamilyExpansions:
             assert rhs.max_abs_coordinate_diff(manual) < 1e-10
 
 
+def _crofton_reference(P, k, j, r=0, s=0, l=0, samples=10000, seed=0):
+    """crofton_lhs on the per-sample generic path."""
+    return verify_module._crofton_generic(P, k, j, r, s, l, Region.universe(), samples, seed,
+                                          0.5, 20000)
+
+
+def _kinematic_reference(P, P2, j, r=0, s=0, l=0, samples=10000, seed=0):
+    """kinematic_lhs on the per-sample generic path."""
+    return verify_module._kinematic_generic(P, P2, j, r, s, l, Region.universe(),
+                                            Region.universe(), samples, seed, 0.5, 20000)
+
+
 class TestKernelsAgainstGenericPath:
     """The vectorized sampling kernels must match the slow per-sample
     polytope path on identical sample streams."""
@@ -142,7 +154,7 @@ class TestKernelsAgainstGenericPath:
     def test_line_kernel_2d(self, cfg):
         P = cube(2)
         fast = crofton_lhs(P, samples=400, seed=21, **cfg)
-        slow = crofton_lhs(P, samples=400, seed=21, force_generic=True, **cfg)
+        slow = _crofton_reference(P, samples=400, seed=21, **cfg)
         assert fast[0].max_abs_coordinate_diff(slow[0]) < 1e-10
 
     @pytest.mark.parametrize("cfg", [
@@ -152,14 +164,14 @@ class TestKernelsAgainstGenericPath:
     def test_kernels_3d(self, cfg):
         P = cube(3)
         fast = crofton_lhs(P, samples=250, seed=22, **cfg)
-        slow = crofton_lhs(P, samples=250, seed=22, force_generic=True, **cfg)
+        slow = _crofton_reference(P, samples=250, seed=22, **cfg)
         assert fast[0].max_abs_coordinate_diff(slow[0]) < 1e-10
 
     def test_kernels_on_rotated_simplex(self):
         rho = random_rotation(stream(8, 0), 3)
         P = simplex(3).transformed(rho, np.array([0.2, -0.1, 0.4]))
         fast = crofton_lhs(P, k=2, j=1, s=2, samples=250, seed=23)
-        slow = crofton_lhs(P, k=2, j=1, s=2, samples=250, seed=23, force_generic=True)
+        slow = _crofton_reference(P, k=2, j=1, s=2, samples=250, seed=23)
         assert fast[0].max_abs_coordinate_diff(slow[0]) < 1e-10
 
     def test_motion_kernel(self):
@@ -167,8 +179,7 @@ class TestKernelsAgainstGenericPath:
         P2 = cube(2).transformed(random_rotation(stream(9, 0), 2), np.array([0.2, 0.1]))
         for (r, s) in [(0, 0), (0, 1), (0, 2), (1, 1), (2, 0), (0, 4), (1, 3), (2, 2), (4, 0)]:
             fast = kinematic_lhs(P, P2, 0, r=r, s=s, samples=150, seed=24)
-            slow = kinematic_lhs(P, P2, 0, r=r, s=s, samples=150, seed=24,
-                                 force_generic=True)
+            slow = _kinematic_reference(P, P2, 0, r=r, s=s, samples=150, seed=24)
             assert fast[0].max_abs_coordinate_diff(slow[0]) < 1e-10, (r, s)
 
 
@@ -182,7 +193,7 @@ class TestKernelsAgainstGenericPath:
         (lunes) and edges of plane sections in R^4."""
         P = _BODIES[body]()
         fast = crofton_lhs(P, samples=200, seed=25, **cfg)
-        slow = crofton_lhs(P, samples=200, seed=25, force_generic=True, **cfg)
+        slow = _crofton_reference(P, samples=200, seed=25, **cfg)
         assert fast[0].max_abs_coordinate_diff(slow[0]) < 1e-10
 
     @pytest.mark.parametrize("j, r, s, l", [(0, 1, 5, 0), (1, 0, 2, 0), (1, 0, 3, 1)])
@@ -190,19 +201,20 @@ class TestKernelsAgainstGenericPath:
         P = cube(2)
         P2 = cube(2).transformed(random_rotation(stream(9, 0), 2), np.array([0.2, 0.1]))
         fast = kinematic_lhs(P, P2, j, r=r, s=s, l=l, samples=150, seed=26)
-        slow = kinematic_lhs(P, P2, j, r=r, s=s, l=l, samples=150, seed=26, force_generic=True)
+        slow = _kinematic_reference(P, P2, j, r=r, s=s, l=l, samples=150, seed=26)
         assert fast[0].max_abs_coordinate_diff(slow[0]) < 1e-10
 
     def test_blocks_of_samples(self, monkeypatch):
         """Blocks of 7: 20 samples are two full blocks and a partial one."""
         monkeypatch.setattr(verify_module, "_BATCH", 7)
         P2 = cube(2).transformed(random_rotation(stream(9, 0), 2), np.array([0.2, 0.1]))
-        runs = [lambda **kw: crofton_lhs(cube(2), 1, 1, s=2, samples=20, seed=27, **kw),
-                lambda **kw: crofton_lhs(cube(3), 2, 0, s=2, samples=20, seed=27, **kw),
-                lambda **kw: crofton_lhs(cube(3), 2, 1, s=1, l=1, samples=20, seed=27, **kw),
-                lambda **kw: kinematic_lhs(cube(2), P2, 0, r=1, s=1, samples=20, seed=27, **kw)]
-        for run in runs:
-            fast, slow = run(), run(force_generic=True)
+        runs = [(crofton_lhs, _crofton_reference, (cube(2), 1, 1), dict(s=2)),
+                (crofton_lhs, _crofton_reference, (cube(3), 2, 0), dict(s=2)),
+                (crofton_lhs, _crofton_reference, (cube(3), 2, 1), dict(s=1, l=1)),
+                (kinematic_lhs, _kinematic_reference, (cube(2), P2, 0), dict(r=1, s=1))]
+        for batched, reference, args, kw in runs:
+            fast = batched(*args, samples=20, seed=27, **kw)
+            slow = reference(*args, samples=20, seed=27, **kw)
             assert fast[0].max_abs_coordinate_diff(slow[0]) < 1e-10
             assert fast[1].max_abs_coordinate_diff(slow[1]) < 1e-10
 
@@ -212,6 +224,40 @@ _BODIES = {
     "simplex3": lambda: simplex(3).transformed(random_rotation(stream(8, 0), 3),
                                                np.array([0.2, -0.1, 0.4])),
 }
+
+
+def _spread(t, on):
+    """max - min of t over the entries marked `on` (last axis); 0 where none."""
+    hi = np.max(np.where(on, t, -np.inf), axis=-1)
+    lo = np.min(np.where(on, t, np.inf), axis=-1)
+    return np.where(on.any(axis=-1), hi - lo, 0.0)
+
+
+def _subset_vertices(g, h, subsets, slack):
+    """Solutions y (d, m, P) of g_S y = h_S for the d-subsets S (rows of
+    `subsets`) of the constraints g y <= h with unit rows g (m, F, d),
+    d <= 2, by Cramer's rule, and which of them satisfy every constraint
+    within slack."""
+    G, H = g[:, subsets], h[:, subsets]                                  # (m, P, d, d), (m, P, d)
+    if subsets.shape[1] == 1:
+        det, y = G[..., 0, 0], [H[..., 0]]
+    else:
+        det = G[..., 0, 0] * G[..., 1, 1] - G[..., 0, 1] * G[..., 1, 0]
+        y = [H[..., 0] * G[..., 1, 1] - H[..., 1] * G[..., 0, 1],
+             G[..., 0, 0] * H[..., 1] - G[..., 1, 0] * H[..., 0]]
+    ok = np.abs(det) > 1e-12
+    y = np.stack(y)
+    y /= np.where(ok, det, 1.0)
+    if subsets.shape[1] == 1:   # rows are +-1 (or 0), so the worst residual is the nearest bound
+        up = g[..., 0] > 0
+        excess = np.maximum(y[0] - np.min(np.where(ok & up, y[0], np.inf), axis=1)[:, None],
+                            np.max(np.where(ok & ~up, y[0], -np.inf), axis=1)[:, None] - y[0])
+        excess = np.maximum(excess, np.max(np.where(ok, -np.inf, -h), axis=1)[:, None])
+    else:
+        excess = np.full(ok.shape, -np.inf)
+        for f in range(g.shape[1]):
+            np.maximum(excess, np.einsum("cmp,mc->mp", y, g[:, f]) - h[:, f, None], out=excess)
+    return y, ok & (excess <= slack)
 
 
 def _dense_section_lhs(n, j, r, s, l, B, W, q, g, h, weight, slack):
@@ -224,11 +270,11 @@ def _dense_section_lhs(n, j, r, s, l, B, W, q, g, h, weight, slack):
     unit, h = g / gn[..., None], h / gn
     subsets = np.array(list(itertools.combinations(range(F), d)), dtype=np.intp)
     members = np.argsort(subsets.ravel(), kind="stable").reshape(F, -1)
-    y, feas = verify_module._subset_vertices(unit, h, subsets, slack)
+    y, feas = _subset_vertices(unit, h, subsets, slack)
     vr = vector_power(q[:, None] + np.einsum("mic,cmp->mpi", B, y), r) if r else 1.0
     if j == d:
         vals = (_product_cone_moment(n, s, np.zeros((n, 0)), W)
-                * vector_power(B[..., 0], 2 * l)).scale(verify_module._spread(y[0], feas))
+                * vector_power(B[..., 0], 2 * l)).scale(_spread(y[0], feas))
     elif j == d - 1:
         on = np.repeat(feas, d, axis=1)[:, members]
         nu = np.einsum("mij,mfj->mfi", B, unit)
@@ -237,8 +283,7 @@ def _dense_section_lhs(n, j, r, s, l, B, W, q, g, h, weight, slack):
         else:
             e = np.stack([-unit[..., 1], unit[..., 0]], axis=-1)
             t = np.einsum("mpkc,cmp->mpk", e[:, subsets], y).reshape(N, -1)[:, members]
-            fmom = vector_power(np.einsum("mij,mfj->mfi", B, e), 2 * l).scale(
-                verify_module._spread(t, on))
+            fmom = vector_power(np.einsum("mij,mfj->mfi", B, e), 2 * l).scale(_spread(t, on))
         vals = (_product_cone_moment(n, s, nu[..., None], W[:, None]) * fmom).sum(axis=1)
     else:
         theta = np.arctan2(unit[..., 1], unit[..., 0])[:, subsets]
@@ -301,8 +346,7 @@ class TestFacesThatExist:
         est, err, _ = crofton_lhs(P, samples=1500, seed=seed, **cfg)
         cfg = dict(dict(r=0, s=0, l=0), **cfg)
         dense = _dense_section_lhs(P.dim, cfg["j"], cfg["r"], cfg["s"], cfg["l"],
-                                   *_flat_sections(P, cfg["k"], 1500, seed),
-                                   100 * P.tol * P.scale)
+                                   *_flat_sections(P, cfg["k"], 1500, seed), P.slack)
         assert _relative_gap(est, dense[0]) <= 1e-14
         assert _relative_gap(err, dense[1]) <= 1e-14
 
@@ -315,25 +359,25 @@ class TestFacesThatExist:
                                                            np.array([0.2, 0.1]))),
                  "hexagons": (_hexagon(0.1, [0.0, 0.0]), _hexagon(0.4, [0.3, -0.2]))}[pair]
         est, err, _ = kinematic_lhs(P, P2, j, r=r, s=s, l=l, samples=1500, seed=seed)
-        dense = _dense_section_lhs(2, j, r, s, l, *_motion_sections(P, P2, 1500, seed),
-                                   100 * P.tol * P.scale)
+        dense = _dense_section_lhs(2, j, r, s, l, *_motion_sections(P, P2, 1500, seed), P.slack)
         assert _relative_gap(est, dense[0]) <= 1e-14
         assert _relative_gap(err, dense[1]) <= 1e-14
 
     @staticmethod
     def _record(monkeypatch):
-        """Per block, the number of samples with a hit, of feasible vertices
-        and of facets with a feasible vertex; and the batch each cone-moment
-        call receives."""
+        """Per block, the number of samples with a hit, of vertices and of
+        facets, read off the clipped lines; and the batch each cone-moment
+        call receives.  A line section (d = 1, one line) that meets has two
+        endpoints, its vertices and facets; in a plane section each line
+        that meets is an edge, and its hi end a vertex."""
         blocks, cones = [], []
-        real_vertices = verify_module._subset_vertices
+        real_clip = verify_module._clip_lines
 
-        def vertices(g, h, subsets, slack):
-            y, feas = real_vertices(g, h, subsets, slack)
-            holds = (subsets[:, :, None] == np.arange(g.shape[1])).any(axis=1)   # (P, F)
-            blocks.append(dict(hits=int(feas.any(axis=-1).sum()), vertices=int(feas.sum()),
-                               facets=int(((feas.astype(int) @ holds) > 0).sum())))
-            return y, feas
+        def clip(ge, gap, slack):
+            lo, hi, lo_row, hi_row, meets = real_clip(ge, gap, slack)
+            faces = (2 if ge.shape[1] == 1 else 1) * int(meets.sum())
+            blocks.append(dict(hits=int(meets.any(axis=-1).sum()), vertices=faces, facets=faces))
+            return lo, hi, lo_row, hi_row, meets
 
         def recording(name, rows):
             real = getattr(verify_module, name)
@@ -343,7 +387,7 @@ class TestFacesThatExist:
                 return real(*args)
             monkeypatch.setattr(verify_module, name, moment)
 
-        monkeypatch.setattr(verify_module, "_subset_vertices", vertices)
+        monkeypatch.setattr(verify_module, "_clip_lines", clip)
         recording("_arc_moment", lambda n, s, pa, pb, ends: len(pa))
         recording("_lune_moment", lambda n, s, pa, pb, ends, w: len(pa))
         recording("_product_cone_moment", lambda n, s, rays, sub: len(sub))
@@ -388,20 +432,71 @@ class TestFacesThatExist:
             assert _relative_gap(err7, err) <= 1e-14
 
 
+# the unit square, a corner cut (unnormalised) and a far row that no vertex touches
+_PENTAGON = (np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 1.0], [-1.0, 2.0]]),
+             np.array([1.0, 0.0, 1.0, 0.0, 1.5, 10.0]))
+_ONE_SECTION_INDICES = [(0, r, s, 0) for r in range(3) for s in range(4)] \
+    + [(1, 0, s, l) for s in range(4) for l in range(2)]
+
+
+def _one_section(kind):
+    """(n, B, W, q, g, h) of one section {q + B y : g y <= h}: the pentagon
+    in R^2 or in a plane of R^3, or the pentagon cut by the line y = 0.8,
+    which is parallel to the square's rows y <= 1 and -y <= 0."""
+    A, b = _PENTAGON
+    if kind == "line":
+        B, q = np.array([[1.0], [0.0]]), np.array([0.0, 0.8])
+        return 2, B, np.array([[0.0], [1.0]]), q, A @ B, b - A @ q
+    n = {"polygon": 2, "polygon in R^3": 3}[kind]
+    R = random_rotation(stream(13, n), n)
+    return n, R[:, :2], R[:, 2:], 0.3 * R[:, 0] - 0.2, A, b
+
+
+class TestOneSection:
+    """One hand-built section with weight 1: `_section_lhs` is `tcm` of the
+    section built as a Polytope, with no Monte-Carlo."""
+
+    @staticmethod
+    def _lhs(j, r, s, l, n, B, W, q, g, h):
+        sections = lambda block: (B[None], W[None], q[None], g[None], h[None])
+        slack = Polytope.from_halfspaces(*_PENTAGON).slack
+        return verify_module._section_lhs(n, j, r, s, l, 1, sections, 1.0, slack)[0]
+
+    @pytest.mark.parametrize("kind", ["polygon", "polygon in R^3", "line"])
+    @pytest.mark.parametrize("j, r, s, l", _ONE_SECTION_INDICES)
+    def test_equals_tcm(self, kind, j, r, s, l):
+        n, B, W, q, g, h = _one_section(kind)
+        assert verify_module._batched(n, B.shape[1], j, r, l, [Region.universe()], [cube(n)])
+        got = self._lhs(j, r, s, l, n, B, W, q, g, h)
+        want = tcm(Polytope.from_halfspaces(g, h, origin=q, frame=B), j, r, s, l).tensor
+        assert got.max_abs_coordinate_diff(want) <= 1e-12
+
+    def test_line_parallel_to_a_violated_row_is_empty(self):
+        """y = 1.2 crosses the other rows' lines in [0, 0.3] but lies above y <= 1."""
+        A, b = _PENTAGON
+        B, q = np.array([[1.0], [0.0]]), np.array([0.0, 1.2])
+        with pytest.raises(EmptyPolytopeError):
+            Polytope.from_halfspaces(A @ B, b - A @ q, origin=q, frame=B)
+        for j, r, s, l in _ONE_SECTION_INDICES:
+            got = self._lhs(j, r, s, l, 2, B, np.array([[0.0], [1.0]]), q, A @ B, b - A @ q)
+            assert not got.data.any()
+
+
 class TestSampleCount:
     P2 = cube(2).transformed(random_rotation(stream(9, 0), 2), np.array([0.2, 0.1]))
 
+    # generic: an index the batched path does not take (r > 0 at j = 1)
     @pytest.mark.parametrize("samples", [0, -3])
-    @pytest.mark.parametrize("force_generic", [False, True])
-    def test_crofton_lhs_needs_a_sample(self, samples, force_generic):
+    @pytest.mark.parametrize("generic", [False, True])
+    def test_crofton_lhs_needs_a_sample(self, samples, generic):
         with pytest.raises(ValueError, match="at least one sample"):
-            crofton_lhs(cube(2), 1, 0, samples=samples, force_generic=force_generic)
+            crofton_lhs(cube(2), 1, int(generic), r=int(generic), samples=samples)
 
     @pytest.mark.parametrize("samples", [0, -3])
-    @pytest.mark.parametrize("force_generic", [False, True])
-    def test_kinematic_lhs_needs_a_sample(self, samples, force_generic):
+    @pytest.mark.parametrize("generic", [False, True])
+    def test_kinematic_lhs_needs_a_sample(self, samples, generic):
         with pytest.raises(ValueError, match="at least one sample"):
-            kinematic_lhs(cube(2), self.P2, 0, samples=samples, force_generic=force_generic)
+            kinematic_lhs(cube(2), self.P2, int(generic), r=int(generic), samples=samples)
 
     @pytest.mark.parametrize("samples", [0, -3])
     def test_steiner_check_needs_a_sample(self, samples):
@@ -494,7 +589,7 @@ class TestGenericPathErrors:
             return intersect_flat(P, B, q, tol)
 
         monkeypatch.setattr(verify_module, "intersect_flat", grazing)
-        _, _, rejections = crofton_lhs(cube(2), 1, 1, samples=1, seed=4, force_generic=True)
+        _, _, rejections = _crofton_reference(cube(2), 1, 1, samples=1, seed=4)
         assert rejections == 1500
         spares = np.array(points[1:])
         assert len(np.unique(spares, axis=0)) == len(spares)
