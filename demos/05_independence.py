@@ -1,9 +1,9 @@
 """Linear independence of the valuation family.
 
 Enumerates the tensor valuations of a fixed rank p in R^n, evaluates each on
-localized windows of rotated boxes, and computes the numerical rank of the
-resulting evaluation matrix.  Full rank means no nontrivial linear relation
-holds among the valuations.
+localized windows of random heptagons (n = 2) or rotated boxes (n >= 3), and
+computes the numerical rank of the resulting evaluation matrix.  Full rank
+means no nontrivial linear relation holds among the valuations.
 """
 
 from tensorgeo import independence_indices, independence_rank

@@ -180,8 +180,8 @@ def _cmd_kinematic(args):
     _check_indices(args.j, P.dim, P.dim, args.l)
     if args.rotate2:
         from .flats import random_rotation
-        from .rng import stream
-        rng = stream(args.rotate2, 0)
+        from .rng import purpose_key, stream
+        rng = stream(args.rotate2, 0, purpose_key("rotate2"))
         P2 = P2.transformed(random_rotation(rng, P2.dim), rng.random(P2.dim) - 0.5)
     rep = kinematic_verify(P, P2, args.j, args.r, args.s, args.l,
                            samples=args.samples, seed=args.seed,
@@ -196,6 +196,9 @@ def _cmd_independence(args):
     report = {"command": "independence", "n": args.n, "p": args.p,
               "rank": rank, "expected_count": count,
               "passed": rank == count,
+              # the margin of the rank: sigma_rank / sigma_1 and sigma_{rank+1} / sigma_1
+              "sv_rank_ratio": float(sv[rank - 1] / sv[0]) if rank else None,
+              "sv_next_ratio": float(sv[rank] / sv[0]) if rank < len(sv) else None,
               "singular_values": [float(v) for v in sv[:count]]}
     _emit(report, args, "independence")
     return 0 if rank == count else 1

@@ -425,11 +425,11 @@ class Cone:
 
 
 class Region:
-    """Observation window beta: either the whole space or a convex
-    H-polyhedron {x : A x <= b}."""
+    """Observation window beta: either the whole space (no rows) or a
+    convex H-polyhedron {x : A x <= b}."""
 
     def __init__(self, A=None, b=None):
-        if A is None:
+        if A is None or np.size(A) == 0:
             self.A = None
             self.b = None
         else:

@@ -6,23 +6,15 @@ integral from flat or motion samples, and reports per-coordinate
 agreement against 3 standard errors (with an absolute floor for exact
 zeros).
 
-Two evaluation paths feed the left-hand side.  The batched section path
-takes blocks of samples as sections {q + B y : g y <= h} of dimension
-d <= 2 (lines and planes for Crofton, P cap gP2 in the plane for motions),
-clips each line (the section itself for d = 1, each constraint line for
-d = 2) to one parameter interval, whose ends give the section's segment,
-edges and vertices, and sums `tcm`'s face sum over those faces with
-conemoment's closed forms, scatter-added onto the samples.
-Every other index (windows, n = 3 motions, r > 0 above j = 0, ...) takes
-the generic path, which builds each section as a Polytope and calls `tcm`;
-the sections' own Monte-Carlo errors add to its standard error, and each
-section's sampled cones draw their own streams.  The generic path is the
-reference the test-suite checks the batched one against, sample by sample.
+Both theorems describe each block of samples once, as sections
+{q + B y : g y <= h} under windows {x : Aw x <= bw}, for one of two
+evaluators: the batched section path (`_section_lhs`, d <= 2), or the
+per-sample path (`_generic_lhs`), which builds each section as a Polytope,
+calls `tcm`, and is the reference the batched one is tested against.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -31,17 +23,10 @@ import numpy as np
 
 from .coeffs import c_norm, d_coeff, thm31_coeff
 from .conemoment import _arc_ends, _arc_moment, _lune_moment, _product_cone_moment
-from .flats import _BATCH, sample_flats_hitting, sample_motions_coupling
+from .flats import _BATCH, random_rotation, sample_flats_hitting, sample_motions_coupling
 from .measures import tcm, valuation, MeasureIndex
-from .polytope import (
-    EmptyPolytopeError,
-    GeometryError,
-    GrazingIntersectionError,
-    Polytope,
-    Region,
-    intersect_flat,
-)
-from .rng import stream
+from .polytope import EmptyPolytopeError, GeometryError, Polytope, Region
+from .rng import purpose_key, stream
 from .special import kappa_ball, omega
 from .symtensor import SymTensor, metric_tensor, multi_degrees, vector_power
 
@@ -60,8 +45,6 @@ __all__ = [
 ]
 
 ABS_FLOOR = 1e-9
-_RESAMPLE_SEED_XOR = 0x9E3779B9
-_SPARES = 1024
 
 
 # -- reports ----------------------------------------------------------------
@@ -78,7 +61,7 @@ class VerificationReport:
     rhs: SymTensor
     rhs_stderr: SymTensor
     samples: int
-    rejections: int = 0
+    rejections: int = 0     # grazing sections on the per-sample path, each scored zero
     wall_time: float = 0.0
     notes: str = ""
 
@@ -207,49 +190,60 @@ def _mean_and_stderr(values, weight, section_err=None):
             SymTensor.from_coordinates(values.dim, values.rank, se))
 
 
-def _spares(draw, seed):
-    """Endless replacements for rejected (grazing) samples: blocks of
-    _SPARES rows from draw(count, seed), each block under its own seed so
-    that no replacement repeats."""
-    for block in itertools.count():
-        yield from draw(_SPARES, seed ^ _RESAMPLE_SEED_XOR ^ (block << 32))[0]
-
-
-def _generic_lhs(n, j, r, s, l, rows, spares, section, weight, budget, seed):
-    """Per-sample path: section(*row) returns (polytope or None, region) or
-    raises GrazingIntersectionError, and then the row is replaced by the
-    next spare; each section is measured by tcm.  Returns (estimate,
-    stderr, rejections)."""
+def _generic_lhs(n, j, r, s, l, N, sections, weight, tol, budget, seed):
+    """Per-sample evaluator of the blocks `_section_lhs` takes: each section
+    is built as a Polytope and measured by `tcm` under its window, with
+    sample idx's sampled cones on seed ^ ((idx + 1) << 32).  A grazing
+    section, of dimension below d or within its slack of one of its own
+    constraint hyperplanes, scores zero and counts as a rejection.
+    Returns (estimate, stderr, rejections)."""
     rank = r + s + 2 * l
-    values = np.zeros((len(rows), len(multi_degrees(n, rank))))
+    values = np.zeros((N, len(multi_degrees(n, rank))))
     errors = np.zeros_like(values)
     rejections = 0
-    for idx, row in enumerate(rows):
-        while True:
+    for at in range(0, N, _BATCH):
+        B, _, q, g, h, Aw, bw = sections(slice(at, at + _BATCH))
+        for i in range(len(q)):
             try:
-                sec, region = section(*row)
-                break
-            except GrazingIntersectionError:
+                sec = Polytope.from_halfspaces(g[i], h[i], q[i], B[i], tol)
+            except EmptyPolytopeError:
+                continue
+            resid = np.abs((sec.vertices - q[i]) @ B[i] @ g[i].T - h[i])
+            if sec.aff_dim < B.shape[-1] or np.any(np.max(resid, axis=0) <= sec.slack):
                 rejections += 1
-                row = next(spares)
-        if sec is not None:   # each section's sampled cones draw from their own streams
-            mv = tcm(sec, j, r, s, l, region=region, budget=budget, seed=seed ^ ((idx + 1) << 32))
-            values[idx], errors[idx] = mv.tensor.data, mv.stderr.data
+                continue
+            mv = tcm(sec, j, r, s, l, region=Region(Aw[i], bw[i]), budget=budget,
+                     seed=seed ^ ((at + i + 1) << 32))
+            values[at + i], errors[at + i] = mv.tensor.data, mv.stderr.data
     est, err = _mean_and_stderr(SymTensor(n, rank, values), weight, SymTensor(n, rank, errors))
     return est, err, rejections
 
 
 # -- the batched section path ---------------------------------------------------
 
-def _batched(n, d, j, r, l, regions, bodies):
-    """Whether `_section_lhs` evaluates phi_j^{r,s,l} on the d-dimensional
-    sections of these bodies: whole-space regions, full-dimensional bodies,
-    r > 0 only at j = 0, and one of its three face kinds: the facets of the
-    section (j = d - 1), a segment itself (j = d = 1 < n), or polygon
-    vertices whose cone has at most one line (j = 0, d = 2, n - d <= 1)."""
-    return (all(reg.is_universe for reg in regions) and all(B.aff_dim == B.dim for B in bodies)
-            and d <= 2 and j <= 1 and (r == 0 or j == 0) and (l == 0 or j > 0)
+def _batched(n, d, j, l):
+    """Whether `_section_lhs` evaluates phi_j^{r,s,l} on d-dimensional
+    sections in R^n: d <= 2, and one of its three face kinds: the facets of
+    the section (j = d - 1), a segment itself (j = d = 1 < n), or polygon
+    vertices whose cone has at most one line (j = 0, d = 2, n - d <= 1);
+    points carry no Q(F)^l."""
+    return (d <= 2 and j <= 1 and (l == 0 or j > 0)
             and (j == d - 1 or j == d < n or (j == d - 2 and n - d <= 1)))
+
+
+def _unit(g, h):
+    """The rows g y <= h scaled to unit normals (zero rows stay zero)."""
+    gn = np.linalg.norm(g, axis=-1)
+    gn[gn == 0] = 1.0
+    return g / gn[..., None], h / gn
+
+
+def _segment_mean(a, b, r):
+    """The mean of x^r over the segments [a, b]: sum_i a^i b^{r-i} / (r + 1)."""
+    total = vector_power(b, r)
+    for i in range(1, r + 1):
+        total = total + vector_power(a, i) * vector_power(b, r - i)
+    return total.scale(1.0 / (r + 1))
 
 
 def _clip_lines(ge, gap, slack):
@@ -270,49 +264,67 @@ def _clip_lines(ge, gap, slack):
 
 
 def _section_lhs(n, j, r, s, l, N, sections, weight, slack):
-    """phi_j^{r,s,l} of N sections {q + B y : g y <= h} of dimension d <= 2,
-    for the face kinds `_batched` admits, in blocks of _BATCH samples:
-    sections(block) gives a block's frames B (m, n, d) and W (m, n, n - d)
-    of the section and its complement, q (m, n), g (m, F, d) and h (m, F).
-    The faces come from `_clip_lines`, with the body's `slack`.  For d = 1
-    the section's own line y = t is clipped: [lo, hi] is the segment, and
-    its endpoints lie on the two bounding rows.  For d = 2 the constraint
-    lines y = h_f g_f + t e_f, e_f = g_f turned by +90 degrees, are
-    clipped: the lines that meet are the edges, run counterclockwise, and
-    their hi ends are the vertices, whose normal cone is the arc (< pi)
-    from g_f counterclockwise to the normal of the row that bounds that
-    end.  Each face's size or position power times the closed-form moment
-    of its normal cone, as in `tcm`, is scatter-added onto its sample.
-    Returns (estimate, stderr, rejections = 0)."""
+    """phi_j^{r,s,l} of N sections {q + B y : g y <= h} of dimension d <= 2
+    under windows {x : Aw x <= bw}, for the face kinds `_batched` admits,
+    in blocks of _BATCH samples: sections(block) gives the frames B (m, n, d)
+    and W (m, n, n - d) of the section and its complement, q (m, n), g
+    (m, F, d), h (m, F), Aw (m, Fw, n) and bw (m, Fw), Fw = 0 for the whole
+    space.  `_clip_lines` clips, with the body's `slack`, the section's own
+    line y = t for d = 1 ([lo, hi] is the segment, its ends lie on the two
+    bounding rows), or for d = 2 the constraint lines y = h_f g_f + t e_f,
+    e_f = g_f turned by +90 degrees: those that meet are the edges, run
+    counterclockwise, and their hi ends the vertices, whose normal cone is
+    the arc (< pi) from g_f counterclockwise to the bounding row's normal.
+    A window restricts positions only: the lines are clipped once more to
+    its in-frame rows, and a point counts if it meets them within `slack`.
+    Each face's size, position moment and direction power times the
+    closed-form moment of its normal cone, as in `tcm`, is scatter-added
+    onto its sample.  Returns (estimate, stderr, rejections = 0)."""
     rank = r + s + 2 * l
     values = np.zeros((N, len(multi_degrees(n, rank))))
     for at in range(0, N, _BATCH):
-        B, W, q, g, h = sections(slice(at, at + _BATCH))
+        B, W, q, g, h, Aw, bw = sections(slice(at, at + _BATCH))
         d = g.shape[-1]
-        gn = np.linalg.norm(g, axis=-1)
-        gn[gn == 0] = 1.0
-        g, h = g / gn[..., None], h / gn                                 # unit in-frame normals
+        g, h = _unit(g, h)                                              # unit in-frame normals
         if d == 1:          # the section's own line: p = 0, e = 1
             p, e = np.zeros((len(g), 1, 1)), np.ones((len(g), 1, 1))
         else:               # the constraint lines
             p, e = h[..., None] * g, np.stack([-g[..., 1], g[..., 0]], axis=-1)
         gt = np.swapaxes(g, 1, 2)
         lo, hi, lo_row, hi_row, meets = _clip_lines(e @ gt, h[:, None] - p @ gt, slack)
-        i, f = np.nonzero(meets)
+        windowed = Aw.shape[1] > 0
+        if windowed:        # the window's in-frame rows
+            gw, hw = _unit(Aw @ B, bw - np.einsum("mfi,mi->mf", Aw, q))
+            gwt = np.swapaxes(gw, 1, 2)
+            wlo, whi, _, _, wmeets = _clip_lines(e @ gwt, hw[:, None] - p @ gwt, slack)
         if j == 1:          # segments or edges: length, direction^{2l}, W (+ the edge normal)
+            if windowed:
+                lo, hi = np.maximum(lo, wlo), np.minimum(hi, whi)
+                meets &= wmeets & (lo < hi)
+            i, f = np.nonzero(meets)
             rays = np.einsum("kij,kj->ki", B[i], g[i, f])[..., None] if d == 2 else np.zeros((n, 0))
             direction = np.einsum("kij,kj->ki", B[i], e[i, f])
             vals = (_product_cone_moment(n, s, rays, W[i])
                     * vector_power(direction, 2 * l)).scale(hi[i, f] - lo[i, f])
+            if r:
+                ends = [q[i] + np.einsum("kic,kc->ki", B[i], p[i, f] + t[i, f, None] * e[i, f])
+                        for t in (lo, hi)]
+                vals = vals * _segment_mean(*ends, r)
         else:               # points, times v^r: segment endpoints or polygon vertices
-            if d == 1:      # the ray of the bounding row, and W
+            i, f = np.nonzero(meets)
+            if d == 1:      # both ends, and the rows that bound them
                 y = np.stack([lo, hi], axis=-1)[i, f].reshape(-1, 1)
-                rows = np.stack([lo_row, hi_row], axis=-1)[i, f].ravel()
+                f = np.stack([lo_row, hi_row], axis=-1)[i, f].ravel()
                 i = np.repeat(i, 2)
-                ray = np.einsum("kij,kj->ki", B[i], g[i, rows])
-                cones = _product_cone_moment(n, s, ray[..., None], W[i])
-            else:           # edge f's hi end: the arc from g_f to the bounding row's normal (+ W)
+            else:           # edge f's hi end
                 y = p[i, f] + hi[i, f, None] * e[i, f]
+            if windowed:
+                inside = np.all(np.einsum("kfc,kc->kf", gw[i], y) <= hw[i] + slack, axis=-1)
+                i, f, y = i[inside], f[inside], y[inside]
+            if d == 1:      # the ray of the bounding row, and W
+                ray = np.einsum("kij,kj->ki", B[i], g[i, f])
+                cones = _product_cone_moment(n, s, ray[..., None], W[i])
+            else:           # the arc from g_f to the bounding row's normal (+ W)
                 theta = np.arctan2(g[..., 1], g[..., 0])
                 start = theta[i, f]
                 turn = np.mod(theta[i, hi_row[i, f]] - start, 2.0 * math.pi)
@@ -328,7 +340,36 @@ def _section_lhs(n, j, r, s, l, N, sections, weight, slack):
     return est, err, 0
 
 
-# -- Crofton left-hand side -------------------------------------------------
+# -- left-hand sides ---------------------------------------------------------
+
+def _rows(region, n):
+    """A window's ambient rows (A, b); the whole space has none."""
+    if region is None or region.is_universe:
+        return np.zeros((0, n)), np.zeros(0)
+    return region.A, region.b
+
+
+def _each(A, b, m):
+    """The rows A x <= b, repeated for m samples."""
+    return np.broadcast_to(A, (m,) + A.shape), np.broadcast_to(b, (m, len(b)))
+
+
+def _moved(A, b, A2, b2, rho, t):
+    """Per motion, the rows A x <= b stacked with A2 x <= b2 moved by
+    x -> rho x + t."""
+    Ag = A2 @ np.swapaxes(rho, 1, 2)                                    # (m, F2, n): A2 rho^T
+    A, b = _each(A, b, len(t))
+    return (np.concatenate([A, Ag], axis=1),
+            np.concatenate([b, b2 + (Ag @ t[..., None])[..., 0]], axis=1))
+
+
+def _lhs(n, d, j, r, s, l, samples, sections, weight, P, budget, seed):
+    """The section blocks go to `_section_lhs` where `_batched` admits the
+    index, and to the per-sample `_generic_lhs` otherwise."""
+    if _batched(n, d, j, l):
+        return _section_lhs(n, j, r, s, l, samples, sections, weight, P.slack)
+    return _generic_lhs(n, j, r, s, l, samples, sections, weight, P.tol, budget, seed)
+
 
 def crofton_lhs(P, k, j, r=0, s=0, l=0, region=None, samples=10000, seed=0,
                 margin=0.5, budget=20000):
@@ -336,29 +377,14 @@ def crofton_lhs(P, k, j, r=0, s=0, l=0, region=None, samples=10000, seed=0,
     over k-flats; returns (tensor, stderr, rejections)."""
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
-    region = Region.universe() if region is None else region
-    if _batched(P.dim, k, j, r, l, [region], [P]):
-        A, b = P.ambient_halfspaces()
-        batch = sample_flats_hitting(P, k, samples, seed=seed, margin=margin)
+    A, b = P.ambient_halfspaces()
+    Aw, bw = _rows(region, P.dim)
+    batch = sample_flats_hitting(P, k, samples, seed=seed, margin=margin)
 
-        def sections(block):
-            B, q = batch.frames[block], batch.points[block]
-            return B, batch.complements[block], q, A @ B, b - q @ A.T
-        return _section_lhs(P.dim, j, r, s, l, samples, sections, batch.weight, P.slack)
-    return _crofton_generic(P, k, j, r, s, l, region, samples, seed, margin, budget)
-
-
-def _crofton_generic(P, k, j, r, s, l, region, samples, seed, margin, budget):
-    def draw(count, seed):
-        batch = sample_flats_hitting(P, k, count, seed=seed, margin=margin)
-        return list(zip(batch.frames, batch.points)), batch.weight
-
-    def section(B, q):
-        return intersect_flat(P, B, q, P.tol), region
-
-    rows, weight = draw(samples, seed)
-    return _generic_lhs(P.dim, j, r, s, l, rows, _spares(draw, seed), section,
-                        weight, budget, seed)
+    def sections(block):
+        B, q = batch.frames[block], batch.points[block]
+        return (B, batch.complements[block], q, A @ B, b - q @ A.T) + _each(Aw, bw, len(q))
+    return _lhs(P.dim, k, j, r, s, l, samples, sections, batch.weight, P, budget, seed)
 
 
 def crofton_verify(P, k, j, r=0, s=0, l=0, region=None, samples=10000, seed=0,
@@ -378,57 +404,22 @@ def crofton_verify(P, k, j, r=0, s=0, l=0, region=None, samples=10000, seed=0,
 
 def kinematic_lhs(P, P2, j, r=0, s=0, l=0, region=None, region2=None,
                   samples=10000, seed=0, margin=0.5, budget=20000):
+    """Monte-Carlo estimate of the integral of phi_j^{r,s,l}(P cap gP2,
+    region cap g region2) over rigid motions g; returns (tensor, stderr,
+    rejections)."""
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
     n = P.dim
-    region = Region.universe() if region is None else region
-    region2 = Region.universe() if region2 is None else region2
-    if _batched(n, n, j, r, l, [region, region2], [P, P2]):
-        (A1, b1), (A2, b2) = P.ambient_halfspaces(), P2.ambient_halfspaces()
-        batch = sample_motions_coupling(P, P2, samples, seed=seed, margin=margin)
+    (A1, b1), (A2, b2) = P.ambient_halfspaces(), P2.ambient_halfspaces()
+    (R1, c1), (R2, c2) = _rows(region, n), _rows(region2, n)
+    batch = sample_motions_coupling(P, P2, samples, seed=seed, margin=margin)
 
-        def sections(block):
-            Ag = A2 @ np.swapaxes(batch.rotations[block], 1, 2)            # (m, F2, n): A2 rho^T
-            m = len(Ag)
-            g = np.concatenate([np.broadcast_to(A1, (m,) + A1.shape), Ag], axis=1)
-            h = np.concatenate([np.broadcast_to(b1, (m, len(b1))),
-                                b2 + (Ag @ batch.translations[block, :, None])[..., 0]], axis=1)
-            return np.broadcast_to(np.eye(n), (m, n, n)), np.zeros((m, n, 0)), np.zeros((m, n)), g, h
-        return _section_lhs(n, j, r, s, l, samples, sections, batch.weight, P.slack)
-    return _kinematic_generic(P, P2, j, r, s, l, region, region2,
-                              samples, seed, margin, budget)
-
-
-def _kinematic_generic(P, P2, j, r, s, l, region, region2, samples, seed, margin, budget):
-    A1, b1 = P.ambient_halfspaces()
-    A2, b2 = P2.ambient_halfspaces()
-
-    def draw(count, seed):
-        batch = sample_motions_coupling(P, P2, count, seed=seed, margin=margin)
-        return list(zip(batch.rotations, batch.translations)), batch.weight
-
-    def section(rho, t):
-        Ag = A2 @ rho.T
-        try:
-            inter = Polytope.from_halfspaces(np.vstack([A1, Ag]), np.concatenate([b1, b2 + Ag @ t]),
-                                             tol=P.tol)
-        except EmptyPolytopeError:
-            return None, None
-        if inter.aff_dim < P.dim:
-            raise GrazingIntersectionError("lower-dimensional intersection")
-        return inter, _combine_regions(region, region2.transformed(rho, t))
-
-    rows, weight = draw(samples, seed)
-    return _generic_lhs(P.dim, j, r, s, l, rows, _spares(draw, seed), section,
-                        weight, budget, seed)
-
-
-def _combine_regions(r1, r2):
-    if r1.is_universe:
-        return r2
-    if r2.is_universe:
-        return r1
-    return Region(np.vstack([r1.A, r2.A]), np.concatenate([r1.b, r2.b]))
+    def sections(block):
+        rho, t = batch.rotations[block], batch.translations[block]
+        m = len(t)
+        return ((np.broadcast_to(np.eye(n), (m, n, n)), np.zeros((m, n, 0)), np.zeros((m, n)))
+                + _moved(A1, b1, A2, b2, rho, t) + _moved(R1, c1, R2, c2, rho, t))
+    return _lhs(n, n, j, r, s, l, samples, sections, batch.weight, P, budget, seed)
 
 
 def kinematic_verify(P, P2, j, r=0, s=0, l=0, region=None, region2=None,
@@ -469,17 +460,21 @@ def independence_indices(n, p):
 
 def independence_rank(n, p, trials=8, seed=0, window=0.12):
     """Numerical rank of the valuation family of tensor rank p, evaluated
-    on rotated boxes with small box windows localized near faces of every
-    dimension.  Returns (rank, expected_count, singular_values)."""
+    with small box windows localized near faces of every dimension of
+    random heptagons (n = 2; every vertex cone of a box is right-angled,
+    which ties the family at p = 4) or rotated boxes (n >= 3), drawn from
+    their own stream.  Returns (rank, expected_count, singular_values)."""
     indices = independence_indices(n, p)
-    rng = stream(seed, 0)
+    rng = stream(seed, 0, purpose_key("independence-body"))
     rows = []
-    from .flats import random_rotation
     for trial in range(trials):
-        sides = 0.8 + 0.8 * rng.random(n)
-        base = Polytope.from_vertices(
-            np.array(np.meshgrid(*[[0.0, si] for si in sides], indexing="ij"))
-            .reshape(n, -1).T)
+        if n == 2:
+            base = Polytope.from_vertices(rng.standard_normal((7, 2)))
+        else:
+            sides = 0.8 + 0.8 * rng.random(n)
+            base = Polytope.from_vertices(
+                np.array(np.meshgrid(*[[0.0, si] for si in sides], indexing="ij"))
+                .reshape(n, -1).T)
         rho = random_rotation(rng, n)
         shift = rng.random(n) - 0.5
         Pt = base.transformed(rho, shift)
@@ -560,7 +555,7 @@ def steiner_check(P, eps_list, samples=10 ** 6, seed=0):
     """Monte-Carlo volume of the eps-parallel body of a full-dimensional P
     (any n <= 4) against the Steiner polynomial sum_q kappa_{n-q} V_q(P)
     eps^{n-q}.  Each eps draws uniform points in chunks from its own
-    streams, in P's bounding box grown by eps, and counts those within eps
+    streams (not the samplers'), in P's bounding box grown by eps, and counts those within eps
     of P (`_within`, from P's face lattice)."""
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
@@ -571,12 +566,13 @@ def steiner_check(P, eps_list, samples=10 ** 6, seed=0):
     vols = [kappa_ball(n - q) * tcm(P, q).tensor.value() for q in range(n + 1)]
     lo, hi = P.vertices.min(axis=0), P.vertices.max(axis=0)
     mc_vol, mc_se, exact = [], [], []
+    steiner = purpose_key("steiner")
     for ei, eps in enumerate(eps_list):
         box_lo, box_hi = lo - eps, hi + eps
         box_vol = float(np.prod(box_hi - box_lo))
         hits, chunk = 0, 200000
         for bi, at in enumerate(range(0, samples, chunk)):
-            u = stream(seed, ei * 1024 + bi).random((min(chunk, samples - at), n))
+            u = stream(seed, ei * 1024 + bi, steiner).random((min(chunk, samples - at), n))
             hits += int(np.count_nonzero(_within(P, box_lo + (box_hi - box_lo) * u, eps)))
         frac = hits / samples
         mc_vol.append(frac * box_vol)

@@ -183,7 +183,7 @@ def _count_oracle(n, p):
 def test_A7_linear_independence():
     details = []
     ok = True
-    for (n, p) in [(2, 2), (3, 2), (2, 3)]:
+    for (n, p) in [(2, 2), (3, 2), (2, 3), (2, 4)]:
         expected = _count_oracle(n, p)
         rank, count, sv = independence_rank(n, p, trials=6, seed=4)
         case_ok = rank == count == expected

@@ -129,6 +129,32 @@ class TestVerifyCommands:
         report = json.loads(out)
         assert report["rank"] == report["expected_count"] == 10
 
+    def test_independence_reports_its_margin(self, capsys):
+        code, out = run(capsys, "independence", "--n", "2", "--p", "4", "--seed", "1")
+        assert code == 0
+        report = json.loads(out)
+        assert report["passed"] is True and report["rank"] == report["expected_count"] == 21
+        sv = report["singular_values"]
+        assert report["sv_rank_ratio"] == sv[20] / sv[0] and report["sv_rank_ratio"] > 1e-6
+        assert report["sv_next_ratio"] is None
+
+    def test_rotate2_draws_from_its_own_stream(self, capsys, monkeypatch):
+        """The rotation of the second body and the motion sampler never read
+        one stream, though --rotate2 and --seed are equal."""
+        import tensorgeo.flats as flats_module
+        import tensorgeo.rng as rng_module
+        real, keys = rng_module.stream, []
+
+        def recorded(seed, index=0, purpose=0):
+            keys.append((seed, index, purpose))
+            return real(seed, index, purpose)
+        monkeypatch.setattr(rng_module, "stream", recorded)
+        monkeypatch.setattr(flats_module, "stream", recorded)
+        code, _ = run(capsys, "kinematic-verify", "--builtin", "cube2", "--builtin2", "cube2",
+                      "--rotate2", "5", "--j", "0", "--samples", "200", "--seed", "5")
+        assert code in (0, 1) and len(keys) >= 2
+        assert len(keys) == len(set(keys))
+
     def test_steiner(self, capsys):
         code, out = run(capsys, "steiner-check", "--builtin", "cube2",
                         "--eps", "0.5", "--samples", "200000", "--seed", "2")

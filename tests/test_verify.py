@@ -7,13 +7,14 @@ import pytest
 
 from tensorgeo.coeffs import alpha, c_norm, cor38_coeff, iota, kappa_coeff, lambda_coeff
 from tensorgeo.conemoment import _arc_ends, _arc_moment, _lune_moment, _product_cone_moment
+import tensorgeo.flats as flats_module
 import tensorgeo.verify as verify_module
 from tensorgeo.flats import random_rotation, sample_flats_hitting, sample_motions_coupling
 from tensorgeo.measures import curvature_measure, tcm
 from tensorgeo.polytope import (EmptyPolytopeError, GeometryError, GrazingIntersectionError,
                                 Polytope, Region, cross_polytope, cube, intersect_flat,
                                 random_polytope, simplex, triangulate)
-from tensorgeo.rng import stream
+from tensorgeo.rng import purpose_key, stream
 from tensorgeo.special import omega
 from tensorgeo.symtensor import SymTensor, metric_tensor, multi_degrees, vector_power
 from tensorgeo.verify import (
@@ -132,16 +133,16 @@ class TestSpecialisedFamilyExpansions:
             assert rhs.max_abs_coordinate_diff(manual) < 1e-10
 
 
-def _crofton_reference(P, k, j, r=0, s=0, l=0, samples=10000, seed=0):
-    """crofton_lhs on the per-sample generic path."""
-    return verify_module._crofton_generic(P, k, j, r, s, l, Region.universe(), samples, seed,
-                                          0.5, 20000)
+def _crofton_reference(P, k, j, r=0, s=0, l=0, samples=10000, seed=0, **windows):
+    """crofton_lhs with its section blocks sent to the per-sample evaluator."""
+    with mock.patch.object(verify_module, "_batched", lambda *args: False):
+        return crofton_lhs(P, k, j, r, s, l, samples=samples, seed=seed, **windows)
 
 
-def _kinematic_reference(P, P2, j, r=0, s=0, l=0, samples=10000, seed=0):
-    """kinematic_lhs on the per-sample generic path."""
-    return verify_module._kinematic_generic(P, P2, j, r, s, l, Region.universe(),
-                                            Region.universe(), samples, seed, 0.5, 20000)
+def _kinematic_reference(P, P2, j, r=0, s=0, l=0, samples=10000, seed=0, **windows):
+    """kinematic_lhs with its section blocks sent to the per-sample evaluator."""
+    with mock.patch.object(verify_module, "_batched", lambda *args: False):
+        return kinematic_lhs(P, P2, j, r, s, l, samples=samples, seed=seed, **windows)
 
 
 class TestKernelsAgainstGenericPath:
@@ -218,6 +219,54 @@ class TestKernelsAgainstGenericPath:
             assert fast[0].max_abs_coordinate_diff(slow[0]) < 1e-10
             assert fast[1].max_abs_coordinate_diff(slow[1]) < 1e-10
 
+    @pytest.mark.parametrize("body, window, cfg", [
+        ("cube2", "box2", dict(k=1, j=0, s=2)), ("cube2", "half2", dict(k=1, j=1, s=2, l=1)),
+        ("cube3", "box3", dict(k=1, j=1, s=2)), ("cube3", "half3", dict(k=1, j=0, r=1, s=1)),
+        ("cube3", "box3", dict(k=2, j=1, s=2)), ("cube3", "half3", dict(k=2, j=0, s=2)),
+        ("simplex3", "box3", dict(k=2, j=0, r=1, s=3)),
+        ("simplex3", "half3", dict(k=2, j=1, r=1, s=1, l=1))])
+    def test_windowed_lines_and_planes(self, body, window, cfg):
+        P = _BODIES[body]()
+        fast = crofton_lhs(P, region=_WINDOWS[window], samples=200, seed=41, **cfg)
+        slow = _crofton_reference(P, region=_WINDOWS[window], samples=200, seed=41, **cfg)
+        assert fast[0].max_abs_coordinate_diff(slow[0]) < 1e-10
+        assert fast[1].max_abs_coordinate_diff(slow[1]) < 1e-10
+        assert np.abs(fast[0].data).max() > 1e-3
+
+    @pytest.mark.parametrize("which, j, r, s, l", [
+        ("region", 0, 0, 2, 0), ("region", 1, 1, 1, 0), ("region2", 0, 1, 3, 0),
+        ("region2", 1, 0, 2, 1)])
+    def test_windowed_planar_motions(self, which, j, r, s, l):
+        P2 = cube(2).transformed(random_rotation(stream(9, 0), 2), np.array([0.2, 0.1]))
+        window = {which: _WINDOWS["box2" if which == "region" else "half2"]}
+        fast = kinematic_lhs(cube(2), P2, j, r=r, s=s, l=l, samples=150, seed=42, **window)
+        slow = _kinematic_reference(cube(2), P2, j, r=r, s=s, l=l, samples=150, seed=42, **window)
+        assert fast[0].max_abs_coordinate_diff(slow[0]) < 1e-10
+        assert fast[1].max_abs_coordinate_diff(slow[1]) < 1e-10
+
+    @pytest.mark.parametrize("body, cfg", [
+        ("cube2", dict(k=1, j=1, r=1)), ("cube3", dict(k=1, j=1, r=2, s=2)),
+        ("cube4", dict(k=1, j=1, r=1, l=1)), ("cube3", dict(k=2, j=1, r=1, s=1)),
+        ("simplex3", dict(k=2, j=1, r=2, s=2)), ("cube4", dict(k=2, j=1, r=1, s=2))])
+    def test_position_moments_of_segments_and_edges(self, body, cfg):
+        P = _BODIES[body]()
+        fast = crofton_lhs(P, samples=150, seed=43, **cfg)
+        slow = _crofton_reference(P, samples=150, seed=43, **cfg)
+        assert fast[0].max_abs_coordinate_diff(slow[0]) < 1e-10
+        assert fast[1].max_abs_coordinate_diff(slow[1]) < 1e-10
+
+    @pytest.mark.parametrize("r, s, l", [(1, 0, 0), (2, 1, 0), (1, 2, 1), (2, 0, 1)])
+    def test_position_moments_of_motion_edges(self, r, s, l):
+        P2 = cube(2).transformed(random_rotation(stream(9, 0), 2), np.array([0.2, 0.1]))
+        fast = kinematic_lhs(cube(2), P2, 1, r=r, s=s, l=l, samples=150, seed=44)
+        slow = _kinematic_reference(cube(2), P2, 1, r=r, s=s, l=l, samples=150, seed=44)
+        assert fast[0].max_abs_coordinate_diff(slow[0]) < 1e-10
+        assert fast[1].max_abs_coordinate_diff(slow[1]) < 1e-10
+
+
+_WINDOWS = {"box2": Region.box([-1, -1], [0.5, 2]), "half2": Region([[1.0, 1.0]], [1.2]),
+            "box3": Region.box([-1, -1, -1], [0.6, 2.0, 0.7]),
+            "half3": Region([[1.0, 1.0, -0.5]], [0.9])}
 
 _BODIES = {
     "cube2": lambda: cube(2), "cube3": lambda: cube(3), "cube4": lambda: cube(4),
@@ -436,7 +485,7 @@ class TestFacesThatExist:
 _PENTAGON = (np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 1.0], [-1.0, 2.0]]),
              np.array([1.0, 0.0, 1.0, 0.0, 1.5, 10.0]))
 _ONE_SECTION_INDICES = [(0, r, s, 0) for r in range(3) for s in range(4)] \
-    + [(1, 0, s, l) for s in range(4) for l in range(2)]
+    + [(1, r, s, l) for r in range(3) for s in range(4) for l in range(2)]
 
 
 def _one_section(kind):
@@ -452,13 +501,26 @@ def _one_section(kind):
     return n, R[:, :2], R[:, 2:], 0.3 * R[:, 0] - 0.2, A, b
 
 
+def _one_window(kind, n, B, q):
+    """An ambient window that cuts the section of `_one_section`: a box
+    around the point at in-frame (0.6, 0.6), or 0.6 on the line, that holds
+    a vertex and cuts edges; or a halfspace through in-frame (0.5, 0.4), or
+    0.4, with an oblique normal."""
+    c = q + B @ np.array([0.6, 0.6][:B.shape[1]])
+    if kind == "box":
+        return Region.box(c - 0.35, c + 0.35)
+    a = stream(14, n).standard_normal(n)
+    return Region(a[None], [a @ (q + B @ np.array([0.5, 0.4][:B.shape[1]]))])
+
+
 class TestOneSection:
     """One hand-built section with weight 1: `_section_lhs` is `tcm` of the
     section built as a Polytope, with no Monte-Carlo."""
 
     @staticmethod
-    def _lhs(j, r, s, l, n, B, W, q, g, h):
-        sections = lambda block: (B[None], W[None], q[None], g[None], h[None])
+    def _lhs(j, r, s, l, n, B, W, q, g, h, window=Region.universe()):
+        Aw, bw = verify_module._rows(window, n)
+        sections = lambda block: (B[None], W[None], q[None], g[None], h[None], Aw[None], bw[None])
         slack = Polytope.from_halfspaces(*_PENTAGON).slack
         return verify_module._section_lhs(n, j, r, s, l, 1, sections, 1.0, slack)[0]
 
@@ -466,10 +528,23 @@ class TestOneSection:
     @pytest.mark.parametrize("j, r, s, l", _ONE_SECTION_INDICES)
     def test_equals_tcm(self, kind, j, r, s, l):
         n, B, W, q, g, h = _one_section(kind)
-        assert verify_module._batched(n, B.shape[1], j, r, l, [Region.universe()], [cube(n)])
+        assert verify_module._batched(n, B.shape[1], j, l)
         got = self._lhs(j, r, s, l, n, B, W, q, g, h)
         want = tcm(Polytope.from_halfspaces(g, h, origin=q, frame=B), j, r, s, l).tensor
         assert got.max_abs_coordinate_diff(want) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["polygon", "polygon in R^3", "line"])
+    @pytest.mark.parametrize("window", ["box", "halfspace"])
+    @pytest.mark.parametrize("j, r, s, l", _ONE_SECTION_INDICES)
+    def test_windowed_equals_tcm(self, kind, window, j, r, s, l):
+        n, B, W, q, g, h = _one_section(kind)
+        region = _one_window(window, n, B, q)
+        got = self._lhs(j, r, s, l, n, B, W, q, g, h, region)
+        section = Polytope.from_halfspaces(g, h, origin=q, frame=B)
+        want = tcm(section, j, r, s, l, region=region).tensor
+        assert got.max_abs_coordinate_diff(want) <= 1e-12
+        if r + s + l == 0:      # the window keeps part of the section, not all of it
+            assert 0.0 < want.value() < tcm(section, j).tensor.value()
 
     def test_line_parallel_to_a_violated_row_is_empty(self):
         """y = 1.2 crosses the other rows' lines in [0, 0.3] but lies above y <= 1."""
@@ -485,18 +560,18 @@ class TestOneSection:
 class TestSampleCount:
     P2 = cube(2).transformed(random_rotation(stream(9, 0), 2), np.array([0.2, 0.1]))
 
-    # generic: an index the batched path does not take (r > 0 at j = 1)
+    # generic: an index the batched path does not take (j = d = 2)
     @pytest.mark.parametrize("samples", [0, -3])
     @pytest.mark.parametrize("generic", [False, True])
     def test_crofton_lhs_needs_a_sample(self, samples, generic):
         with pytest.raises(ValueError, match="at least one sample"):
-            crofton_lhs(cube(2), 1, int(generic), r=int(generic), samples=samples)
+            crofton_lhs(cube(3), 2, 1 + int(generic), samples=samples)
 
     @pytest.mark.parametrize("samples", [0, -3])
     @pytest.mark.parametrize("generic", [False, True])
     def test_kinematic_lhs_needs_a_sample(self, samples, generic):
         with pytest.raises(ValueError, match="at least one sample"):
-            kinematic_lhs(cube(2), self.P2, int(generic), r=int(generic), samples=samples)
+            kinematic_lhs(cube(2), self.P2, 2 * int(generic), samples=samples)
 
     @pytest.mark.parametrize("samples", [0, -3])
     def test_steiner_check_needs_a_sample(self, samples):
@@ -533,18 +608,19 @@ class TestRouting:
         P2 = cube(2).transformed(random_rotation(stream(9, 0), 2), np.array([0.2, 0.1]))
         for (r, s) in [(0, 0), (0, 1), (0, 2), (1, 1), (2, 0), (0, 4), (1, 3), (2, 2), (4, 0)]:
             kinematic_lhs(cube(2), P2, 0, r=r, s=s, samples=20, seed=24)
+        # windows, and position moments of segments and edges
+        window = Region.box([-1, -1], [0.5, 2])
+        crofton_lhs(cube(2), 1, 1, region=window, samples=5, seed=1)
+        kinematic_lhs(cube(2), P2, 0, region2=window, samples=5, seed=1)
+        crofton_lhs(cube(3), 2, 1, r=1, s=1, samples=5, seed=1)
+        crofton_lhs(cube(3), 1, 1, r=1, samples=5, seed=1)
+        kinematic_lhs(cube(2), P2, 1, r=1, samples=5, seed=1)
 
     def test_the_rest_reaches_the_generic_path(self, monkeypatch):
         Generic = self._refuse_generic(monkeypatch)
-        window = Region.box([-1, -1], [0.5, 2])
         P2 = cube(2).transformed(random_rotation(stream(9, 0), 2), np.array([0.2, 0.1]))
         cases = [
-            lambda: crofton_lhs(cube(2), 1, 1, region=window, samples=5, seed=1),
-            lambda: kinematic_lhs(cube(2), P2, 0, region2=window, samples=5, seed=1),
             lambda: kinematic_lhs(cube(3), cube(3), 0, samples=5, seed=1),
-            lambda: crofton_lhs(cube(3), 2, 1, r=1, s=1, samples=5, seed=1),
-            lambda: crofton_lhs(cube(3), 1, 1, r=1, samples=5, seed=1),
-            lambda: kinematic_lhs(cube(2), P2, 1, r=1, samples=5, seed=1),
             lambda: kinematic_lhs(cube(2), P2, 2, samples=5, seed=1),
             lambda: crofton_lhs(cube(4), 2, 0, s=2, samples=5, seed=1),
         ]
@@ -577,22 +653,38 @@ class TestGenericPathErrors:
         assert propagated.min() > 0.0
         np.testing.assert_allclose(err.coordinates_array(), sampling + propagated, rtol=1e-9)
 
-    def test_grazing_replacements_never_repeat(self, monkeypatch):
-        """More rejections than one block of spare flats: every replacement
-        flat is new."""
-        points = []
+    def test_grazing_sections_are_counted_and_score_zero(self):
+        """Lines in the square: one through the middle, one through the
+        corner only (a point), one along the top edge (in a facet's line),
+        and one that misses.  The two grazing ones, which `intersect_flat`
+        rejects, are counted, and they score as the miss does: zero."""
+        P = cube(2)
+        A, b = P.ambient_halfspaces()
+        diagonal = np.array([[1.0], [-1.0]]) / math.sqrt(2.0)
+        flats = [(np.array([[1.0], [0.0]]), np.array([0.0, 0.5])), (diagonal, np.zeros(2)),
+                 (np.array([[1.0], [0.0]]), np.array([0.0, 1.0])),
+                 (np.array([[1.0], [0.0]]), np.array([0.0, 2.0]))]
+        for B, q in flats[1:3]:
+            with pytest.raises(GrazingIntersectionError):
+                intersect_flat(P, B, q)
 
-        def grazing(P, B, q, tol):
-            points.append(q)
-            if len(points) <= 1500:
-                raise GrazingIntersectionError("forced")
-            return intersect_flat(P, B, q, tol)
+        def sections(rows):
+            def block(at):
+                B = np.array([flats[i][0] for i in rows])[at]
+                q = np.array([flats[i][1] for i in rows])[at]
+                W = np.stack([-B[:, 1], B[:, 0]], axis=1)
+                return (B, W, q, A @ B, b - q @ A.T) + verify_module._each(np.zeros((0, 2)),
+                                                                           np.zeros(0), len(q))
+            return block
 
-        monkeypatch.setattr(verify_module, "intersect_flat", grazing)
-        _, _, rejections = _crofton_reference(cube(2), 1, 1, samples=1, seed=4)
-        assert rejections == 1500
-        spares = np.array(points[1:])
-        assert len(np.unique(spares, axis=0)) == len(spares)
+        def lhs(rows):
+            return verify_module._generic_lhs(2, 1, 0, 2, 0, 4, sections(rows), 1.0, P.tol,
+                                              20000, 0)
+        est, err, rejections = lhs([0, 1, 2, 3])
+        miss_est, miss_err, none = lhs([0, 3, 3, 3])
+        assert (rejections, none) == (2, 0)
+        assert np.array_equal(est.data, miss_est.data) and np.array_equal(err.data, miss_err.data)
+        assert np.abs(est.data).max() > 0.01
 
 
     def test_sections_draw_their_own_cone_streams(self, monkeypatch):
@@ -616,6 +708,47 @@ class TestGenericPathErrors:
         kinematic_lhs(cube(3), P2, 0, samples=12, seed=3, budget=200)
         assert len({s for owners in keys.values() for s in owners}) >= 2
         assert all(len(owners) == 1 for owners in keys.values())
+
+
+class TestSectionBlocks:
+    """The window rows each theorem hands to the evaluators: the region for
+    every flat, and for a motion g = (rho, t) the region stacked with
+    region2 moved by g."""
+
+    @staticmethod
+    def _blocks(monkeypatch, run):
+        seen = []
+
+        def record(n, j, r, s, l, N, sections, *args):
+            seen.append(sections(slice(0, N)))
+            return None, None, 0
+        monkeypatch.setattr(verify_module, "_section_lhs", record)
+        run()
+        return seen[0]
+
+    def test_flats_carry_the_region(self, monkeypatch):
+        region = Region([[1.0, 1.0, -0.5]], [0.9])
+        *_, Aw, bw = self._blocks(monkeypatch, lambda: crofton_lhs(cube(3), 2, 1, region=region,
+                                                                   samples=30, seed=3))
+        assert Aw.shape == (30, 1, 3) and np.all(Aw == region.A) and np.all(bw == region.b)
+
+    def test_motions_carry_the_region_and_the_moved_region2(self, monkeypatch):
+        P2 = cube(2).transformed(random_rotation(stream(9, 0), 2), np.array([0.2, 0.1]))
+        region, region2 = Region.box([-1, -1], [0.5, 2]), Region([[1.0, 1.0]], [1.2])
+        *_, Aw, bw = self._blocks(monkeypatch, lambda: kinematic_lhs(
+            cube(2), P2, 0, region=region, region2=region2, samples=30, seed=3))
+        batch = sample_motions_coupling(cube(2), P2, 30, seed=3)
+        for i, (rho, t) in enumerate(zip(batch.rotations, batch.translations)):
+            moved = region2.transformed(rho, t)
+            np.testing.assert_allclose(Aw[i], np.vstack([region.A, moved.A]), rtol=0, atol=1e-15)
+            np.testing.assert_allclose(bw[i], np.concatenate([region.b, moved.b]), rtol=0, atol=1e-14)
+
+    def test_the_whole_space_has_no_rows(self, monkeypatch):
+        P2 = cube(2).transformed(random_rotation(stream(9, 0), 2), np.array([0.2, 0.1]))
+        for run in (lambda: crofton_lhs(cube(3), 2, 1, samples=30, seed=3),
+                    lambda: kinematic_lhs(cube(2), P2, 0, samples=30, seed=3)):
+            *_, Aw, bw = self._blocks(monkeypatch, run)
+            assert Aw.shape[:2] == bw.shape == (30, 0)
 
 
 class TestSmallVerifications:
@@ -682,6 +815,36 @@ class TestIndependence:
     def test_rank_22(self):
         rank, count, _ = independence_rank(2, 2, trials=6, seed=2)
         assert (rank, count) == (10, 10)
+
+    def test_rank_24_on_polygons(self):
+        """Boxes tie phi_0^{0,4,0} to Q phi_0^{0,2,0} and Q^2 phi_0^{0,0,0};
+        polygons with generic vertex angles do not."""
+        rank, count, sv = independence_rank(2, 4, trials=6, seed=3)
+        assert (rank, count) == (21, 21)
+        assert sv[-1] / sv[0] > 1e-6
+
+
+class TestOwnStreams:
+    """Steiner's points and the independence bodies draw from streams that
+    the flat and motion samplers never read under the same seed."""
+
+    @pytest.mark.parametrize("run", [lambda: steiner_check(cube(2), [0.25], samples=1000, seed=5),
+                                     lambda: independence_rank(2, 0, trials=1, seed=5)],
+                             ids=["steiner", "independence"])
+    def test_no_key_shared_with_the_samplers(self, monkeypatch, run):
+        keys = {}
+
+        def recording(name):
+            def recorded(seed, index=0, purpose=0):
+                keys.setdefault(name, set()).add((seed, index, purpose))
+                return stream(seed, index, purpose)
+            return recorded
+        monkeypatch.setattr(verify_module, "stream", recording("check"))
+        monkeypatch.setattr(flats_module, "stream", recording("samplers"))
+        run()
+        sample_flats_hitting(cube(2), 1, 10, seed=5)
+        sample_motions_coupling(cube(2), cube(2), 10, seed=5)
+        assert keys["check"] and keys["samplers"] and not keys["check"] & keys["samplers"]
 
 
 class TestSteiner:
