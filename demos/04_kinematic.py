@@ -25,3 +25,10 @@ print("\nDifferent body pair (square against a rotated triangle):")
 P3 = simplex(2).transformed(random_rotation(stream(6, 0), 2))
 rep = kinematic_verify(P, P3, j=0, r=0, s=1, samples=50000, seed=9)
 print(f"  max excess = {rep.max_excess:.2f}, passed = {rep.passed}")
+
+print("\nTwo cubes in space (j=2): the 2-faces of P cap gP' from one clip per pair of facets.")
+Q = cube(3)
+Q2 = cube(3).transformed(random_rotation(stream(7, 0), 3), np.array([0.2, -0.1, 0.3]))
+rep = kinematic_verify(Q, Q2, j=2, samples=10000, seed=11)
+print(f"  LHS = {rep.lhs.value():.4f} +- {rep.stderr.value():.4f}  RHS = {rep.rhs.value():.4f}"
+      f"  passed = {rep.passed}")

@@ -8,9 +8,12 @@ zeros).
 
 Both theorems describe each block of samples once, as sections
 {q + B y : g y <= h} under windows {x : Aw x <= bw}, for one of two
-evaluators: the batched section path (`_section_lhs`, d <= 2), or the
+evaluators: the batched section path (`_section_lhs`, d <= 3), or the
 per-sample path (`_generic_lhs`), which builds each section as a Polytope,
-calls `tcm`, and is the reference the batched one is tested against.
+calls `tcm`, and is the reference the batched one is tested against.  The
+per-sample path also keeps what the batched one has no closed-form cone
+for: vertices of 3-dimensional sections and of plane sections in R^4, and
+j = d = n.
 """
 
 from __future__ import annotations
@@ -223,12 +226,13 @@ def _generic_lhs(n, j, r, s, l, N, sections, weight, tol, budget, seed):
 
 def _batched(n, d, j, l):
     """Whether `_section_lhs` evaluates phi_j^{r,s,l} on d-dimensional
-    sections in R^n: d <= 2, and one of its three face kinds: the facets of
-    the section (j = d - 1), a segment itself (j = d = 1 < n), or polygon
-    vertices whose cone has at most one line (j = 0, d = 2, n - d <= 1);
-    points carry no Q(F)^l."""
-    return (d <= 2 and j <= 1 and (l == 0 or j > 0)
-            and (j == d - 1 or j == d < n or (j == d - 2 and n - d <= 1)))
+    sections in R^n: d <= 3, and one of its four face kinds: the facets of
+    the section (j = d - 1), a segment or polygon itself (j = d < n, d <= 2),
+    or polygon vertices and polyhedron edges, whose normal cone is an arc
+    crossed with at most one line (j = d - 2, n - d <= 1); points carry no
+    Q(F)^l."""
+    return (d <= 3 and (l == 0 or j > 0)
+            and (j == d - 1 or j == d < min(n, 3) or (j == d - 2 and n - d <= 1)))
 
 
 def _unit(g, h):
@@ -238,78 +242,181 @@ def _unit(g, h):
     return g / gn[..., None], h / gn
 
 
-def _segment_mean(a, b, r):
-    """The mean of x^r over the segments [a, b]: sum_i a^i b^{r-i} / (r + 1)."""
-    total = vector_power(b, r)
-    for i in range(1, r + 1):
-        total = total + vector_power(a, i) * vector_power(b, r - i)
-    return total.scale(1.0 / (r + 1))
+def _simplex_mean(vertices, r):
+    """The mean of x^r over the simplices with the k + 1 given vertices,
+    each (..., n): the sum over a_0 + ... + a_k = r of prod_i v_i^{a_i},
+    divided by C(r + k, k)."""
+    def total(vs, r):
+        if len(vs) == 1:
+            return vector_power(vs[0], r)
+        out = total(vs[1:], r)
+        for i in range(1, r + 1):
+            out = out + vector_power(vs[0], i) * total(vs[1:], r - i)
+        return out
+    return total(vertices, r).scale(1.0 / math.comb(r + len(vertices) - 1, r))
 
 
-def _clip_lines(ge, gap, slack):
-    """The parameter interval [lo, hi] of each line y = p + t e under the
-    unit rows g y <= h, from ge = g e and gap = h - g p (m, L, F): its ends
-    lo and hi (m, L), the rows that bound them, and whether the line meets
-    the section: lo < hi, and no row parallel to the line (|ge| <= 1e-12)
-    violated by more than slack."""
-    par = np.abs(ge) <= 1e-12
+def _clip_lines(p, e, g, h, slack):
+    """The parameter interval [lo, hi] of each line y = p + t e (m, L, d)
+    under the unit rows g y <= h, g (m, F, d): its ends lo and hi (m, L),
+    the rows that bound them, and whether the line meets the section:
+    lo < hi, and no row parallel to the line (|g e| <= 1e-12) violated by
+    more than slack.  The (m, L, F) arrays are updated in place, so a clip
+    holds two of them at a time."""
+    gt = np.swapaxes(g, 1, 2)
+    ge, gap = e @ gt, p @ gt
+    np.subtract(h[:, None], gap, out=gap)
+    rising, falling = ge > 1e-12, ge < -1e-12
+    par = ~(rising | falling)
     ruled_out = np.any(par & (gap < -slack), axis=-1)
-    lower = gap / np.where(par, 1.0, ge)
-    upper = np.where(ge > 1e-12, lower, np.inf)
-    lower[ge >= -1e-12] = -np.inf
+    lower = np.divide(gap, ge, out=gap, where=~par)
+    upper = ge                                      # ge is spent: it holds the upper bounds
+    np.copyto(upper, lower)
+    upper[~rising] = np.inf
+    lower[~falling] = -np.inf
     lo_row, hi_row = np.argmax(lower, axis=-1), np.argmin(upper, axis=-1)
     lo = np.take_along_axis(lower, lo_row[..., None], axis=-1)[..., 0]
     hi = np.take_along_axis(upper, hi_row[..., None], axis=-1)[..., 0]
     return lo, hi, lo_row, hi_row, (lo < hi) & ~ruled_out
 
 
+def _edge_lines(g, h, pairs):
+    """The lines y = p + t e in which the planes g_f y = h_f and g_a y = h_a
+    of the unit rows g (m, R, 3) meet, for the pairs (f, a) (2, L): with
+    cos = g_f . g_a and sin = |g_f x g_a|, e = g_f x g_a / sin, and p is
+    the line's point in span{g_f, g_a}.  In plane f the line lies at signed
+    distance (h_a - cos h_f) / sin from the foot point h_f g_f, positive
+    when the foot point satisfies row a; in plane a at (h_f - cos h_a) / sin
+    from h_a g_a.  Returns p, e (m, L, 3), cos and sin (m, L); p = e = 0
+    where sin <= 1e-12 (parallel planes)."""
+    gf, ga, hf, ha = g[:, pairs[0]], g[:, pairs[1]], h[:, pairs[0]], h[:, pairs[1]]
+    c = np.stack([gf[..., 1] * ga[..., 2] - gf[..., 2] * ga[..., 1],
+                  gf[..., 2] * ga[..., 0] - gf[..., 0] * ga[..., 2],
+                  gf[..., 0] * ga[..., 1] - gf[..., 1] * ga[..., 0]], axis=-1)
+    cos, sin = np.einsum("mlc,mlc->ml", gf, ga), np.linalg.norm(c, axis=-1)
+    meet = sin > 1e-12
+    scale = meet / np.where(meet, sin, 1.0)
+    p = (((hf - cos * ha) * scale ** 2)[..., None] * gf
+         + ((ha - cos * hf) * scale ** 2)[..., None] * ga)
+    return p, c * scale[..., None], cos, sin
+
+
+def _arcs(n, s, pa, pb, ends, W):
+    """The moment of the arcs {cos t pa + sin t pb} (`_arc_moment`), crossed
+    with W's line where the complement W (k, n, n - d) has one."""
+    if W.shape[-1] == 0:
+        return _arc_moment(n, s, pa, pb, ends)
+    return _lune_moment(n, s, pa, pb, ends, W[:, :, 0])
+
+
 def _section_lhs(n, j, r, s, l, N, sections, weight, slack):
-    """phi_j^{r,s,l} of N sections {q + B y : g y <= h} of dimension d <= 2
-    under windows {x : Aw x <= bw}, for the face kinds `_batched` admits,
-    in blocks of _BATCH samples: sections(block) gives the frames B (m, n, d)
-    and W (m, n, n - d) of the section and its complement, q (m, n), g
-    (m, F, d), h (m, F), Aw (m, Fw, n) and bw (m, Fw), Fw = 0 for the whole
-    space.  `_clip_lines` clips, with the body's `slack`, the section's own
-    line y = t for d = 1 ([lo, hi] is the segment, its ends lie on the two
-    bounding rows), or for d = 2 the constraint lines y = h_f g_f + t e_f,
-    e_f = g_f turned by +90 degrees: those that meet are the edges, run
-    counterclockwise, and their hi ends the vertices, whose normal cone is
-    the arc (< pi) from g_f counterclockwise to the bounding row's normal.
-    A window restricts positions only: the lines are clipped once more to
-    its in-frame rows, and a point counts if it meets them within `slack`.
-    Each face's size, position moment and direction power times the
-    closed-form moment of its normal cone, as in `tcm`, is scatter-added
-    onto its sample.  Returns (estimate, stderr, rejections = 0)."""
+    """phi_j^{r,s,l} of N sections {q + B y : g y <= h} of dimension d <= 3
+    under windows {x : Aw x <= bw}, for the face kinds `_batched` admits.
+    sections(block) gives the frames B (m, n, d) and W (m, n, n - d) of the
+    section and its complement, q (m, n), g (m, F, d), h (m, F), Aw
+    (m, Fw, n) and bw (m, Fw); Fw = 0 for the whole space.  A block holds
+    _BATCH samples; at d = 3 it holds _BATCH F / L of them (at least one),
+    so that its (m, L, F) clip of L lines is no larger than a d = 2 block's
+    (m, F, F).
+
+    `_clip_lines` clips lines y = p + t e with the body's `slack`:
+    - d = 1: the section's own line y = t.  [lo, hi] is the segment, and
+      its ends lie on the two bounding rows.
+    - d = 2: the constraint lines y = h_f g_f + t e_f, with e_f = g_f turned
+      by +90 degrees, so they run counterclockwise.  Those that meet are
+      the edges.  Their hi ends are the vertices, whose normal cone is the
+      arc (< pi) from g_f counterclockwise to the bounding row's normal.
+    - d = 3: the line where the planes of rows f < a meet (`_edge_lines`).
+      Those that meet are the edges, whose normal cone is the arc from g_f
+      to g_a.
+    A polygon (a 2-face at d = 3, or the section itself at d = 2) is a fan
+    of signed triangles from the foot point h_f g_f of its plane (the origin
+    at d = 2) to the ends of its edges, each signed by the edge's in-plane
+    distance from that point.  A window restricts positions only.  Its
+    in-frame rows clip the lines once more; at j = 2 they also give lines
+    of their own, which bound the polygons but are never faces.  A point
+    counts if it meets them within `slack`.  Each face's size, position
+    moment and direction power (or Q(F)^l), times the closed-form moment of
+    its normal cone as in `tcm`, is scatter-added onto its sample.  Returns
+    (estimate, stderr, rejections = 0)."""
     rank = r + s + 2 * l
     values = np.zeros((N, len(multi_degrees(n, rank))))
-    for at in range(0, N, _BATCH):
-        B, W, q, g, h, Aw, bw = sections(slice(at, at + _BATCH))
-        d = g.shape[-1]
+    _, _, _, g, _, Aw, _ = sections(slice(0, 1))
+    F, d = g.shape[1:]
+    R = F + Aw.shape[1] if j == 2 else F            # the rows whose lines bound the faces
+    pairs = np.array(np.triu_indices(F, 1, R))      # d = 3: the rows whose planes meet
+    size = max(1, _BATCH * F // pairs.shape[1]) if d == 3 else _BATCH
+    for at in range(0, N, size):
+        B, W, q, g, h, Aw, bw = sections(slice(at, at + size))
         g, h = _unit(g, h)                                              # unit in-frame normals
-        if d == 1:          # the section's own line: p = 0, e = 1
-            p, e = np.zeros((len(g), 1, 1)), np.ones((len(g), 1, 1))
-        else:               # the constraint lines
-            p, e = h[..., None] * g, np.stack([-g[..., 1], g[..., 0]], axis=-1)
-        gt = np.swapaxes(g, 1, 2)
-        lo, hi, lo_row, hi_row, meets = _clip_lines(e @ gt, h[:, None] - p @ gt, slack)
         windowed = Aw.shape[1] > 0
+        rows, offsets = g, h
         if windowed:        # the window's in-frame rows
             gw, hw = _unit(Aw @ B, bw - np.einsum("mfi,mi->mf", Aw, q))
-            gwt = np.swapaxes(gw, 1, 2)
-            wlo, whi, _, _, wmeets = _clip_lines(e @ gwt, hw[:, None] - p @ gwt, slack)
-        if j == 1:          # segments or edges: length, direction^{2l}, W (+ the edge normal)
-            if windowed:
-                lo, hi = np.maximum(lo, wlo), np.minimum(hi, whi)
-                meets &= wmeets & (lo < hi)
+            if j == 2:
+                rows, offsets = np.concatenate([g, gw], axis=1), np.concatenate([h, hw], axis=1)
+        if d == 1:          # the section's own line: p = 0, e = 1
+            p, e = np.zeros((len(g), 1, 1)), np.ones((len(g), 1, 1))
+        elif d == 2:        # the constraint lines
+            p, e = offsets[..., None] * rows, np.stack([-rows[..., 1], rows[..., 0]], axis=-1)
+        else:               # the lines where two planes meet
+            p, e, cos, sin = _edge_lines(rows, offsets, pairs)
+        lo, hi, lo_row, hi_row, meets = _clip_lines(p, e, g, h, slack)
+        if d == 3:
+            meets &= sin > 1e-12
+        if j and windowed:  # clipped once more by the window
+            wlo, whi, _, _, wmeets = _clip_lines(p, e, gw, hw, slack)
+            lo, hi = np.maximum(lo, wlo), np.minimum(hi, whi)
+            meets &= wmeets & (lo < hi)
+        if j == 2:          # polygons: fans of signed triangles
+            i, k = np.nonzero(meets)
+            length = hi[i, k] - lo[i, k]
+            ends = [p[i, k] + t[i, k, None] * e[i, k] for t in (lo, hi)]
+            if d == 2:      # the section itself, from y = 0: line k lies at distance h_k
+                f, dist = np.zeros_like(i), offsets[i, k]
+                apex = np.zeros_like(ends[0])
+            else:           # face f of the line (f, a), and face a where a is a section row
+                f, a = pairs[:, k]
+                hf, ha, c = offsets[i, f], offsets[i, a], cos[i, k]
+                dist, dist_a = (ha - c * hf) / sin[i, k], (hf - c * ha) / sin[i, k]
+                both = a < F
+                twice = np.concatenate([np.arange(len(k)), np.flatnonzero(both)])
+                i, length, ends = i[twice], length[twice], [v[twice] for v in ends]
+                f, dist = np.concatenate([f, a[both]]), np.concatenate([dist, dist_a[both]])
+                apex = h[i, f, None] * g[i, f]
+            area = 0.5 * dist * length
+            if r:
+                corners = [q[i] + np.einsum("kic,kc->ki", B[i], v) for v in (apex, *ends)]
+                triangles = _simplex_mean(corners, r).scale(area)
+            else:
+                triangles = SymTensor(n, 0, area[:, None])
+            key, of = np.unique(i * F + f, return_inverse=True)
+            moments = np.zeros((len(key), triangles.data.shape[-1]))
+            np.add.at(moments, of, triangles.data)
+            i, f = np.divmod(key, F)
+            rays = B[i] @ g[i, f, :, None] if d == 3 else np.zeros((n, 0))
+            vals = _product_cone_moment(n, s, rays, W[i]) * SymTensor(n, r, moments)
+            if l:           # Q(F): the section's span, less the face normal at d = 3
+                span = vector_power(np.swapaxes(B[i], 1, 2), 2).sum(axis=(1,))
+                if d == 3:
+                    span = span - vector_power(rays[..., 0], 2)
+                vals = vals * span.power(l)
+        elif j == 1:        # segments or edges: length, direction^{2l}, W (+ the edge normals)
             i, f = np.nonzero(meets)
-            rays = np.einsum("kij,kj->ki", B[i], g[i, f])[..., None] if d == 2 else np.zeros((n, 0))
             direction = np.einsum("kij,kj->ki", B[i], e[i, f])
-            vals = (_product_cone_moment(n, s, rays, W[i])
-                    * vector_power(direction, 2 * l)).scale(hi[i, f] - lo[i, f])
+            if d == 3:      # the arc from g_f to g_a
+                ga, gb, c = g[i, pairs[0, f]], g[i, pairs[1, f]], cos[i, f]
+                pa = np.einsum("kij,kj->ki", B[i], ga)
+                pb = np.einsum("kij,kj->ki", B[i], gb - c[:, None] * ga) / sin[i, f, None]
+                cones = _arcs(n, s, pa, pb, _arc_ends(0.0 * c, np.arctan2(sin[i, f], c)), W[i])
+            else:
+                rays = np.einsum("kij,kj->ki", B[i], g[i, f])[..., None] if d == 2 else np.zeros((n, 0))
+                cones = _product_cone_moment(n, s, rays, W[i])
+            vals = (cones * vector_power(direction, 2 * l)).scale(hi[i, f] - lo[i, f])
             if r:
                 ends = [q[i] + np.einsum("kic,kc->ki", B[i], p[i, f] + t[i, f, None] * e[i, f])
                         for t in (lo, hi)]
-                vals = vals * _segment_mean(*ends, r)
+                vals = vals * _simplex_mean(ends, r)
         else:               # points, times v^r: segment endpoints or polygon vertices
             i, f = np.nonzero(meets)
             if d == 1:      # both ends, and the rows that bound them
@@ -328,10 +435,7 @@ def _section_lhs(n, j, r, s, l, N, sections, weight, slack):
                 theta = np.arctan2(g[..., 1], g[..., 0])
                 start = theta[i, f]
                 turn = np.mod(theta[i, hi_row[i, f]] - start, 2.0 * math.pi)
-                ends = _arc_ends(start, start + turn)
-                pa, pb = B[i, :, 0], B[i, :, 1]
-                cones = (_arc_moment(n, s, pa, pb, ends) if n == d
-                         else _lune_moment(n, s, pa, pb, ends, W[i, :, 0]))
+                cones = _arcs(n, s, B[i, :, 0], B[i, :, 1], _arc_ends(start, start + turn), W[i])
             vals = cones * (vector_power(q[i] + np.einsum("kic,kc->ki", B[i], y), r) if r
                             else np.ones(len(i)))
         starts = np.flatnonzero(np.diff(i, prepend=-1))                 # i is sorted by sample

@@ -206,13 +206,17 @@ class TestKernelsAgainstGenericPath:
         assert fast[0].max_abs_coordinate_diff(slow[0]) < 1e-10
 
     def test_blocks_of_samples(self, monkeypatch):
-        """Blocks of 7: 20 samples are two full blocks and a partial one."""
+        """Blocks of 7: 20 samples are two full blocks and a partial one.
+        Two cubes in R^3 have F = 12 rows and 66 lines, so their blocks
+        hold 7 * 12 // 66 = 1 sample."""
         monkeypatch.setattr(verify_module, "_BATCH", 7)
         P2 = cube(2).transformed(random_rotation(stream(9, 0), 2), np.array([0.2, 0.1]))
         runs = [(crofton_lhs, _crofton_reference, (cube(2), 1, 1), dict(s=2)),
                 (crofton_lhs, _crofton_reference, (cube(3), 2, 0), dict(s=2)),
                 (crofton_lhs, _crofton_reference, (cube(3), 2, 1), dict(s=1, l=1)),
-                (kinematic_lhs, _kinematic_reference, (cube(2), P2, 0), dict(r=1, s=1))]
+                (kinematic_lhs, _kinematic_reference, (cube(2), P2, 0), dict(r=1, s=1)),
+                (kinematic_lhs, _kinematic_reference, (cube(3), _turned_cube3(), 2),
+                 dict(r=1, s=1))]
         for batched, reference, args, kw in runs:
             fast = batched(*args, samples=20, seed=27, **kw)
             slow = reference(*args, samples=20, seed=27, **kw)
@@ -262,6 +266,56 @@ class TestKernelsAgainstGenericPath:
         slow = _kinematic_reference(cube(2), P2, 1, r=r, s=s, l=l, samples=150, seed=44)
         assert fast[0].max_abs_coordinate_diff(slow[0]) < 1e-10
         assert fast[1].max_abs_coordinate_diff(slow[1]) < 1e-10
+
+    @pytest.mark.parametrize("j, r, s, l", [
+        (1, 0, 0, 0), (1, 1, 2, 1), (1, 2, 3, 0), (2, 0, 0, 0), (2, 0, 2, 1), (2, 1, 3, 1),
+        (2, 2, 1, 0)])
+    def test_cube_motions_in_space(self, j, r, s, l):
+        """Edges (arcs) and 2-faces (rays) of P cap gP2 in R^3."""
+        fast = kinematic_lhs(cube(3), _turned_cube3(), j, r=r, s=s, l=l, samples=150, seed=45)
+        slow = _kinematic_reference(cube(3), _turned_cube3(), j, r=r, s=s, l=l, samples=150, seed=45)
+        assert fast[0].max_abs_coordinate_diff(slow[0]) < 1e-10
+        assert fast[1].max_abs_coordinate_diff(slow[1]) < 1e-10
+
+    @pytest.mark.parametrize("j, r, s, l", [(1, 0, 2, 0), (2, 1, 1, 1)])
+    def test_cube_against_a_cross_polytope(self, j, r, s, l):
+        """Four facets meet at each apex of the cross-polytope, so lines of
+        opposite facets there meet the intersection in a point at most."""
+        P2 = cross_polytope(3).transformed(random_rotation(stream(5, 0), 3),
+                                           np.array([0.3, 0.1, 0.0]))
+        fast = kinematic_lhs(cube(3), P2, j, r=r, s=s, l=l, samples=150, seed=46)
+        slow = _kinematic_reference(cube(3), P2, j, r=r, s=s, l=l, samples=150, seed=46)
+        assert fast[0].max_abs_coordinate_diff(slow[0]) < 1e-10
+        assert fast[1].max_abs_coordinate_diff(slow[1]) < 1e-10
+
+    @pytest.mark.parametrize("body, cfg", [
+        ("cube4", dict(k=3, j=1, s=2)), ("cube4", dict(k=3, j=2, r=1, s=1, l=1)),
+        ("cube4", dict(k=3, j=1, r=1, s=3, l=1)), ("cube3", dict(k=2, j=2, r=1, s=2, l=1)),
+        ("cube4", dict(k=2, j=2, r=2, s=2))])
+    def test_solid_and_plane_sections(self, body, cfg):
+        """Edges (lunes) and 2-faces of 3-flat sections of the 4-cube, and
+        plane sections themselves in R^3 and R^4."""
+        P = _BODIES[body]()
+        fast = crofton_lhs(P, samples=120, seed=47, **cfg)
+        slow = _crofton_reference(P, samples=120, seed=47, **cfg)
+        assert fast[0].max_abs_coordinate_diff(slow[0]) < 1e-10
+        assert fast[1].max_abs_coordinate_diff(slow[1]) < 1e-10
+        assert np.abs(fast[0].data).max() > 1e-3
+
+    @pytest.mark.parametrize("which, j, r, s, l", [("region", 2, 1, 2, 0), ("region2", 1, 0, 2, 1)])
+    def test_windowed_cube_motions_in_space(self, which, j, r, s, l):
+        window = {which: _WINDOWS["box3" if which == "region" else "half3"]}
+        fast = kinematic_lhs(cube(3), _turned_cube3(), j, r=r, s=s, l=l, samples=150, seed=48,
+                             **window)
+        slow = _kinematic_reference(cube(3), _turned_cube3(), j, r=r, s=s, l=l, samples=150,
+                                    seed=48, **window)
+        assert fast[0].max_abs_coordinate_diff(slow[0]) < 1e-10
+        assert fast[1].max_abs_coordinate_diff(slow[1]) < 1e-10
+        assert np.abs(fast[0].data).max() > 1e-3
+
+
+def _turned_cube3():
+    return cube(3).transformed(random_rotation(stream(12, 0), 3), np.array([0.1, 0.2, -0.1]))
 
 
 _WINDOWS = {"box2": Region.box([-1, -1], [0.5, 2]), "half2": Region([[1.0, 1.0]], [1.2]),
@@ -422,9 +476,9 @@ class TestFacesThatExist:
         blocks, cones = [], []
         real_clip = verify_module._clip_lines
 
-        def clip(ge, gap, slack):
-            lo, hi, lo_row, hi_row, meets = real_clip(ge, gap, slack)
-            faces = (2 if ge.shape[1] == 1 else 1) * int(meets.sum())
+        def clip(p, e, g, h, slack):
+            lo, hi, lo_row, hi_row, meets = real_clip(p, e, g, h, slack)
+            faces = (2 if e.shape[1] == 1 else 1) * int(meets.sum())
             blocks.append(dict(hits=int(meets.any(axis=-1).sum()), vertices=faces, facets=faces))
             return lo, hi, lo_row, hi_row, meets
 
@@ -513,15 +567,29 @@ def _one_window(kind, n, B, q):
     return Region(a[None], [a @ (q + B @ np.array([0.5, 0.4][:B.shape[1]]))])
 
 
+# the unit cube with the corner at (1, 1, 1) cut off (unnormalised) and a far
+# row that no vertex touches
+_TRUNCATED_CUBE = (np.vstack([np.eye(3), -np.eye(3), [[1.0, 1.0, 1.0], [1.0, -2.0, 0.5]]]),
+                   np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 2.4, 10.0]))
+_SOLID_INDICES = [(j, r, s, l) for j in (1, 2) for r in range(3) for s in range(4) for l in range(2)]
+
+
+def _one_solid(n):
+    """(n, B, W, q, g, h) of the truncated cube in R^3 or in a 3-flat of R^4."""
+    A, b = _TRUNCATED_CUBE
+    R = random_rotation(stream(15, n), n)
+    return n, R[:, :3], R[:, 3:], 0.3 * R[:, 0] - 0.2, A, b
+
+
 class TestOneSection:
     """One hand-built section with weight 1: `_section_lhs` is `tcm` of the
     section built as a Polytope, with no Monte-Carlo."""
 
     @staticmethod
-    def _lhs(j, r, s, l, n, B, W, q, g, h, window=Region.universe()):
+    def _lhs(j, r, s, l, n, B, W, q, g, h, window=Region.universe(), body=_PENTAGON):
         Aw, bw = verify_module._rows(window, n)
         sections = lambda block: (B[None], W[None], q[None], g[None], h[None], Aw[None], bw[None])
-        slack = Polytope.from_halfspaces(*_PENTAGON).slack
+        slack = Polytope.from_halfspaces(*body).slack
         return verify_module._section_lhs(n, j, r, s, l, 1, sections, 1.0, slack)[0]
 
     @pytest.mark.parametrize("kind", ["polygon", "polygon in R^3", "line"])
@@ -546,6 +614,40 @@ class TestOneSection:
         if r + s + l == 0:      # the window keeps part of the section, not all of it
             assert 0.0 < want.value() < tcm(section, j).tensor.value()
 
+    @pytest.mark.parametrize("window", [None, "box", "halfspace"])
+    @pytest.mark.parametrize("r, s, l", [(r, s, l) for r in range(3) for s in range(4)
+                                         for l in range(2)])
+    def test_the_polygon_itself_equals_tcm(self, window, r, s, l):
+        """j = d = 2 < n: the section is its own face, with the complement
+        as its normal cone."""
+        n, B, W, q, g, h = _one_section("polygon in R^3")
+        assert verify_module._batched(n, 2, 2, l)
+        region = Region.universe() if window is None else _one_window(window, n, B, q)
+        got = self._lhs(2, r, s, l, n, B, W, q, g, h, region)
+        section = Polytope.from_halfspaces(g, h, origin=q, frame=B)
+        want = tcm(section, 2, r, s, l, region=region).tensor
+        assert got.max_abs_coordinate_diff(want) <= 1e-12
+        if window and r + s + l == 0:
+            assert 0.0 < want.value() < tcm(section, 2).tensor.value()
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("window", [False, True])
+    @pytest.mark.parametrize("j, r, s, l", _SOLID_INDICES)
+    def test_truncated_cube_equals_tcm(self, n, window, j, r, s, l):
+        """Edges and 2-faces of a solid section, in R^3 and in a 3-flat of
+        R^4, whole or under a box around in-frame (0.8, 0.8, 0.6) that cuts
+        the corner's triangle and the edges and faces around it."""
+        n, B, W, q, g, h = _one_solid(n)
+        assert verify_module._batched(n, 3, j, l)
+        c = q + B @ np.array([0.8, 0.8, 0.6])
+        region = Region.box(c - 0.35, c + 0.35) if window else Region.universe()
+        got = self._lhs(j, r, s, l, n, B, W, q, g, h, region, _TRUNCATED_CUBE)
+        section = Polytope.from_halfspaces(g, h, origin=q, frame=B)
+        want = tcm(section, j, r, s, l, region=region).tensor
+        assert got.max_abs_coordinate_diff(want) <= 1e-12
+        if window and r + s + l == 0:
+            assert 0.0 < want.value() < tcm(section, j).tensor.value()
+
     def test_line_parallel_to_a_violated_row_is_empty(self):
         """y = 1.2 crosses the other rows' lines in [0, 0.3] but lies above y <= 1."""
         A, b = _PENTAGON
@@ -560,12 +662,13 @@ class TestOneSection:
 class TestSampleCount:
     P2 = cube(2).transformed(random_rotation(stream(9, 0), 2), np.array([0.2, 0.1]))
 
-    # generic: an index the batched path does not take (j = d = 2)
+    # generic: an index the batched path does not take (plane-section
+    # vertices in R^4, or j = d = n)
     @pytest.mark.parametrize("samples", [0, -3])
     @pytest.mark.parametrize("generic", [False, True])
     def test_crofton_lhs_needs_a_sample(self, samples, generic):
         with pytest.raises(ValueError, match="at least one sample"):
-            crofton_lhs(cube(3), 2, 1 + int(generic), samples=samples)
+            crofton_lhs(cube(4) if generic else cube(3), 2, 1 - int(generic), samples=samples)
 
     @pytest.mark.parametrize("samples", [0, -3])
     @pytest.mark.parametrize("generic", [False, True])
@@ -615,6 +718,13 @@ class TestRouting:
         crofton_lhs(cube(3), 2, 1, r=1, s=1, samples=5, seed=1)
         crofton_lhs(cube(3), 1, 1, r=1, samples=5, seed=1)
         kinematic_lhs(cube(2), P2, 1, r=1, samples=5, seed=1)
+        # edges and 2-faces of solid sections, and plane sections themselves
+        for j in (1, 2):
+            kinematic_lhs(cube(3), _turned_cube3(), j, r=1, s=1, samples=5, seed=1)
+            crofton_lhs(cube(4), 3, j, s=2, samples=5, seed=1)
+        kinematic_lhs(cube(3), _turned_cube3(), 2, region=_WINDOWS["box3"], samples=5, seed=1)
+        crofton_lhs(cube(3), 2, 2, l=1, samples=5, seed=1)
+        crofton_lhs(cube(4), 2, 2, s=2, samples=5, seed=1)
 
     def test_the_rest_reaches_the_generic_path(self, monkeypatch):
         Generic = self._refuse_generic(monkeypatch)
@@ -623,6 +733,9 @@ class TestRouting:
             lambda: kinematic_lhs(cube(3), cube(3), 0, samples=5, seed=1),
             lambda: kinematic_lhs(cube(2), P2, 2, samples=5, seed=1),
             lambda: crofton_lhs(cube(4), 2, 0, s=2, samples=5, seed=1),
+            lambda: kinematic_lhs(cube(3), _turned_cube3(), 3, samples=5, seed=1),
+            lambda: crofton_lhs(cube(4), 3, 3, samples=5, seed=1),
+            lambda: crofton_lhs(cube(4), 3, 0, samples=5, seed=1),
         ]
         for case in cases:
             with pytest.raises(Generic):
