@@ -143,8 +143,14 @@ class Polytope:
         X = (points - p0) @ U
         A, b = _facets_brute_force(X, tol)
         if d >= 1 and len(A):
-            on = np.sum(np.abs(X @ A.T - b) <= 100 * tol * scale, axis=1)
-            keep = on >= d
+            bound = 100 * tol * scale
+            tight = np.abs(X @ A.T - b) <= bound
+            if d >= 2:
+                A, b = _refit_facets(X, A, b, tight, bound, tol * scale / 100)
+                tight = np.abs(X @ A.T - b) <= bound
+            keep = _irredundant(tight)
+            A, b = A[keep], b[keep]
+            keep = tight[:, keep].sum(axis=1) >= d
             points, X = points[keep], X[keep]
         return Polytope(points, p0, U, A, b, tol)
 
@@ -174,11 +180,8 @@ class Polytope:
         rows = norm > tol
         A = A_amb[rows] @ U / norm[rows, None]
         b = (b[rows] + A_amb[rows] @ (origin - p0)) / norm[rows]
-        tight = (np.abs(((points - p0) @ U) @ A.T - b) <= 100 * tol * scale).astype(int)
-        size = tight.sum(axis=0)
-        within = tight.T @ tight == size[:, None]          # [i, j]: row i's set in row j's
-        earlier = np.arange(len(b))[:, None] > np.arange(len(b))
-        keep = ~np.any(within & ((size[:, None] < size) | earlier), axis=1)
+        tight = np.abs(((points - p0) @ U) @ A.T - b) <= 100 * tol * scale
+        keep = _irredundant(tight)
         return Polytope(points[tight[:, keep].sum(axis=1) >= d], p0, U, A[keep], b[keep], tol)
 
     # -- basic queries ---------------------------------------------------
@@ -504,6 +507,17 @@ def _subset_blocks(m, d):
         yield flat.reshape(-1, d)
 
 
+def _subset_planes(pts, scale):
+    """The hyperplanes a y = h, a a unit normal, through the stacks of d
+    points `pts` (K, d, d) that span one, and which stacks do."""
+    d = pts.shape[2]
+    _, sv, vt = np.linalg.svd(pts[:, 1:] - pts[:, :1], full_matrices=True)
+    spans = np.sum(sv > 1e-8 * scale, axis=1) >= d - 1
+    a = vt[spans, -1]
+    h = (a[:, None, :] @ pts[spans, 0, :, None])[:, 0, 0]  # the dot kernel of a @ pts[0]
+    return spans, a, h
+
+
 def _facets_brute_force(X, tol):
     """Facets of a full-dimensional polytope in R^d given its vertices, by
     supporting-hyperplane search over all d-subsets."""
@@ -518,10 +532,7 @@ def _facets_brute_force(X, tol):
     cand = [np.zeros((0, d + 1))]
     for idx in _subset_blocks(m, d):
         pts = X[idx]
-        _, sv, vt = np.linalg.svd(pts[:, 1:] - pts[:, :1], full_matrices=True)
-        spans = np.sum(sv > 1e-8 * scale, axis=1) >= d - 1  # points span a hyperplane
-        a = vt[spans, -1]
-        h = (a[:, None, :] @ pts[spans, 0, :, None])[:, 0, 0]  # the dot kernel of a @ pts[0]
+        spans, a, h = _subset_planes(pts, scale)
         side = a @ X.T - h[:, None]
         below = np.max(side, axis=1) <= bound
         supporting = below | (np.min(side, axis=1) >= -bound)
@@ -531,6 +542,47 @@ def _facets_brute_force(X, tol):
     if not len(facets):
         raise GeometryError("facet enumeration failed (degenerate vertex set)")
     return facets[:, :d], facets[:, d]
+
+
+def _refit_facets(X, A, b, tight, bound, strict):
+    """The facet planes A y <= b refitted where a tight vertex X[tight] lies
+    more than `strict` off one: the plane through d of its tight vertices
+    that most of them lie within `strict` of takes its place, unless it has
+    a vertex more than 2 `bound` above it.  Where two facets meet at a small
+    angle, a vertex near their ridge lies within `bound` of both; a plane
+    through it can be up to `bound` off either, and the 1e-7 dedupe in
+    _facets_brute_force may have kept it over the exact one.  The factor 2
+    allows for vertices that the vertex search admitted up to its own slack
+    outside a facet."""
+    A, b = A.copy(), b.copy()
+    d = X.shape[1]
+    scale = max(1.0, float(np.max(np.abs(X))))
+    for i in np.flatnonzero(np.max(np.abs(X @ A.T - b) * tight, axis=0) > strict):
+        on = np.flatnonzero(tight[:, i])
+        best = np.sum(np.abs(X[on] @ A[i] - b[i]) <= strict)
+        for idx in _subset_blocks(len(on), d):
+            _, a, h = _subset_planes(X[on[idx]], scale)
+            flip = np.where(a @ A[i] < 0, -1.0, 1.0)
+            a, h = a * flip[:, None], h * flip
+            side = a @ X.T - h[:, None]
+            count = np.where(np.max(side, axis=1) <= 2 * bound,
+                             np.sum(np.abs(side[:, on]) <= strict, axis=1), 0)
+            if len(count) and np.max(count) > best:
+                k = np.argmax(count)
+                best, A[i], b[i] = count[k], a[k], h[k]
+    return A, b
+
+
+def _irredundant(tight):
+    """Which facet candidates to keep, given `tight[v, i]`: vertex v lies on
+    candidate i.  A candidate goes if its tight vertices are a strict subset
+    of another's or equal an earlier one's; near-coplanar vertices otherwise
+    leave planes through a ridge, or twins of one facet, as extra facets."""
+    tight = tight.astype(int)
+    size = tight.sum(axis=0)
+    within = tight.T @ tight == size[:, None]          # [i, j]: i's set in j's
+    earlier = np.arange(len(size))[:, None] > np.arange(len(size))
+    return ~np.any(within & ((size[:, None] < size) | earlier), axis=1)
 
 
 def _vertices_brute_force(A, b, tol):
