@@ -113,6 +113,7 @@ def _cmd_measure(args):
         "exact": mv.exact,
         "face_count": mv.face_count,
         "mc_samples": mv.mc_samples,
+        "cone_methods": mv.methods,
     }
     _emit(report, args, "measure")
     return 0

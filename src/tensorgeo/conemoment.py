@@ -8,9 +8,11 @@ The cone carries its unit rays and its lineality space W; the rays span
 a pointed part C of dimension lin_dim - dim W.
 Exact paths cover: full subspaces, rays (+ W, i.e. half-subspaces),
 pointed cones with pairwise orthogonal rays (+ W), planar arcs,
-and arcs crossed with a line (spherical lunes).  Everything else falls
-back to Monte-Carlo sampling on the sphere of lin(N) filtered by the
-cone's membership oracle, with per-coordinate standard errors.
+and arcs crossed with a line (spherical lunes).  One classifier,
+`_closed_forms`, sorts a batch of cones (a face level of a body, or one
+cone) into these kinds and evaluates each kind in one array call.  The
+rest fall back to Monte-Carlo sampling on the sphere of lin(N), filtered
+by the cone's membership oracle, with per-coordinate standard errors.
 """
 
 from __future__ import annotations
@@ -125,47 +127,54 @@ def _lune_moment(n, s, pa, pb, ends, w):
     return out
 
 
+def _closed_forms(s, rays, W):
+    """Rank-s moments of the cones {sum_i a_i rays_i + W c : a_i >= 0}, rays
+    (F, q, n) padded with zero rows and W (n, w) common to all, and each
+    cone's method.  The kind tests run on the stacked rays; each kind with
+    a closed form is one array call, the rest are zero rows "monte-carlo"."""
+    (F, q, n), w = rays.shape, W.shape[1]
+    out, method = np.zeros((F, len(multi_degrees(n, s)))), np.full(F, "monte-carlo", dtype=object)
+    valid = np.any(rays != 0.0, axis=2)
+    plane, sv, _ = np.linalg.svd(np.swapaxes(rays, 1, 2), full_matrices=False)
+    dc = np.sum(sv > 1e-10, axis=1)         # the dimension of the pointed part
+    gram = rays @ np.swapaxes(rays, 1, 2) - np.eye(q) * valid[:, None, :]
+    orthonormal = (valid.sum(axis=1) == dc) & (np.abs(gram).max(axis=(1, 2), initial=0.0) <= 1e-8)
+    ortho = (dc == 1) | ((dc > 1) & orthonormal)      # products of the first dc rays
+    method[dc + w == 0] = "empty"
+    if w and np.any(dc == 0):
+        method[dc == 0] = "full-sphere"
+        out[dc == 0] = _product_cone_moment(n, s, np.zeros((n, 0)), W).data
+    for k in np.unique(dc[ortho]):
+        at = ortho & (dc == k)
+        method[at] = "point" if k == 1 and w == 0 else "product"
+        out[at] = _product_cone_moment(n, s, np.swapaxes(rays[at, :k], 1, 2), W).data
+    at = np.flatnonzero(~ortho & (dc == 2) & (w <= 1))
+    if len(at):
+        # pa the mean ray, pb turned from it by +90 degrees in the rays' plane
+        pa = rays[at].sum(axis=1)
+        pa /= np.linalg.norm(pa, axis=1)[:, None]
+        c = np.einsum("kic,ki->kc", plane[at, :, :2], pa)
+        pb = np.einsum("kic,kc->ki", plane[at, :, :2], np.stack([-c[:, 1], c[:, 0]], axis=1))
+        pb /= np.linalg.norm(pb, axis=1)[:, None]
+        rel = np.arctan2(rays[at] @ pb[:, :, None], rays[at] @ pa[:, :, None])[..., 0]
+        t1 = np.min(np.where(valid[at], rel, np.inf), axis=1)
+        t2 = np.max(np.where(valid[at], rel, -np.inf), axis=1)
+        keep = t2 - t1 < math.pi - 1e-9     # nearly antipodal boundary rays go to the sampler
+        at, pa, pb, ends = at[keep], pa[keep], pb[keep], _arc_ends(t1[keep], t2[keep])
+        method[at] = "arc"
+        out[at] = (_lune_moment(n, s, pa, pb, ends, W[:, 0]) if w else _arc_moment(n, s, pa, pb, ends)).data
+    return out, method
+
+
 def cone_sphere_moment(cone, s, budget=20000, seed=0):
     """Rank-s spherical moment tensor of a normal cone; exact whenever one
-    of the closed-form geometries applies, Monte-Carlo otherwise."""
+    of the closed-form geometries applies (`_closed_forms` on a batch of
+    one), Monte-Carlo otherwise."""
     n = cone.lin_frame.shape[0]
-    zero = SymTensor.zero(n, s)
-    if cone.lin_dim == 0:
-        return MomentResult(zero, zero, "empty", 0)
-    rays, W = cone.rays, cone.lineality
-    wdim = W.shape[1]
-    dc = cone.lin_dim - wdim
-
-    if dc == 0:
-        return MomentResult(_product_cone_moment(n, s, np.zeros((n, 0)), cone.lin_frame),
-                            zero, "full-sphere", 0)
-    if dc == 1:
-        ray = rays[0][:, None]
-        method = "point" if wdim == 0 else "product"
-        return MomentResult(_product_cone_moment(n, s, ray, W), zero, method, 0)
-    ortho = (len(rays) == dc
-             and np.max(np.abs(rays @ rays.T - np.eye(dc))) <= 1e-8)
-    if ortho:
-        return MomentResult(_product_cone_moment(n, s, rays.T, W), zero, "product", 0)
-    if dc == 2 and wdim <= 1:
-        mean = rays.sum(axis=0)
-        mean /= np.linalg.norm(mean)
-        u, svv, _ = np.linalg.svd(rays.T, full_matrices=False)
-        plane = u[:, :2]
-        pa = mean
-        pb = plane @ np.array([-(plane.T @ mean)[1], (plane.T @ mean)[0]])
-        # pb: rotate pa by +90 degrees inside the plane
-        pb = pb / np.linalg.norm(pb)
-        rel = np.arctan2(rays @ pb, rays @ pa)
-        t1, t2 = float(np.min(rel)), float(np.max(rel))
-        if t2 - t1 >= math.pi - 1e-9:
-            # boundary rays nearly antipodal; leave it to the sampler
-            return _monte_carlo_moment(cone, s, budget, seed)
-        ends = _arc_ends(t1, t2)
-        if wdim == 0:
-            return MomentResult(_arc_moment(n, s, pa, pb, ends), zero, "arc", 0)
-        return MomentResult(_lune_moment(n, s, pa, pb, ends, W[:, 0]), zero, "arc", 0)
-    return _monte_carlo_moment(cone, s, budget, seed)
+    moment, method = _closed_forms(s, cone.rays[None], cone.lineality)
+    if method[0] == "monte-carlo":
+        return _monte_carlo_moment(cone, s, budget, seed)
+    return MomentResult(SymTensor(n, s, moment[0]), SymTensor.zero(n, s), method[0], 0)
 
 
 def _monte_carlo_moment(cone, s, budget, seed, batch=20000):

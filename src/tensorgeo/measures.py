@@ -3,11 +3,12 @@
 The core evaluator follows the face-sum definition: a weight
 c / omega_{n-j} times the sum over j-faces of Q(F)^l, the exact monomial
 moment of the face clipped to the window, and the spherical moment of
-the face's normal cone.  Face moments come from the body's cached face
-lattice and window clip (`Polytope.face_moments`).  The top index j = n
-is the volume case.  Both constant factors are kept literally (they
-cancel for 0 < j < n) so the j = 0 and j = n special constants need no
-separate code path.
+the face's normal cone, in a few array passes per level of faces: face
+moments from the body's lattice and window clip, Q(F) from the level's
+frames, and cone moments from one classifier call per level, sampled
+only where no closed form applies.  The top index j = n is the volume
+case.  Both constant factors are kept literally (they cancel for
+0 < j < n), so j = 0 and j = n need no separate code path.
 
 Lower-dimensional polytopes (flat sections) evaluate through the same
 face sum: their top face is the polytope itself, whose normal cone is
@@ -16,15 +17,16 @@ the full orthogonal complement of the affine hull.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import collections
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .coeffs import c_norm
-from .conemoment import cone_sphere_moment
+from .conemoment import _closed_forms, cone_sphere_moment
 from .polytope import Region, polytope_moment
 from .special import omega
-from .symtensor import SymTensor, metric_tensor, subspace_metric_tensor
+from .symtensor import SymTensor, metric_tensor, vector_power
 
 __all__ = [
     "MeasureIndex",
@@ -58,6 +60,7 @@ class MeasureValue:
     stderr: SymTensor
     face_count: int
     mc_samples: int
+    methods: dict = field(default_factory=dict)     # cone-moment method -> number of j-faces
 
     @property
     def exact(self):
@@ -85,31 +88,40 @@ def tcm(P, j, r=0, s=0, l=0, region=None, budget=20000, seed=0):
             return zero
         mom = polytope_moment(P, r, region)
         tensor = (metric_tensor(n).power(l) * mom).scale(c_norm(n, n, r, 0, l))
-        return MeasureValue(tensor, SymTensor.zero(n, rank), 1, 0)
+        return MeasureValue(tensor, SymTensor.zero(n, rank), 1, 0, {"empty": 1})
 
     faces = P.faces(j)
     if not faces:
         return zero
     moments = P.face_moments(j, r, region)
-    total = SymTensor.zero(n, rank)
-    err = SymTensor.zero(n, rank)
-    mc_samples = 0
-    cache = P._cone_moment_cache
-    for face, fdata in zip(faces, moments.data):
-        key = (face.vertex_indices, s, budget, seed)
-        if key not in cache:
-            cache[key] = cone_sphere_moment(P.normal_cone(face), s, budget=budget, seed=seed)
-        cm = cache[key]
-        mc_samples += cm.samples
-        if not fdata.any():
-            continue
-        fmom = SymTensor(n, r, fdata)
-        qf = subspace_metric_tensor(face.frame).power(l) if l else SymTensor.scalar(n, 1.0)
-        total = total + qf * fmom * cm.tensor
-        if cm.stderr.data.any():
-            err = err + abs(qf * abs(fmom) * cm.stderr)
+    frames = np.swapaxes(P._face_lattice()[j].frames, 1, 2)        # Q(F)^l of every face
+    qf = vector_power(frames, 2).sum(axis=(1,)).power(l) if l else SymTensor.scalar(n, 1.0)
+    cones, cone_err, methods, mc_samples = _cone_moments(P, j, s, budget, seed)
+    # summed in face order: numpy's pairwise sum would round rank-0 sums
+    # otherwise, and sampled values keep their bits
+    total = np.cumsum((qf * moments * cones).data, axis=0)[-1]
+    err = (np.cumsum(abs(qf * abs(moments) * cone_err).data, axis=0)[-1] if cone_err.data.any()
+           else np.zeros_like(total))
     const = c_norm(n, j, r, s, l) / omega(n - j)
-    return MeasureValue(total.scale(const), err.scale(abs(const)), len(faces), mc_samples)
+    return MeasureValue(SymTensor(n, rank, const * total), SymTensor(n, rank, abs(const) * err),
+                        len(faces), mc_samples, dict(methods))
+
+
+def _cone_moments(P, j, s, budget, seed):
+    """The j-faces' cone moments and standard errors (F,), faces per method
+    and Monte-Carlo samples, cached per (j, s, budget, seed): `_closed_forms`
+    of the level, and a sampled `cone_sphere_moment` of each face it leaves."""
+    key = (j, s, budget, seed)
+    if key not in P._cone_moment_cache:
+        data, method = _closed_forms(s, P._normal_rays(j), P.complement_basis)
+        err, samples, faces = np.zeros_like(data), 0, P.faces(j)
+        for i in np.flatnonzero(method == "monte-carlo"):
+            cm = cone_sphere_moment(P.normal_cone(faces[i]), s, budget=budget, seed=seed)
+            data[i], err[i], method[i] = cm.tensor.data, cm.stderr.data, cm.method
+            samples += cm.samples
+        P._cone_moment_cache[key] = (SymTensor(P.dim, s, data), SymTensor(P.dim, s, err),
+                                     collections.Counter(method), samples)
+    return P._cone_moment_cache[key]
 
 
 def valuation(P, idx, region=None, budget=20000, seed=0):

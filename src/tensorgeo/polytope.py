@@ -14,19 +14,21 @@ hull as an origin plus orthonormal frame, keeps its facets in intrinsic
 coordinates, and gives every normal cone the hull's orthogonal complement
 as its lineality space.
 
-Each body builds its face lattice once, from the incidence: every face,
-the body included, with its vertex set, dimension, origin x0 (the vertex
-mean) and frame, and for each facet G of a k-face F the distance h_G
-from x0 to aff G.  Monomial moments M_r(F) = integral of x^r over F come
-down the lattice by Lasserre's divergence-theorem recursion
-(k + r) M_r(F) = sum_G h_G M_r(G) + r x0 M_{r-1}(F), M_r(v) = v^r, one
-array pass per (k, r), memoised on the body.  A window clips the body
-once (cached per window); F meets it in the face of the clip whose
-vertices lie on every facet of the body containing F.
+Each body builds its face lattice once, level by level: every face, the
+body included, with its vertex set, dimension, origin x0 (the vertex
+mean), frame (one batched SVD per vertex count), facets (one product of
+the vertex sets with the incidence), and for each facet G of a k-face F
+the distance h_G from x0 to aff G.  Monomial moments M_r(F) = integral of
+x^r over F come down the lattice by Lasserre's divergence-theorem
+recursion (k + r) M_r(F) = sum_G h_G M_r(G) + r x0 M_{r-1}(F),
+M_r(v) = v^r, one array pass per (k, r), memoised on the body.  A window
+clips the body once (cached per window); F meets it in the face of the
+clip whose vertices lie on every facet of the body containing F.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -85,16 +87,19 @@ def _dedupe_points(points, tol):
     return points[keep]
 
 
+def _affine_frames(points, tol):
+    """`_affine_frame` of G stacks of c points (G, c, n) in one batched SVD;
+    the first dims[g] columns of frames[g] (G, n, n) span the g-th hull."""
+    p0 = points.mean(axis=1)
+    _, sv, vt = np.linalg.svd(points - p0[:, None], full_matrices=True)
+    scale = np.maximum(1.0, np.max(np.abs(points), axis=(1, 2)))
+    return p0, np.swapaxes(vt, 1, 2), np.sum(sv > tol * scale[:, None] * 10, axis=1)
+
+
 def _affine_frame(points, tol):
     """Origin, orthonormal frame of the affine hull, and its dimension."""
-    p0 = points.mean(axis=0)
-    centered = points - p0
-    if len(points) == 1:
-        return p0, np.zeros((points.shape[1], 0)), 0
-    _, sv, vt = np.linalg.svd(centered, full_matrices=True)
-    scale = max(1.0, float(np.max(np.abs(points))))
-    d = int(np.sum(sv > tol * scale * 10))
-    return p0, vt[:d].T, d
+    p0, frames, dims = _affine_frames(points[None], tol)
+    return p0[0], frames[0, :, :dims[0]], int(dims[0])
 
 
 def _orth_complement(frame, n):
@@ -268,53 +273,60 @@ class Polytope:
         return found
 
     def _face_lattice(self):
-        """Levels of faces in `faces` order, the map vertex set -> (k, i),
-        and per k >= 1 the heights h[F, G] (zero where G is no facet of F)."""
+        """The faces level by level, as `_Level`s: every face's frame comes
+        from one batched SVD per vertex count, every level's facets from
+        one product of its vertex sets with the incidence."""
         if self._lattice is None:
             d, m = self.aff_dim, len(self.vertices)
-            proper = [self._make_face(tuple(sorted(fs)))
-                      for fs in sorted(self._face_vertex_sets(), key=sorted) if len(fs) > 1]
-            levels = ([[self._make_face((i,)) for i in range(m)]] if d else []) \
-                + [[f for f in proper if f.j == k] for k in range(1, d)] \
-                + [[self._make_face(tuple(range(m)))]]
-            heights = [None]
-            for k in range(1, d + 1):
-                upper, lower = levels[k], levels[k - 1]
-                f, g = np.array([(a, b) for a, F in enumerate(upper) for b, G in enumerate(lower)
-                                 if set(G.vertex_indices) <= set(F.vertex_indices)]).T
-                U = np.array([G.frame for G in lower])[g]
-                gap = np.array([G.point for G in lower])[g] - np.array([F.point for F in upper])[f]
-                gap -= np.einsum("pij,pj->pi", U, np.einsum("pij,pi->pj", U, gap))
-                heights.append(np.zeros((len(upper), len(lower))))
-                heights[k][f, g] = np.linalg.norm(gap, axis=1)
-            index = {frozenset(face.vertex_indices): (k, i)
-                     for k, level in enumerate(levels) for i, face in enumerate(level)}
-            self._lattice = (levels, index, heights)
+            proper = [tuple(sorted(fs)) for fs in sorted(self._face_vertex_sets(), key=sorted)]
+            sets = ([(i,) for i in range(m)] if d else []) + [f for f in proper if len(f) > 1] \
+                + [tuple(range(m))]
+            sizes = np.array([len(idx) for idx in sets])
+            member = np.zeros((len(sets), m), dtype=bool)
+            member[np.repeat(np.arange(len(sets)), sizes), np.concatenate(sets)] = True
+            points, frames = np.zeros((len(sets), self.dim)), np.zeros((len(sets), self.dim, self.dim))
+            dims = np.zeros(len(sets), dtype=int)
+            for c in np.unique(sizes):
+                at = np.flatnonzero(sizes == c)
+                stacks = self.vertices[np.nonzero(member[at])[1]].reshape(len(at), c, -1)
+                points[at], frames[at], dims[at] = _affine_frames(stacks, self.tol)
+            # vertices, the proper faces by dimension, and the body
+            level_of = np.where((dims >= 1) & (dims < d), dims, -1)
+            level_of[:m if d else 0], level_of[-1] = 0, d
+            self._lattice = []
+            for k in range(d + 1):
+                at, heights = np.flatnonzero(level_of == k), None
+                if k:       # h[F, G] for the facets G of each F, zero elsewhere
+                    lower = self._lattice[k - 1]
+                    f, g = np.nonzero((~member[at] @ lower.member.T.astype(float)) == 0)
+                    U = lower.frames[g]
+                    gap = lower.points[g] - points[at][f]
+                    gap -= np.einsum("pij,pj->pi", U, np.einsum("pij,pi->pj", U, gap))
+                    heights = np.zeros((len(at), len(lower.faces)))
+                    heights[f, g] = np.linalg.norm(gap, axis=1)
+                faces = [Face(int(dims[i]), sets[i], self.vertices[list(sets[i])],
+                              frames[i, :, :dims[i]], points[i]) for i in at]
+                self._lattice.append(_Level(faces, points[at], frames[at, :, :k], member[at],
+                                            (member[at] @ (~self.incidence).astype(float)) == 0, heights))
         return self._lattice
 
     def faces(self, j):
         """All j-dimensional faces; faces(aff_dim) is the polytope itself."""
         if j < 0 or j > self.aff_dim:
             return []
-        return list(self._face_lattice()[0][j])
-
-    def _make_face(self, idx):
-        pts = self.vertices[list(idx)]
-        p0, U, d = _affine_frame(pts, self.tol)
-        return Face(j=d, vertex_indices=idx, vertices=pts, frame=U, point=p0)
+        return list(self._face_lattice()[j].faces)
 
     def _level_moments(self, k, r):
         """Coefficient rows of M_r(F) for the k-faces F, in `faces(k)` order."""
         if (k, r) not in self._moments:
-            levels, _, heights = self._face_lattice()
-            x0 = np.array([face.point for face in levels[k]])
+            level = self._face_lattice()[k]
             if k == 0:
-                mom = vector_power(x0, r).data
+                mom = vector_power(level.points, r).data
             else:
-                mom = heights[k] @ self._level_moments(k - 1, r)
+                mom = level.heights @ self._level_moments(k - 1, r)
                 if r:
                     lower = SymTensor(self.dim, r - 1, self._level_moments(k, r - 1))
-                    mom = mom + r * (vector_power(x0, 1) * lower).data
+                    mom = mom + r * (vector_power(level.points, 1) * lower).data
                 mom = mom / (k + r)
             self._moments[k, r] = mom
         return self._moments[k, r]
@@ -327,20 +339,31 @@ class Polytope:
         clip = self.intersect_region(Region.universe() if region is None else region)
         if clip is None or not faces or j > clip.aff_dim:
             return SymTensor(self.dim, r, out)
-        _, index, _ = clip._face_lattice()
-        moments = clip._level_moments(j, r)
-        # the clip's vertices on each facet of P, and each face's facets of P
+        levels = clip._face_lattice()
+        # the clip's vertices on each facet of P, on every facet of P at each
+        # j-face, and the clip face with just those vertices
         on_facet = np.abs(((clip.vertices - self.origin) @ self.frame) @ self.A.T - self.b) <= self.slack
-        for i, face in enumerate(faces):
-            facets = np.all(self.incidence[list(face.vertex_indices)], axis=0)
-            on_face = frozenset(np.flatnonzero(np.all(on_facet[:, facets], axis=1)).tolist())
-            found = index.get(on_face)
-            if found is None and on_face:
-                raise GeometryError(f"the window meets face {face.vertex_indices} "
-                                    "outside the clip's face lattice")
-            if found and found[0] == j:
-                out[i] = moments[found[1]]
+        on_face = (self._face_lattice()[j].tight @ (~on_facet.T).astype(float)) == 0
+        member = np.concatenate([level.member for level in levels]).astype(float)
+        shared = on_face @ member.T
+        same = (shared == on_face.sum(axis=1)[:, None]) & (shared == member.sum(axis=1))
+        lost = np.flatnonzero(on_face.any(axis=1) & ~same.any(axis=1))
+        if len(lost):
+            raise GeometryError(f"the window meets face {faces[lost[0]].vertex_indices} "
+                                "outside the clip's face lattice")
+        start = sum(len(level.faces) for level in levels[:j])
+        face, found = np.nonzero(same[:, start:start + len(levels[j].faces)])
+        out[face] = clip._level_moments(j, r)[found]
         return SymTensor(self.dim, r, out)
+
+    def _normal_rays(self, k):
+        """The rays of the k-faces' normal cones as `normal_cone` lists them,
+        in one array (F, q, n) padded with zero rows."""
+        tight = self._face_lattice()[k].tight
+        normals = np.array([self.frame @ a for a in self.A]).reshape(-1, self.dim)
+        order = np.argsort(~tight, axis=1, kind="stable")[:, :tight.sum(axis=1).max(initial=0)]
+        return (np.take_along_axis(tight, order, axis=1)[..., None] * normals[order]
+                / np.linalg.norm(normals, axis=1)[order, None])
 
     def normal_cone(self, face):
         """Ambient normal cone at `face`: the unit outer normals of the
@@ -401,6 +424,13 @@ class Face:
     vertices: np.ndarray
     frame: np.ndarray           # ambient orthonormal frame of the direction space
     point: np.ndarray           # relative interior point
+
+
+# The k-faces of a body in `faces` order, with stacked arrays: their vertex
+# means (F, n), orthonormal frames (F, n, k), member[F, v] (vertex v lies on
+# F), tight[F, f] (facet f contains F), and for k >= 1 the distances
+# heights[F, G] from x0 to the (k-1)-faces G of F, zero elsewhere.
+_Level = collections.namedtuple("_Level", "faces points frames member tight heights")
 
 
 @dataclass(frozen=True)
@@ -602,14 +632,17 @@ def _vertices_brute_force(A, b, tol):
         if lo > hi + 100 * tol * scale:
             return np.zeros((0, 1))
         return _dedupe_points(np.array([[lo], [hi]]), 100 * tol * scale)
+    # feasibility on unit rows (rows shorter than tol divided by tol), within
+    # no more than the slack of the body built on the vertices
+    norm = np.maximum(np.linalg.norm(A, axis=1), tol)
     cand = [np.zeros((0, d))]
     for idx in _subset_blocks(f, d):
         M = A[idx]
         sv = np.linalg.svd(M, compute_uv=False)
         ok = (sv[:, -1] > sv[:, 0] / _COND_GUARD) & (sv[:, -1] > 1e-12)
         x = np.linalg.solve(M[ok], b[idx[ok], None])[..., 0]
-        slack = 100 * tol * np.maximum(scale, np.max(np.abs(x), axis=1))
-        cand.append(x[np.all(x @ A.T <= b + slack[:, None], axis=1)])
+        slack = 100 * tol * np.maximum(1.0, np.max(np.abs(x), axis=1))
+        cand.append(x[np.all(x @ (A / norm[:, None]).T <= b / norm + slack[:, None], axis=1)])
     return _dedupe_points(np.concatenate(cand), 1e-7 * max(scale, 1.0))
 
 

@@ -60,6 +60,15 @@ class TestMeasure:
         assert report["coordinates"][0]["value"] == pytest.approx(2.0)
         assert report["exact"] is True
         assert report["schema_version"] == 1
+        assert report["cone_methods"] == {"point": 4}       # one facet ray per edge
+
+    def test_cone_methods_name_the_sampled_cones(self, capsys):
+        code, out = run(capsys, "measure", "--builtin", "simplex3", "--j", "0", "--s", "2",
+                        "--budget", "500", "--seed", "1")
+        report = json.loads(out)
+        assert code == 0 and report["exact"] is False
+        assert report["cone_methods"] == {"product": 1, "monte-carlo": 3}
+        assert report["mc_samples"] == 1500
 
     def test_polytope_file(self, tmp_path, capsys):
         path = tmp_path / "poly.json"

@@ -258,14 +258,14 @@ class TestStreams:
 
 # -- normal cones: rays and lineality space -----------------------------------
 
-def _plane_sections():
-    """Plane sections of three 4-bodies through points near their centres."""
+def _plane_sections(n=4):
+    """Plane sections of three n-bodies through points near their centres."""
     rng = np.random.default_rng(11)
     out = []
-    for P in (cube(4), cross_polytope(4), random_polytope(4, npoints=12, seed=2)):
+    for P in (cube(n), cross_polytope(n), random_polytope(n, npoints=12, seed=2)):
         c = P.vertices.mean(axis=0)
         for _ in range(6):
-            S = intersect_flat(P, flats.random_rotation(rng, 4)[:, :2], c + 0.2 * rng.standard_normal(4))
+            S = intersect_flat(P, flats.random_rotation(rng, n)[:, :2], c + 0.2 * rng.standard_normal(n))
             if S is not None:
                 out.append(S)
     return out
@@ -333,6 +333,19 @@ class TestNormalCones:
         sections = _plane_sections()
         assert len(sections) == 18
         assert methods(sections) == {"monte-carlo": 142, "product": 142, "full-sphere": 18}
+
+    def test_measures_report_the_method_histogram(self):
+        """tcm classifies each level of faces at once; the methods it reports
+        are those of one `cone_sphere_moment` per face."""
+        for P in [cube(4), simplex(3), cross_polytope(4)] + _plane_sections():
+            for j in range(P.aff_dim + 1):
+                count = collections.Counter()
+                for face in P.faces(j):
+                    try:
+                        count[cone_sphere_moment(P.normal_cone(face), 0, budget=100).method] += 1
+                    except conemoment.ConeMomentBudgetError as exc:
+                        count[exc.partial.method] += 1
+                assert tcm(P, j, budget=2000).methods == count, (P.vertices, j)
 
     @pytest.mark.parametrize("body, samples, tensor, stderr", [
         (simplex(3), 60000,

@@ -30,6 +30,8 @@ from tensorgeo.rng import stream
 from tensorgeo.special import omega
 from tensorgeo.symtensor import SymTensor, metric_tensor, subspace_metric_tensor
 
+from test_conemoment import _plane_sections
+
 
 class TestIntrinsicVolumes:
     def test_unit_cube(self):
@@ -187,29 +189,40 @@ class TestConeMomentCache:
         assert tcm(S, 0, s=2, budget=500, seed=1).tensor.max_abs_coordinate_diff(a.tensor) == 0.0
 
 
+def _windowed(body):
+    """The body with a box window cutting it by two planes."""
+    c, ptp = body.vertices.mean(axis=0), np.ptp(body.vertices, axis=0)
+    lo, hi = body.vertices.min(axis=0) - 1.0, body.vertices.max(axis=0) + 1.0
+    hi[0], lo[1] = c[0] + 0.1 * ptp[0], c[1] - 0.1 * ptp[1]
+    return body, Region.box(lo, hi)
+
+
 def _windowed_bodies():
     """Random bodies in R^2, R^3 and R^4 and rotated, translated copies,
-    each with a box window cutting it by two planes."""
+    cross_polytope(4), whose edge cones are lunes, and plane sections of a
+    cube and a random body in R^3 and R^4, each with a box window."""
     out = []
     for n, npoints in [(2, 12), (3, 14), (4, 8)]:
         rng = np.random.default_rng(40 + n)
         P = random_polytope(n, npoints=npoints, seed=n)
         for body in (P, P.transformed(random_rotation(rng, n), rng.standard_normal(n))):
-            c, ptp = body.vertices.mean(axis=0), np.ptp(body.vertices, axis=0)
-            lo, hi = body.vertices.min(axis=0) - 1.0, body.vertices.max(axis=0) + 1.0
-            hi[0], lo[1] = c[0] + 0.1 * ptp[0], c[1] - 0.1 * ptp[1]
-            out.append((body, Region.box(lo, hi)))
+            out.append(_windowed(body))
+    out.append(_windowed(cross_polytope(4)))
+    for n in (3, 4):
+        sections = _plane_sections(n)
+        out += [_windowed(sections[0]), _windowed(sections[-1])]
     return out
 
 
 class TestPerFaceRoute:
-    """tcm from the body's face lattice and one clip per window against the
-    route it replaced: every j-face rebuilt as a polytope, clipped to the
-    window and triangulated into simplices.  Some of these tensors vanish
-    (Minkowski's relation), so the bound is 1e-10 of the largest coordinate
-    or of 1, the size of these bodies."""
+    """tcm from the body's face lattice, one clip per window and one array
+    pass per level of faces, against the route it replaced: every j-face
+    rebuilt as a polytope, clipped to the window and triangulated into
+    simplices, times Q(F)^l and one cone moment per face.  Some of these
+    tensors vanish (Minkowski's relation), so the bound is 1e-10 of the
+    largest coordinate or of 1, the size of these bodies."""
 
-    @pytest.mark.parametrize("case", range(6))
+    @pytest.mark.parametrize("case", range(11))
     def test_exact_measures_match(self, case):
         P, window = _windowed_bodies()[case]
         n = P.dim
@@ -220,7 +233,10 @@ class TestPerFaceRoute:
             if key not in simplices:
                 clipped = Polytope.from_vertices(vertices).intersect_region(region or Region.universe())
                 simplices[key] = triangulate(clipped) if clipped is not None else []
-            return sum((simplex_moment(simp, r) for simp in simplices[key]), SymTensor.zero(n, r))
+            if key + (r,) not in simplices:
+                simplices[key + (r,)] = sum((simplex_moment(simp, r) for simp in simplices[key]),
+                                            SymTensor.zero(n, r))
+            return simplices[key + (r,)]
 
         def cone(face, s):
             if (face.vertex_indices, s) not in cones:
@@ -239,10 +255,10 @@ class TestPerFaceRoute:
 
         compared = 0
         for region in (None, window):
-            for j in range(n + 1):
+            for j in range(P.aff_dim + 1):
                 for r in range(3):
-                    for s in range(3 if j < n else 1):
-                        for l in range(2 if j else 1):
+                    for s in range(5 if j < n else 1):
+                        for l in range(3 if j else 1):
                             mv = tcm(P, j, r, s, l, region=region, budget=200)
                             if not mv.exact:
                                 continue

@@ -264,6 +264,8 @@ def _vertices_loop(A, b, tol):
     if d == 1:
         return polytope._vertices_brute_force(A, b, tol)
     scale = max(1.0, float(np.max(np.abs(b))) if len(b) else 1.0)
+    norm = np.maximum(np.linalg.norm(A, axis=1), tol)
+    unit, offset = A / norm[:, None], b / norm
     cand = []
     for idx in itertools.combinations(range(f), d):
         M = A[list(idx)]
@@ -271,7 +273,7 @@ def _vertices_loop(A, b, tol):
         if sv[-1] <= sv[0] / polytope._COND_GUARD or sv[-1] <= 1e-12:
             continue
         x = np.linalg.solve(M, b[list(idx)])
-        if np.all(A @ x <= b + 100 * tol * max(scale, np.max(np.abs(x)))):
+        if np.all(unit @ x <= offset + 100 * tol * max(1.0, np.max(np.abs(x)))):
             cand.append(x)
     if not cand:
         return np.zeros((0, d))
@@ -476,6 +478,23 @@ class TestFromHalfspaces:
         assert len(got.vertices) == len(want.vertices) and len(got.b) == len(want.b)
         gap = np.max(np.abs(got.vertices[:, None] - want.vertices[None]), axis=2)
         assert np.max(np.min(gap, axis=1)) <= 1e-8
+
+    def test_vertices_meet_unit_rows_within_the_body_slack(self):
+        """test_near_coplanar_rows' system at seed 8670 (n = 4, eps = 1e-3).
+        The vertex search tested unnormalised rows with a slack scaled by
+        max |b|, and admitted a point 2.4e-7 outside a unit row, beyond the
+        body's slack of 1.5e-7; from_vertices on its points then kept a
+        near-facet through that point (13 facets and 33 vertices)."""
+        rng = np.random.default_rng(8670)
+        A, b = _box_system(rng, 4, 2)
+        rows = rng.choice(len(b), 3, replace=False)
+        At = np.vstack([A, A[rows] + 1e-3 * rng.standard_normal((3, 4))])
+        bt = np.concatenate([b, b[rows] + 1e-3 * rng.standard_normal(3)])
+        body = Polytope.from_halfspaces(At, bt)
+        verts = polytope._vertices_brute_force(At, bt, polytope.GEOM_TOL)
+        assert np.max((verts @ At.T - bt) / np.linalg.norm(At, axis=1)) <= body.slack
+        rebuilt = Polytope.from_vertices(verts)
+        assert (len(rebuilt.b), len(rebuilt.vertices)) == (len(body.b), len(body.vertices)) == (12, 32)
 
     @given(n=st.integers(2, 4), seed=seeds)
     @settings(max_examples=30, deadline=None)
