@@ -2,7 +2,8 @@
 verification suites, with JSON reports (CSV for coefficient tables).
 
 Exit codes: 0 success / all checks passed, 1 verification failure,
-2 usage error, 3 internal error.  The default seed comes from the
+2 usage error (an argument the library rejects with ValueError, a missing
+file), 3 internal error.  The default seed comes from the
 TENSORGEO_SEED environment variable when set.
 """
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import coeffs
 from .measures import tcm
-from .polytope import GeometryError, Polytope, Region, builtin_polytope
+from .polytope import Polytope, Region, builtin_polytope
 from .symtensor import multi_degrees
 from .verify import (
     crofton_verify,
@@ -43,7 +44,7 @@ def _load_polytope(args, attr="builtin", file_attr="polytope"):
     if path:
         with open(path) as fh:
             return Polytope.from_json(json.load(fh))
-    raise SystemExit2("one of --builtin / --polytope is required")
+    raise ValueError("one of --builtin / --polytope is required")
 
 
 def _load_region(path):
@@ -53,16 +54,12 @@ def _load_region(path):
         return Region.from_json(json.load(fh))
 
 
-class SystemExit2(Exception):
-    pass
-
-
 def _check_indices(j, k, n, l=0):
     """Usage errors (exit 2) for indices outside 0 <= j <= k <= n, or l > 0 at j = 0."""
     if not 0 <= j <= k <= n:
-        raise SystemExit2(f"need 0 <= j <= k <= n, got j = {j}, k = {k}, n = {n}")
+        raise ValueError(f"need 0 <= j <= k <= n, got j = {j}, k = {k}, n = {n}")
     if j == 0 and l:
-        raise SystemExit2("j = 0 requires l = 0")
+        raise ValueError("j = 0 requires l = 0")
 
 
 def _run_config(args, command):
@@ -151,7 +148,7 @@ def _cmd_coeff(args):
         rows = [{"s": args.s, "value": coeffs.cor38_coeff(args.n, args.s)}]
         header = ["s", "value"]
     else:
-        raise SystemExit2(f"unknown coefficient family {fam!r}")
+        raise ValueError(f"unknown coefficient family {fam!r}")
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=header)
     writer.writeheader()
@@ -303,12 +300,9 @@ def main(argv=None):
         return 2
     try:
         if getattr(args, "samples", 1) < 1:
-            raise SystemExit2(f"--samples must be at least 1, got {args.samples}")
+            raise ValueError(f"--samples must be at least 1, got {args.samples}")
         return args.func(args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (GeometryError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValueError, FileNotFoundError) as exc:     # GeometryError and JSON errors included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal failure

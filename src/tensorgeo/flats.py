@@ -73,6 +73,8 @@ def sample_flats_hitting(P, k, count, seed=0, margin=0.5):
     n = P.dim
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n - 1, got k={k}")
+    if not margin >= 0:
+        raise ValueError(f"need margin >= 0, got {margin}")
     c, r0 = P.circumdata()
     R = r0 + margin
     frames = np.empty((count, n, k))
@@ -103,6 +105,10 @@ def sample_motions_coupling(P, P2, count, seed=0, margin=0.5):
     g P2: t uniform in the box of half-width h = R + R' + margin centered
     at c - rho c'."""
     n = P.dim
+    if P2.dim != n:
+        raise ValueError(f"the bodies lie in R^{n} and R^{P2.dim}")
+    if not margin >= 0:
+        raise ValueError(f"need margin >= 0, got {margin}")
     c, r0 = P.circumdata()
     c2, r2 = P2.circumdata()
     h = r0 + r2 + margin

@@ -87,18 +87,24 @@ def _dedupe_points(points, tol):
     return points[keep]
 
 
-def _affine_frames(points, tol):
+def _scale(x):
+    """The coordinate scale max(1, max |x|) that distance tolerances grow
+    with; 1 for an empty x."""
+    return max(1.0, float(np.max(np.abs(x)))) if np.size(x) else 1.0
+
+
+def _affine_frames(points):
     """`_affine_frame` of G stacks of c points (G, c, n) in one batched SVD;
     the first dims[g] columns of frames[g] (G, n, n) span the g-th hull."""
     p0 = points.mean(axis=1)
     _, sv, vt = np.linalg.svd(points - p0[:, None], full_matrices=True)
     scale = np.maximum(1.0, np.max(np.abs(points), axis=(1, 2)))
-    return p0, np.swapaxes(vt, 1, 2), np.sum(sv > tol * scale[:, None] * 10, axis=1)
+    return p0, np.swapaxes(vt, 1, 2), np.sum(sv > GEOM_TOL * scale[:, None] * 10, axis=1)
 
 
-def _affine_frame(points, tol):
+def _affine_frame(points):
     """Origin, orthonormal frame of the affine hull, and its dimension."""
-    p0, frames, dims = _affine_frames(points[None], tol)
+    p0, frames, dims = _affine_frames(points[None])
     return p0[0], frames[0, :, :dims[0]], int(dims[0])
 
 
@@ -116,14 +122,13 @@ class Polytope:
     """Bounded convex polytope, possibly lower-dimensional in its ambient
     space.  Immutable after construction; derived data is cached."""
 
-    def __init__(self, vertices, origin, frame, halfspaces_A, halfspaces_b, tol=GEOM_TOL):
+    def __init__(self, vertices, origin, frame, halfspaces_A, halfspaces_b):
         self.vertices = np.asarray(vertices, dtype=float)
         self.origin = np.asarray(origin, dtype=float)
         self.frame = np.asarray(frame, dtype=float)
         self.A = np.asarray(halfspaces_A, dtype=float)      # intrinsic facet normals
         self.b = np.asarray(halfspaces_b, dtype=float)      # intrinsic facet offsets
-        self.tol = tol
-        self.scale = max(1.0, float(np.max(np.abs(self.vertices))) if len(self.vertices) else 1.0)
+        self.scale = _scale(self.vertices)
         self.intrinsic = (self.vertices - self.origin) @ self.frame
         if self.A.size:
             self.incidence = np.abs(self.intrinsic @ self.A.T - self.b) <= self.slack
@@ -137,30 +142,30 @@ class Polytope:
     # -- constructors ----------------------------------------------------
 
     @staticmethod
-    def from_vertices(points, tol=GEOM_TOL):
+    def from_vertices(points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if points.size == 0:
             raise EmptyPolytopeError("no vertices given")
         n = points.shape[1]
-        scale = max(1.0, float(np.max(np.abs(points))))
-        points = _dedupe_points(points, 100 * tol * scale)
-        p0, U, d = _affine_frame(points, tol)
+        scale = _scale(points)
+        points = _dedupe_points(points, 100 * GEOM_TOL * scale)
+        p0, U, d = _affine_frame(points)
         X = (points - p0) @ U
-        A, b = _facets_brute_force(X, tol)
+        A, b = _facets_brute_force(X)
         if d >= 1 and len(A):
-            bound = 100 * tol * scale
+            bound = 100 * GEOM_TOL * scale
             tight = np.abs(X @ A.T - b) <= bound
             if d >= 2:
-                A, b = _refit_facets(X, A, b, tight, bound, tol * scale / 100)
+                A, b = _refit_facets(X, A, b, tight, bound, GEOM_TOL * scale / 100)
                 tight = np.abs(X @ A.T - b) <= bound
             keep = _irredundant(tight)
             A, b = A[keep], b[keep]
             keep = tight[:, keep].sum(axis=1) >= d
             points, X = points[keep], X[keep]
-        return Polytope(points, p0, U, A, b, tol)
+        return Polytope(points, p0, U, A, b)
 
     @staticmethod
-    def from_halfspaces(A, b, origin=None, frame=None, tol=GEOM_TOL):
+    def from_halfspaces(A, b, origin=None, frame=None):
         """{origin + frame y : A y <= b}, frame orthonormal (default: R^d).
         The nonzero rows, normalised, are the facets, less each row whose
         tight vertices are a strict subset of another row's or equal an
@@ -171,23 +176,23 @@ class Polytope:
         d = A.shape[1]
         origin = np.zeros(d) if origin is None else np.asarray(origin, dtype=float)
         frame = np.eye(d) if frame is None else np.asarray(frame, dtype=float)
-        verts = _vertices_brute_force(A, b, tol)
+        verts = _vertices_brute_force(A, b)
         if len(verts) == 0:
             raise EmptyPolytopeError("halfspace intersection is empty")
         points = origin + verts @ frame.T
-        scale = max(1.0, float(np.max(np.abs(points))))
-        points = _dedupe_points(points, 100 * tol * scale)
-        p0, U, dim = _affine_frame(points, tol)
+        scale = _scale(points)
+        points = _dedupe_points(points, 100 * GEOM_TOL * scale)
+        p0, U, dim = _affine_frame(points)
         if dim < d:
-            return Polytope.from_vertices(points, tol)
+            return Polytope.from_vertices(points)
         A_amb = A @ frame.T
         norm = np.linalg.norm(A, axis=1)
-        rows = norm > tol
+        rows = norm > GEOM_TOL
         A = A_amb[rows] @ U / norm[rows, None]
         b = (b[rows] + A_amb[rows] @ (origin - p0)) / norm[rows]
-        tight = np.abs(((points - p0) @ U) @ A.T - b) <= 100 * tol * scale
+        tight = np.abs(((points - p0) @ U) @ A.T - b) <= 100 * GEOM_TOL * scale
         keep = _irredundant(tight)
-        return Polytope(points[tight[:, keep].sum(axis=1) >= d], p0, U, A[keep], b[keep], tol)
+        return Polytope(points[tight[:, keep].sum(axis=1) >= d], p0, U, A[keep], b[keep])
 
     # -- basic queries ---------------------------------------------------
 
@@ -201,10 +206,10 @@ class Polytope:
 
     @property
     def slack(self):
-        """The body's distance tolerance, 100 tol times its coordinate
+        """The body's distance tolerance, 100 GEOM_TOL times its coordinate
         scale: a point this close to a facet or to the affine hull counts
         as on it."""
-        return 100 * self.tol * self.scale
+        return 100 * GEOM_TOL * self.scale
 
     @property
     def complement_basis(self):
@@ -247,11 +252,11 @@ class Polytope:
         rho = np.eye(n) if rho is None else np.asarray(rho, dtype=float)
         t = np.zeros(n) if t is None else np.asarray(t, dtype=float)
         return Polytope(self.vertices @ rho.T + t, rho @ self.origin + t,
-                        rho @ self.frame, self.A, self.b, self.tol)
+                        rho @ self.frame, self.A, self.b)
 
     def scaled(self, lam):
         return Polytope(lam * self.vertices, lam * self.origin, self.frame,
-                        self.A, lam * self.b, self.tol)
+                        self.A, lam * self.b)
 
     # -- faces and normal cones ------------------------------------------
 
@@ -289,7 +294,7 @@ class Polytope:
             for c in np.unique(sizes):
                 at = np.flatnonzero(sizes == c)
                 stacks = self.vertices[np.nonzero(member[at])[1]].reshape(len(at), c, -1)
-                points[at], frames[at], dims[at] = _affine_frames(stacks, self.tol)
+                points[at], frames[at], dims[at] = _affine_frames(stacks)
             # vertices, the proper faces by dimension, and the body
             level_of = np.where((dims >= 1) & (dims < d), dims, -1)
             level_of[:m if d else 0], level_of[-1] = 0, d
@@ -377,7 +382,7 @@ class Polytope:
         u, sv, _ = np.linalg.svd(gens.T, full_matrices=False)
         return Cone(rays=gens[:np.count_nonzero(tight)], lineality=W,
                     lin_frame=u[:, :int(np.sum(sv > 1e-10))], apex_point=face.point,
-                    parent_vertices=self.vertices, tol=self.slack,
+                    parent_vertices=self.vertices, slack=self.slack,
                     face_key=face.vertex_indices)
 
     # -- set operations --------------------------------------------------
@@ -399,7 +404,7 @@ class Polytope:
             return Polytope.from_halfspaces(
                 np.vstack([self.A, region.A @ self.frame]),
                 np.concatenate([self.b, region.b - region.A @ self.origin]),
-                self.origin, self.frame, self.tol)
+                self.origin, self.frame)
         except EmptyPolytopeError:
             return None
 
@@ -413,8 +418,8 @@ class Polytope:
         return obj
 
     @staticmethod
-    def from_json(obj, tol=GEOM_TOL):
-        return Polytope.from_vertices(np.asarray(obj["vertices"], dtype=float), tol)
+    def from_json(obj):
+        return Polytope.from_vertices(np.asarray(obj["vertices"], dtype=float))
 
 
 @dataclass(frozen=True)
@@ -437,14 +442,14 @@ _Level = collections.namedtuple("_Level", "faces points frames member tight heig
 class Cone:
     """The cone {sum_i a_i rays_i + W c : a_i >= 0} with apex at the
     origin; membership is decided against the parent polytope's vertices,
-    u in N iff <u, v - x0> <= tol for every vertex v."""
+    u in N iff <u, v - x0> <= slack for every vertex v."""
 
     rays: np.ndarray            # (q, n) unit rays, orthogonal to the lineality space
     lineality: np.ndarray       # (n, w) orthonormal basis W of the lineality space
     lin_frame: np.ndarray       # (n, lin_dim) orthonormal basis of the cone's span
     apex_point: np.ndarray
     parent_vertices: np.ndarray
-    tol: float
+    slack: float
     face_key: tuple = ()        # vertex indices of the face; keys its sampling stream
 
     @property
@@ -454,7 +459,7 @@ class Cone:
     def contains(self, u):
         u = np.atleast_2d(np.asarray(u, dtype=float))
         diffs = self.parent_vertices - self.apex_point
-        return np.max(u @ diffs.T, axis=1) <= self.tol
+        return np.max(u @ diffs.T, axis=1) <= self.slack
 
 
 class Region:
@@ -548,17 +553,17 @@ def _subset_planes(pts, scale):
     return spans, a, h
 
 
-def _facets_brute_force(X, tol):
+def _facets_brute_force(X):
     """Facets of a full-dimensional polytope in R^d given its vertices, by
     supporting-hyperplane search over all d-subsets."""
     m, d = X.shape
     if d == 0:
         return np.zeros((0, 0)), np.zeros(0)
-    scale = max(1.0, float(np.max(np.abs(X))))
+    scale = _scale(X)
     if d == 1:
         lo, hi = float(np.min(X[:, 0])), float(np.max(X[:, 0]))
         return np.array([[1.0], [-1.0]]), np.array([hi, -lo])
-    bound = 100 * tol * scale
+    bound = 100 * GEOM_TOL * scale
     cand = [np.zeros((0, d + 1))]
     for idx in _subset_blocks(m, d):
         pts = X[idx]
@@ -586,7 +591,7 @@ def _refit_facets(X, A, b, tight, bound, strict):
     outside a facet."""
     A, b = A.copy(), b.copy()
     d = X.shape[1]
-    scale = max(1.0, float(np.max(np.abs(X))))
+    scale = _scale(X)
     for i in np.flatnonzero(np.max(np.abs(X @ A.T - b) * tight, axis=0) > strict):
         on = np.flatnonzero(tight[:, i])
         best = np.sum(np.abs(X[on] @ A[i] - b[i]) <= strict)
@@ -615,40 +620,40 @@ def _irredundant(tight):
     return ~np.any(within & ((size[:, None] < size) | earlier), axis=1)
 
 
-def _vertices_brute_force(A, b, tol):
+def _vertices_brute_force(A, b):
     """Vertices of {x : A x <= b} in R^d by solving all d-subsets."""
     f, d = A.shape
-    scale = max(1.0, float(np.max(np.abs(b))) if len(b) else 1.0)
+    scale = _scale(b)
     if d == 1:
-        pos = A[:, 0] > tol
-        neg = A[:, 0] < -tol
+        pos = A[:, 0] > GEOM_TOL
+        neg = A[:, 0] < -GEOM_TOL
         degenerate = ~pos & ~neg
-        if np.any(b[degenerate] < -100 * tol * scale):
+        if np.any(b[degenerate] < -100 * GEOM_TOL * scale):
             return np.zeros((0, 1))
         hi = np.min(b[pos] / A[pos, 0]) if np.any(pos) else None
         lo = np.max(b[neg] / A[neg, 0]) if np.any(neg) else None
         if hi is None or lo is None:
             raise GeometryError("unbounded 1-d halfspace intersection")
-        if lo > hi + 100 * tol * scale:
+        if lo > hi + 100 * GEOM_TOL * scale:
             return np.zeros((0, 1))
-        return _dedupe_points(np.array([[lo], [hi]]), 100 * tol * scale)
-    # feasibility on unit rows (rows shorter than tol divided by tol), within
+        return _dedupe_points(np.array([[lo], [hi]]), 100 * GEOM_TOL * scale)
+    # feasibility on unit rows (rows shorter than GEOM_TOL divided by it), within
     # no more than the slack of the body built on the vertices
-    norm = np.maximum(np.linalg.norm(A, axis=1), tol)
+    norm = np.maximum(np.linalg.norm(A, axis=1), GEOM_TOL)
     cand = [np.zeros((0, d))]
     for idx in _subset_blocks(f, d):
         M = A[idx]
         sv = np.linalg.svd(M, compute_uv=False)
         ok = (sv[:, -1] > sv[:, 0] / _COND_GUARD) & (sv[:, -1] > 1e-12)
         x = np.linalg.solve(M[ok], b[idx[ok], None])[..., 0]
-        slack = 100 * tol * np.maximum(1.0, np.max(np.abs(x), axis=1))
+        slack = 100 * GEOM_TOL * np.maximum(1.0, np.max(np.abs(x), axis=1))
         cand.append(x[np.all(x @ (A / norm[:, None]).T <= b / norm + slack[:, None], axis=1)])
-    return _dedupe_points(np.concatenate(cand), 1e-7 * max(scale, 1.0))
+    return _dedupe_points(np.concatenate(cand), 1e-7 * scale)
 
 
 # -- flat sections ----------------------------------------------------------
 
-def intersect_flat(P, B, q, tol=GEOM_TOL):
+def intersect_flat(P, B, q):
     """Intersection of a full-dimensional polytope with the affine k-flat
     {q + B y}, returned as an ambient (lower-dimensional) Polytope.
 
@@ -661,7 +666,7 @@ def intersect_flat(P, B, q, tol=GEOM_TOL):
     k = B.shape[1]
     A_amb, b_amb = P.ambient_halfspaces()
     try:
-        poly = Polytope.from_halfspaces(A_amb @ B, b_amb - A_amb @ q, q, B, tol)
+        poly = Polytope.from_halfspaces(A_amb @ B, b_amb - A_amb @ q, q, B)
     except EmptyPolytopeError:
         return None
     if poly.aff_dim < k:
@@ -697,13 +702,13 @@ def triangulate(P):
         return [P.vertices[:2]] if len(P.vertices) >= 2 else []
     v0_idx = 0
     v0 = P.vertices[v0_idx]
-    scale = max(1.0, float(np.max(np.abs(P.vertices))))
+    scale = _scale(P.vertices)
     out = []
     for f in range(len(P.b)):
         members = np.nonzero(P.incidence[:, f])[0]
         if v0_idx in members:
             continue
-        sub = Polytope.from_vertices(P.vertices[members], P.tol)
+        sub = Polytope.from_vertices(P.vertices[members])
         for s in triangulate(sub):
             simplex = np.vstack([[v0], s])
             if _simplex_volume(simplex) > 1e-12 * scale ** d:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coeffs import c_norm, d_coeff, thm31_coeff
+from .coeffs import c_norm, d_coeff
 from .conemoment import _arc_ends, _arc_moment, _lune_moment, _product_cone_moment
 from .flats import _BATCH, random_rotation, sample_flats_hitting, sample_motions_coupling
 from .measures import tcm, valuation, MeasureIndex
@@ -66,7 +66,7 @@ class VerificationReport:
     samples: int
     rejections: int = 0     # grazing sections on the per-sample path, each scored zero
     wall_time: float = 0.0
-    notes: str = ""
+    notes: str = "polytope verification; statement for general convex bodies not covered"
 
     def coordinate_rows(self):
         lhs, rhs = self.lhs.coordinates_array().tolist(), self.rhs.coordinates_array().tolist()
@@ -94,11 +94,7 @@ class VerificationReport:
             "rejections": int(self.rejections),
             "wall_time_s": float(self.wall_time),
             "notes": self.notes,
-            "coordinates": [
-                {"index": list(r["index"]), "lhs": r["lhs"], "rhs": r["rhs"],
-                 "stderr": r["stderr"], "abs_diff": r["abs_diff"], "allowed": r["allowed"]}
-                for r in self.coordinate_rows()
-            ],
+            "coordinates": [dict(r, index=list(r["index"])) for r in self.coordinate_rows()],
         }
 
 
@@ -106,36 +102,19 @@ class VerificationReport:
 
 def crofton_rhs(P, k, j, r=0, s=0, l=0, region=None, budget=20000, seed=0):
     """Exact right-hand side of the Crofton identity for sections by
-    k-flats, as (tensor, stderr tensor).
-
-    j = k uses the single-term top-measure form; j < k uses the double
-    sum over (m, i).  Terms whose metric-tensor power would be negative
-    must carry a zero coefficient; a nonzero one indicates a coefficient
-    bug and raises.
-    """
+    k-flats, as (tensor, stderr tensor): the sum over 0 <= i <= m <= s/2 of
+    d_{n,j,k}^{s,l,i,m} Q^{m-i} phi_{n-k+j}^{r,s-2m,l+i}(P, region).  At
+    j = k, d_coeff is the redefined coefficient, nonzero only at
+    i = m = s/2, so the sum is the single top-measure term."""
     n = P.dim
     if not 0 <= j <= k <= n:
         raise ValueError(f"need 0 <= j <= k <= n, got {(n, j, k)}")
     if j == 0 and l != 0:
         raise ValueError("j = 0 requires l = 0")
-    rank = r + s + 2 * l
-    total = SymTensor.zero(n, rank)
-    err = SymTensor.zero(n, rank)
-    if j == k:
-        coef = thm31_coeff(n, k, s)
-        if coef != 0.0:
-            mv = tcm(P, n, r, 0, s // 2 + l, region=region, budget=budget, seed=seed)
-            total = total.add_scaled(mv.tensor, coef)
-            err = err.add_scaled(mv.stderr, abs(coef))
-        return total, err
+    total = err = SymTensor.zero(n, r + s + 2 * l)
     for m in range(s // 2 + 1):
         for i in range(m + 1):
             coef = d_coeff(n, j, k, s, l, i, m)
-            if m - i < 0:
-                if coef != 0.0:
-                    raise RuntimeError(
-                        f"nonzero coefficient {coef} on negative metric power (i={i}, m={m})")
-                continue
             if coef == 0.0:
                 continue
             mv = tcm(P, n - k + j, r, s - 2 * m, l + i, region=region, budget=budget, seed=seed)
@@ -147,31 +126,23 @@ def crofton_rhs(P, k, j, r=0, s=0, l=0, region=None, budget=20000, seed=0):
 
 def kinematic_rhs(P, P2, j, r=0, s=0, l=0, region=None, region2=None,
                   budget=20000, seed=0):
-    """Exact right-hand side of the kinematic identity: the (m, i) double
-    sum over measures of P times scalar curvature measures of P2, with
-    the redefined coefficient at the top summand."""
+    """Exact right-hand side of the kinematic identity: the sum over
+    k = j..n of C_k(P2, region2) times the Crofton right-hand side
+    `crofton_rhs(P, k, j, ...)` for sections by k-flats.  With t, e that
+    side and its stderr and c, c_err the scalar measure and its stderr,
+    a term contributes c t with stderr e (|c| + c_err) + |t| c_err."""
     n = P.dim
-    if not 0 <= j <= n or (j == 0 and l != 0):
-        raise ValueError(f"need 0 <= j <= n, and l = 0 at j = 0; got {(n, j, l)}")
-    rank = r + s + 2 * l
-    total = SymTensor.zero(n, rank)
-    err = SymTensor.zero(n, rank)
-    for p in range(j, n + 1):
-        k = n - p + j
-        c2 = tcm(P2, k, 0, 0, 0, region=region2, budget=budget, seed=seed)
-        cm_val = c2.tensor.value()
-        cm_err = c2.stderr.value()
-        for m in range(s // 2 + 1):
-            for i in range(m + 1):
-                coef = d_coeff(n, j, k, s, l, i, m)
-                if coef == 0.0:
-                    continue
-                mv = tcm(P, p, r, s - 2 * m, l + i, region=region, budget=budget, seed=seed)
-                q_pow = metric_tensor(n).power(m - i)
-                total = total.add_scaled(q_pow * mv.tensor, coef * cm_val)
-                err = err.add_scaled(q_pow * mv.stderr, abs(coef) * (abs(cm_val) + cm_err))
-                if cm_err:
-                    err = err.add_scaled(abs(q_pow * mv.tensor), abs(coef) * cm_err)
+    if P2.dim != n:
+        raise ValueError(f"the bodies lie in R^{n} and R^{P2.dim}")
+    if j > n:       # crofton_rhs checks the rest
+        raise ValueError(f"need 0 <= j <= n, got {(n, j)}")
+    total = err = SymTensor.zero(n, r + s + 2 * l)
+    for k in range(n, j - 1, -1):
+        t, e = crofton_rhs(P, k, j, r, s, l, region=region, budget=budget, seed=seed)
+        c2 = tcm(P2, k, region=region2, budget=budget, seed=seed)
+        c, c_err = c2.tensor.value(), c2.stderr.value()
+        total = total.add_scaled(t, c)
+        err = err.add_scaled(e, abs(c) + c_err).add_scaled(abs(t), c_err)
     return total, err
 
 
@@ -193,7 +164,7 @@ def _mean_and_stderr(values, weight, section_err=None):
             SymTensor.from_coordinates(values.dim, values.rank, se))
 
 
-def _generic_lhs(n, j, r, s, l, N, sections, weight, tol, budget, seed):
+def _generic_lhs(n, j, r, s, l, N, sections, weight, budget, seed):
     """Per-sample evaluator of the blocks `_section_lhs` takes: each section
     is built as a Polytope and measured by `tcm` under its window, with
     sample idx's sampled cones on seed ^ ((idx + 1) << 32).  A grazing
@@ -208,7 +179,7 @@ def _generic_lhs(n, j, r, s, l, N, sections, weight, tol, budget, seed):
         B, _, q, g, h, Aw, bw = sections(slice(at, at + _BATCH))
         for i in range(len(q)):
             try:
-                sec = Polytope.from_halfspaces(g[i], h[i], q[i], B[i], tol)
+                sec = Polytope.from_halfspaces(g[i], h[i], q[i], B[i])
             except EmptyPolytopeError:
                 continue
             resid = np.abs((sec.vertices - q[i]) @ B[i] @ g[i].T - h[i])
@@ -472,7 +443,7 @@ def _lhs(n, d, j, r, s, l, samples, sections, weight, P, budget, seed):
     index, and to the per-sample `_generic_lhs` otherwise."""
     if _batched(n, d, j, l):
         return _section_lhs(n, j, r, s, l, samples, sections, weight, P.slack)
-    return _generic_lhs(n, j, r, s, l, samples, sections, weight, P.tol, budget, seed)
+    return _generic_lhs(n, j, r, s, l, samples, sections, weight, budget, seed)
 
 
 def crofton_lhs(P, k, j, r=0, s=0, l=0, region=None, samples=10000, seed=0,
@@ -500,8 +471,7 @@ def crofton_verify(P, k, j, r=0, s=0, l=0, region=None, samples=10000, seed=0,
     return VerificationReport(
         theorem="crofton", params={"n": P.dim, "k": k, "j": j, "r": r, "s": s, "l": l},
         lhs=lhs, stderr=err, rhs=rhs, rhs_stderr=rhs_err,
-        samples=samples, rejections=rej, wall_time=time.perf_counter() - t0,
-        notes="polytope verification; statement for general convex bodies not covered")
+        samples=samples, rejections=rej, wall_time=time.perf_counter() - t0)
 
 
 # -- kinematic formula ------------------------------------------------------
@@ -537,8 +507,7 @@ def kinematic_verify(P, P2, j, r=0, s=0, l=0, region=None, region2=None,
     return VerificationReport(
         theorem="kinematic", params={"n": P.dim, "j": j, "r": r, "s": s, "l": l},
         lhs=lhs, stderr=err, rhs=rhs, rhs_stderr=rhs_err,
-        samples=samples, rejections=rej, wall_time=time.perf_counter() - t0,
-        notes="polytope verification; statement for general convex bodies not covered")
+        samples=samples, rejections=rej, wall_time=time.perf_counter() - t0)
 
 
 # -- linear independence ----------------------------------------------------
@@ -567,7 +536,10 @@ def independence_rank(n, p, trials=8, seed=0, window=0.12):
     with small box windows localized near faces of every dimension of
     random heptagons (n = 2; every vertex cone of a box is right-angled,
     which ties the family at p = 4) or rotated boxes (n >= 3), drawn from
-    their own stream.  Returns (rank, expected_count, singular_values)."""
+    their own stream.  Needs n >= 2: on S^0, u^2 = Q ties the family.
+    Returns (rank, expected_count, singular_values)."""
+    if n < 2 or p < 0 or trials < 1:
+        raise ValueError(f"need n >= 2, p >= 0 and trials >= 1, got n={n}, p={p}, trials={trials}")
     indices = independence_indices(n, p)
     rng = stream(seed, 0, purpose_key("independence-body"))
     rows = []
@@ -582,18 +554,12 @@ def independence_rank(n, p, trials=8, seed=0, window=0.12):
         rho = random_rotation(rng, n)
         shift = rng.random(n) - 0.5
         Pt = base.transformed(rho, shift)
-        regions = []
-        for fd in range(n + 1):
+        for fd in range(n + 1):     # a window at a random face of each dimension
             faces = Pt.faces(fd)
-            face = faces[int(rng.integers(len(faces)))]
-            c = face.point
-            regions.append(Region.box(c - window, c + window))
-        for reg in regions:
-            row_block = []
-            for idx in indices:
-                val = valuation(Pt, idx, region=reg)
-                row_block.append(val.coordinates_array())
-            rows.append(np.array(row_block).T)   # (n_coords, n_indices)
+            c = faces[int(rng.integers(len(faces)))].point
+            reg = Region.box(c - window, c + window)
+            rows.append(np.array([valuation(Pt, idx, region=reg).coordinates_array()
+                                  for idx in indices]).T)   # (n_coords, n_indices)
     M = np.vstack(rows)
     sv = np.linalg.svd(M, compute_uv=False)
     rank = int(np.sum(sv > 1e-8 * sv[0]))
@@ -663,6 +629,8 @@ def steiner_check(P, eps_list, samples=10 ** 6, seed=0):
     of P (`_within`, from P's face lattice)."""
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
+    if not all(eps >= 0 for eps in eps_list):
+        raise ValueError(f"need eps >= 0, got {list(eps_list)}")
     if P.aff_dim < P.dim:
         raise GeometryError(f"the Steiner check needs a full-dimensional body, "
                             f"got dimension {P.aff_dim} in R^{P.dim}")

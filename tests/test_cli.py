@@ -43,11 +43,30 @@ class TestUsage:
         ["crofton-verify", "--builtin", "cube2", "--k", "3", "--j", "0"],
         ["crofton-verify", "--builtin", "cube2", "--k", "1", "--j", "0", "--l", "1"],
         ["kinematic-verify", "--builtin", "cube2", "--builtin2", "cube2", "--j", "3"],
-        ["kinematic-verify", "--builtin", "cube2", "--builtin2", "cube2", "--j", "0", "--l", "1"]],
+        ["kinematic-verify", "--builtin", "cube2", "--builtin2", "cube2", "--j", "0", "--l", "1"],
+        ["coeff", "d", "--n", "3", "--j", "2", "--k", "1"],
+        ["coeff", "thm31", "--n", "3", "--k", "5"],
+        ["independence", "--n", "0", "--p", "2"],
+        ["independence", "--n", "1", "--p", "2"],
+        ["independence", "--n", "2", "--p", "-1"],
+        ["independence", "--n", "2", "--p", "2", "--trials", "0"],
+        ["crofton-verify", "--builtin", "cube2", "--k", "0", "--j", "0"],
+        ["crofton-verify", "--builtin", "cube2", "--k", "2", "--j", "0"],
+        ["crofton-verify", "--builtin", "cube2", "--k", "1", "--j", "0", "--margin", "-5"],
+        ["kinematic-verify", "--builtin", "cube2", "--builtin2", "cube3", "--j", "0"],
+        ["kinematic-verify", "--builtin", "cube2", "--builtin2", "cube2", "--j", "0",
+         "--margin", "-1"],
+        ["steiner-check", "--builtin", "cube2", "--eps", "0.5", "-0.5"]],
         ids=["measure-j-above-n", "measure-j-negative", "crofton-j-above-k", "crofton-k-above-n",
-             "crofton-l-at-j0", "kinematic-j-above-n", "kinematic-l-at-j0"])
+             "crofton-l-at-j0", "kinematic-j-above-n", "kinematic-l-at-j0", "coeff-d-j-above-k",
+             "coeff-thm31-k-above-n", "independence-n-0", "independence-n-1",
+             "independence-p-negative", "independence-trials-0", "crofton-k-0", "crofton-k-n",
+             "crofton-margin-negative", "kinematic-dimensions-differ",
+             "kinematic-margin-negative", "steiner-eps-negative"])
     def test_index_out_of_range(self, capsys, argv):
-        assert main(argv + ["--samples", "10"]) == 2
+        # coeff and independence draw no samples
+        samples = [] if argv[0] in ("coeff", "independence") else ["--samples", "10"]
+        assert main(argv + samples) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
 

@@ -227,7 +227,7 @@ def _dedupe_loop(points, tol):
     return np.array(out) if out else np.zeros((0, points.shape[1]))
 
 
-def _facets_loop(X, tol):
+def _facets_loop(X):
     m, d = X.shape
     if d == 0:
         return np.zeros((0, 0)), np.zeros(0)
@@ -245,9 +245,9 @@ def _facets_loop(X, tol):
         a = vt[-1]
         h = float(a @ pts[0])
         side = X @ a - h
-        if np.max(side) <= 100 * tol * scale:
+        if np.max(side) <= 100 * polytope.GEOM_TOL * scale:
             cand = (a, h)
-        elif np.min(side) >= -100 * tol * scale:
+        elif np.min(side) >= -100 * polytope.GEOM_TOL * scale:
             cand = (-a, -h)
         else:
             continue
@@ -259,10 +259,11 @@ def _facets_loop(X, tol):
     return np.array([f[0] for f in facets]), np.array([f[1] for f in facets])
 
 
-def _vertices_loop(A, b, tol):
+def _vertices_loop(A, b):
     f, d = A.shape
+    tol = polytope.GEOM_TOL
     if d == 1:
-        return polytope._vertices_brute_force(A, b, tol)
+        return polytope._vertices_brute_force(A, b)
     scale = max(1.0, float(np.max(np.abs(b))) if len(b) else 1.0)
     norm = np.maximum(np.linalg.norm(A, axis=1), tol)
     unit, offset = A / norm[:, None], b / norm
@@ -285,8 +286,8 @@ def _same_rows(got, want):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
-def _check_vertices(A, b, tol=polytope.GEOM_TOL):
-    _same_rows(polytope._vertices_brute_force(A, b, tol), _vertices_loop(A, b, tol))
+def _check_vertices(A, b):
+    _same_rows(polytope._vertices_brute_force(A, b), _vertices_loop(A, b))
 
 
 def _check_build(points):
@@ -381,7 +382,7 @@ class TestBatchedEnumeration:
         rng = np.random.default_rng(seed)
         for f in range(n):
             A, b = rng.standard_normal((f, n)), rng.standard_normal(f)
-            assert polytope._vertices_brute_force(A, b, polytope.GEOM_TOL).shape == (0, n)
+            assert polytope._vertices_brute_force(A, b).shape == (0, n)
             _check_vertices(A, b)
         # an infeasible system: x_0 <= -1 and x_0 >= 1 inside a box
         A = np.vstack([np.eye(n), -np.eye(n)])
@@ -420,9 +421,9 @@ def _check_halfspaces(A, b, origin=None, frame=None):
     try:
         got = Polytope.from_halfspaces(A, b, origin, frame)
     except EmptyPolytopeError:
-        assert len(polytope._vertices_brute_force(A, b, polytope.GEOM_TOL)) == 0
+        assert len(polytope._vertices_brute_force(A, b)) == 0
         return None
-    want = Polytope.from_vertices(origin + polytope._vertices_brute_force(A, b, polytope.GEOM_TOL)
+    want = Polytope.from_vertices(origin + polytope._vertices_brute_force(A, b)
                                   @ frame.T)
     assert np.array_equal(got.vertices, want.vertices)
     assert np.array_equal(got.origin, want.origin) and np.array_equal(got.frame, want.frame)
@@ -491,7 +492,7 @@ class TestFromHalfspaces:
         At = np.vstack([A, A[rows] + 1e-3 * rng.standard_normal((3, 4))])
         bt = np.concatenate([b, b[rows] + 1e-3 * rng.standard_normal(3)])
         body = Polytope.from_halfspaces(At, bt)
-        verts = polytope._vertices_brute_force(At, bt, polytope.GEOM_TOL)
+        verts = polytope._vertices_brute_force(At, bt)
         assert np.max((verts @ At.T - bt) / np.linalg.norm(At, axis=1)) <= body.slack
         rebuilt = Polytope.from_vertices(verts)
         assert (len(rebuilt.b), len(rebuilt.vertices)) == (len(body.b), len(body.vertices)) == (12, 32)
@@ -588,7 +589,7 @@ def _rank_faces(P, j):
     replaced."""
     def rank(points):
         sv = np.linalg.svd(points - points.mean(axis=0), compute_uv=False)
-        return int(np.sum(sv > P.tol * max(1.0, float(np.max(np.abs(points)))) * 10))
+        return int(np.sum(sv > polytope.GEOM_TOL * max(1.0, float(np.max(np.abs(points)))) * 10))
 
     m = len(P.vertices)
     if j == P.aff_dim:
@@ -598,7 +599,7 @@ def _rank_faces(P, j):
     else:
         sets = [tuple(sorted(fs)) for fs in sorted(P._face_vertex_sets(), key=sorted)
                 if len(fs) > 1 and rank(P.vertices[sorted(fs)]) == j]
-    return [(idx, *polytope._affine_frame(P.vertices[list(idx)], P.tol)[:2]) for idx in sets]
+    return [(idx, *polytope._affine_frame(P.vertices[list(idx)])[:2]) for idx in sets]
 
 
 class TestFaceLattice:

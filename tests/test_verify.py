@@ -5,15 +5,16 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from tensorgeo.coeffs import alpha, c_norm, cor38_coeff, iota, kappa_coeff, lambda_coeff
+from tensorgeo.coeffs import (alpha, c_norm, cor38_coeff, d_coeff, iota, kappa_coeff,
+                              lambda_coeff, thm31_coeff)
 from tensorgeo.conemoment import _arc_ends, _arc_moment, _lune_moment, _product_cone_moment
 import tensorgeo.flats as flats_module
 import tensorgeo.verify as verify_module
 from tensorgeo.flats import random_rotation, sample_flats_hitting, sample_motions_coupling
 from tensorgeo.measures import curvature_measure, tcm
 from tensorgeo.polytope import (EmptyPolytopeError, GeometryError, GrazingIntersectionError,
-                                Polytope, Region, cross_polytope, cube, intersect_flat,
-                                random_polytope, simplex, triangulate)
+                                Polytope, Region, builtin_polytope, cross_polytope, cube,
+                                intersect_flat, random_polytope, simplex, triangulate)
 from tensorgeo.rng import purpose_key, stream
 from tensorgeo.special import omega
 from tensorgeo.symtensor import SymTensor, metric_tensor, multi_degrees, vector_power
@@ -70,6 +71,58 @@ class TestCroftonRhsStructure:
             term = metric_tensor(3).power(m - i) * tcm(P, 2, 0, 2 - 2 * m, i).tensor
             manual = manual.add_scaled(term, c)
         assert rhs.max_abs_coordinate_diff(manual) < 1e-14
+
+    @pytest.mark.parametrize("body", ["cube3", "simplex3", "cross4"])
+    @pytest.mark.parametrize("windowed", [False, True])
+    def test_j_equals_k_is_the_top_measure(self, body, windowed):
+        # the (m, i) sum at j = k keeps the single term thm31 * phi_n^{r,0,l+s/2}
+        P = builtin_polytope(body)
+        n = P.dim
+        region = Region.box(np.full(n, 0.1), np.full(n, 0.7)) if windowed else None
+        for k in range(n + 1):
+            for r, s, l in itertools.product(range(2), range(5), range(2)):
+                if k == 0 and l:
+                    continue
+                rhs, err = crofton_rhs(P, k, k, r, s, l, region=region)
+                assert not np.any(err.data)
+                if s % 2:       # thm31 vanishes
+                    assert thm31_coeff(n, k, s) == 0.0 and not np.any(rhs.data)
+                    continue
+                top = tcm(P, n, r, 0, l + s // 2, region=region).tensor
+                assert rhs.max_abs_coordinate_diff(top.scale(thm31_coeff(n, k, s))) < 1e-12
+
+    @pytest.mark.parametrize("windowed", [False, True])
+    def test_kinematic_rhs_weights_crofton_rhs(self, windowed):
+        # sum_k C_k(P2) crofton_rhs(P, k, j); simplex(3)'s vertex cones are
+        # sampled, so C_0 carries a stderr
+        P, P2 = cube(3), simplex(3)
+        region = Region.box([0.1, 0.2, 0.0], [0.8, 0.6, 0.5]) if windowed else None
+        region2 = Region.box([0.5, -0.2, -0.2], [1.2, 0.4, 0.3]) if windowed else None
+        budget, seed = 400, 5
+        assert tcm(P2, 0, region=region2, budget=budget, seed=seed).stderr.value() > 0
+        for j, r, s, l in [(0, 0, 0, 0), (0, 1, 2, 0), (1, 0, 2, 1), (2, 1, 3, 0), (3, 0, 0, 0)]:
+            rhs, err = kinematic_rhs(P, P2, j, r, s, l, region=region, region2=region2,
+                                     budget=budget, seed=seed)
+            total, bound = SymTensor.zero(3, rhs.rank), SymTensor.zero(3, rhs.rank)
+            per_term = SymTensor.zero(3, rhs.rank)     # the sum of absolute terms
+            for k in range(j, 4):
+                c2 = tcm(P2, k, region=region2, budget=budget, seed=seed)
+                c, c_err = c2.tensor.value(), c2.stderr.value()
+                t, e = crofton_rhs(P, k, j, r, s, l, region=region, budget=budget, seed=seed)
+                total = total.add_scaled(t, c)
+                bound = bound.add_scaled(e, abs(c) + c_err).add_scaled(abs(t), c_err)
+                for m in range(s // 2 + 1):
+                    for i in range(m + 1):
+                        coef = abs(d_coeff(3, j, k, s, l, i, m))
+                        mv = tcm(P, 3 - k + j, r, s - 2 * m, l + i, region=region,
+                                 budget=budget, seed=seed)
+                        q_pow = metric_tensor(3).power(m - i)
+                        per_term = (per_term.add_scaled(q_pow * mv.stderr, coef * (abs(c) + c_err))
+                                    .add_scaled(abs(q_pow * mv.tensor), coef * c_err))
+            scale = max(1.0, np.abs(total.data).max())
+            assert rhs.max_abs_coordinate_diff(total) < 1e-12 * scale
+            assert np.abs(err.data - bound.data).max() < 1e-12 * max(1.0, np.abs(bound.data).max())
+            assert np.all(err.data <= per_term.data * (1 + 1e-12))
 
     @pytest.mark.parametrize("rhs", [lambda j, l: crofton_rhs(cube(2), 1, j, l=l),
                                      lambda j, l: kinematic_rhs(cube(2), cube(2), j, l=l),
@@ -682,6 +735,30 @@ class TestSampleCount:
             steiner_check(cube(2), [0.5], samples=samples)
 
 
+class TestRejectedInput:
+    """Arguments under which the identities do not hold as computed: a
+    sampler support that need not cover the body, bodies in different
+    spaces, negative parallel distances, and ranks outside the theorem."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: sample_flats_hitting(cube(2), 1, 10, margin=-0.1),
+        lambda: sample_motions_coupling(cube(2), cube(2), 10, margin=-0.1),
+        lambda: crofton_lhs(cube(3), 2, 1, samples=10, margin=-1.0),
+        lambda: kinematic_lhs(cube(2), cube(3), 0, samples=10),
+        lambda: kinematic_rhs(cube(2), cube(3), 0),
+        lambda: kinematic_rhs(cube(3), cube(2), 1),
+        lambda: steiner_check(cube(2), [0.5, -0.1], samples=10),
+        lambda: independence_rank(1, 2),
+        lambda: independence_rank(2, -1),
+        lambda: independence_rank(2, 2, trials=0)],
+        ids=["flats-margin", "motions-margin", "crofton-lhs-margin", "kinematic-lhs-dims",
+             "kinematic-rhs-dims", "kinematic-rhs-dims-swapped", "steiner-eps", "independence-n",
+             "independence-p", "independence-trials"])
+    def test_raises_value_error(self, call):
+        with pytest.raises(ValueError):
+            call()
+
+
 class TestRouting:
     """Which indices take the batched section path and which the per-sample
     generic path."""
@@ -791,8 +868,7 @@ class TestGenericPathErrors:
             return block
 
         def lhs(rows):
-            return verify_module._generic_lhs(2, 1, 0, 2, 0, 4, sections(rows), 1.0, P.tol,
-                                              20000, 0)
+            return verify_module._generic_lhs(2, 1, 0, 2, 0, 4, sections(rows), 1.0, 20000, 0)
         est, err, rejections = lhs([0, 1, 2, 3])
         miss_est, miss_err, none = lhs([0, 3, 3, 3])
         assert (rejections, none) == (2, 0)
@@ -1025,7 +1101,7 @@ def _oracle_dist2(P, x):
     branch for degenerate triangles is gone: `triangulate` drops them.)"""
     d2 = np.full(len(x), np.inf)
     for f in range(len(P.b)):
-        facet = Polytope.from_vertices(P.vertices[P.incidence[:, f]], P.tol)
+        facet = Polytope.from_vertices(P.vertices[P.incidence[:, f]])
         for simp in triangulate(facet):
             d2 = np.minimum(d2, _point_segment_dist2(x, *simp) if P.dim == 2
                             else _point_triangle_dist2(x, *simp))
