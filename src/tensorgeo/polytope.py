@@ -1,12 +1,21 @@
 """Convex polytopes at desk scale (ambient dimension <= 4, <= ~40 facets).
 
 Vertex and facet enumeration visit every d-subset of the constraints or
-points, in lexicographic order and in blocks of at most 1024: each block
-is one stack of d x d systems, one batched SVD for the rank or condition
-guard, one batched solve (vertices) or null vector (facets), and one
-matrix product against all constraints or points for the feasibility or
-supporting-side test.  Duplicates are then dropped in that order by one
-greedy pass that compares each kept row with all rows at once.  Only
+points, in lexicographic order and in blocks of at most 1024.  A block of
+100 or more first passes a closed-form screen: the cofactors of each
+subset's d - 1 difference rows (facets) or of [M | b] (vertices, Cramer's
+rule) give its plane or point, and a subset whose points lie well on both
+sides of that plane, or whose point violates a row, by more than a margin
+covering both paths' rounding, goes; a subset whose cofactor normal or
+determinant is too small to trust stays.  What stays takes the exact
+path: one stack of d x d systems, one batched SVD for the rank or
+condition guard, one batched solve (vertices) or null vector (facets), and
+one matrix product against all constraints or points for the feasibility
+or supporting-side test.  Only a handful of subsets survive the screen
+(24 of 9880 for 40 points in R^3), and since it drops no subset the exact
+path keeps, the result is that of the exact path alone, bit for bit.
+Duplicates are then dropped in that order by one greedy pass that
+compares each kept row with all rows at once.  Only
 vertex input needs the facet search: a halfspace system (section, clip,
 intersection) keeps its rows tight on maximal vertex sets as its facets.
 Lower-dimensional polytopes are first class: each records its affine
@@ -29,6 +38,7 @@ clip whose vertices lie on every facet of the body containing F.
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -458,8 +468,9 @@ class Cone:
 
     def contains(self, u):
         u = np.atleast_2d(np.asarray(u, dtype=float))
+        # (vertices, directions): the reduction runs over the short axis
         diffs = self.parent_vertices - self.apex_point
-        return np.max(u @ diffs.T, axis=1) <= self.slack
+        return np.max(diffs @ u.T, axis=0) <= self.slack
 
 
 class Region:
@@ -528,6 +539,21 @@ class Region:
 # -- d-subset enumeration ---------------------------------------------------
 
 _BLOCK = 1024  # d-subsets per array pass; bounds the size of the stacks
+_SPAN_TOL = 1e-8  # d points span a hyperplane when their d - 1 difference
+                  # rows have singular values above _SPAN_TOL times the scale
+_EPS = float(np.finfo(float).eps)
+# The closed-form screen in front of both searches trusts a subset's
+# cofactors only where its cofactor normal or determinant exceeds _DECIDE
+# times the product of its rows' norms; `_facets_brute_force` and
+# `_vertices_brute_force` derive the margins from the exact path's guards.
+# Blocks of fewer than _SCREEN_MIN subsets skip the screen: its fixed cost,
+# some 30 array operations, is then about what it saves on random bodies,
+# and more on cubes and cross-polytopes, where most subsets survive or are
+# singular.
+_DECIDE = 1 / math.sqrt(_COND_GUARD)
+_SCREEN_MIN = 100
+_FACET_MARGIN = 100 * GEOM_TOL + 2e3 * _EPS / _SPAN_TOL     # per unit of scale
+_VERTEX_MARGIN = 100 * GEOM_TOL + 1e4 * _EPS / _DECIDE      # per unit of max(1, |x|)
 
 
 def _subset_blocks(m, d):
@@ -542,12 +568,74 @@ def _subset_blocks(m, d):
         yield flat.reshape(-1, d)
 
 
+@functools.lru_cache(maxsize=None)
+def _laplace_plan(r):
+    """Index arrays for the minors of an r x (r + 1) stack, bottom row up:
+    level s holds the s x s minors of the last s rows over the s-subsets S
+    of the columns (lexicographic), each expanded along its top row as the
+    sum over t of (-1)^t D[r - s, S_t] times the level s - 1 minor over S
+    less S_t.  Returns the levels' (columns, lower minors, signs) and where
+    in the last level the minor without column j sits."""
+    n = r + 1
+    prev = {(c,): c for c in range(n)}
+    levels = []
+    for s in range(2, r + 1):
+        subsets = list(itertools.combinations(range(n), s))
+        lower = [[prev[S[:t] + S[t + 1:]] for t in range(s)] for S in subsets]
+        levels.append((np.array(subsets), np.array(lower), (-1.0) ** np.arange(s)))
+        prev = {S: i for i, S in enumerate(subsets)}
+    last = [prev[tuple(c for c in range(n) if c != j)] for j in range(n)]
+    return levels, np.array(last)
+
+
+def _cofactors(D):
+    """For a stack D (K, r, r + 1) the cofactor vectors c (K, r + 1),
+    c_j = (-1)^j det(D without column j), so that D c = 0 and |c| is the
+    r-volume spanned by the rows."""
+    r, n = D.shape[1:]
+    levels, last = _laplace_plan(r)
+    minors = D[:, r - 1]
+    for s, (cols, lower, signs) in enumerate(levels, 2):
+        minors = (D[:, r - s][:, cols] * minors[:, lower]) @ signs
+    return minors[:, last] * (-1.0) ** np.arange(n)
+
+
+def _may_support(pts, X, scale):
+    """Which stacks of d points `pts` (K, d, d) may span a supporting plane
+    of X: those whose cofactor normal c is too short to trust, and those
+    with all of X within _FACET_MARGIN scale |c| of one side of their plane
+    (`_facets_brute_force` derives the margin)."""
+    D = pts[:, 1:] - pts[:, :1]
+    c = _cofactors(D)
+    size2 = np.einsum("ki,ki->k", c, c)
+    trusted = size2 > _DECIDE ** 2 * np.einsum("kij,kij->ki", D, D).prod(axis=1)
+    side = c @ X.T
+    level = np.einsum("ki,ki->k", c, pts[:, 0])
+    reach = _FACET_MARGIN * scale * np.sqrt(size2)
+    return ~trusted | (side.max(axis=1) - level <= reach) | (side.min(axis=1) - level >= -reach)
+
+
+def _may_be_vertex(M, bM, unit, offset):
+    """Which systems M x = bM (K, d, d) may solve to a vertex of
+    {y : unit y <= offset}: those whose determinant is too small to trust,
+    and those whose Cramer point x meets every row within _VERTEX_MARGIN
+    max(1, |x|) (`_vertices_brute_force` derives the margin)."""
+    d = M.shape[2]
+    c = _cofactors(np.concatenate([M, bM[..., None]], axis=2))
+    trusted = c[:, d] ** 2 > _DECIDE ** 2 * np.einsum("kij,kij->ki", M, M).prod(axis=1)
+    x = c[trusted, :d] / -c[trusted, d:]
+    reach = _VERTEX_MARGIN * np.maximum(1.0, np.abs(x).max(axis=1))
+    keep = ~trusted
+    keep[trusted] = (x @ unit.T <= offset + reach[:, None]).all(axis=1)
+    return keep
+
+
 def _subset_planes(pts, scale):
     """The hyperplanes a y = h, a a unit normal, through the stacks of d
     points `pts` (K, d, d) that span one, and which stacks do."""
     d = pts.shape[2]
     _, sv, vt = np.linalg.svd(pts[:, 1:] - pts[:, :1], full_matrices=True)
-    spans = np.sum(sv > 1e-8 * scale, axis=1) >= d - 1
+    spans = np.sum(sv > _SPAN_TOL * scale, axis=1) >= d - 1
     a = vt[spans, -1]
     h = (a[:, None, :] @ pts[spans, 0, :, None])[:, 0, 0]  # the dot kernel of a @ pts[0]
     return spans, a, h
@@ -555,7 +643,22 @@ def _subset_planes(pts, scale):
 
 def _facets_brute_force(X):
     """Facets of a full-dimensional polytope in R^d given its vertices, by
-    supporting-hyperplane search over all d-subsets."""
+    supporting-hyperplane search over all d-subsets.
+
+    `_may_support` screens each block first: a subset goes when its
+    cofactor normal c is trusted (|c| > _DECIDE prod |D_i| for its d - 1
+    difference rows D) and points lie more than _FACET_MARGIN scale |c| on
+    both sides of its plane.  The rest, those with too short a c among
+    them, take the exact path in the same order, so the facets are those of
+    the unscreened search.  The margin bounds both paths' error in a
+    point's side.  The exact path keeps a plane only when the d - 1 singular
+    values of D exceed _SPAN_TOL scale, while |D| <= 2 sqrt(d (d - 1)) scale
+    <= 7 scale (d <= 4); a backward-stable SVD, within 10 d eps |D|, then
+    turns its normal by at most 280 eps / _SPAN_TOL, and a point within
+    2 sqrt(d) scale <= 4 scale of the plane's first point moves its side by
+    at most 1.2e3 eps / _SPAN_TOL scale.  A trusted c errs by at most
+    100 eps prod |D_i|, so by 1e-7 scale in a side.  2e3 eps / _SPAN_TOL
+    scale beside the supporting test's own 100 GEOM_TOL scale covers both."""
     m, d = X.shape
     if d == 0:
         return np.zeros((0, 0)), np.zeros(0)
@@ -567,6 +670,8 @@ def _facets_brute_force(X):
     cand = [np.zeros((0, d + 1))]
     for idx in _subset_blocks(m, d):
         pts = X[idx]
+        if len(pts) >= _SCREEN_MIN:
+            pts = pts[_may_support(pts, X, scale)]
         spans, a, h = _subset_planes(pts, scale)
         side = a @ X.T - h[:, None]
         below = np.max(side, axis=1) <= bound
@@ -621,7 +726,21 @@ def _irredundant(tight):
 
 
 def _vertices_brute_force(A, b):
-    """Vertices of {x : A x <= b} in R^d by solving all d-subsets."""
+    """Vertices of {x : A x <= b} in R^d by solving all d-subsets.
+
+    `_may_be_vertex` screens each block first: a subset goes when its
+    determinant is trusted (|det M| > _DECIDE prod |M_i| for its rows M)
+    and its Cramer point x, from the cofactors of [M | b], violates a unit
+    row by more than _VERTEX_MARGIN max(1, |x|).  The rest, the nearly
+    singular systems among them, take the exact path in the same order, so
+    the vertices are those of the unscreened search.  The margin bounds
+    both paths' error in x.  The unit rows N of a trusted M have
+    |det N| > _DECIDE and |N| <= sqrt(d), so cond(N) < d^(d/2) / _DECIDE
+    <= 16 / _DECIDE (d <= 4), the square root of _COND_GUARD up to 16; the
+    exact path's pivoted solve then errs by at most 3 d 2^(d-1) cond(N)
+    eps |x| < 1.6e3 eps / _DECIDE |x|, and Cramer's rule by at most
+    7e2 eps / _DECIDE |x|.  1e4 eps / _DECIDE beside the feasibility test's
+    own 100 GEOM_TOL covers both, |x| measured in either norm."""
     f, d = A.shape
     scale = _scale(b)
     if d == 1:
@@ -640,14 +759,17 @@ def _vertices_brute_force(A, b):
     # feasibility on unit rows (rows shorter than GEOM_TOL divided by it), within
     # no more than the slack of the body built on the vertices
     norm = np.maximum(np.linalg.norm(A, axis=1), GEOM_TOL)
+    unit, offset = A / norm[:, None], b / norm
     cand = [np.zeros((0, d))]
     for idx in _subset_blocks(f, d):
+        if len(idx) >= _SCREEN_MIN:
+            idx = idx[_may_be_vertex(A[idx], b[idx], unit, offset)]
         M = A[idx]
         sv = np.linalg.svd(M, compute_uv=False)
         ok = (sv[:, -1] > sv[:, 0] / _COND_GUARD) & (sv[:, -1] > 1e-12)
         x = np.linalg.solve(M[ok], b[idx[ok], None])[..., 0]
         slack = 100 * GEOM_TOL * np.maximum(1.0, np.max(np.abs(x), axis=1))
-        cand.append(x[np.all(x @ (A / norm[:, None]).T <= b / norm + slack[:, None], axis=1)])
+        cand.append(x[np.all(x @ unit.T <= offset + slack[:, None], axis=1)])
     return _dedupe_points(np.concatenate(cand), 1e-7 * scale)
 
 

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tensorgeo import polytope
@@ -407,6 +407,65 @@ class TestBatchedEnumeration:
         # C(40, 3) = 9880 subsets: nine full blocks and one of 664
         P = _check_build(np.random.default_rng(seed).standard_normal((40, 3)))
         assert P.aff_dim == 3
+
+    @given(n=st.integers(2, 4), kind=st.sampled_from(["random", "cube", "slab"]),
+           eps=st.sampled_from([1e-9, 1e-7, 1e-5]), scale=st.sampled_from([1e-3, 1.0, 1e3]),
+           seed=seeds)
+    @example(n=2, kind="slab", eps=1e-7, scale=1e3, seed=0)
+    @example(n=4, kind="cube", eps=1e-7, scale=1e3, seed=0)
+    @example(n=3, kind="random", eps=1e-9, scale=1e3, seed=0)
+    @settings(max_examples=30, deadline=None)
+    def test_scaled_and_near_degenerate_inputs(self, n, kind, eps, scale, seed):
+        # the closed-form screen on every block, however small: a margin
+        # that does not grow with the body would drop a facet or a vertex
+        rng = np.random.default_rng(seed)
+        if kind == "random":
+            pts = rng.standard_normal((n + 6, n))
+        elif kind == "cube":
+            pts = cube(n).vertices + eps * rng.standard_normal((2 ** n, n))
+        else:
+            pts = rng.standard_normal((n + 6, n))
+            pts[:, -1] *= eps
+            pts = pts @ _rotation(rng, n).T
+        pts = scale * pts
+        with mock.patch.object(polytope, "_SCREEN_MIN", 0):
+            P = _check_build(pts)
+            if P is None or P.aff_dim < n:
+                return
+            # the body's halfspaces with a box around the points that cuts it
+            A, b = P.ambient_halfspaces()
+            centre, half = pts.mean(axis=0), 0.3 * np.ptp(pts, axis=0)
+            A = np.vstack([A, np.eye(n), -np.eye(n)])
+            b = np.concatenate([b, centre + half, half - centre])
+            if math.comb(len(b), n) <= 20000:
+                _check_vertices(A, b)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_screen_leaves_few_subsets_to_the_exact_path(self, seed):
+        # of the C(40, 3) = 9880 subsets, about one per facet reaches the SVD
+        # planes; of the vertex search's subsets, about those of the rows
+        # tight at each vertex reach the SVD condition guard
+        pts = np.random.default_rng(seed).standard_normal((40, 3))
+        planes, guarded = [], []
+        subset_planes, svd = polytope._subset_planes, np.linalg.svd
+
+        def count_planes(stacks, scale):
+            planes.append(len(stacks))
+            return subset_planes(stacks, scale)
+
+        def count_guarded(M, *args, **kwargs):
+            guarded.append(len(M))
+            return svd(M, *args, **kwargs)
+
+        with mock.patch.object(polytope, "_subset_planes", count_planes):
+            P = Polytope.from_vertices(pts)
+        assert sum(planes) <= 2 * len(P.b)
+        A, b = P.ambient_halfspaces()
+        with mock.patch.object(np.linalg, "svd", count_guarded):
+            V = polytope._vertices_brute_force(A, b)
+        tight = np.abs(V @ A.T - b) <= 100 * polytope.GEOM_TOL * P.scale
+        assert len(V) == len(P.vertices)
+        assert sum(guarded) <= 2 * sum(math.comb(int(k), 3) for k in tight.sum(axis=1))
 
 
 # -- halfspace systems: the rows become the facets ---------------------------
