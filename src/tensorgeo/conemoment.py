@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .polytope import DIRECTION_TOL
 from .rng import purpose_key, stream
 from .special import gamma_half, omega
 from .symtensor import SymTensor, multi_degrees, multinomial, vector_power
@@ -29,6 +30,7 @@ from .symtensor import SymTensor, multi_degrees, multinomial, vector_power
 __all__ = ["MomentResult", "ConeMomentBudgetError", "cone_sphere_moment", "trig_integral"]
 
 _RATE_FLOOR = 1e-4   # sampled cones accepting fewer directions than this raise
+_MC_BATCH = 20000    # directions drawn per stream
 
 
 class ConeMomentBudgetError(RuntimeError):
@@ -136,9 +138,9 @@ def _closed_forms(s, rays, W):
     out, method = np.zeros((F, len(multi_degrees(n, s)))), np.full(F, "monte-carlo", dtype=object)
     valid = np.any(rays != 0.0, axis=2)
     plane, sv, _ = np.linalg.svd(np.swapaxes(rays, 1, 2), full_matrices=False)
-    dc = np.sum(sv > 1e-10, axis=1)         # the dimension of the pointed part
+    dc = np.sum(sv > DIRECTION_TOL, axis=1)     # the dimension of the pointed part
     gram = rays @ np.swapaxes(rays, 1, 2) - np.eye(q) * valid[:, None, :]
-    orthonormal = (valid.sum(axis=1) == dc) & (np.abs(gram).max(axis=(1, 2), initial=0.0) <= 1e-8)
+    orthonormal = (valid.sum(axis=1) == dc) & (np.abs(gram).max(axis=(1, 2), initial=0.0) <= DIRECTION_TOL)
     ortho = (dc == 1) | ((dc > 1) & orthonormal)      # products of the first dc rays
     method[dc + w == 0] = "empty"
     if w and np.any(dc == 0):
@@ -159,7 +161,7 @@ def _closed_forms(s, rays, W):
         rel = np.arctan2(rays[at] @ pb[:, :, None], rays[at] @ pa[:, :, None])[..., 0]
         t1 = np.min(np.where(valid[at], rel, np.inf), axis=1)
         t2 = np.max(np.where(valid[at], rel, -np.inf), axis=1)
-        keep = t2 - t1 < math.pi - 1e-9     # nearly antipodal boundary rays go to the sampler
+        keep = t2 - t1 < math.pi - DIRECTION_TOL    # nearly antipodal boundary rays go to the sampler
         at, pa, pb, ends = at[keep], pa[keep], pb[keep], _arc_ends(t1[keep], t2[keep])
         method[at] = "arc"
         out[at] = (_lune_moment(n, s, pa, pb, ends, W[:, 0]) if w else _arc_moment(n, s, pa, pb, ends)).data
@@ -177,7 +179,7 @@ def cone_sphere_moment(cone, s, budget=20000, seed=0):
     return MomentResult(SymTensor(n, s, moment[0]), SymTensor.zero(n, s), method[0], 0)
 
 
-def _monte_carlo_moment(cone, s, budget, seed, batch=20000):
+def _monte_carlo_moment(cone, s, budget, seed):
     n = cone.lin_frame.shape[0]
     d = cone.lin_dim
     area = omega(d)
@@ -190,7 +192,7 @@ def _monte_carlo_moment(cone, s, budget, seed, batch=20000):
     # does or 1 / _RATE_FLOOR directions put its rate below the floor: no hit
     # gives a zero standard error, which would claim an exact zero
     while total < budget or (not accepted and total < 1 / _RATE_FLOOR):
-        m = min(batch, (budget if total < budget else round(1 / _RATE_FLOOR)) - total)
+        m = min(_MC_BATCH, (budget if total < budget else round(1 / _RATE_FLOOR)) - total)
         rng = stream(seed, batch_idx, purpose)
         batch_idx += 1
         z = rng.standard_normal((m, d))

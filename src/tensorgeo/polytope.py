@@ -1,25 +1,15 @@
 """Convex polytopes at desk scale (ambient dimension <= 4, <= ~40 facets).
 
 Vertex and facet enumeration visit every d-subset of the constraints or
-points, in lexicographic order and in blocks of at most 1024.  A block of
-100 or more first passes a closed-form screen: the cofactors of each
-subset's d - 1 difference rows (facets) or of [M | b] (vertices, Cramer's
-rule) give its plane or point, and a subset whose points lie well on both
-sides of that plane, or whose point violates a row, by more than a margin
-covering both paths' rounding, goes; a subset whose cofactor normal or
-determinant is too small to trust stays.  What stays takes the exact
-path: one stack of d x d systems, one batched SVD for the rank or
-condition guard, one batched solve (vertices) or null vector (facets), and
-one matrix product against all constraints or points for the feasibility
-or supporting-side test.  Only a handful of subsets survive the screen
-(24 of 9880 for 40 points in R^3), and since it drops no subset the exact
-path keeps, the result is that of the exact path alone, bit for bit.
-Duplicates are then dropped in that order by one greedy pass that
-compares each kept row with all rows at once.  Only
-vertex input needs the facet search: a halfspace system (section, clip,
-intersection) keeps its rows tight on maximal vertex sets as its facets.
-Lower-dimensional polytopes are first class: each records its affine
-hull as an origin plus orthonormal frame, keeps its facets in intrinsic
+points, in lexicographic order, in blocks of at most 1024, each behind a
+closed-form screen (Cramer's rule, cofactor normals) that drops no subset
+the exact path (batched SVD, solve or null vector) keeps, so the result is
+that of the exact path alone, bit for bit; only a handful of subsets reach
+it (24 of 9880 for 40 points in R^3).  Duplicates then go in one greedy
+pass.  Only vertex input needs the facet search: a halfspace system
+(section, clip, intersection) keeps its rows tight on maximal vertex sets
+as its facets.  A lower-dimensional polytope records its affine hull as
+an origin plus orthonormal frame, keeps its facets in intrinsic
 coordinates, and gives every normal cone the hull's orthogonal complement
 as its lineality space.
 
@@ -33,6 +23,25 @@ recursion (k + r) M_r(F) = sum_G h_G M_r(G) + r x0 M_{r-1}(F),
 M_r(v) = v^r, one array pass per (k, r), memoised on the body.  A window
 clips the body once (cached per window); F meets it in the face of the
 clip whose vertices lie on every facet of the body containing F.
+
+Tolerances.  Three constants make every geometric decision.
+- SLACK (10^-7) is a length per unit of scale: a body's slack is SLACK
+  times its scale, the largest distance of a point from the origin, with
+  no floor, so scaled and rotated copies take the same branches.  A point
+  within the slack of a plane lies on it (incidence, tight sets,
+  feasibility, support, clips, grazing).  Points span a direction when
+  they extend more than twice the slack along it; a narrower set lies
+  within the slack of its midplane, a facet on both sides.  Two vertices
+  of a halfspace system are one when their residuals differ by at most
+  the slack on every unit row tight at either.  Coordinates carry about
+  10^-15 relative error.
+- DIRECTION_TOL (10^-10) decides every test on unit vectors: rows shorter
+  than it are zero, and unit vectors within it of parallel, orthogonal,
+  dependent (singular values) or antipodal are so.  Unit vectors carry
+  about 10^-15 error; over a body it is a thousandth of the slack.
+- _COND_GUARD (10^12) bounds the spread of the singular values of d rows
+  that meet in a vertex.  The screen trusts cofactors at its square root;
+  its margins derive from these three.
 """
 
 from __future__ import annotations
@@ -64,11 +73,13 @@ __all__ = [
     "cross_polytope",
     "random_polytope",
     "builtin_polytope",
-    "GEOM_TOL",
+    "SLACK",
+    "DIRECTION_TOL",
 ]
 
-GEOM_TOL = 1e-9
-_COND_GUARD = 1e12
+SLACK = 1e-7            # length tolerance per unit of a body's scale
+DIRECTION_TOL = 1e-10   # tolerance of every test on unit vectors
+_COND_GUARD = 1e12      # spread of singular values beyond which rows meet in no vertex
 
 
 class GeometryError(ValueError):
@@ -81,35 +92,45 @@ class EmptyPolytopeError(GeometryError):
 
 class GrazingIntersectionError(GeometryError):
     """A flat meets the polytope only in a degenerate (lower-dimensional)
-    set; callers reject and resample such positions."""
+    set; callers count such positions as rejected samples."""
 
 
-def _dedupe_points(points, tol):
-    """Rows of `points` in order, without those within `tol` of an earlier
-    kept row in every coordinate; `tol` is a scalar or one bound per
-    coordinate."""
-    dropped = np.zeros(len(points), dtype=bool)
+def _first_of_each(values, tol, tight=None):
+    """Which rows of `values` to keep, in order: a row goes when within `tol`
+    of an earlier kept one in every column (where either is `tight`)."""
+    dropped = np.zeros(len(values), dtype=bool)
     keep = []
-    for i in range(len(points)):
+    for i in range(len(values)):
         if not dropped[i]:
             keep.append(i)
-            dropped |= np.all(np.abs(points - points[i]) <= tol, axis=1)
-    return points[keep]
+            far = np.abs(values - values[i]) > tol
+            if tight is not None:
+                far &= tight | tight[i]
+            dropped |= ~np.any(far, axis=1)
+    return keep
 
 
 def _scale(x):
-    """The coordinate scale max(1, max |x|) that distance tolerances grow
-    with; 1 for an empty x."""
-    return max(1.0, float(np.max(np.abs(x)))) if np.size(x) else 1.0
+    """The scale a slack grows with: the largest length of a row of x,
+    over its last two axes (one scale per stack); 0 for no rows."""
+    return np.linalg.norm(x, axis=-1).max(axis=-1, initial=0.0)
 
 
 def _affine_frames(points):
     """`_affine_frame` of G stacks of c points (G, c, n) in one batched SVD;
-    the first dims[g] columns of frames[g] (G, n, n) span the g-th hull."""
+    the first dims[g] columns of frames[g] (G, n, n), leading singular
+    directions that the points span (`_spans`), span the g-th hull."""
     p0 = points.mean(axis=1)
-    _, sv, vt = np.linalg.svd(points - p0[:, None], full_matrices=True)
-    scale = np.maximum(1.0, np.max(np.abs(points), axis=(1, 2)))
-    return p0, np.swapaxes(vt, 1, 2), np.sum(sv > GEOM_TOL * scale[:, None] * 10, axis=1)
+    centred = points - p0[:, None]
+    _, _, vt = np.linalg.svd(centred, full_matrices=True)
+    frames = np.swapaxes(vt, 1, 2)
+    spans = _spans(np.ptp(centred @ frames, axis=1), _scale(points)[:, None])
+    return p0, frames, np.cumprod(spans, axis=1).sum(axis=1)
+
+
+def _spans(extent, scale):
+    """Whether points extending `extent` along a direction span it."""
+    return extent > 2 * SLACK * scale
 
 
 def _affine_frame(points):
@@ -128,6 +149,13 @@ def _orth_complement(frame, n):
     return u[:, : n - d]
 
 
+def _on_facets(points, p0, U, A, b, slack):
+    """The body on `points` with its irredundant facets A y <= b, and the points on d of them."""
+    tight = np.abs(((points - p0) @ U) @ A.T - b) <= slack
+    keep = _irredundant(tight)
+    return Polytope(points[tight[:, keep].sum(axis=1) >= U.shape[1]], p0, U, A[keep], b[keep])
+
+
 class Polytope:
     """Bounded convex polytope, possibly lower-dimensional in its ambient
     space.  Immutable after construction; derived data is cached."""
@@ -140,10 +168,7 @@ class Polytope:
         self.b = np.asarray(halfspaces_b, dtype=float)      # intrinsic facet offsets
         self.scale = _scale(self.vertices)
         self.intrinsic = (self.vertices - self.origin) @ self.frame
-        if self.A.size:
-            self.incidence = np.abs(self.intrinsic @ self.A.T - self.b) <= self.slack
-        else:
-            self.incidence = np.zeros((len(self.vertices), 0), dtype=bool)
+        self.incidence = np.abs(self.intrinsic @ self.A.T - self.b) <= self.slack
         self._lattice = None
         self._moments = {}          # (k, r) -> moments of the k-faces
         self._clips = {}            # window halfspaces -> clip or None
@@ -156,53 +181,44 @@ class Polytope:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if points.size == 0:
             raise EmptyPolytopeError("no vertices given")
-        n = points.shape[1]
         scale = _scale(points)
-        points = _dedupe_points(points, 100 * GEOM_TOL * scale)
+        slack = SLACK * scale
+        points = points[_first_of_each(points, slack)]
         p0, U, d = _affine_frame(points)
         X = (points - p0) @ U
         A, b = _facets_brute_force(X)
-        if d >= 1 and len(A):
-            bound = 100 * GEOM_TOL * scale
-            tight = np.abs(X @ A.T - b) <= bound
-            if d >= 2:
-                A, b = _refit_facets(X, A, b, tight, bound, GEOM_TOL * scale / 100)
-                tight = np.abs(X @ A.T - b) <= bound
-            keep = _irredundant(tight)
-            A, b = A[keep], b[keep]
-            keep = tight[:, keep].sum(axis=1) >= d
-            points, X = points[keep], X[keep]
-        return Polytope(points, p0, U, A, b)
+        if d >= 2:
+            A, b = _refit_facets(X, A, b, np.abs(X @ A.T - b) <= slack, slack, DIRECTION_TOL * scale)
+        return _on_facets(points, p0, U, A, b, slack)
 
     @staticmethod
     def from_halfspaces(A, b, origin=None, frame=None):
         """{origin + frame y : A y <= b}, frame orthonormal (default: R^d).
-        The nonzero rows, normalised, are the facets, less each row whose
-        tight vertices are a strict subset of another row's or equal an
-        earlier row's; as in from_vertices, vertices on fewer than d facets
-        drop.  Vertices spanning less than the frame go to from_vertices."""
+        The nonzero rows, normalised, are the facets, pruned as in
+        from_vertices (`_on_facets`); vertices spanning less than the frame
+        go to from_vertices.  Rows leaving a direction free raise."""
         A = np.asarray(A, dtype=float)
         b = np.asarray(b, dtype=float)
         d = A.shape[1]
         origin = np.zeros(d) if origin is None else np.asarray(origin, dtype=float)
         frame = np.eye(d) if frame is None else np.asarray(frame, dtype=float)
+        norm = np.linalg.norm(A, axis=1)
+        rows = norm > DIRECTION_TOL
+        if _free_direction(A[rows] / norm[rows, None]):
+            raise GeometryError("unbounded halfspace intersection")
         verts = _vertices_brute_force(A, b)
         if len(verts) == 0:
             raise EmptyPolytopeError("halfspace intersection is empty")
         points = origin + verts @ frame.T
-        scale = _scale(points)
-        points = _dedupe_points(points, 100 * GEOM_TOL * scale)
+        slack = SLACK * _scale(points)
+        points = points[_first_of_each(points, slack)]
         p0, U, dim = _affine_frame(points)
         if dim < d:
             return Polytope.from_vertices(points)
         A_amb = A @ frame.T
-        norm = np.linalg.norm(A, axis=1)
-        rows = norm > GEOM_TOL
         A = A_amb[rows] @ U / norm[rows, None]
         b = (b[rows] + A_amb[rows] @ (origin - p0)) / norm[rows]
-        tight = np.abs(((points - p0) @ U) @ A.T - b) <= 100 * GEOM_TOL * scale
-        keep = _irredundant(tight)
-        return Polytope(points[tight[:, keep].sum(axis=1) >= d], p0, U, A[keep], b[keep])
+        return _on_facets(points, p0, U, A, b, slack)
 
     # -- basic queries ---------------------------------------------------
 
@@ -216,10 +232,9 @@ class Polytope:
 
     @property
     def slack(self):
-        """The body's distance tolerance, 100 GEOM_TOL times its coordinate
-        scale: a point this close to a facet or to the affine hull counts
-        as on it."""
-        return 100 * GEOM_TOL * self.scale
+        """The body's distance tolerance, SLACK times its scale: a point
+        this close to a facet or to the affine hull counts as on it."""
+        return SLACK * self.scale
 
     @property
     def complement_basis(self):
@@ -234,16 +249,12 @@ class Polytope:
         return A, b
 
     def contains(self, x):
-        """Membership test (vectorized over rows of x)."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        y = (x - self.origin)
-        ok = np.ones(len(x), dtype=bool)
-        if self.aff_dim < self.dim:
-            resid = y - (y @ self.frame) @ self.frame.T
-            ok &= np.max(np.abs(resid), axis=1) <= self.slack
-        if self.A.size:
-            ok &= np.all((y @ self.frame) @ self.A.T <= self.b + self.slack, axis=1)
-        return ok
+        """Membership of each row of x: within the slack of the affine hull
+        and of every facet."""
+        y = np.atleast_2d(np.asarray(x, dtype=float)) - self.origin
+        z = y @ self.frame
+        return ((np.max(np.abs(y - z @ self.frame.T), axis=1) <= self.slack)
+                & np.all(z @ self.A.T <= self.b + self.slack, axis=1))
 
     def circumdata(self):
         c = self.vertices.mean(axis=0)
@@ -391,7 +402,7 @@ class Polytope:
         gens = gens / np.linalg.norm(gens, axis=1)[:, None]
         u, sv, _ = np.linalg.svd(gens.T, full_matrices=False)
         return Cone(rays=gens[:np.count_nonzero(tight)], lineality=W,
-                    lin_frame=u[:, :int(np.sum(sv > 1e-10))], apex_point=face.point,
+                    lin_frame=u[:, :int(np.sum(sv > DIRECTION_TOL))], apex_point=face.point,
                     parent_vertices=self.vertices, slack=self.slack,
                     face_key=face.vertex_indices)
 
@@ -506,7 +517,7 @@ class Region:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if self.is_universe:
             return np.ones(len(x), dtype=bool)
-        return np.all(x @ self.A.T <= self.b + 1e-9, axis=1)
+        return np.all(x @ self.A.T <= self.b + SLACK * np.linalg.norm(x, axis=1)[:, None], axis=1)
 
     def transformed(self, rho=None, t=None):
         if self.is_universe:
@@ -539,8 +550,6 @@ class Region:
 # -- d-subset enumeration ---------------------------------------------------
 
 _BLOCK = 1024  # d-subsets per array pass; bounds the size of the stacks
-_SPAN_TOL = 1e-8  # d points span a hyperplane when their d - 1 difference
-                  # rows have singular values above _SPAN_TOL times the scale
 _EPS = float(np.finfo(float).eps)
 # The closed-form screen in front of both searches trusts a subset's
 # cofactors only where its cofactor normal or determinant exceeds _DECIDE
@@ -552,8 +561,8 @@ _EPS = float(np.finfo(float).eps)
 # singular.
 _DECIDE = 1 / math.sqrt(_COND_GUARD)
 _SCREEN_MIN = 100
-_FACET_MARGIN = 100 * GEOM_TOL + 2e3 * _EPS / _SPAN_TOL     # per unit of scale
-_VERTEX_MARGIN = 100 * GEOM_TOL + 1e4 * _EPS / _DECIDE      # per unit of max(1, |x|)
+_FACET_MARGIN = SLACK + 2e3 * _EPS / SLACK       # per unit of scale
+_VERTEX_MARGIN = SLACK + 1e4 * _EPS / _DECIDE    # per unit of |x|
 
 
 def _subset_blocks(m, d):
@@ -619,12 +628,12 @@ def _may_be_vertex(M, bM, unit, offset):
     """Which systems M x = bM (K, d, d) may solve to a vertex of
     {y : unit y <= offset}: those whose determinant is too small to trust,
     and those whose Cramer point x meets every row within _VERTEX_MARGIN
-    max(1, |x|) (`_vertices_brute_force` derives the margin)."""
+    |x| (`_vertices_brute_force` derives the margin)."""
     d = M.shape[2]
     c = _cofactors(np.concatenate([M, bM[..., None]], axis=2))
     trusted = c[:, d] ** 2 > _DECIDE ** 2 * np.einsum("kij,kij->ki", M, M).prod(axis=1)
     x = c[trusted, :d] / -c[trusted, d:]
-    reach = _VERTEX_MARGIN * np.maximum(1.0, np.abs(x).max(axis=1))
+    reach = _VERTEX_MARGIN * np.linalg.norm(x, axis=1)
     keep = ~trusted
     keep[trusted] = (x @ unit.T <= offset + reach[:, None]).all(axis=1)
     return keep
@@ -632,10 +641,11 @@ def _may_be_vertex(M, bM, unit, offset):
 
 def _subset_planes(pts, scale):
     """The hyperplanes a y = h, a a unit normal, through the stacks of d
-    points `pts` (K, d, d) that span one, and which stacks do."""
+    points `pts` (K, d, d) that span one, and which stacks do: those that
+    span the leading d - 1 singular directions of their differences."""
     d = pts.shape[2]
-    _, sv, vt = np.linalg.svd(pts[:, 1:] - pts[:, :1], full_matrices=True)
-    spans = np.sum(sv > _SPAN_TOL * scale, axis=1) >= d - 1
+    _, _, vt = np.linalg.svd(pts[:, 1:] - pts[:, :1], full_matrices=True)
+    spans = np.all(_spans(np.ptp(pts @ np.swapaxes(vt[:, :d - 1], 1, 2), axis=1), scale), axis=1)
     a = vt[spans, -1]
     h = (a[:, None, :] @ pts[spans, 0, :, None])[:, 0, 0]  # the dot kernel of a @ pts[0]
     return spans, a, h
@@ -648,17 +658,17 @@ def _facets_brute_force(X):
     `_may_support` screens each block first: a subset goes when its
     cofactor normal c is trusted (|c| > _DECIDE prod |D_i| for its d - 1
     difference rows D) and points lie more than _FACET_MARGIN scale |c| on
-    both sides of its plane.  The rest, those with too short a c among
-    them, take the exact path in the same order, so the facets are those of
-    the unscreened search.  The margin bounds both paths' error in a
-    point's side.  The exact path keeps a plane only when the d - 1 singular
-    values of D exceed _SPAN_TOL scale, while |D| <= 2 sqrt(d (d - 1)) scale
-    <= 7 scale (d <= 4); a backward-stable SVD, within 10 d eps |D|, then
-    turns its normal by at most 280 eps / _SPAN_TOL, and a point within
-    2 sqrt(d) scale <= 4 scale of the plane's first point moves its side by
-    at most 1.2e3 eps / _SPAN_TOL scale.  A trusted c errs by at most
-    100 eps prod |D_i|, so by 1e-7 scale in a side.  2e3 eps / _SPAN_TOL
-    scale beside the supporting test's own 100 GEOM_TOL scale covers both."""
+    both sides of its plane; the rest take the exact path in the same
+    order.  The margin bounds both paths' error in a point's side.  The
+    exact path keeps a plane only when its points span d - 1 singular
+    directions of D, whose singular values then exceed SLACK scale (an
+    extent is at most twice its singular value), while |D| <= 3.5 scale
+    (d <= 4); a backward-stable SVD then turns the normal by at most
+    10 d eps |D| / (SLACK scale) <= 140 eps / SLACK, which moves the side of
+    a point within 2 scale by 280 eps / SLACK scale.  A trusted c errs by at
+    most 100 eps prod |D_i|, so by 200 eps / _DECIDE scale in a side.
+    2e3 eps / SLACK scale beside the supporting test's own SLACK scale
+    covers both."""
     m, d = X.shape
     if d == 0:
         return np.zeros((0, 0)), np.zeros(0)
@@ -666,7 +676,7 @@ def _facets_brute_force(X):
     if d == 1:
         lo, hi = float(np.min(X[:, 0])), float(np.max(X[:, 0]))
         return np.array([[1.0], [-1.0]]), np.array([hi, -lo])
-    bound = 100 * GEOM_TOL * scale
+    bound = SLACK * scale
     cand = [np.zeros((0, d + 1))]
     for idx in _subset_blocks(m, d):
         pts = X[idx]
@@ -678,7 +688,9 @@ def _facets_brute_force(X):
         supporting = below | (np.min(side, axis=1) >= -bound)
         sign = np.where(below, 1.0, -1.0)[supporting, None]
         cand.append(sign * np.column_stack([a, h])[supporting])
-    facets = _dedupe_points(np.concatenate(cand), np.append(np.full(d, 1e-7), 1e-7 * scale))
+    # one plane: normals within SLACK and offsets within the slack
+    facets = np.concatenate(cand)
+    facets = facets[_first_of_each(facets, np.append(np.full(d, SLACK), bound))]
     if not len(facets):
         raise GeometryError("facet enumeration failed (degenerate vertex set)")
     return facets[:, :d], facets[:, d]
@@ -688,12 +700,10 @@ def _refit_facets(X, A, b, tight, bound, strict):
     """The facet planes A y <= b refitted where a tight vertex X[tight] lies
     more than `strict` off one: the plane through d of its tight vertices
     that most of them lie within `strict` of takes its place, unless it has
-    a vertex more than 2 `bound` above it.  Where two facets meet at a small
-    angle, a vertex near their ridge lies within `bound` of both; a plane
-    through it can be up to `bound` off either, and the 1e-7 dedupe in
-    _facets_brute_force may have kept it over the exact one.  The factor 2
-    allows for vertices that the vertex search admitted up to its own slack
-    outside a facet."""
+    a vertex more than 2 `bound` above it.  Near a ridge at a small angle a
+    plane can be up to `bound` off either facet, and the plane dedupe may
+    have kept it over the exact one; the factor 2 allows for vertices the
+    vertex search admitted up to its own slack outside a facet."""
     A, b = A.copy(), b.copy()
     d = X.shape[1]
     scale = _scale(X)
@@ -731,34 +741,17 @@ def _vertices_brute_force(A, b):
     `_may_be_vertex` screens each block first: a subset goes when its
     determinant is trusted (|det M| > _DECIDE prod |M_i| for its rows M)
     and its Cramer point x, from the cofactors of [M | b], violates a unit
-    row by more than _VERTEX_MARGIN max(1, |x|).  The rest, the nearly
-    singular systems among them, take the exact path in the same order, so
-    the vertices are those of the unscreened search.  The margin bounds
-    both paths' error in x.  The unit rows N of a trusted M have
-    |det N| > _DECIDE and |N| <= sqrt(d), so cond(N) < d^(d/2) / _DECIDE
-    <= 16 / _DECIDE (d <= 4), the square root of _COND_GUARD up to 16; the
-    exact path's pivoted solve then errs by at most 3 d 2^(d-1) cond(N)
-    eps |x| < 1.6e3 eps / _DECIDE |x|, and Cramer's rule by at most
+    row by more than _VERTEX_MARGIN |x|; the rest take the exact path in
+    the same order.  The margin bounds both paths' error in x.  The unit
+    rows N of a trusted M have |det N| > _DECIDE and |N| <= sqrt(d), so
+    cond(N) < d^(d/2) / _DECIDE <= 16 / _DECIDE (d <= 4); the exact path's
+    pivoted solve then errs by at most 3 d 2^(d-1) cond(N) eps |x|
+    < 1.6e3 eps / _DECIDE |x|, and Cramer's rule by at most
     7e2 eps / _DECIDE |x|.  1e4 eps / _DECIDE beside the feasibility test's
-    own 100 GEOM_TOL covers both, |x| measured in either norm."""
+    own SLACK covers both.  Solutions within SLACK |x| of every unit row are
+    kept, one per vertex by residual identity (module docstring)."""
     f, d = A.shape
-    scale = _scale(b)
-    if d == 1:
-        pos = A[:, 0] > GEOM_TOL
-        neg = A[:, 0] < -GEOM_TOL
-        degenerate = ~pos & ~neg
-        if np.any(b[degenerate] < -100 * GEOM_TOL * scale):
-            return np.zeros((0, 1))
-        hi = np.min(b[pos] / A[pos, 0]) if np.any(pos) else None
-        lo = np.max(b[neg] / A[neg, 0]) if np.any(neg) else None
-        if hi is None or lo is None:
-            raise GeometryError("unbounded 1-d halfspace intersection")
-        if lo > hi + 100 * GEOM_TOL * scale:
-            return np.zeros((0, 1))
-        return _dedupe_points(np.array([[lo], [hi]]), 100 * GEOM_TOL * scale)
-    # feasibility on unit rows (rows shorter than GEOM_TOL divided by it), within
-    # no more than the slack of the body built on the vertices
-    norm = np.maximum(np.linalg.norm(A, axis=1), GEOM_TOL)
+    norm = np.maximum(np.linalg.norm(A, axis=1), DIRECTION_TOL)
     unit, offset = A / norm[:, None], b / norm
     cand = [np.zeros((0, d))]
     for idx in _subset_blocks(f, d):
@@ -766,37 +759,55 @@ def _vertices_brute_force(A, b):
             idx = idx[_may_be_vertex(A[idx], b[idx], unit, offset)]
         M = A[idx]
         sv = np.linalg.svd(M, compute_uv=False)
-        ok = (sv[:, -1] > sv[:, 0] / _COND_GUARD) & (sv[:, -1] > 1e-12)
+        ok = (sv[:, -1] > sv[:, 0] / _COND_GUARD) & (sv[:, -1] > DIRECTION_TOL)
         x = np.linalg.solve(M[ok], b[idx[ok], None])[..., 0]
-        slack = 100 * GEOM_TOL * np.maximum(1.0, np.max(np.abs(x), axis=1))
+        slack = SLACK * np.linalg.norm(x, axis=1)
         cand.append(x[np.all(x @ unit.T <= offset + slack[:, None], axis=1)])
-    return _dedupe_points(np.concatenate(cand), 1e-7 * scale)
+    x = np.concatenate(cand)
+    resid = offset - x @ unit.T
+    slack = SLACK * _scale(x)
+    return x[_first_of_each(resid, slack, np.abs(resid) <= slack)]
+
+
+def _free_direction(unit):
+    """Whether the unit rows leave a direction u free, unit u <= DIRECTION_TOL:
+    their rank is below d, or the normal u of d - 1 of them, an extreme ray
+    of {u : unit u <= 0} when it is pointed, has every row on one side."""
+    f, d = unit.shape
+    rays = [np.ones((1, 1))] if d == 1 else [np.zeros((0, d))]
+    for idx in _subset_blocks(f, d - 1) if d > 1 else ():
+        c = _cofactors(unit[idx])
+        size = np.linalg.norm(c, axis=1)
+        rays.append(c[size > DIRECTION_TOL] / size[size > DIRECTION_TOL, None])
+    side = np.concatenate(rays) @ unit.T
+    return not len(side) or np.any((side <= DIRECTION_TOL).all(1) | (side >= -DIRECTION_TOL).all(1))
 
 
 # -- flat sections ----------------------------------------------------------
 
 def intersect_flat(P, B, q):
     """Intersection of a full-dimensional polytope with the affine k-flat
-    {q + B y}, returned as an ambient (lower-dimensional) Polytope.
-
-    Returns None for an empty intersection; raises
-    GrazingIntersectionError when the section is nonempty but degenerate
-    (dimension below k), which callers treat as a rejected sample.
-    """
+    {q + B y}, returned as an ambient (lower-dimensional) Polytope, or None
+    when empty; a grazing flat raises (`_flat_section`)."""
     B = np.asarray(B, dtype=float)
     q = np.asarray(q, dtype=float)
-    k = B.shape[1]
     A_amb, b_amb = P.ambient_halfspaces()
+    return _flat_section(A_amb @ B, b_amb - A_amb @ q, q, B)
+
+
+def _flat_section(g, h, q, B):
+    """The section {q + B y : g y <= h} of a body with rows g = A B, as an
+    ambient Polytope, or None when empty.  A section of dimension below B's,
+    or with every vertex within its slack of one constraint plane, grazes:
+    GrazingIntersectionError, which callers count as a rejected sample."""
     try:
-        poly = Polytope.from_halfspaces(A_amb @ B, b_amb - A_amb @ q, q, B)
+        sec = Polytope.from_halfspaces(g, h, q, B)
     except EmptyPolytopeError:
         return None
-    if poly.aff_dim < k:
-        raise GrazingIntersectionError(f"flat meets polytope in dimension {poly.aff_dim} < {k}")
-    resid = np.abs(poly.vertices @ A_amb.T - b_amb)
-    if np.any(np.max(resid, axis=0) <= poly.slack):
-        raise GrazingIntersectionError("flat is tangent to a facet")
-    return poly
+    resid = np.abs((sec.vertices - q) @ B @ g.T - h)
+    if sec.aff_dim < B.shape[1] or np.any(np.max(resid, axis=0) <= sec.slack):
+        raise GrazingIntersectionError("flat grazes the polytope (low dimension or along a facet)")
+    return sec
 
 
 # -- triangulation and exact monomial moments -------------------------------
@@ -820,21 +831,17 @@ def triangulate(P):
     d = P.aff_dim
     if d == 0:
         return [P.vertices[:1]]
-    if d == 1:
-        return [P.vertices[:2]] if len(P.vertices) >= 2 else []
     v0_idx = 0
     v0 = P.vertices[v0_idx]
-    scale = _scale(P.vertices)
     out = []
     for f in range(len(P.b)):
         members = np.nonzero(P.incidence[:, f])[0]
         if v0_idx in members:
             continue
+        # v0 lies more than the slack off facet f, so a simplex over a
+        # (d - 1)-simplex of the facet is not flat
         sub = Polytope.from_vertices(P.vertices[members])
-        for s in triangulate(sub):
-            simplex = np.vstack([[v0], s])
-            if _simplex_volume(simplex) > 1e-12 * scale ** d:
-                out.append(simplex)
+        out.extend(np.vstack([[v0], s]) for s in triangulate(sub) if len(s) == d)
     return out
 
 
@@ -888,10 +895,9 @@ def cross_polytope(n):
     return Polytope.from_vertices(pts)
 
 
-def random_polytope(n, npoints=10, seed=0, scale=1.0):
+def random_polytope(n, npoints=10, seed=0):
     rng = np.random.default_rng(seed)
-    pts = scale * rng.standard_normal((npoints, n))
-    return Polytope.from_vertices(pts)
+    return Polytope.from_vertices(rng.standard_normal((npoints, n)))
 
 
 def builtin_polytope(name):

@@ -266,8 +266,9 @@ def subspace_metric_tensor(basis):
     basis = np.asarray(basis, dtype=float)
     if basis.ndim != 2:
         raise ValueError("basis must be an n x d matrix")
+    from .polytope import DIRECTION_TOL     # polytope imports this module
     n, d = basis.shape
-    if d and np.max(np.abs(basis.T @ basis - np.eye(d))) > 1e-10:
+    if d and np.max(np.abs(basis.T @ basis - np.eye(d))) > DIRECTION_TOL:
         raise ValueError("basis columns are not orthonormal")
     return vector_power(basis.T, 2).sum()
 

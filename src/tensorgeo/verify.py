@@ -28,7 +28,8 @@ from .coeffs import c_norm, d_coeff
 from .conemoment import _arc_ends, _arc_moment, _lune_moment, _product_cone_moment
 from .flats import _BATCH, random_rotation, sample_flats_hitting, sample_motions_coupling
 from .measures import tcm, valuation, MeasureIndex
-from .polytope import EmptyPolytopeError, GeometryError, Polytope, Region
+from .polytope import (DIRECTION_TOL, GeometryError, GrazingIntersectionError, Polytope, Region,
+                       _flat_section)
 from .rng import purpose_key, stream
 from .special import kappa_ball, omega
 from .symtensor import SymTensor, metric_tensor, multi_degrees, vector_power
@@ -48,6 +49,7 @@ __all__ = [
 ]
 
 ABS_FLOOR = 1e-9
+_WINDOW = 0.12      # half-width of the independence rank's box windows
 
 
 # -- reports ----------------------------------------------------------------
@@ -168,8 +170,7 @@ def _generic_lhs(n, j, r, s, l, N, sections, weight, budget, seed):
     """Per-sample evaluator of the blocks `_section_lhs` takes: each section
     is built as a Polytope and measured by `tcm` under its window, with
     sample idx's sampled cones on seed ^ ((idx + 1) << 32).  A grazing
-    section, of dimension below d or within its slack of one of its own
-    constraint hyperplanes, scores zero and counts as a rejection.
+    section (`_flat_section`) scores zero and counts as a rejection.
     Returns (estimate, stderr, rejections)."""
     rank = r + s + 2 * l
     values = np.zeros((N, len(multi_degrees(n, rank))))
@@ -179,16 +180,14 @@ def _generic_lhs(n, j, r, s, l, N, sections, weight, budget, seed):
         B, _, q, g, h, Aw, bw = sections(slice(at, at + _BATCH))
         for i in range(len(q)):
             try:
-                sec = Polytope.from_halfspaces(g[i], h[i], q[i], B[i])
-            except EmptyPolytopeError:
-                continue
-            resid = np.abs((sec.vertices - q[i]) @ B[i] @ g[i].T - h[i])
-            if sec.aff_dim < B.shape[-1] or np.any(np.max(resid, axis=0) <= sec.slack):
+                sec = _flat_section(g[i], h[i], q[i], B[i])
+            except GrazingIntersectionError:
                 rejections += 1
                 continue
-            mv = tcm(sec, j, r, s, l, region=Region(Aw[i], bw[i]), budget=budget,
-                     seed=seed ^ ((at + i + 1) << 32))
-            values[at + i], errors[at + i] = mv.tensor.data, mv.stderr.data
+            if sec is not None:
+                mv = tcm(sec, j, r, s, l, region=Region(Aw[i], bw[i]), budget=budget,
+                         seed=seed ^ ((at + i + 1) << 32))
+                values[at + i], errors[at + i] = mv.tensor.data, mv.stderr.data
     est, err = _mean_and_stderr(SymTensor(n, rank, values), weight, SymTensor(n, rank, errors))
     return est, err, rejections
 
@@ -231,13 +230,13 @@ def _clip_lines(p, e, g, h, slack):
     """The parameter interval [lo, hi] of each line y = p + t e (m, L, d)
     under the unit rows g y <= h, g (m, F, d): its ends lo and hi (m, L),
     the rows that bound them, and whether the line meets the section:
-    lo < hi, and no row parallel to the line (|g e| <= 1e-12) violated by
+    lo < hi, and no row parallel to the line (|g e| <= DIRECTION_TOL) violated by
     more than slack.  The (m, L, F) arrays are updated in place, so a clip
     holds two of them at a time."""
     gt = np.swapaxes(g, 1, 2)
     ge, gap = e @ gt, p @ gt
     np.subtract(h[:, None], gap, out=gap)
-    rising, falling = ge > 1e-12, ge < -1e-12
+    rising, falling = ge > DIRECTION_TOL, ge < -DIRECTION_TOL
     par = ~(rising | falling)
     ruled_out = np.any(par & (gap < -slack), axis=-1)
     lower = np.divide(gap, ge, out=gap, where=~par)
@@ -259,13 +258,13 @@ def _edge_lines(g, h, pairs):
     distance (h_a - cos h_f) / sin from the foot point h_f g_f, positive
     when the foot point satisfies row a; in plane a at (h_f - cos h_a) / sin
     from h_a g_a.  Returns p, e (m, L, 3), cos and sin (m, L); p = e = 0
-    where sin <= 1e-12 (parallel planes)."""
+    where sin <= DIRECTION_TOL (parallel planes)."""
     gf, ga, hf, ha = g[:, pairs[0]], g[:, pairs[1]], h[:, pairs[0]], h[:, pairs[1]]
     c = np.stack([gf[..., 1] * ga[..., 2] - gf[..., 2] * ga[..., 1],
                   gf[..., 2] * ga[..., 0] - gf[..., 0] * ga[..., 2],
                   gf[..., 0] * ga[..., 1] - gf[..., 1] * ga[..., 0]], axis=-1)
     cos, sin = np.einsum("mlc,mlc->ml", gf, ga), np.linalg.norm(c, axis=-1)
-    meet = sin > 1e-12
+    meet = sin > DIRECTION_TOL
     scale = meet / np.where(meet, sin, 1.0)
     p = (((hf - cos * ha) * scale ** 2)[..., None] * gf
          + ((ha - cos * hf) * scale ** 2)[..., None] * ga)
@@ -334,7 +333,7 @@ def _section_lhs(n, j, r, s, l, N, sections, weight, slack):
             p, e, cos, sin = _edge_lines(rows, offsets, pairs)
         lo, hi, lo_row, hi_row, meets = _clip_lines(p, e, g, h, slack)
         if d == 3:
-            meets &= sin > 1e-12
+            meets &= sin > DIRECTION_TOL
         if j and windowed:  # clipped once more by the window
             wlo, whi, _, _, wmeets = _clip_lines(p, e, gw, hw, slack)
             lo, hi = np.maximum(lo, wlo), np.minimum(hi, whi)
@@ -531,7 +530,7 @@ def independence_indices(n, p):
     return out
 
 
-def independence_rank(n, p, trials=8, seed=0, window=0.12):
+def independence_rank(n, p, trials=8, seed=0):
     """Numerical rank of the valuation family of tensor rank p, evaluated
     with small box windows localized near faces of every dimension of
     random heptagons (n = 2; every vertex cone of a box is right-angled,
@@ -557,7 +556,7 @@ def independence_rank(n, p, trials=8, seed=0, window=0.12):
         for fd in range(n + 1):     # a window at a random face of each dimension
             faces = Pt.faces(fd)
             c = faces[int(rng.integers(len(faces)))].point
-            reg = Region.box(c - window, c + window)
+            reg = Region.box(c - _WINDOW, c + _WINDOW)
             rows.append(np.array([valuation(Pt, idx, region=reg).coordinates_array()
                                   for idx in indices]).T)   # (n_coords, n_indices)
     M = np.vstack(rows)

@@ -107,6 +107,20 @@ class TestMeasure:
     def test_bad_file(self, capsys):
         assert main(["measure", "--polytope", "/nonexistent.json"]) == 2
 
+    def test_thin_slab_is_a_segment(self, tmp_path, capsys):
+        # eight points in a slab 2.2e-7 thick, within its slack: V_1 is the
+        # length of the segment between the outermost two
+        pts = np.random.default_rng(0).standard_normal((8, 2))
+        pts[:, 1] *= 1e-7
+        c, s = math.cos(0.7), math.sin(0.7)
+        path = tmp_path / "slab.json"
+        path.write_text(json.dumps({"vertices": (pts @ np.array([[c, -s], [s, c]]).T).tolist()}))
+        code, out = run(capsys, "measure", "--polytope", str(path), "--j", "1")
+        assert code == 0
+        ends = pts[[np.argmin(pts[:, 0]), np.argmax(pts[:, 0])]]
+        assert json.loads(out)["coordinates"][0]["value"] == pytest.approx(
+            np.linalg.norm(ends[1] - ends[0]), rel=1e-12)
+
 
 class TestCoeff:
     def test_d_table_csv(self, capsys):
