@@ -22,15 +22,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polytope import DIRECTION_TOL
+from .polytope import SLACK
 from .rng import purpose_key, stream
 from .special import gamma_half, omega
-from .symtensor import SymTensor, multi_degrees, multinomial, vector_power
+from .symtensor import DIRECTION_TOL, SymTensor, multi_degrees, multinomial, vector_power
 
 __all__ = ["MomentResult", "ConeMomentBudgetError", "cone_sphere_moment", "trig_integral"]
 
 _RATE_FLOOR = 1e-4   # sampled cones accepting fewer directions than this raise
 _MC_BATCH = 20000    # directions drawn per stream
+# An arc delta short of a half turn takes its mean ray from a sum of length
+# about delta, whose direction errs by about eps / delta out of the arc's
+# plane, and so does its closed form (1.3 eps / delta relative in R^3 and
+# R^4).  Arcs closer to a half turn than eps / SLACK, where that error
+# would pass the relative error SLACK that lengths carry, go to the sampler.
+_ARC_GAP = float(np.finfo(float).eps) / SLACK
 
 
 class ConeMomentBudgetError(RuntimeError):
@@ -161,7 +167,7 @@ def _closed_forms(s, rays, W):
         rel = np.arctan2(rays[at] @ pb[:, :, None], rays[at] @ pa[:, :, None])[..., 0]
         t1 = np.min(np.where(valid[at], rel, np.inf), axis=1)
         t2 = np.max(np.where(valid[at], rel, -np.inf), axis=1)
-        keep = t2 - t1 < math.pi - DIRECTION_TOL    # nearly antipodal boundary rays go to the sampler
+        keep = t2 - t1 < math.pi - _ARC_GAP
         at, pa, pb, ends = at[keep], pa[keep], pb[keep], _arc_ends(t1[keep], t2[keep])
         method[at] = "arc"
         out[at] = (_lune_moment(n, s, pa, pb, ends, W[:, 0]) if w else _arc_moment(n, s, pa, pb, ends)).data

@@ -27,19 +27,24 @@ clip whose vertices lie on every facet of the body containing F.
 Tolerances.  Three constants make every geometric decision.
 - SLACK (10^-7) is a length per unit of scale: a body's slack is SLACK
   times its scale, the largest distance of a point from the origin, with
-  no floor, so scaled and rotated copies take the same branches.  A point
-  within the slack of a plane lies on it (incidence, tight sets,
-  feasibility, support, clips, grazing).  Points span a direction when
-  they extend more than twice the slack along it; a narrower set lies
-  within the slack of its midplane, a facet on both sides.  Two vertices
-  of a halfspace system are one when their residuals differ by at most
-  the slack on every unit row tight at either.  Coordinates carry about
-  10^-15 relative error.
-- DIRECTION_TOL (10^-10) decides every test on unit vectors: rows shorter
-  than it are zero, and unit vectors within it of parallel, orthogonal,
-  dependent (singular values) or antipodal are so.  Unit vectors carry
-  about 10^-15 error; over a body it is a thousandth of the slack.
-- _COND_GUARD (10^12) bounds the spread of the singular values of d rows
+  no floor, so scaled and rotated copies take the same branches.  Its
+  facet search and its faces' ranks use this slack too; the vertex search
+  of a halfspace system measures from the system's origin.  A point within
+  the slack of a plane lies on it (incidence, tight sets, feasibility,
+  support, clips, grazing).  Points span the singular directions along
+  which their root-mean-square spread exceeds the slack; then they extend
+  more than twice the slack along every direction of their hull, and no
+  plane has them all within the slack on both sides.  Points within the
+  slack in the hull's coordinates are one, and so are two vertices of a
+  halfspace system whose residuals differ by at most the slack on every
+  unit row tight at either.  Coordinates carry about 10^-15 relative error.
+- DIRECTION_TOL (10^-10, in `symtensor`, the lowest module using it)
+  decides every test on unit vectors: rows shorter than it are zero, and
+  unit vectors within it of parallel, orthogonal or dependent (singular
+  values) are so.  Unit vectors carry about 10^-15 error.  An arc's mean
+  ray, from a sum of length delta, errs by eps / delta: arcs closer to a
+  half turn than eps / SLACK are sampled (`conemoment`).
+- _COND_GUARD (10^12) bounds the ratio of extreme singular values of d rows
   that meet in a vertex.  The screen trusts cofactors at its square root;
   its margins derive from these three.
 """
@@ -54,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symtensor import SymTensor, multi_degrees, vector_power
+from .symtensor import DIRECTION_TOL, SymTensor, multi_degrees, vector_power
 
 __all__ = [
     "GeometryError",
@@ -78,8 +83,7 @@ __all__ = [
 ]
 
 SLACK = 1e-7            # length tolerance per unit of a body's scale
-DIRECTION_TOL = 1e-10   # tolerance of every test on unit vectors
-_COND_GUARD = 1e12      # spread of singular values beyond which rows meet in no vertex
+_COND_GUARD = 1e12      # ratio of extreme singular values beyond which rows meet in no vertex
 
 
 class GeometryError(ValueError):
@@ -116,37 +120,26 @@ def _scale(x):
     return np.linalg.norm(x, axis=-1).max(axis=-1, initial=0.0)
 
 
-def _affine_frames(points):
-    """`_affine_frame` of G stacks of c points (G, c, n) in one batched SVD;
-    the first dims[g] columns of frames[g] (G, n, n), leading singular
-    directions that the points span (`_spans`), span the g-th hull."""
+def _affine_frames(points, scale):
+    """`_affine_frame` of G stacks of c points (G, c, n) at `scale` in one
+    batched SVD; the first dims[g] columns of frames[g] (G, n, n), leading
+    singular directions the points span (`_spans`), span the g-th hull."""
     p0 = points.mean(axis=1)
-    centred = points - p0[:, None]
-    _, _, vt = np.linalg.svd(centred, full_matrices=True)
-    frames = np.swapaxes(vt, 1, 2)
-    spans = _spans(np.ptp(centred @ frames, axis=1), _scale(points)[:, None])
-    return p0, frames, np.cumprod(spans, axis=1).sum(axis=1)
+    _, sv, vt = np.linalg.svd(points - p0[:, None], full_matrices=True)
+    spans = _spans(sv / math.sqrt(points.shape[1]), scale)
+    return p0, np.swapaxes(vt, 1, 2), np.cumprod(spans, axis=1).sum(axis=1)
 
 
-def _spans(extent, scale):
-    """Whether points extending `extent` along a direction span it."""
-    return extent > 2 * SLACK * scale
+def _spans(spread, scale):
+    """Whether points whose root-mean-square spread about their mean along
+    a direction is `spread` span it: it exceeds the slack."""
+    return spread > SLACK * scale
 
 
 def _affine_frame(points):
     """Origin, orthonormal frame of the affine hull, and its dimension."""
-    p0, frames, dims = _affine_frames(points[None])
+    p0, frames, dims = _affine_frames(points[None], _scale(points))
     return p0[0], frames[0, :, :dims[0]], int(dims[0])
-
-
-def _orth_complement(frame, n):
-    """Orthonormal basis of the orthogonal complement of the column span."""
-    d = frame.shape[1]
-    if d == n:
-        return np.zeros((n, 0))
-    proj = np.eye(n) - frame @ frame.T
-    u, _, _ = np.linalg.svd(proj)
-    return u[:, : n - d]
 
 
 def _on_facets(points, p0, U, A, b, slack):
@@ -183,12 +176,14 @@ class Polytope:
             raise EmptyPolytopeError("no vertices given")
         scale = _scale(points)
         slack = SLACK * scale
-        points = points[_first_of_each(points, slack)]
         p0, U, d = _affine_frame(points)
+        # one point per spot of the hull, which drops the directions the
+        # points do not span
+        points = points[_first_of_each((points - p0) @ U, slack)]
         X = (points - p0) @ U
-        A, b = _facets_brute_force(X)
+        A, b = _facets_brute_force(X, scale)
         if d >= 2:
-            A, b = _refit_facets(X, A, b, np.abs(X @ A.T - b) <= slack, slack, DIRECTION_TOL * scale)
+            A, b = _refit_facets(X, A, b, np.abs(X @ A.T - b) <= slack, scale)
         return _on_facets(points, p0, U, A, b, slack)
 
     @staticmethod
@@ -211,10 +206,10 @@ class Polytope:
             raise EmptyPolytopeError("halfspace intersection is empty")
         points = origin + verts @ frame.T
         slack = SLACK * _scale(points)
-        points = points[_first_of_each(points, slack)]
         p0, U, dim = _affine_frame(points)
         if dim < d:
             return Polytope.from_vertices(points)
+        points = points[_first_of_each((points - p0) @ U, slack)]
         A_amb = A @ frame.T
         A = A_amb[rows] @ U / norm[rows, None]
         b = (b[rows] + A_amb[rows] @ (origin - p0)) / norm[rows]
@@ -236,9 +231,10 @@ class Polytope:
         this close to a facet or to the affine hull counts as on it."""
         return SLACK * self.scale
 
-    @property
+    @functools.cached_property
     def complement_basis(self):
-        return _orth_complement(self.frame, self.dim)
+        """Orthonormal basis of the orthogonal complement of the affine hull."""
+        return np.linalg.svd(np.eye(self.dim) - self.frame @ self.frame.T)[0][:, :self.dim - self.aff_dim]
 
     def ambient_halfspaces(self):
         """(A, b) with P = {x : A x <= b}; only for full-dimensional P."""
@@ -315,7 +311,7 @@ class Polytope:
             for c in np.unique(sizes):
                 at = np.flatnonzero(sizes == c)
                 stacks = self.vertices[np.nonzero(member[at])[1]].reshape(len(at), c, -1)
-                points[at], frames[at], dims[at] = _affine_frames(stacks)
+                points[at], frames[at], dims[at] = _affine_frames(stacks, self.scale)
             # vertices, the proper faces by dimension, and the body
             level_of = np.where((dims >= 1) & (dims < d), dims, -1)
             level_of[:m if d else 0], level_of[-1] = 0, d
@@ -645,15 +641,15 @@ def _subset_planes(pts, scale):
     span the leading d - 1 singular directions of their differences."""
     d = pts.shape[2]
     _, _, vt = np.linalg.svd(pts[:, 1:] - pts[:, :1], full_matrices=True)
-    spans = np.all(_spans(np.ptp(pts @ np.swapaxes(vt[:, :d - 1], 1, 2), axis=1), scale), axis=1)
+    spans = np.all(_spans(np.std(pts @ np.swapaxes(vt[:, :d - 1], 1, 2), axis=1), scale), axis=1)
     a = vt[spans, -1]
     h = (a[:, None, :] @ pts[spans, 0, :, None])[:, 0, 0]  # the dot kernel of a @ pts[0]
     return spans, a, h
 
 
-def _facets_brute_force(X):
-    """Facets of a full-dimensional polytope in R^d given its vertices, by
-    supporting-hyperplane search over all d-subsets.
+def _facets_brute_force(X, scale):
+    """Facets of a full-dimensional polytope of `scale` given its vertices
+    X in R^d, by supporting-hyperplane search over all d-subsets.
 
     `_may_support` screens each block first: a subset goes when its
     cofactor normal c is trusted (|c| > _DECIDE prod |D_i| for its d - 1
@@ -661,8 +657,8 @@ def _facets_brute_force(X):
     both sides of its plane; the rest take the exact path in the same
     order.  The margin bounds both paths' error in a point's side.  The
     exact path keeps a plane only when its points span d - 1 singular
-    directions of D, whose singular values then exceed SLACK scale (an
-    extent is at most twice its singular value), while |D| <= 3.5 scale
+    directions of D, whose singular values then exceed SLACK scale (one is
+    at least sqrt(d) times the spread along it), while |D| <= 3.5 scale
     (d <= 4); a backward-stable SVD then turns the normal by at most
     10 d eps |D| / (SLACK scale) <= 140 eps / SLACK, which moves the side of
     a point within 2 scale by 280 eps / SLACK scale.  A trusted c errs by at
@@ -672,7 +668,6 @@ def _facets_brute_force(X):
     m, d = X.shape
     if d == 0:
         return np.zeros((0, 0)), np.zeros(0)
-    scale = _scale(X)
     if d == 1:
         lo, hi = float(np.min(X[:, 0])), float(np.max(X[:, 0]))
         return np.array([[1.0], [-1.0]]), np.array([hi, -lo])
@@ -696,17 +691,17 @@ def _facets_brute_force(X):
     return facets[:, :d], facets[:, d]
 
 
-def _refit_facets(X, A, b, tight, bound, strict):
+def _refit_facets(X, A, b, tight, scale):
     """The facet planes A y <= b refitted where a tight vertex X[tight] lies
-    more than `strict` off one: the plane through d of its tight vertices
-    that most of them lie within `strict` of takes its place, unless it has
-    a vertex more than 2 `bound` above it.  Near a ridge at a small angle a
-    plane can be up to `bound` off either facet, and the plane dedupe may
-    have kept it over the exact one; the factor 2 allows for vertices the
-    vertex search admitted up to its own slack outside a facet."""
+    more than strict = DIRECTION_TOL scale off one: the plane through d of
+    its tight vertices that most of them lie within strict of takes its
+    place, unless it has a vertex more than twice the slack above it.  Near
+    a ridge at a small angle a plane can be up to the slack off either
+    facet, which the plane dedupe may have kept over the exact one; twice
+    allows for vertices the vertex search admitted up to its slack outside."""
     A, b = A.copy(), b.copy()
     d = X.shape[1]
-    scale = _scale(X)
+    bound, strict = SLACK * scale, DIRECTION_TOL * scale
     for i in np.flatnonzero(np.max(np.abs(X @ A.T - b) * tight, axis=0) > strict):
         on = np.flatnonzero(tight[:, i])
         best = np.sum(np.abs(X[on] @ A[i] - b[i]) <= strict)

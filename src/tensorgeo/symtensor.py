@@ -30,7 +30,12 @@ __all__ = [
     "vector_power",
     "multi_degrees",
     "multinomial",
+    "DIRECTION_TOL",
 ]
+
+# The tolerance of every test on unit vectors, in this module and in the
+# geometry above it (see the Tolerances paragraph of `polytope`).
+DIRECTION_TOL = 1e-10
 
 
 def multinomial(p, beta):
@@ -266,7 +271,6 @@ def subspace_metric_tensor(basis):
     basis = np.asarray(basis, dtype=float)
     if basis.ndim != 2:
         raise ValueError("basis must be an n x d matrix")
-    from .polytope import DIRECTION_TOL     # polytope imports this module
     n, d = basis.shape
     if d and np.max(np.abs(basis.T @ basis - np.eye(d))) > DIRECTION_TOL:
         raise ValueError("basis columns are not orthonormal")

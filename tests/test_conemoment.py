@@ -12,8 +12,8 @@ from tensorgeo.conemoment import (
 )
 from tensorgeo.flats import sample_flats_hitting
 from tensorgeo.measures import tcm
-from tensorgeo.polytope import (Polytope, cross_polytope, cube, intersect_flat, random_polytope,
-                                simplex)
+from tensorgeo.polytope import (SLACK, Polytope, cross_polytope, cube, intersect_flat,
+                                random_polytope, simplex)
 from tensorgeo.rng import stream
 from tensorgeo.special import omega
 from tensorgeo.symtensor import SymTensor, multi_degrees, vector_power
@@ -99,6 +99,33 @@ class TestSharedEndpoints:
                               _arc_per_integral(3, s, pa, pb, t1, t2).data)
         assert np.array_equal(conemoment._lune_moment(3, s, pa, pb, ends, w).data,
                               _lune_per_integral(3, s, pa, pb, t1, t2, w).data)
+
+
+class TestArcGap:
+    @pytest.mark.parametrize("n,w", [(3, 0), (3, 1), (4, 0)])
+    def test_arcs_near_a_half_turn(self, n, w):
+        # arcs closer to a half turn than eps / SLACK are sampled; farther,
+        # the closed form is within SLACK of one from the exact mean ray
+        rng = np.random.default_rng(n + w)
+        for delta in (0.5 * conemoment._ARC_GAP, 2 * conemoment._ARC_GAP, 1e-3):
+            for _ in range(10):
+                Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+                a = rng.uniform(0.0, 2 * math.pi)
+                rays = np.array([[math.cos(a), math.sin(a)],
+                                 [math.cos(a + math.pi - delta), math.sin(a + math.pi - delta)]])
+                W = Q[:, 2:2 + w]
+                out, method = conemoment._closed_forms(3, (rays @ Q[:, :2].T)[None], W)
+                if delta < conemoment._ARC_GAP:
+                    assert method[0] == "monte-carlo"
+                    continue
+                mid = a + (math.pi - delta) / 2
+                pa = (np.array([math.cos(mid), math.sin(mid)]) @ Q[:, :2].T)[None]
+                pb = (np.array([-math.sin(mid), math.cos(mid)]) @ Q[:, :2].T)[None]
+                ends = conemoment._arc_ends(np.array([mid - a - math.pi + delta]), np.array([mid - a]))
+                want = (conemoment._lune_moment(n, 3, pa, pb, ends, W[:, 0]) if w
+                        else conemoment._arc_moment(n, 3, pa, pb, ends)).data[0]
+                assert method[0] == "arc"
+                assert np.max(np.abs(out[0] - want)) <= SLACK * np.max(np.abs(want))
 
 
 class TestExactPaths:

@@ -232,11 +232,11 @@ def _first_of_each_loop(values, tol, tight=None):
     return keep
 
 
-def _facets_loop(X):
+def _facets_loop(X, scale):
     m, d = X.shape
     if d == 0:
         return np.zeros((0, 0)), np.zeros(0)
-    slack = polytope.SLACK * float(np.max(np.linalg.norm(X, axis=1)))
+    slack = polytope.SLACK * scale
     if d == 1:
         lo, hi = float(np.min(X[:, 0])), float(np.max(X[:, 0]))
         return np.array([[1.0], [-1.0]]), np.array([hi, -lo])
@@ -245,9 +245,10 @@ def _facets_loop(X):
         pts = X[list(idx)]
         M = pts[1:] - pts[0]
         _, _, vt = np.linalg.svd(M, full_matrices=True)
-        # the points must extend more than twice the slack along d - 1 directions
+        # the points' root-mean-square spread about their mean must exceed
+        # the slack along d - 1 directions
         along = np.vstack([np.zeros(d - 1), M @ vt[:d - 1].T])
-        if np.any(np.ptp(along, axis=0) <= 2 * slack):
+        if np.any(np.std(along, axis=0) <= slack):
             continue
         a = vt[-1]
         h = float(a @ pts[0])
@@ -706,6 +707,39 @@ class TestTolerancePolicy:
             assert (len(Q.vertices), len(Q.b)) == (len(P.vertices), len(P.b))
             assert Q._face_vertex_sets() == P._face_vertex_sets()
 
+    @pytest.mark.parametrize("widths", [(1, 0), (1, 1, 0), (1, 0, 0)])
+    @pytest.mark.parametrize("turn", [False, True])
+    def test_thin_boxes_lose_their_thin_sides(self, widths, turn):
+        # a box 1.5 slacks thin across each 0: the hull drops those
+        # directions, and the corners that differ only across them are one
+        # vertex, whether the thin sides lie along the axes or not
+        k = sum(widths)
+        thin = 1.5 * polytope.SLACK * math.sqrt(k)      # the box's scale is about sqrt(k)
+        pts = np.array(list(itertools.product(*[[0.0, w or thin] for w in widths])), dtype=float)
+        if turn:
+            pts = pts @ _rotation(np.random.default_rng(1), len(widths)).T
+        P = Polytope.from_vertices(pts)
+        assert (P.aff_dim, len(P.vertices)) == (k, 2 ** k)
+        assert tcm(P, 0).tensor.value() == pytest.approx(1.0, rel=1e-12)
+        assert tcm(P, k).tensor.value() == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("turn", [0.0, 0.7])
+    def test_off_centre_wedge(self, turn):
+        # a triangle 2.4 slacks thick, its points bunched at the end far from
+        # its apex, the origin inside: measured from their mean, 1.8 times
+        # farther than from the origin, the slack would put every point
+        # within it of the line from the apex through the middle of that end
+        h = 1.2 * polytope.SLACK
+        x = np.linspace(0.9, 0.99, 10)
+        side = h * (x + 0.95) / 1.95
+        pts = np.vstack([[[-0.95, 0.0], [1.0, h], [1.0, -h], [1.0, 0.0]],
+                         np.column_stack([x, side]), np.column_stack([x, -side])])
+        c, s = math.cos(turn), math.sin(turn)
+        P = Polytope.from_vertices(pts @ np.array([[c, -s], [s, c]]).T)
+        assert (P.aff_dim, len(P.vertices), len(P.b)) == (2, 3, 3)
+        got = [tcm(P, j).tensor.value() for j in range(3)]
+        assert got == pytest.approx([1.0, 1.95 + h, 1.95 * h], rel=1e-9, abs=0)
+
     def test_unbounded_systems_raise(self):
         quadrant = (-np.eye(2), np.zeros(2))
         prism = (np.vstack([np.eye(3)[:2], -np.eye(3)]), np.array([1.0, 1.0, 0.0, 0.0, 0.0]))
@@ -754,12 +788,11 @@ def _rank_faces(P, j):
     filter over the closure of the facet sets, the enumeration the lattice
     replaced."""
     def rank(points):
-        # the leading singular directions along which the points extend
-        # more than twice their slack
+        # the leading singular directions along which the points' root-mean-
+        # square spread exceeds the body's slack
         centred = points - points.mean(axis=0)
-        extent = np.ptp(centred @ np.linalg.svd(centred)[2].T, axis=0)
-        slack = polytope.SLACK * np.max(np.linalg.norm(points, axis=1))
-        return int(np.cumprod(extent > 2 * slack).sum())
+        spread = np.std(centred @ np.linalg.svd(centred)[2].T, axis=0)
+        return int(np.cumprod(spread > P.slack).sum())
 
     m = len(P.vertices)
     if j == P.aff_dim:
