@@ -216,12 +216,17 @@ def _cmd_steiner(args):
 
 # -- parser -----------------------------------------------------------------
 
-def _add_common(sp, samples_default=100000):
+def _add_common(sp, samples=None, budget=True, margin=True):
+    # --samples where the command samples (with this default), --budget where
+    # its exact side may sample cone moments, --margin for flats and motions
     sp.add_argument("--seed", type=int, default=_default_seed())
-    sp.add_argument("--samples", type=int, default=samples_default)
-    sp.add_argument("--budget", type=int, default=20000,
-                    help="Monte-Carlo budget per interior cone moment")
-    sp.add_argument("--margin", type=float, default=0.5)
+    if samples:
+        sp.add_argument("--samples", type=int, default=samples)
+    if budget:
+        sp.add_argument("--budget", type=int, default=20000,
+                        help="Monte-Carlo budget per interior cone moment")
+    if margin:
+        sp.add_argument("--margin", type=float, default=0.5)
     sp.add_argument("--out", help="write the JSON report here as well")
 
 
@@ -247,7 +252,7 @@ def build_parser():
     sp.add_argument("--region", help="JSON region (observation window) file")
     for flag in ("j", "r", "s", "l"):
         sp.add_argument(f"--{flag}", type=int, default=0)
-    _add_common(sp)
+    _add_common(sp, margin=False)
     sp.set_defaults(func=_cmd_measure)
 
     sp = sub.add_parser("coeff", help="coefficient tables (CSV)")
@@ -263,14 +268,14 @@ def build_parser():
     sp.add_argument("--region")
     for flag in ("k", "j", "r", "s", "l"):
         sp.add_argument(f"--{flag}", type=int, default=0)
-    _add_common(sp)
+    _add_common(sp, samples=100000)
     sp.set_defaults(func=_cmd_crofton)
 
     sp = sub.add_parser("kinematic-verify", help="verify the kinematic identity by sampling motions")
     _add_polytope_args(sp, second=True)
     for flag in ("j", "r", "s", "l"):
         sp.add_argument(f"--{flag}", type=int, default=0)
-    _add_common(sp)
+    _add_common(sp, samples=100000)
     sp.set_defaults(func=_cmd_kinematic)
 
     sp = sub.add_parser("independence", help="rank test of the valuation family")
@@ -286,7 +291,7 @@ def build_parser():
     sp.add_argument("--eps", type=float, nargs="+", action="extend",
                     help="parallel distances; repeatable (default 0.25 0.5 1.0)")
     sp.add_argument("--rel-tol", type=float, default=0.005)
-    _add_common(sp, samples_default=10 ** 6)
+    _add_common(sp, samples=10 ** 6, budget=False, margin=False)
     sp.set_defaults(func=_cmd_steiner)
 
     return ap

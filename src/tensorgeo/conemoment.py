@@ -5,10 +5,9 @@ polynomial y -> integral of <u, y>^s over N intersected with the unit
 sphere, with respect to H^{d-1}.
 
 The cone carries its unit rays and its lineality space W; the rays span
-a pointed part C of dimension lin_dim - dim W.
-Exact paths cover: full subspaces, rays (+ W, i.e. half-subspaces),
-pointed cones with pairwise orthogonal rays (+ W), planar arcs,
-and arcs crossed with a line (spherical lunes).  One classifier,
+a pointed part C of dimension lin_dim - dim W.  Full subspaces, rays,
+pointed cones with pairwise orthogonal rays and planar arcs, each plus W,
+are orthogonal sums with one closed form (`_cone_moment`).  One classifier,
 `_closed_forms`, sorts a batch of cones (a face level of a body, or one
 cone) into these kinds and evaluates each kind in one array call.  The
 rest fall back to Monte-Carlo sampling on the sphere of lin(N), filtered
@@ -17,7 +16,9 @@ by the cone's membership oracle, with per-coordinate standard errors.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ import numpy as np
 from .polytope import SLACK
 from .rng import purpose_key, stream
 from .special import gamma_half, omega
-from .symtensor import DIRECTION_TOL, SymTensor, multi_degrees, multinomial, vector_power
+from .symtensor import DIRECTION_TOL, SymTensor, multi_degrees, vector_power
 
 __all__ = ["MomentResult", "ConeMomentBudgetError", "cone_sphere_moment", "trig_integral"]
 
@@ -81,32 +82,6 @@ def _trig_recurrence(p, q, t1, t2, c1, s1, c2, s2):
     return t2 - t1
 
 
-def _product_cone_moment(n, s, ray_frame, sub_frame):
-    """Moment over the cone {sum a_i r_i + w : a_i >= 0, w in W} with the
-    r_i pairwise orthonormal and orthogonal to W.  The intersection with
-    the sphere is an 'orthant' in the orthonormal frame [r_1..r_q, W], so
-    the integral of a monomial c^a is 2^{1-q} prod Gamma((a_i+1)/2) /
-    Gamma((s+d)/2), vanishing when a W-exponent is odd.  The frames are
-    (..., n, q) and (..., n, w); leading axes broadcast into the batch."""
-    q = ray_frame.shape[-1]
-    w = sub_frame.shape[-1]
-    cols = [ray_frame[..., :, i] for i in range(q)] + [sub_frame[..., :, i] for i in range(w)]
-    denom = gamma_half((s + q + w) / 2)
-    out = SymTensor.zero(n, s)
-    for a in multi_degrees(q + w, s):
-        if any(ai % 2 for ai in a[q:]):
-            continue
-        val = 2.0 ** (1 - q) / denom
-        for ai in a:
-            val *= gamma_half((ai + 1) / 2)
-        term = SymTensor.scalar(n, multinomial(s, a) * val)
-        for col, ai in zip(cols, a):
-            if ai:
-                term = term * vector_power(col, ai)
-        out = out + term
-    return out
-
-
 def _arc_moment(n, s, pa, pb, ends):
     """Moment over the planar arc {cos t pa + sin t pb : t in [t1, t2]},
     with ends = _arc_ends(t1, t2); pa, pb (..., n) and the angles
@@ -118,21 +93,46 @@ def _arc_moment(n, s, pa, pb, ends):
     return out
 
 
-_HALF_TURN = _arc_ends(-math.pi / 2, math.pi / 2)
+def _cone_moment(n, s, rays, W, arc=None):
+    """Rank-s moment of the orthogonal sum C of the half-lines along the
+    unit columns of rays (..., n, q), the lines along the orthonormal
+    columns of W (..., n, w) and at most one sector over the arc
+    (pa, pb, ends) of `_arc_moment`; leading axes broadcast into the batch.
+    The Gaussian moment G_a(C)(y) = int_C <x, y>^a exp(-|x|^2 / 2) dx is the
+    binomial convolution of the parts': 2^{(a-1)/2} Gamma((a+1)/2) r^a for
+    a half-line along r, twice that at even a (zero at odd a) for a line,
+    and 2^{a/2} Gamma(a/2 + 1) times the arc moment for the sector; and
+    G_s(C) = 2^{(s+d)/2-1} Gamma((s+d)/2) M_s(C) for C of dimension d >= 1.
+    The last part enters at degree s only; degree-0 moments stay numbers."""
+    half = [2.0 ** ((a - 1) / 2) * gamma_half((a + 1) / 2) for a in range(s + 1)]
 
+    def line(v, whole):     # a half-line along v, or the whole line
+        return lambda a: (None if whole and a % 2
+                          else (1 + whole) * half[a] * (vector_power(v, a) if a else 1.0))
 
-def _lune_moment(n, s, pa, pb, ends, w):
-    """Moment over (arc in span{pa, pb}) + span{w}: parametrize
-    u = cos(phi) v(theta) + sin(phi) w with phi in (-pi/2, pi/2) and area
-    element cos(phi) dphi dtheta."""
-    out = SymTensor.zero(n, s)
-    for i in range(s + 1):
-        phi = float(_trig_recurrence(i + 1, s - i, *_HALF_TURN))
-        if phi == 0.0:
-            continue
-        arc = _arc_moment(n, i, pa, pb, ends)
-        out = out + (arc * vector_power(w, s - i)).scale(math.comb(s, i) * phi)
-    return out
+    def sector(a):          # the arc's length t2 - t1 at a = 0
+        moment = _arc_moment(n, a, *arc) if a else arc[2][1] - arc[2][0]
+        return 2.0 ** (a / 2) * gamma_half(a / 2 + 1) * moment
+
+    parts = [line(rays[..., i], False) for i in range(rays.shape[-1])]
+    parts += [line(W[..., i], True) for i in range(W.shape[-1])]
+    if arc is not None:
+        parts.append(sector)
+    acc = [1.0] + [None] * s            # the moments of the cone {0}
+    for k, part in enumerate(map(functools.cache, parts)):
+        new = [None] * (s + 1)
+        for a in [s] if k == len(parts) - 1 else range(s + 1):
+            terms = [math.comb(a, b) * acc[a - b] * part(b) for b in range(a + 1)
+                     if acc[a - b] is not None and part(b) is not None]
+            new[a] = functools.reduce(operator.add, terms) if terms else None
+        acc = new
+    d = len(parts) + (arc is not None)  # the sector spans two dimensions
+    norm = 2.0 ** ((s + d) / 2 - 1) * gamma_half((s + d) / 2)
+    if acc[s] is None:
+        return SymTensor.zero(n, s)
+    if s == 0:                          # a number, or an array over the batch
+        return SymTensor(n, 0, np.asarray(acc[0] / norm)[..., None])
+    return acc[s].scale(1.0 / norm)
 
 
 def _closed_forms(s, rays, W):
@@ -147,16 +147,13 @@ def _closed_forms(s, rays, W):
     dc = np.sum(sv > DIRECTION_TOL, axis=1)     # the dimension of the pointed part
     gram = rays @ np.swapaxes(rays, 1, 2) - np.eye(q) * valid[:, None, :]
     orthonormal = (valid.sum(axis=1) == dc) & (np.abs(gram).max(axis=(1, 2), initial=0.0) <= DIRECTION_TOL)
-    ortho = (dc == 1) | ((dc > 1) & orthonormal)      # products of the first dc rays
+    ortho = (dc <= 1) | orthonormal                    # products of the first dc rays
     method[dc + w == 0] = "empty"
-    if w and np.any(dc == 0):
-        method[dc == 0] = "full-sphere"
-        out[dc == 0] = _product_cone_moment(n, s, np.zeros((n, 0)), W).data
-    for k in np.unique(dc[ortho]):
+    for k in np.unique(dc[ortho & (dc + w > 0)]):
         at = ortho & (dc == k)
-        method[at] = "point" if k == 1 and w == 0 else "product"
-        out[at] = _product_cone_moment(n, s, np.swapaxes(rays[at, :k], 1, 2), W).data
-    at = np.flatnonzero(~ortho & (dc == 2) & (w <= 1))
+        method[at] = "full-sphere" if k == 0 else "point" if k == 1 and w == 0 else "product"
+        out[at] = _cone_moment(n, s, np.swapaxes(rays[at, :k], 1, 2), W).data
+    at = np.flatnonzero(~ortho & (dc == 2))
     if len(at):
         # pa the mean ray, pb turned from it by +90 degrees in the rays' plane
         pa = rays[at].sum(axis=1)
@@ -170,7 +167,7 @@ def _closed_forms(s, rays, W):
         keep = t2 - t1 < math.pi - _ARC_GAP
         at, pa, pb, ends = at[keep], pa[keep], pb[keep], _arc_ends(t1[keep], t2[keep])
         method[at] = "arc"
-        out[at] = (_lune_moment(n, s, pa, pb, ends, W[:, 0]) if w else _arc_moment(n, s, pa, pb, ends)).data
+        out[at] = _cone_moment(n, s, np.zeros((n, 0)), W, (pa, pb, ends)).data
     return out, method
 
 

@@ -5,10 +5,11 @@ c / omega_{n-j} times the sum over j-faces of Q(F)^l, the exact monomial
 moment of the face clipped to the window, and the spherical moment of
 the face's normal cone, in a few array passes per level of faces: face
 moments from the body's lattice and window clip, Q(F) from the level's
-frames, and cone moments from one classifier call per level, sampled
-only where no closed form applies.  The top index j = n is the volume
-case.  Both constant factors are kept literally (they cancel for
-0 < j < n), so j = 0 and j = n need no separate code path.
+frames, and cone moments from one classifier call per level, exact for
+orthogonal sums of rays, lines and one arc (every face of a polygon or a
+box) and sampled otherwise.  The top index j = n is the volume case.
+Both constant factors are kept literally (they cancel for 0 < j < n), so
+j = 0 and j = n need no separate code path.
 
 Lower-dimensional polytopes (flat sections) evaluate through the same
 face sum: their top face is the polytope itself, whose normal cone is

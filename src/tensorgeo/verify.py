@@ -11,9 +11,9 @@ Both theorems describe each block of samples once, as sections
 evaluators: the batched section path (`_section_lhs`, d <= 3), or the
 per-sample path (`_generic_lhs`), which builds each section as a Polytope,
 calls `tcm`, and is the reference the batched one is tested against.  The
-per-sample path also keeps what the batched one has no closed-form cone
-for: vertices of 3-dimensional sections and of plane sections in R^4, and
-j = d = n.
+per-sample path also keeps what the batched one has no closed form for:
+vertices of 3-dimensional sections, whose cones need not be orthogonal
+sums, j = d = n, and j = d = 3 < n.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coeffs import c_norm, d_coeff
-from .conemoment import _arc_ends, _arc_moment, _lune_moment, _product_cone_moment
+from .conemoment import _arc_ends, _cone_moment
 from .flats import _BATCH, random_rotation, sample_flats_hitting, sample_motions_coupling
 from .measures import tcm, valuation, MeasureIndex
 from .polytope import (DIRECTION_TOL, GeometryError, GrazingIntersectionError, Polytope, Region,
@@ -199,10 +199,9 @@ def _batched(n, d, j, l):
     sections in R^n: d <= 3, and one of its four face kinds: the facets of
     the section (j = d - 1), a segment or polygon itself (j = d < n, d <= 2),
     or polygon vertices and polyhedron edges, whose normal cone is an arc
-    crossed with at most one line (j = d - 2, n - d <= 1); points carry no
+    crossed with the section's complement (j = d - 2); points carry no
     Q(F)^l."""
-    return (d <= 3 and (l == 0 or j > 0)
-            and (j == d - 1 or j == d < min(n, 3) or (j == d - 2 and n - d <= 1)))
+    return d <= 3 and (l == 0 or j > 0) and (j in (d - 1, d - 2) or j == d < min(n, 3))
 
 
 def _unit(g, h):
@@ -269,14 +268,6 @@ def _edge_lines(g, h, pairs):
     p = (((hf - cos * ha) * scale ** 2)[..., None] * gf
          + ((ha - cos * hf) * scale ** 2)[..., None] * ga)
     return p, c * scale[..., None], cos, sin
-
-
-def _arcs(n, s, pa, pb, ends, W):
-    """The moment of the arcs {cos t pa + sin t pb} (`_arc_moment`), crossed
-    with W's line where the complement W (k, n, n - d) has one."""
-    if W.shape[-1] == 0:
-        return _arc_moment(n, s, pa, pb, ends)
-    return _lune_moment(n, s, pa, pb, ends, W[:, :, 0])
 
 
 def _section_lhs(n, j, r, s, l, N, sections, weight, slack):
@@ -365,7 +356,7 @@ def _section_lhs(n, j, r, s, l, N, sections, weight, slack):
             np.add.at(moments, of, triangles.data)
             i, f = np.divmod(key, F)
             rays = B[i] @ g[i, f, :, None] if d == 3 else np.zeros((n, 0))
-            vals = _product_cone_moment(n, s, rays, W[i]) * SymTensor(n, r, moments)
+            vals = _cone_moment(n, s, rays, W[i]) * SymTensor(n, r, moments)
             if l:           # Q(F): the section's span, less the face normal at d = 3
                 span = vector_power(np.swapaxes(B[i], 1, 2), 2).sum(axis=(1,))
                 if d == 3:
@@ -378,10 +369,11 @@ def _section_lhs(n, j, r, s, l, N, sections, weight, slack):
                 ga, gb, c = g[i, pairs[0, f]], g[i, pairs[1, f]], cos[i, f]
                 pa = np.einsum("kij,kj->ki", B[i], ga)
                 pb = np.einsum("kij,kj->ki", B[i], gb - c[:, None] * ga) / sin[i, f, None]
-                cones = _arcs(n, s, pa, pb, _arc_ends(0.0 * c, np.arctan2(sin[i, f], c)), W[i])
+                cones = _cone_moment(n, s, np.zeros((n, 0)), W[i],
+                                     (pa, pb, _arc_ends(0.0 * c, np.arctan2(sin[i, f], c))))
             else:
                 rays = np.einsum("kij,kj->ki", B[i], g[i, f])[..., None] if d == 2 else np.zeros((n, 0))
-                cones = _product_cone_moment(n, s, rays, W[i])
+                cones = _cone_moment(n, s, rays, W[i])
             vals = (cones * vector_power(direction, 2 * l)).scale(hi[i, f] - lo[i, f])
             if r:
                 ends = [q[i] + np.einsum("kic,kc->ki", B[i], p[i, f] + t[i, f, None] * e[i, f])
@@ -400,12 +392,13 @@ def _section_lhs(n, j, r, s, l, N, sections, weight, slack):
                 i, f, y = i[inside], f[inside], y[inside]
             if d == 1:      # the ray of the bounding row, and W
                 ray = np.einsum("kij,kj->ki", B[i], g[i, f])
-                cones = _product_cone_moment(n, s, ray[..., None], W[i])
+                cones = _cone_moment(n, s, ray[..., None], W[i])
             else:           # the arc from g_f to the bounding row's normal (+ W)
                 theta = np.arctan2(g[..., 1], g[..., 0])
                 start = theta[i, f]
                 turn = np.mod(theta[i, hi_row[i, f]] - start, 2.0 * math.pi)
-                cones = _arcs(n, s, B[i, :, 0], B[i, :, 1], _arc_ends(start, start + turn), W[i])
+                cones = _cone_moment(n, s, np.zeros((n, 0)), W[i],
+                                     (B[i, :, 0], B[i, :, 1], _arc_ends(start, start + turn)))
             vals = cones * (vector_power(q[i] + np.einsum("kic,kc->ki", B[i], y), r) if r
                             else np.ones(len(i)))
         starts = np.flatnonzero(np.diff(i, prepend=-1))                 # i is sorted by sample

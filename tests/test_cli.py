@@ -64,11 +64,27 @@ class TestUsage:
              "crofton-margin-negative", "kinematic-dimensions-differ",
              "kinematic-margin-negative", "steiner-eps-negative"])
     def test_index_out_of_range(self, capsys, argv):
-        # coeff and independence draw no samples
-        samples = [] if argv[0] in ("coeff", "independence") else ["--samples", "10"]
+        # coeff, independence and measure draw no samples
+        samples = [] if argv[0] in ("coeff", "independence", "measure") else ["--samples", "10"]
         assert main(argv + samples) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
+
+
+class TestFlags:
+    """Each command takes only the flags it reads."""
+
+    @pytest.mark.parametrize("argv", [
+        ["measure", "--builtin", "cube2", "--j", "1", "--samples", "5"],
+        ["measure", "--builtin", "cube2", "--j", "1", "--margin", "0.5"],
+        ["steiner-check", "--builtin", "cube2", "--eps", "0.5", "--budget", "100"],
+        ["steiner-check", "--builtin", "cube2", "--eps", "0.5", "--margin", "0.5"]],
+        ids=["measure-samples", "measure-margin", "steiner-budget", "steiner-margin"])
+    def test_unread_flags_are_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestMeasure:

@@ -7,7 +7,7 @@ import pytest
 
 from tensorgeo.coeffs import (alpha, c_norm, cor38_coeff, d_coeff, iota, kappa_coeff,
                               lambda_coeff, thm31_coeff)
-from tensorgeo.conemoment import _arc_ends, _arc_moment, _lune_moment, _product_cone_moment
+from tensorgeo.conemoment import _arc_ends, _arc_moment
 import tensorgeo.flats as flats_module
 import tensorgeo.verify as verify_module
 from tensorgeo.flats import random_rotation, sample_flats_hitting, sample_motions_coupling
@@ -29,6 +29,8 @@ from tensorgeo.verify import (
     kinematic_verify,
     steiner_check,
 )
+
+from test_conemoment import _lune_per_integral, _product_cone_moment
 
 
 class TestCroftonRhsStructure:
@@ -241,10 +243,12 @@ class TestKernelsAgainstGenericPath:
         ("cube2", dict(k=1, j=0, r=1, s=2)), ("cube3", dict(k=1, j=0, r=2, s=1)),
         ("cube4", dict(k=1, j=1, s=2)), ("cube3", dict(k=2, j=0, s=2)),
         ("cube3", dict(k=2, j=0, r=1, s=3)), ("simplex3", dict(k=2, j=0, s=2)),
-        ("cube4", dict(k=2, j=1, s=2, l=1))])
+        ("cube4", dict(k=2, j=1, s=2, l=1)), ("cube4", dict(k=2, j=0, s=2)),
+        ("cube4", dict(k=2, j=0, r=1, s=1))])
     def test_more_line_and_plane_sections(self, body, cfg):
         """Line endpoints with r > 0, lines in R^4, plane-section vertices
-        (lunes) and edges of plane sections in R^4."""
+        (lunes in R^3, arcs plus a plane in R^4) and edges of plane sections
+        in R^4."""
         P = _BODIES[body]()
         fast = crofton_lhs(P, samples=200, seed=25, **cfg)
         slow = _crofton_reference(P, samples=200, seed=25, **cfg)
@@ -447,9 +451,8 @@ def _dense_section_lhs(n, j, r, s, l, B, W, q, g, h, weight, slack):
         start = np.where(delta <= math.pi, theta[..., 0], theta[..., 1])
         end = start + np.where(feas, np.minimum(delta, 2.0 * math.pi - delta), 0.0)
         pa, pb = B[:, None, :, 0], B[:, None, :, 1]
-        ends = _arc_ends(start, end)
-        cones = (_arc_moment(n, s, pa, pb, ends) if n == d
-                 else _lune_moment(n, s, pa, pb, ends, W[:, None, :, 0]))
+        cones = (_arc_moment(n, s, pa, pb, _arc_ends(start, end)) if n == d
+                 else _lune_per_integral(n, s, pa, pb, start, end, W[:, None, :, 0]))
         vals = (cones * vr).sum(axis=1)
     rank = r + s + 2 * l
     values = np.broadcast_to(vals.data, (N, len(multi_degrees(n, rank))))
@@ -544,28 +547,28 @@ class TestFacesThatExist:
             monkeypatch.setattr(verify_module, name, moment)
 
         monkeypatch.setattr(verify_module, "_clip_lines", clip)
-        recording("_arc_moment", lambda n, s, pa, pb, ends: len(pa))
-        recording("_lune_moment", lambda n, s, pa, pb, ends, w: len(pa))
-        recording("_product_cone_moment", lambda n, s, rays, sub: len(sub))
+        # the complement W (rows, n, n - d) is batched for every kind; the
+        # kind is "arc", or the number of rays
+        recording("_cone_moment", lambda n, s, rays, W, arc=None: (
+            "arc" if arc is not None else rays.shape[-1], len(W)))
         monkeypatch.setattr(verify_module, "_BATCH", 50)
         return blocks, cones
 
-    @pytest.mark.parametrize("run, moment, faces", [
+    @pytest.mark.parametrize("run, kind, faces", [
         (lambda: kinematic_lhs(cube(2), _hexagon(0.4, [0.3, -0.2]), 0, s=2, samples=200, seed=35),
-         "_arc_moment", "vertices"),
-        (lambda: crofton_lhs(cube(3), 2, 0, s=2, samples=200, seed=35), "_lune_moment", "vertices"),
-        (lambda: crofton_lhs(_BODIES["simplex3"](), 2, 1, s=2, samples=200, seed=35),
-         "_product_cone_moment", "facets"),
-        (lambda: crofton_lhs(cube(3), 1, 0, r=1, s=2, samples=200, seed=35),
-         "_product_cone_moment", "facets"),
-        (lambda: crofton_lhs(cube(3), 1, 1, s=2, samples=200, seed=35),
-         "_product_cone_moment", "hits")])
-    def test_cone_moments_receive_only_faces_that_exist(self, monkeypatch, run, moment, faces):
+         "arc", "vertices"),
+        (lambda: crofton_lhs(cube(3), 2, 0, s=2, samples=200, seed=35), "arc", "vertices"),
+        (lambda: crofton_lhs(cube(4), 2, 0, s=2, samples=200, seed=35), "arc", "vertices"),
+        (lambda: crofton_lhs(_BODIES["simplex3"](), 2, 1, s=2, samples=200, seed=35), 1, "facets"),
+        (lambda: crofton_lhs(cube(3), 1, 0, r=1, s=2, samples=200, seed=35), 1, "facets"),
+        (lambda: crofton_lhs(cube(3), 1, 1, s=2, samples=200, seed=35), 0, "hits")],
+        ids=["motion", "plane3", "plane4", "simplex-edges", "line-ends", "segments"])
+    def test_cone_moments_receive_only_faces_that_exist(self, monkeypatch, run, kind, faces):
         blocks, cones = self._record(monkeypatch)
         run()
         assert len(blocks) == 4
-        assert [rows for name, rows in cones] == [block[faces] for block in blocks]
-        assert {name for name, _ in cones} == {moment}
+        assert [rows for _, (_, rows) in cones] == [block[faces] for block in blocks]
+        assert {got for _, (got, _) in cones} == {kind}
 
     def test_blocks_without_a_hit(self, monkeypatch):
         """Blocks of 7 samples, some of which hit nothing, give the estimate
@@ -715,13 +718,16 @@ class TestOneSection:
 class TestSampleCount:
     P2 = cube(2).transformed(random_rotation(stream(9, 0), 2), np.array([0.2, 0.1]))
 
-    # generic: an index the batched path does not take (plane-section
-    # vertices in R^4, or j = d = n)
+    # generic: an index the batched path does not take (vertices of
+    # 3-dimensional sections, or j = d = n)
     @pytest.mark.parametrize("samples", [0, -3])
     @pytest.mark.parametrize("generic", [False, True])
     def test_crofton_lhs_needs_a_sample(self, samples, generic):
         with pytest.raises(ValueError, match="at least one sample"):
-            crofton_lhs(cube(4) if generic else cube(3), 2, 1 - int(generic), samples=samples)
+            if generic:
+                crofton_lhs(cube(4), 3, 0, samples=samples)
+            else:
+                crofton_lhs(cube(3), 2, 1, samples=samples)
 
     @pytest.mark.parametrize("samples", [0, -3])
     @pytest.mark.parametrize("generic", [False, True])
@@ -802,6 +808,8 @@ class TestRouting:
         kinematic_lhs(cube(3), _turned_cube3(), 2, region=_WINDOWS["box3"], samples=5, seed=1)
         crofton_lhs(cube(3), 2, 2, l=1, samples=5, seed=1)
         crofton_lhs(cube(4), 2, 2, s=2, samples=5, seed=1)
+        # plane-section vertices in R^4: arcs plus the section's complement
+        crofton_lhs(cube(4), 2, 0, s=2, samples=5, seed=1)
 
     def test_the_rest_reaches_the_generic_path(self, monkeypatch):
         Generic = self._refuse_generic(monkeypatch)
@@ -809,7 +817,6 @@ class TestRouting:
         cases = [
             lambda: kinematic_lhs(cube(3), cube(3), 0, samples=5, seed=1),
             lambda: kinematic_lhs(cube(2), P2, 2, samples=5, seed=1),
-            lambda: crofton_lhs(cube(4), 2, 0, s=2, samples=5, seed=1),
             lambda: kinematic_lhs(cube(3), _turned_cube3(), 3, samples=5, seed=1),
             lambda: crofton_lhs(cube(4), 3, 3, samples=5, seed=1),
             lambda: crofton_lhs(cube(4), 3, 0, samples=5, seed=1),
