@@ -3,8 +3,9 @@ verification suites, with JSON reports (CSV for coefficient tables).
 
 Exit codes: 0 success / all checks passed, 1 verification failure,
 2 usage error (an argument the library rejects with ValueError, a missing
-file), 3 internal error.  The default seed comes from the
-TENSORGEO_SEED environment variable when set.
+file, a seed outside [0, 2^64)), 3 internal error.  The default seed comes
+from the TENSORGEO_SEED environment variable when set; only the commands
+that take --seed read it.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 from . import coeffs
 from .measures import tcm
 from .polytope import Polytope, Region, builtin_polytope
+from .rng import check_seed
 from .symtensor import multi_degrees
 from .verify import (
     crofton_verify,
@@ -32,8 +34,12 @@ from .verify import (
 SCHEMA_VERSION = 1
 
 
-def _default_seed():
-    return int(os.environ.get("TENSORGEO_SEED", "0"))
+def _seed(text):
+    """A --seed value, or TENSORGEO_SEED's when --seed is absent."""
+    try:
+        return check_seed(int(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer in [0, 2^64)") from None
 
 
 def _load_polytope(args, attr="builtin", file_attr="polytope"):
@@ -117,14 +123,13 @@ def _cmd_measure(args):
 
 
 def _cmd_coeff(args):
-    rows = []
     fam = args.family
+    # m = 0 is always evaluated, so the families themselves reject a negative s
+    ms = range(max(args.s, 0) // 2 + 1)
     if fam == "d":
-        for m in range(args.s // 2 + 1):
-            for i in range(m + 1):
-                rows.append({"i": i, "m": m,
-                             "value": coeffs.d_coeff(args.n, args.j, args.k,
-                                                     args.s, args.l, i, m)})
+        rows = [{"i": i, "m": m, "value": coeffs.d_coeff(args.n, args.j, args.k, args.s,
+                                                          args.l, i, m)}
+                for m in ms for i in range(m + 1)]
         header = ["i", "m", "value"]
     elif fam == "alpha":
         rows = [{"j": args.j, "k": args.k, "value": coeffs.alpha(args.n, args.j, args.k)}]
@@ -133,16 +138,14 @@ def _cmd_coeff(args):
         rows = [{"k": args.k, "s": args.s, "value": coeffs.thm31_coeff(args.n, args.k, args.s)}]
         header = ["k", "s", "value"]
     elif fam == "iota":
-        rows = [{"m": m, "value": coeffs.iota(args.n, args.k, args.s, m)}
-                for m in range(args.s // 2 + 1)]
+        rows = [{"m": m, "value": coeffs.iota(args.n, args.k, args.s, m)} for m in ms]
         header = ["m", "value"]
     elif fam == "lambda":
         rows = [{"m": m, "value": coeffs.lambda_coeff(args.n, args.k, args.s, m)}
-                for m in range(args.s // 2 + 2)]
+                for m in range(len(ms) + 1)]   # m runs to floor(s/2) + 1
         header = ["m", "value"]
     elif fam == "kappa":
-        rows = [{"m": m, "value": coeffs.kappa_coeff(args.n, args.k, args.s, m)}
-                for m in range(args.s // 2 + 1)]
+        rows = [{"m": m, "value": coeffs.kappa_coeff(args.n, args.k, args.s, m)} for m in ms]
         header = ["m", "value"]
     elif fam == "cor38":
         rows = [{"s": args.s, "value": coeffs.cor38_coeff(args.n, args.s)}]
@@ -219,7 +222,7 @@ def _cmd_steiner(args):
 def _add_common(sp, samples=None, budget=True, margin=True):
     # --samples where the command samples (with this default), --budget where
     # its exact side may sample cone moments, --margin for flats and motions
-    sp.add_argument("--seed", type=int, default=_default_seed())
+    sp.add_argument("--seed", type=_seed, default=os.environ.get("TENSORGEO_SEED", "0"))
     if samples:
         sp.add_argument("--samples", type=int, default=samples)
     if budget:
@@ -236,7 +239,7 @@ def _add_polytope_args(sp, second=False):
     if second:
         sp.add_argument("--builtin2")
         sp.add_argument("--polytope2")
-        sp.add_argument("--rotate2", type=int, default=None,
+        sp.add_argument("--rotate2", type=_seed, default=None,
                         help="seed for a random rotation+shift of the second body")
 
 
@@ -282,7 +285,7 @@ def build_parser():
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--trials", type=int, default=8)
-    sp.add_argument("--seed", type=int, default=_default_seed())
+    sp.add_argument("--seed", type=_seed, default=os.environ.get("TENSORGEO_SEED", "0"))
     sp.add_argument("--out")
     sp.set_defaults(func=_cmd_independence)
 

@@ -1,20 +1,16 @@
 """Closed-form coefficients of the Crofton and kinematic formulae.
 
-All Gamma arguments are half-integers; boundary cases (k = n, k = j,
-l in {0, 1}) are routed through the continuation rules in `special`
-rather than evaluated at Gamma poles.  The specialised families iota,
+All Gamma arguments are positive half-integers.  The quotients that meet a
+pole of Gamma at the boundaries k = n, k = j and l in {0, 1} are rising
+factorials (a)_m (`special.rising`), so each coefficient is one formula
+that holds at its boundaries too.  The specialised families iota,
 lambda, kappa and the k = 1 coefficient are implemented independently
 of `d_coeff` so that their defining identities are genuine cross-checks.
 """
 
 import math
 
-from .special import (
-    factorial_ratio_continued,
-    gamma_half,
-    gamma_ratio_continued,
-    omega,
-)
+from .special import gamma_half, omega, rising
 
 __all__ = [
     "alpha",
@@ -66,53 +62,47 @@ def c_norm(n, j, r, s, l):
 
 
 def thm31_coeff(n, k, s):
-    """Right-hand-side coefficient of the j = k Crofton formula; for k = n
-    the Gamma ratio degenerates to the indicator of s = 0."""
+    """Right-hand-side coefficient of the j = k Crofton formula,
+    ((n-k)/2)_{s/2} / ((2 pi)^s (s/2)!), and 0 for odd s; at k = n it is
+    the indicator of s = 0."""
     _check_int(n=n, k=k, s=s)
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got {(n, k)}")
+    if not 0 <= k <= n or s < 0:
+        raise ValueError(f"need 0 <= k <= n and s >= 0, got {(n, k, s)}")
     if s % 2 == 1:
         return 0.0
-    base = 1.0 / ((2 * math.pi) ** s * math.factorial(s // 2))
-    if k == n:
-        ratio = gamma_ratio_continued(0, s // 2)
-    else:
-        ratio = gamma_half((n - k + s) / 2) / gamma_half((n - k) / 2)
-    return base * ratio
+    return rising((n - k) / 2, s // 2) / ((2 * math.pi) ** s * math.factorial(s // 2))
 
 
 def d_coeff(n, j, k, s, l, i, m):
     """Coefficient d_{n,j,k}^{s,l,i,m} of the general j < k Crofton formula.
 
-    k = n collapses to the indicator of i = m = 0 (tautological case),
-    and k = j uses the redefined value that absorbs the vanishing of
-    the top-degree volume tensors in the kinematic formula.
+    k = n collapses to the indicator of i = m = 0 (tautological case; the
+    general formula gives it too, up to rounding, as ((n-k)/2)_m = (0)_m),
+    and k = j is `thm31_coeff` at i = m = s/2 and 0 otherwise: the
+    redefined value that absorbs the vanishing of the top-degree volume
+    tensors in the kinematic formula.
     """
     _check_int(n=n, j=j, k=k, s=s, l=l, i=i, m=m)
     if not 0 <= j <= k <= n:
         raise ValueError(f"need 0 <= j <= k <= n, got {(n, j, k)}")
-    if i < 0 or not 0 <= m <= s // 2:
-        raise ValueError(f"need i >= 0 and 0 <= m <= floor(s/2), got i={i} m={m} s={s}")
+    if s < 0 or l < 0 or i < 0 or not 0 <= m <= s // 2:
+        raise ValueError(f"need s, l, i >= 0 and 0 <= m <= floor(s/2), got {(s, l, i, m)}")
     if i > m:
         return 0.0  # binom(m, i) vanishes
     if k == j:
-        if s % 2 == 1 or m != s // 2 or i != s // 2:
-            return 0.0
-        base = 1.0 / ((2 * math.pi) ** s * math.factorial(s // 2))
-        if j == n:
-            return base * gamma_ratio_continued(0, s // 2)
-        return base * gamma_half((n - j + s) / 2) / gamma_half((n - j) / 2)
+        return thm31_coeff(n, j, s) if i == m == s / 2 else 0.0
     if k == n:
         return 1.0 if (i == 0 and m == 0) else 0.0
     sign = -1.0 if i % 2 else 1.0
-    return (
+    # + 0.0 prints a vanishing (l-1)_i (l <= 1 < i + l) as 0.0, never -0.0
+    return 0.0 + (
         sign / ((4 * math.pi) ** m * math.factorial(m))
         * math.comb(m, i) / math.pi ** i
-        * factorial_ratio_continued(l, i)
+        * rising(l - 1, i)
         * alpha(n, j, k)
         * gamma_half((n - k + j) / 2 + 1) / gamma_half((n - k + j + s) / 2 + 1)
         * gamma_half((j + s) / 2 - m + 1) / gamma_half(j / 2 + 1)
-        * gamma_half((n - k) / 2 + m) / gamma_half((n - k) / 2)
+        * rising((n - k) / 2, m)
     )
 
 
@@ -121,8 +111,8 @@ def iota(n, k, s, m):
     _check_int(n=n, k=k, s=s, m=m)
     if not 0 < k < n:
         raise ValueError(f"need 0 < k < n, got {(n, k)}")
-    if not 0 <= m <= s // 2:
-        raise ValueError(f"need 0 <= m <= floor(s/2), got m={m} s={s}")
+    if s < 0 or not 0 <= m <= s // 2:
+        raise ValueError(f"need s >= 0 and 0 <= m <= floor(s/2), got s={s} m={m}")
     return (
         1.0 / ((4 * math.pi) ** m * math.factorial(m))
         * gamma_half(n / 2) * gamma_half((k + s + 1) / 2 - m) * gamma_half((n - k) / 2 + m)
@@ -136,8 +126,8 @@ def lambda_coeff(n, k, s, m):
     _check_int(n=n, k=k, s=s, m=m)
     if not 1 < k < n:
         raise ValueError(f"need 1 < k < n, got {(n, k)}")
-    if not 0 <= m <= s // 2 + 1:
-        raise ValueError(f"need 0 <= m <= floor(s/2) + 1, got m={m} s={s}")
+    if s < 0 or not 0 <= m <= s // 2 + 1:
+        raise ValueError(f"need s >= 0 and 0 <= m <= floor(s/2) + 1, got s={s} m={m}")
     if m == 0:
         return (
             -4 * math.pi ** 2 * (s + 2) / (n - 1)
@@ -167,8 +157,8 @@ def kappa_coeff(n, k, s, m):
     _check_int(n=n, k=k, s=s, m=m)
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got {(n, k)}")
-    if not 0 <= m <= s // 2:
-        raise ValueError(f"need 0 <= m <= floor(s/2), got m={m} s={s}")
+    if s < 0 or not 0 <= m <= s // 2:
+        raise ValueError(f"need s >= 0 and 0 <= m <= floor(s/2), got s={s} m={m}")
     if s % 2 == 1 and m == (s - 1) // 2:
         h = (s - 1) // 2
         return (

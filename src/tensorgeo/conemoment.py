@@ -175,6 +175,8 @@ def cone_sphere_moment(cone, s, budget=20000, seed=0):
     """Rank-s spherical moment tensor of a normal cone; exact whenever one
     of the closed-form geometries applies (`_closed_forms` on a batch of
     one), Monte-Carlo otherwise."""
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
     n = cone.lin_frame.shape[0]
     moment, method = _closed_forms(s, cone.rays[None], cone.lineality)
     if method[0] == "monte-carlo":

@@ -7,9 +7,10 @@ the face's normal cone, in a few array passes per level of faces: face
 moments from the body's lattice and window clip, Q(F) from the level's
 frames, and cone moments from one classifier call per level, exact for
 orthogonal sums of rays, lines and one arc (every face of a polygon or a
-box) and sampled otherwise.  The top index j = n is the volume case.
-Both constant factors are kept literally (they cancel for 0 < j < n), so
-j = 0 and j = n need no separate code path.
+box) and sampled otherwise.  Both constant factors are kept literally
+(they cancel for 0 < j < n), so j = 0 needs no separate code path.  The
+top index j = n is the volume case and has its own short branch: the
+body's moment times Q^l, with no faces or cones.
 
 Lower-dimensional polytopes (flat sections) evaluate through the same
 face sum: their top face is the polytope itself, whose normal cone is
@@ -72,8 +73,10 @@ def tcm(P, j, r=0, s=0, l=0, region=None, budget=20000, seed=0):
     """The measure phi_j^{r,s,l}(P, region) as a rank r+s+2l tensor.
 
     Out-of-range indices return the zero tensor (the measures are
-    extended by zero); j = n requires s = 0.
-    """
+    extended by zero); j = n requires s = 0.  `budget` (directions per
+    sampled cone) must be at least 1."""
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
     n = P.dim
     rank = r + s + 2 * l
     zero = MeasureValue(SymTensor.zero(n, rank), SymTensor.zero(n, rank), 0, 0)

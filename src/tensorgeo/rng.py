@@ -7,20 +7,29 @@ reproducible bit for bit given (seed, budget) and independent of how work
 is chunked.  Purpose 0, the default, is what the flat, motion and
 Steiner samplers draw from; cone-moment sampling takes one purpose word
 per face from `purpose_key`, so no two of these read the same numbers.
+Seeds are integers in [0, 2^64), the range of one Philox key word.
 """
 
 import hashlib
 
 import numpy as np
 
-__all__ = ["stream", "purpose_key"]
+__all__ = ["stream", "purpose_key", "check_seed"]
 
 _BLOCK = 1 << 40  # counter states reserved per index; far above any batch use
+
+
+def check_seed(seed):
+    """`seed` itself; ValueError unless it lies in [0, 2^64)."""
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
+    return seed
 
 
 def stream(seed, index=0, purpose=0):
     """Generator for sample block `index` of the stream keyed by `seed` and
     `purpose`."""
+    check_seed(seed)
     bg = np.random.Philox(key=np.array([np.uint64(seed), np.uint64(purpose)]))
     bg.advance(int(index) * _BLOCK)
     return np.random.Generator(bg)

@@ -70,6 +70,55 @@ class TestUsage:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv", [
+        ["coeff", "d", "--n", "3", "--j", "1", "--k", "2", "--s", "-2"],
+        ["coeff", "d", "--n", "3", "--j", "1", "--k", "2", "--s", "2", "--l", "-1"],
+        ["coeff", "iota", "--n", "3", "--k", "2", "--s", "-1"],
+        ["coeff", "kappa", "--n", "3", "--k", "2", "--s", "-2"],
+        ["coeff", "lambda", "--n", "4", "--k", "2", "--s", "-2"],
+        ["coeff", "thm31", "--s", "-2"],
+        ["measure", "--builtin", "simplex3", "--j", "0", "--budget", "0"],
+        ["measure", "--builtin", "simplex3", "--j", "0", "--budget", "-5"]],
+        ids=["d-s", "d-l", "iota-s", "kappa-s", "lambda-s", "thm31-s", "budget-0",
+             "budget-negative"])
+    def test_negative_s_l_and_budget_below_one(self, capsys, argv):
+        # the tables must not print a bare header or -0.0, nor may a budget
+        # below one leave each sampled cone to the 1 / _RATE_FLOOR escalation
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["measure", "--builtin", "simplex3", "--j", "0"],
+        ["crofton-verify", "--builtin", "cube2", "--k", "1", "--j", "0", "--samples", "10"],
+        ["kinematic-verify", "--builtin", "cube2", "--builtin2", "cube2", "--samples", "10"],
+        ["steiner-check", "--builtin", "cube2", "--samples", "10"],
+        ["independence", "--n", "2", "--p", "2"]],
+        ids=["measure", "crofton", "kinematic", "steiner", "independence"])
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "abc", "env:-1", "env:abc"])
+    def test_seed_outside_key_word(self, capsys, monkeypatch, argv, seed):
+        # a seed keys one 64-bit Philox word; a bad TENSORGEO_SEED is a usage
+        # error of the commands that take --seed, not of building the parser
+        if seed.startswith("env:"):
+            monkeypatch.setenv("TENSORGEO_SEED", seed[4:])
+        else:
+            argv = argv + ["--seed", seed]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_commands_without_a_seed_ignore_the_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("TENSORGEO_SEED", "abc")
+        code, out = run(capsys, "coeff", "alpha", "--n", "3", "--j", "1", "--k", "2")
+        assert code == 0 and out.startswith("j,k,value")
+
+    def test_rotate2_outside_key_word(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["kinematic-verify", "--builtin", "cube2", "--builtin2", "cube2",
+                  "--rotate2", "-1", "--samples", "10"])
+        assert exc.value.code == 2
+
 
 class TestFlags:
     """Each command takes only the flags it reads."""

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gamma, poch
 
 from tensorgeo.coeffs import (
     alpha,
@@ -40,6 +41,87 @@ def d_oracle(n, j, k, s, l, i, m):
             * gamma_quad((n - k + j) / 2 + 1) / gamma_quad((n - k + j + s) / 2 + 1)
             * gamma_quad((j + s) / 2 - m + 1) / gamma_quad(j / 2 + 1)
             * gamma_quad((n - k) / 2 + m) / gamma_quad((n - k) / 2))
+
+
+def thm31_poch_oracle(n, k, s):
+    """Theorem 3.1's coefficient Gamma((n-k+s)/2) / (Gamma((n-k)/2) (2 pi)^s
+    (s/2)!) with scipy's Pochhammer symbol for the Gamma quotient, which
+    meets the pole Gamma(0) at k = n; 0 for odd s."""
+    if s % 2:
+        return 0.0
+    return poch((n - k) / 2, s // 2) / ((2 * math.pi) ** s * math.factorial(s // 2))
+
+
+def d_poch_oracle(n, j, k, s, l, i, m):
+    """d from the paper's Gamma product, with scipy's Gamma and Pochhammer
+    symbol: (l-1)_i and ((n-k)/2)_m are the two quotients that meet a pole
+    (at l in {0, 1} and at k = n), and every other Gamma argument is
+    positive.  k = j takes the redefined value, Theorem 3.1's coefficient
+    at i = m = s/2 and 0 otherwise."""
+    if i > m:
+        return 0.0
+    if k == j:
+        return thm31_poch_oracle(n, j, s) if 2 * i == 2 * m == s else 0.0
+    al = (gamma((n - k + j + 1) / 2) * gamma((k + 1) / 2)
+          / (gamma((n + 1) / 2) * gamma((j + 1) / 2)))
+    return ((-1) ** i / ((4 * math.pi) ** m * math.factorial(m))
+            * math.comb(m, i) / math.pi ** i * poch(l - 1, i) * al
+            * gamma((n - k + j) / 2 + 1) / gamma((n - k + j + s) / 2 + 1)
+            * gamma((j + s) / 2 - m + 1) / gamma(j / 2 + 1)
+            * poch((n - k) / 2, m))
+
+
+def assert_matches_oracle(value, expected, case):
+    """Within 1e-12 relative; an oracle value of exactly 0 (as +0.0, which
+    the CLI prints as 0.0), or 1 up to its rounding, must come out exactly."""
+    if expected == 0.0:
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0, case
+    elif expected == pytest.approx(1.0, rel=1e-12):
+        assert value == 1.0, case
+    else:
+        assert value == pytest.approx(expected, rel=1e-12), case
+
+
+class TestBoundariesAgainstPochhammerOracle:
+    """Every boundary of the coefficients: k = n, k = j (j < n and j = n)
+    and l in {0, 1}, for n <= 6 and s <= 8."""
+
+    def test_d_values(self):
+        count = 0
+        for n in range(1, 7):
+            for k in range(n + 1):
+                for j in range(k + 1):
+                    for s in range(9):
+                        for l in (0, 1, 2):
+                            for m in range(s // 2 + 1):
+                                for i in range(m + 2):
+                                    case = (n, j, k, s, l, i, m)
+                                    assert_matches_oracle(d_coeff(*case), d_poch_oracle(*case),
+                                                          case)
+                                    count += 1
+        assert count > 10000
+
+    def test_thm31_values(self):
+        for n in range(1, 7):
+            for k in range(n + 1):
+                for s in range(9):
+                    assert_matches_oracle(thm31_coeff(n, k, s), thm31_poch_oracle(n, k, s),
+                                          (n, k, s))
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("call", [
+        lambda: d_coeff(3, 1, 2, 2, -1, 1, 0),      # rejected before the i > m zero
+        lambda: d_coeff(3, 1, 2, -2, 0, 0, 0),
+        lambda: thm31_coeff(3, 1, -2),
+        lambda: thm31_coeff(3, 1, -1),
+        lambda: iota(3, 2, -1, 0),
+        lambda: lambda_coeff(4, 2, -2, 0),          # its (s + 2) factor vanishes
+        lambda: kappa_coeff(3, 2, -2, 0)],
+        ids=["d-l", "d-s", "thm31-even-s", "thm31-odd-s", "iota-s", "lambda-s", "kappa-s"])
+    def test_negative_s_or_l_raises(self, call):
+        with pytest.raises(ValueError, match="s >= 0|l, i >= 0"):
+            call()
 
 
 class TestAgainstQuadratureOracle:
@@ -161,11 +243,15 @@ class TestStructuralIdentities:
             assert d_coeff(4, j, 4, 4, 0, 0, 2) == 0.0
 
     def test_k_equals_j_redefinition_matches_thm31(self):
+        # d_coeff takes its k = j values from thm31_coeff, so both are
+        # compared with the scipy oracle of Theorem 3.1's coefficient
         for n in range(2, 6):
             for j in range(1, n):
                 for s in (0, 2, 4):
+                    expected = thm31_poch_oracle(n, j, s)
                     assert d_coeff(n, j, j, s, 0, s // 2, s // 2) == pytest.approx(
-                        thm31_coeff(n, j, s), rel=1e-12)
+                        expected, rel=1e-12)
+                    assert thm31_coeff(n, j, s) == pytest.approx(expected, rel=1e-12)
                 for s in (1, 3):
                     assert d_coeff(n, j, j, s, 0, s // 2, s // 2) == 0.0
 

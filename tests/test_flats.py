@@ -23,6 +23,16 @@ def _hits(P, batch):
     return (side.min(axis=1) <= 0) & (side.max(axis=1) >= 0)
 
 
+class TestStream:
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_outside_key_word_raises(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            stream(seed)
+
+    def test_largest_seed(self):
+        assert stream(2 ** 64 - 1).random() != stream(0).random()
+
+
 class TestRandomRotation:
     def test_orthogonal_det_one(self):
         rng = stream(0, 0)

@@ -188,6 +188,18 @@ class TestConeMomentCache:
         assert a.tensor.max_abs_coordinate_diff(b.tensor) > 0.0
         assert tcm(S, 0, s=2, budget=500, seed=1).tensor.max_abs_coordinate_diff(a.tensor) == 0.0
 
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_raises(self, budget):
+        # such a budget would leave each sampled cone to the 1 / _RATE_FLOOR
+        # escalation; a cube, whose cones are all exact, is rejected too
+        S = simplex(3)
+        with pytest.raises(ValueError, match="budget"):
+            tcm(S, 0, s=2, budget=budget)
+        with pytest.raises(ValueError, match="budget"):
+            tcm(cube(3), 0, budget=budget)
+        with pytest.raises(ValueError, match="budget"):
+            cone_sphere_moment(S.normal_cone(S.faces(0)[0]), 2, budget=budget)
+
 
 def _windowed(body):
     """The body with a box window cutting it by two planes."""

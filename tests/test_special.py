@@ -2,15 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gamma as sc_gamma
+from scipy.special import gamma as sc_gamma, poch
 
-from tensorgeo.special import (
-    factorial_ratio_continued,
-    gamma_half,
-    gamma_ratio_continued,
-    kappa_ball,
-    omega,
-)
+from tensorgeo.special import gamma_half, kappa_ball, omega, rising
 
 
 class TestGammaHalf:
@@ -37,48 +31,64 @@ class TestGammaHalf:
 
 
 class TestGammaRatioContinued:
-    # gamma_ratio_continued(c, m) is the continued value of Gamma(-c+m)/Gamma(-c)
+    """The continued value of Gamma(-c+m)/Gamma(-c), c >= 0 a half-integer,
+    is the rising factorial (-c)_m: (-1)^m Gamma(c+1)/Gamma(c-m+1), where
+    1/Gamma at a pole is 0."""
 
     def test_half_odd_matches_scipy(self):
         # no pole is involved for half-odd c: compare against direct Gamma
         for c in (0.5, 1.5, 2.5):
             for m in range(5):
                 expected = sc_gamma(-c + m) / sc_gamma(-c)
-                assert gamma_ratio_continued(c, m) == pytest.approx(expected, rel=1e-11), (c, m)
+                assert rising(-c, m) == pytest.approx(expected, rel=1e-11), (c, m)
 
     def test_integer_c_below_m_vanishes(self):
         # 1 / Gamma at a nonpositive integer is zero, so the ratio vanishes
-        assert gamma_ratio_continued(0, 1) == 0.0
-        assert gamma_ratio_continued(1, 2) == 0.0
-        assert gamma_ratio_continued(2, 5) == 0.0
+        assert rising(0, 1) == 0.0
+        assert rising(-1, 2) == 0.0
+        assert rising(-2, 5) == 0.0
 
     def test_integer_c_at_or_above_m(self):
         # (-1)^m Gamma(c+1)/Gamma(c-m+1)
-        assert gamma_ratio_continued(1, 1) == -1.0
-        assert gamma_ratio_continued(3, 2) == 6.0
-        assert gamma_ratio_continued(2, 1) == -2.0
+        assert rising(-1, 1) == -1.0
+        assert rising(-3, 2) == 6.0
+        assert rising(-2, 1) == -2.0
 
     def test_m_zero_is_one(self):
-        assert gamma_ratio_continued(0, 0) == 1.0
-        assert gamma_ratio_continued(2.5, 0) == 1.0
+        assert rising(0, 0) == 1.0
+        assert rising(-2.5, 0) == 1.0
 
 
 class TestFactorialRatioContinued:
+    """(i + l - 2)! / (l - 2)! = Gamma(i + l - 1)/Gamma(l - 1) is the rising
+    factorial (l - 1)_i, which continues it to l in {0, 1}."""
+
     def test_generic(self):
-        # (i + l - 2)! / (l - 2)!
-        assert factorial_ratio_continued(3, 2) == math.factorial(3) / math.factorial(1)
-        assert factorial_ratio_continued(4, 0) == 1.0
+        assert rising(3 - 1, 2) == math.factorial(3) / math.factorial(1)
+        assert rising(4 - 1, 0) == 1.0
 
     def test_l_one(self):
-        assert factorial_ratio_continued(1, 0) == 1.0
-        assert factorial_ratio_continued(1, 1) == 0.0
-        assert factorial_ratio_continued(1, 2) == 0.0
+        assert rising(0, 0) == 1.0
+        assert rising(0, 1) == 0.0
+        assert rising(0, 2) == 0.0
 
     def test_l_zero(self):
-        assert factorial_ratio_continued(0, 0) == 1.0
-        assert factorial_ratio_continued(0, 1) == -1.0
-        assert factorial_ratio_continued(0, 2) == 0.0
-        assert factorial_ratio_continued(0, 5) == 0.0
+        assert rising(-1, 0) == 1.0
+        assert rising(-1, 1) == -1.0
+        assert rising(-1, 2) == 0.0
+        assert rising(-1, 5) == 0.0
+
+
+class TestRising:
+    def test_matches_scipy_poch(self):
+        for a in (0.5, 1, 1.5, 2, 3.5, 7):
+            for m in range(8):
+                assert rising(a, m) == pytest.approx(poch(a, m), rel=1e-14), (a, m)
+
+    @pytest.mark.parametrize("m", [-1, 1.5])
+    def test_bad_m_raises(self, m):
+        with pytest.raises(ValueError):
+            rising(1.5, m)
 
 
 class TestOmegaKappa:
