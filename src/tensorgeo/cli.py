@@ -25,6 +25,7 @@ from .polytope import Polytope, Region, builtin_polytope
 from .rng import check_seed
 from .symtensor import multi_degrees
 from .verify import (
+    _check_orders,
     crofton_verify,
     independence_rank,
     kinematic_verify,
@@ -101,7 +102,8 @@ def _json_default(obj):
 
 def _cmd_measure(args):
     P = _load_polytope(args)
-    _check_indices(args.j, P.dim, P.dim)   # tcm extends by zero in r, s and l
+    _check_indices(args.j, P.dim, P.dim)   # tcm extends by zero in s and l past their range
+    _check_orders(args.r, args.s, args.l)
     region = _load_region(args.region)
     mv = tcm(P, args.j, args.r, args.s, args.l, region=region,
              budget=args.budget, seed=args.seed)
@@ -179,7 +181,7 @@ def _cmd_kinematic(args):
     P = _load_polytope(args)
     P2 = _load_polytope(args, attr="builtin2", file_attr="polytope2")
     _check_indices(args.j, P.dim, P.dim, args.l)
-    if args.rotate2:
+    if args.rotate2 is not None:
         from .flats import random_rotation
         from .rng import purpose_key, stream
         rng = stream(args.rotate2, 0, purpose_key("rotate2"))

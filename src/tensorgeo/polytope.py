@@ -1,17 +1,16 @@
 """Convex polytopes at desk scale (ambient dimension <= 4, <= ~40 facets).
 
-Vertex and facet enumeration visit every d-subset of the constraints or
-points, in lexicographic order, in blocks of at most 1024, each behind a
-closed-form screen (Cramer's rule, cofactor normals) that drops no subset
-the exact path (batched SVD, solve or null vector) keeps, so the result is
-that of the exact path alone, bit for bit; only a handful of subsets reach
-it (24 of 9880 for 40 points in R^3).  Duplicates then go in one greedy
-pass.  Only vertex input needs the facet search: a halfspace system
-(section, clip, intersection) keeps its rows tight on maximal vertex sets
-as its facets.  A lower-dimensional polytope records its affine hull as
-an origin plus orthonormal frame, keeps its facets in intrinsic
-coordinates, and gives every normal cone the hull's orthogonal complement
-as its lineality space.
+One search finds vertices from every d-subset of a system's rows, in
+lexicographic order, in blocks of at most 1024, each behind a closed-form
+screen (Cramer's rule from cofactors) that drops no subset the exact path
+(batched SVD and solve) keeps, so the result is that of the exact path
+alone, bit for bit; only a handful of subsets reach it (24 of 9880 for 40
+points in R^3).  The facets of a point set are the vertices of its polar;
+a halfspace system (section, clip, intersection) keeps its rows tight on
+maximal vertex sets as its facets.  A lower-dimensional polytope records
+its affine hull as an origin plus orthonormal frame, keeps its facets in
+intrinsic coordinates, and gives every normal cone the hull's orthogonal
+complement as its lineality space.
 
 Each body builds its face lattice once, level by level: every face, the
 body included, with its vertex set, dimension, origin x0 (the vertex
@@ -28,16 +27,20 @@ Tolerances.  Three constants make every geometric decision.
 - SLACK (10^-7) is a length per unit of scale: a body's slack is SLACK
   times its scale, the largest distance of a point from the origin, with
   no floor, so scaled and rotated copies take the same branches.  Its
-  facet search and its faces' ranks use this slack too; the vertex search
-  of a halfspace system measures from the system's origin.  A point within
-  the slack of a plane lies on it (incidence, tight sets, feasibility,
-  support, clips, grazing).  Points span the singular directions along
+  faces' ranks use this slack too.  The vertex search measures from the
+  system's origin: a solution x may lie SLACK |x| outside a unit row, so a
+  facet plane of points centred at their mean may have a point x up to
+  SLACK |x| above it.  A point within the slack of a plane lies on it
+  (incidence, tight sets, support, clips, grazing).  Points span the
+  singular directions along
   which their root-mean-square spread exceeds the slack; then they extend
   more than twice the slack along every direction of their hull, and no
   plane has them all within the slack on both sides.  Points within the
-  slack in the hull's coordinates are one, and so are two vertices of a
-  halfspace system whose residuals differ by at most the slack on every
-  unit row tight at either.  Coordinates carry about 10^-15 relative error.
+  slack in the hull's coordinates are one, and so are two solutions x of
+  the vertex search whose residuals differ by at most SLACK |x| on every
+  unit row tight at either: two facet planes whose distances from each
+  point x differ by about SLACK |x| at most.  Coordinates carry about
+  10^-15 relative error.
 - DIRECTION_TOL (10^-10, in `symtensor`, the lowest module using it)
   decides every test on unit vectors: rows shorter than it are zero, and
   unit vectors within it of parallel, orthogonal or dependent (singular
@@ -101,16 +104,24 @@ class GrazingIntersectionError(GeometryError):
 
 def _first_of_each(values, tol, tight=None):
     """Which rows of `values` to keep, in order: a row goes when within `tol`
-    of an earlier kept one in every column (where either is `tight`)."""
+    (the kept row's, if a column) of an earlier kept one in every column
+    (where either is `tight`).  Rows not yet dropped are compared with all
+    rows as many at a time as fit in about 2^14 entries."""
     dropped = np.zeros(len(values), dtype=bool)
     keep = []
-    for i in range(len(values)):
-        if not dropped[i]:
-            keep.append(i)
-            far = np.abs(values - values[i]) > tol
-            if tight is not None:
-                far &= tight | tight[i]
-            dropped |= ~np.any(far, axis=1)
+    step = max(1, 2 ** 14 // max(1, values.size))
+    tol = np.broadcast_to(tol, (len(values), 1))
+    live = np.arange(min(step, len(values)))
+    while len(live):
+        far = np.abs(values[live, None] - values) > tol[live, None]
+        if tight is not None:
+            far &= tight[live, None] | tight
+        for i, near in zip(live, ~np.any(far, axis=2)):
+            if not dropped[i]:
+                keep.append(int(i))
+                dropped |= near
+        dropped[live] = True
+        live = np.flatnonzero(~dropped)[:step]
     return keep
 
 
@@ -181,7 +192,7 @@ class Polytope:
         # points do not span
         points = points[_first_of_each((points - p0) @ U, slack)]
         X = (points - p0) @ U
-        A, b = _facets_brute_force(X, scale)
+        A, b = _polar_facets(X, scale)
         if d >= 2:
             A, b = _refit_facets(X, A, b, np.abs(X @ A.T - b) <= slack, scale)
         return _on_facets(points, p0, U, A, b, slack)
@@ -547,17 +558,15 @@ class Region:
 
 _BLOCK = 1024  # d-subsets per array pass; bounds the size of the stacks
 _EPS = float(np.finfo(float).eps)
-# The closed-form screen in front of both searches trusts a subset's
-# cofactors only where its cofactor normal or determinant exceeds _DECIDE
-# times the product of its rows' norms; `_facets_brute_force` and
-# `_vertices_brute_force` derive the margins from the exact path's guards.
-# Blocks of fewer than _SCREEN_MIN subsets skip the screen: its fixed cost,
-# some 30 array operations, is then about what it saves on random bodies,
-# and more on cubes and cross-polytopes, where most subsets survive or are
-# singular.
+# The closed-form screen in front of the search trusts a subset's Cramer
+# point only where its determinant exceeds _DECIDE times the product of its
+# rows' norms; `_vertices_brute_force` derives its tests from the exact
+# path's guards.  Blocks of fewer than _SCREEN_MIN subsets skip the screen:
+# its fixed cost, some 30 array operations, is then about what it saves on
+# random bodies, and more on cubes and cross-polytopes, where most subsets
+# survive or are singular.
 _DECIDE = 1 / math.sqrt(_COND_GUARD)
 _SCREEN_MIN = 100
-_FACET_MARGIN = SLACK + 2e3 * _EPS / SLACK       # per unit of scale
 _VERTEX_MARGIN = SLACK + 1e4 * _EPS / _DECIDE    # per unit of |x|
 
 
@@ -575,63 +584,57 @@ def _subset_blocks(m, d):
 
 @functools.lru_cache(maxsize=None)
 def _laplace_plan(r):
-    """Index arrays for the minors of an r x (r + 1) stack, bottom row up:
-    level s holds the s x s minors of the last s rows over the s-subsets S
-    of the columns (lexicographic), each expanded along its top row as the
-    sum over t of (-1)^t D[r - s, S_t] times the level s - 1 minor over S
-    less S_t.  Returns the levels' (columns, lower minors, signs) and where
-    in the last level the minor without column j sits."""
+    """Index arrays for the minors of an r x (r + 1) stack, top row down:
+    level s holds the s x s minors of the first s rows over the s-subsets S
+    of the columns (lexicographic), each expanded along its last row as the
+    sum over t of (-1)^(s-1+t) D[s - 1, S_t] times the level s - 1 minor
+    over S less S_t.  Returns the levels' (columns, lower minors, signs) and
+    where in the last level the minor without column j sits."""
     n = r + 1
     prev = {(c,): c for c in range(n)}
     levels = []
     for s in range(2, r + 1):
         subsets = list(itertools.combinations(range(n), s))
         lower = [[prev[S[:t] + S[t + 1:]] for t in range(s)] for S in subsets]
-        levels.append((np.array(subsets), np.array(lower), (-1.0) ** np.arange(s)))
+        levels.append((np.array(subsets), np.array(lower), (-1.0) ** (s - 1 + np.arange(s))))
         prev = {S: i for i, S in enumerate(subsets)}
     last = [prev[tuple(c for c in range(n) if c != j)] for j in range(n)]
     return levels, np.array(last)
 
 
-def _cofactors(D):
-    """For a stack D (K, r, r + 1) the cofactor vectors c (K, r + 1),
-    c_j = (-1)^j det(D without column j), so that D c = 0 and |c| is the
-    r-volume spanned by the rows."""
-    r, n = D.shape[1:]
+def _cofactors(R, idx):
+    """The cofactor vectors c (K, r + 1) of the stacks R[idx] (K, r, r + 1)
+    of r-subsets of R's rows in lexicographic order, c_j = (-1)^j det(R[idx]
+    without column j): R[idx] c = 0 and |c| is the r-volume of the rows.
+    The minors of each run of equal first r - 1 rows are expanded once."""
+    r = idx.shape[1]
     levels, last = _laplace_plan(r)
-    minors = D[:, r - 1]
+    head = np.diff(idx[:, :-1] @ len(R) ** np.arange(r - 1), prepend=-1) != 0
+    first = idx[head]
+    rows = [R.T[:, first[:, s]] for s in range(r - 1)] + [R.T[:, idx[:, -1]]]
+    minors = rows[0]
     for s, (cols, lower, signs) in enumerate(levels, 2):
-        minors = (D[:, r - s][:, cols] * minors[:, lower]) @ signs
-    return minors[:, last] * (-1.0) ** np.arange(n)
+        if s == r:
+            minors = minors[:, np.cumsum(head) - 1]
+        minors = signs @ (rows[s - 1][cols] * minors[lower])
+    return (minors[last] * ((-1.0) ** np.arange(r + 1))[:, None]).T
 
 
-def _may_support(pts, X, scale):
-    """Which stacks of d points `pts` (K, d, d) may span a supporting plane
-    of X: those whose cofactor normal c is too short to trust, and those
-    with all of X within _FACET_MARGIN scale |c| of one side of their plane
-    (`_facets_brute_force` derives the margin)."""
-    D = pts[:, 1:] - pts[:, :1]
-    c = _cofactors(D)
-    size2 = np.einsum("ki,ki->k", c, c)
-    trusted = size2 > _DECIDE ** 2 * np.einsum("kij,kij->ki", D, D).prod(axis=1)
-    side = c @ X.T
-    level = np.einsum("ki,ki->k", c, pts[:, 0])
-    reach = _FACET_MARGIN * scale * np.sqrt(size2)
-    return ~trusted | (side.max(axis=1) - level <= reach) | (side.min(axis=1) - level >= -reach)
-
-
-def _may_be_vertex(M, bM, unit, offset):
-    """Which systems M x = bM (K, d, d) may solve to a vertex of
-    {y : unit y <= offset}: those whose determinant is too small to trust,
-    and those whose Cramer point x meets every row within _VERTEX_MARGIN
-    |x| (`_vertices_brute_force` derives the margin)."""
-    d = M.shape[2]
-    c = _cofactors(np.concatenate([M, bM[..., None]], axis=2))
-    trusted = c[:, d] ** 2 > _DECIDE ** 2 * np.einsum("kij,kij->ki", M, M).prod(axis=1)
-    x = c[trusted, :d] / -c[trusted, d:]
-    reach = _VERTEX_MARGIN * np.linalg.norm(x, axis=1)
-    keep = ~trusted
-    keep[trusted] = (x @ unit.T <= offset + reach[:, None]).all(axis=1)
+def _may_be_vertex(Ab, idx, rows):
+    """Which d-subsets `idx` (K, d) of the rows [M | c] of Ab may solve
+    M x = c to a vertex of {y : rows (y, -1) <= 0}, unit rows: those with a
+    trusted determinant and a Cramer point x within _VERTEX_MARGIN |x| of
+    every row, and the rest unless their cofactors prove M singular."""
+    d = idx.shape[1]
+    c = _cofactors(Ab, idx)
+    trusted = c[:, d] ** 2 > _DECIDE ** 2 * np.einsum("ij,ij->i", Ab[:, :d], Ab[:, :d])[idx].prod(axis=1)
+    keep = np.empty(len(idx), dtype=bool)
+    x = c[trusted] / -c[trusted, d:]            # (x, -1)
+    keep[trusted] = np.max(rows @ x.T, axis=0) <= _VERTEX_MARGIN * np.linalg.norm(x[:, :d], axis=1)
+    c, norm2 = c[~trusted], np.einsum("ij,ij->i", Ab, Ab)[idx[~trusted]]
+    size = np.sqrt(norm2.sum(axis=1))
+    keep[~trusted] = (size * (np.abs(c[:, d]) + 1e3 * _EPS * np.sqrt(norm2.prod(axis=1)))
+                      > (DIRECTION_TOL / 2 - 40 * _EPS * size) * np.linalg.norm(c[:, :d], axis=1))
     return keep
 
 
@@ -647,48 +650,29 @@ def _subset_planes(pts, scale):
     return spans, a, h
 
 
-def _facets_brute_force(X, scale):
-    """Facets of a full-dimensional polytope of `scale` given its vertices
-    X in R^d, by supporting-hyperplane search over all d-subsets.
-
-    `_may_support` screens each block first: a subset goes when its
-    cofactor normal c is trusted (|c| > _DECIDE prod |D_i| for its d - 1
-    difference rows D) and points lie more than _FACET_MARGIN scale |c| on
-    both sides of its plane; the rest take the exact path in the same
-    order.  The margin bounds both paths' error in a point's side.  The
-    exact path keeps a plane only when its points span d - 1 singular
-    directions of D, whose singular values then exceed SLACK scale (one is
-    at least sqrt(d) times the spread along it), while |D| <= 3.5 scale
-    (d <= 4); a backward-stable SVD then turns the normal by at most
-    10 d eps |D| / (SLACK scale) <= 140 eps / SLACK, which moves the side of
-    a point within 2 scale by 280 eps / SLACK scale.  A trusted c errs by at
-    most 100 eps prod |D_i|, so by 200 eps / _DECIDE scale in a side.
-    2e3 eps / SLACK scale beside the supporting test's own SLACK scale
-    covers both."""
+def _polar_facets(X, scale):
+    """The facets A y <= b, unit rows, of the hull of the points X, full-
+    dimensional in R^d and centred at an interior point: each vertex a of
+    the polar {a : (X / scale) a <= 1} is the facet y a / |a| <= scale / |a|.
+    They come sorted by their tight points, as a lexicographic subset search
+    meets a simplicial body's facets, and a facet with exactly d tight
+    points takes the plane `_subset_planes` fits through them."""
     m, d = X.shape
     if d == 0:
         return np.zeros((0, 0)), np.zeros(0)
-    if d == 1:
-        lo, hi = float(np.min(X[:, 0])), float(np.max(X[:, 0]))
-        return np.array([[1.0], [-1.0]]), np.array([hi, -lo])
-    bound = SLACK * scale
-    cand = [np.zeros((0, d + 1))]
-    for idx in _subset_blocks(m, d):
-        pts = X[idx]
-        if len(pts) >= _SCREEN_MIN:
-            pts = pts[_may_support(pts, X, scale)]
-        spans, a, h = _subset_planes(pts, scale)
-        side = a @ X.T - h[:, None]
-        below = np.max(side, axis=1) <= bound
-        supporting = below | (np.min(side, axis=1) >= -bound)
-        sign = np.where(below, 1.0, -1.0)[supporting, None]
-        cand.append(sign * np.column_stack([a, h])[supporting])
-    # one plane: normals within SLACK and offsets within the slack
-    facets = np.concatenate(cand)
-    facets = facets[_first_of_each(facets, np.append(np.full(d, SLACK), bound))]
-    if not len(facets):
+    a = _vertices_brute_force(X / scale, np.ones(m))
+    norm = np.linalg.norm(a, axis=1)
+    A, b = a / norm[:, None], scale / norm
+    tight = np.abs(X @ A.T - b) <= SLACK * scale
+    order = np.lexsort(~tight[::-1])
+    A, b, tight = A[order], b[order], tight[:, order]
+    simple = np.flatnonzero(tight.sum(axis=0) == d)
+    spans, a, h = _subset_planes(X[np.nonzero(tight[:, simple].T)[1].reshape(len(simple), d)], scale)
+    flip = np.where(np.einsum("ki,ki->k", a, A[simple[spans]]) < 0, -1.0, 1.0)
+    A[simple[spans]], b[simple[spans]] = a * flip[:, None], h * flip
+    if not len(b):
         raise GeometryError("facet enumeration failed (degenerate vertex set)")
-    return facets[:, :d], facets[:, d]
+    return A, b
 
 
 def _refit_facets(X, A, b, tight, scale):
@@ -696,9 +680,9 @@ def _refit_facets(X, A, b, tight, scale):
     more than strict = DIRECTION_TOL scale off one: the plane through d of
     its tight vertices that most of them lie within strict of takes its
     place, unless it has a vertex more than twice the slack above it.  Near
-    a ridge at a small angle a plane can be up to the slack off either
-    facet, which the plane dedupe may have kept over the exact one; twice
-    allows for vertices the vertex search admitted up to its slack outside."""
+    a ridge at a small angle the polar search may keep a plane up to the
+    slack off either facet; twice allows for vertices admitted up to the
+    slack outside."""
     A, b = A.copy(), b.copy()
     d = X.shape[1]
     bound, strict = SLACK * scale, DIRECTION_TOL * scale
@@ -733,25 +717,28 @@ def _irredundant(tight):
 def _vertices_brute_force(A, b):
     """Vertices of {x : A x <= b} in R^d by solving all d-subsets.
 
-    `_may_be_vertex` screens each block first: a subset goes when its
-    determinant is trusted (|det M| > _DECIDE prod |M_i| for its rows M)
-    and its Cramer point x, from the cofactors of [M | b], violates a unit
-    row by more than _VERTEX_MARGIN |x|; the rest take the exact path in
-    the same order.  The margin bounds both paths' error in x.  The unit
-    rows N of a trusted M have |det N| > _DECIDE and |N| <= sqrt(d), so
-    cond(N) < d^(d/2) / _DECIDE <= 16 / _DECIDE (d <= 4); the exact path's
-    pivoted solve then errs by at most 3 d 2^(d-1) cond(N) eps |x|
-    < 1.6e3 eps / _DECIDE |x|, and Cramer's rule by at most
-    7e2 eps / _DECIDE |x|.  1e4 eps / _DECIDE beside the feasibility test's
-    own SLACK covers both.  Solutions within SLACK |x| of every unit row are
-    kept, one per vertex by residual identity (module docstring)."""
+    `_may_be_vertex` screens each block first, from the cofactors c of
+    D = [M | b] for a subset's rows M; the rest take the exact path in the
+    same order.  A subset with |det M| > _DECIDE prod |M_i| goes when its
+    Cramer point x violates a unit row by more than _VERTEX_MARGIN |x|: its
+    unit rows N have cond(N) < d^(d/2) / _DECIDE <= 16 / _DECIDE (d <= 4),
+    so the exact path's pivoted solve errs by at most 3 d 2^(d-1) cond(N)
+    eps |x| < 1.6e3 eps / _DECIDE |x| and Cramer's rule by 7e2 eps / _DECIDE
+    |x|, both within 1e4 eps / _DECIDE.  Any other subset goes when c proves
+    M singular: c errs by less than 1e3 eps prod |D_i|, so sigma_min(M) <=
+    |M c[:d]| / |c[:d]| <= |D| (|c_d| + 1e3 eps prod |D_i|) / |c[:d]|, and
+    where that plus the SVD's own error, 40 eps |D|, is within
+    DIRECTION_TOL / 2 the exact path's floor rejects M.  Solutions within
+    SLACK |x| of every unit row are kept, one per vertex by residual
+    identity (module docstring)."""
     f, d = A.shape
     norm = np.maximum(np.linalg.norm(A, axis=1), DIRECTION_TOL)
     unit, offset = A / norm[:, None], b / norm
+    Ab, rows = np.column_stack([A, b]), np.column_stack([unit, offset])
     cand = [np.zeros((0, d))]
     for idx in _subset_blocks(f, d):
         if len(idx) >= _SCREEN_MIN:
-            idx = idx[_may_be_vertex(A[idx], b[idx], unit, offset)]
+            idx = idx[_may_be_vertex(Ab, idx, rows)]
         M = A[idx]
         sv = np.linalg.svd(M, compute_uv=False)
         ok = (sv[:, -1] > sv[:, 0] / _COND_GUARD) & (sv[:, -1] > DIRECTION_TOL)
@@ -760,7 +747,7 @@ def _vertices_brute_force(A, b):
         cand.append(x[np.all(x @ unit.T <= offset + slack[:, None], axis=1)])
     x = np.concatenate(cand)
     resid = offset - x @ unit.T
-    slack = SLACK * _scale(x)
+    slack = SLACK * np.linalg.norm(x, axis=1)[:, None]
     return x[_first_of_each(resid, slack, np.abs(resid) <= slack)]
 
 
@@ -771,7 +758,7 @@ def _free_direction(unit):
     f, d = unit.shape
     rays = [np.ones((1, 1))] if d == 1 else [np.zeros((0, d))]
     for idx in _subset_blocks(f, d - 1) if d > 1 else ():
-        c = _cofactors(unit[idx])
+        c = _cofactors(unit, idx)
         size = np.linalg.norm(c, axis=1)
         rays.append(c[size > DIRECTION_TOL] / size[size > DIRECTION_TOL, None])
     side = np.concatenate(rays) @ unit.T

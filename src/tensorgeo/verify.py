@@ -102,6 +102,12 @@ class VerificationReport:
 
 # -- right-hand sides -------------------------------------------------------
 
+def _check_orders(r, s, l):
+    """ValueError for a negative r, s or l: no measure has such an index."""
+    if min(r, s, l) < 0:
+        raise ValueError(f"need r, s, l >= 0, got r = {r}, s = {s}, l = {l}")
+
+
 def crofton_rhs(P, k, j, r=0, s=0, l=0, region=None, budget=20000, seed=0):
     """Exact right-hand side of the Crofton identity for sections by
     k-flats, as (tensor, stderr tensor): the sum over 0 <= i <= m <= s/2 of
@@ -109,6 +115,7 @@ def crofton_rhs(P, k, j, r=0, s=0, l=0, region=None, budget=20000, seed=0):
     j = k, d_coeff is the redefined coefficient, nonzero only at
     i = m = s/2, so the sum is the single top-measure term."""
     n = P.dim
+    _check_orders(r, s, l)
     if not 0 <= j <= k <= n:
         raise ValueError(f"need 0 <= j <= k <= n, got {(n, j, k)}")
     if j == 0 and l != 0:
@@ -134,6 +141,7 @@ def kinematic_rhs(P, P2, j, r=0, s=0, l=0, region=None, region2=None,
     side and its stderr and c, c_err the scalar measure and its stderr,
     a term contributes c t with stderr e (|c| + c_err) + |t| c_err."""
     n = P.dim
+    _check_orders(r, s, l)
     if P2.dim != n:
         raise ValueError(f"the bodies lie in R^{n} and R^{P2.dim}")
     if j > n:       # crofton_rhs checks the rest
@@ -442,6 +450,7 @@ def crofton_lhs(P, k, j, r=0, s=0, l=0, region=None, samples=10000, seed=0,
                 margin=0.5, budget=20000):
     """Monte-Carlo estimate of the integral of phi_j^{r,s,l}(P cap E, region)
     over k-flats; returns (tensor, stderr, rejections)."""
+    _check_orders(r, s, l)
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
     A, b = P.ambient_halfspaces()
@@ -473,6 +482,7 @@ def kinematic_lhs(P, P2, j, r=0, s=0, l=0, region=None, region2=None,
     """Monte-Carlo estimate of the integral of phi_j^{r,s,l}(P cap gP2,
     region cap g region2) over rigid motions g; returns (tensor, stderr,
     rejections)."""
+    _check_orders(r, s, l)
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
     n = P.dim

@@ -56,13 +56,20 @@ class TestUsage:
         ["kinematic-verify", "--builtin", "cube2", "--builtin2", "cube3", "--j", "0"],
         ["kinematic-verify", "--builtin", "cube2", "--builtin2", "cube2", "--j", "0",
          "--margin", "-1"],
-        ["steiner-check", "--builtin", "cube2", "--eps", "0.5", "-0.5"]],
+        ["steiner-check", "--builtin", "cube2", "--eps", "0.5", "-0.5"],
+        ["crofton-verify", "--builtin", "cube3", "--k", "2", "--j", "1", "--s", "-1"],
+        ["kinematic-verify", "--builtin", "cube2", "--builtin2", "cube2", "--j", "1", "--s", "-1"],
+        ["measure", "--builtin", "cube3", "--j", "1", "--s", "-1"],
+        ["measure", "--builtin", "cube3", "--j", "1", "--r", "-1"],
+        ["measure", "--builtin", "cube3", "--j", "1", "--l", "-1"]],
         ids=["measure-j-above-n", "measure-j-negative", "crofton-j-above-k", "crofton-k-above-n",
              "crofton-l-at-j0", "kinematic-j-above-n", "kinematic-l-at-j0", "coeff-d-j-above-k",
              "coeff-thm31-k-above-n", "independence-n-0", "independence-n-1",
              "independence-p-negative", "independence-trials-0", "crofton-k-0", "crofton-k-n",
              "crofton-margin-negative", "kinematic-dimensions-differ",
-             "kinematic-margin-negative", "steiner-eps-negative"])
+             "kinematic-margin-negative", "steiner-eps-negative", "crofton-s-negative",
+             "kinematic-s-negative", "measure-s-negative", "measure-r-negative",
+             "measure-l-negative"])
     def test_index_out_of_range(self, capsys, argv):
         # coeff, independence and measure draw no samples
         samples = [] if argv[0] in ("coeff", "independence", "measure") else ["--samples", "10"]
@@ -261,6 +268,15 @@ class TestVerifyCommands:
                       "--rotate2", "5", "--j", "0", "--samples", "200", "--seed", "5")
         assert code in (0, 1) and len(keys) >= 2
         assert len(keys) == len(set(keys))
+
+    def test_rotate2_zero_turns_the_second_body(self, capsys):
+        # 0 is a seed like any other, not "no rotation"
+        argv = ["kinematic-verify", "--builtin", "cube2", "--builtin2", "cube2", "--j", "0",
+                "--samples", "2000", "--seed", "1"]
+        _, plain = run(capsys, *argv)
+        _, turned = run(capsys, *argv, "--rotate2", "0")
+        lhs = [[c["lhs"] for c in json.loads(out)["coordinates"]] for out in (plain, turned)]
+        assert lhs[0] != lhs[1]
 
     def test_steiner(self, capsys):
         code, out = run(capsys, "steiner-check", "--builtin", "cube2",

@@ -744,7 +744,8 @@ class TestSampleCount:
 class TestRejectedInput:
     """Arguments under which the identities do not hold as computed: a
     sampler support that need not cover the body, bodies in different
-    spaces, negative parallel distances, and ranks outside the theorem."""
+    spaces, negative parallel distances, ranks outside the theorem, and
+    negative orders r, s, l."""
 
     @pytest.mark.parametrize("call", [
         lambda: sample_flats_hitting(cube(2), 1, 10, margin=-0.1),
@@ -756,10 +757,15 @@ class TestRejectedInput:
         lambda: steiner_check(cube(2), [0.5, -0.1], samples=10),
         lambda: independence_rank(1, 2),
         lambda: independence_rank(2, -1),
-        lambda: independence_rank(2, 2, trials=0)],
+        lambda: independence_rank(2, 2, trials=0),
+        lambda: crofton_rhs(cube(3), 2, 1, s=-1),
+        lambda: kinematic_rhs(cube(2), cube(2), 1, r=-1),
+        lambda: crofton_lhs(cube(3), 2, 1, l=-1, samples=10),
+        lambda: kinematic_lhs(cube(2), cube(2), 1, s=-2, samples=10)],
         ids=["flats-margin", "motions-margin", "crofton-lhs-margin", "kinematic-lhs-dims",
              "kinematic-rhs-dims", "kinematic-rhs-dims-swapped", "steiner-eps", "independence-n",
-             "independence-p", "independence-trials"])
+             "independence-p", "independence-trials", "crofton-rhs-s", "kinematic-rhs-r",
+             "crofton-lhs-l", "kinematic-lhs-s"])
     def test_raises_value_error(self, call):
         with pytest.raises(ValueError):
             call()
