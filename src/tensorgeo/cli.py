@@ -171,8 +171,7 @@ def _cmd_crofton(args):
     _check_indices(args.j, args.k, P.dim, args.l)
     region = _load_region(args.region)
     rep = crofton_verify(P, args.k, args.j, args.r, args.s, args.l, region=region,
-                         samples=args.samples, seed=args.seed, margin=args.margin,
-                         budget=args.budget)
+                         samples=args.samples, seed=args.seed, budget=args.budget)
     _emit(rep.to_dict(), args, "crofton-verify")
     return 0 if rep.passed else 1
 
@@ -187,8 +186,7 @@ def _cmd_kinematic(args):
         rng = stream(args.rotate2, 0, purpose_key("rotate2"))
         P2 = P2.transformed(random_rotation(rng, P2.dim), rng.random(P2.dim) - 0.5)
     rep = kinematic_verify(P, P2, args.j, args.r, args.s, args.l,
-                           samples=args.samples, seed=args.seed,
-                           margin=args.margin, budget=args.budget)
+                           samples=args.samples, seed=args.seed, budget=args.budget)
     _emit(rep.to_dict(), args, "kinematic-verify")
     return 0 if rep.passed else 1
 
@@ -221,17 +219,15 @@ def _cmd_steiner(args):
 
 # -- parser -----------------------------------------------------------------
 
-def _add_common(sp, samples=None, budget=True, margin=True):
+def _add_common(sp, samples=None, budget=True):
     # --samples where the command samples (with this default), --budget where
-    # its exact side may sample cone moments, --margin for flats and motions
+    # its exact side may sample cone moments
     sp.add_argument("--seed", type=_seed, default=os.environ.get("TENSORGEO_SEED", "0"))
     if samples:
         sp.add_argument("--samples", type=int, default=samples)
     if budget:
         sp.add_argument("--budget", type=int, default=20000,
                         help="Monte-Carlo budget per interior cone moment")
-    if margin:
-        sp.add_argument("--margin", type=float, default=0.5)
     sp.add_argument("--out", help="write the JSON report here as well")
 
 
@@ -257,7 +253,7 @@ def build_parser():
     sp.add_argument("--region", help="JSON region (observation window) file")
     for flag in ("j", "r", "s", "l"):
         sp.add_argument(f"--{flag}", type=int, default=0)
-    _add_common(sp, margin=False)
+    _add_common(sp)
     sp.set_defaults(func=_cmd_measure)
 
     sp = sub.add_parser("coeff", help="coefficient tables (CSV)")
@@ -296,7 +292,7 @@ def build_parser():
     sp.add_argument("--eps", type=float, nargs="+", action="extend",
                     help="parallel distances; repeatable (default 0.25 0.5 1.0)")
     sp.add_argument("--rel-tol", type=float, default=0.005)
-    _add_common(sp, samples=10 ** 6, budget=False, margin=False)
+    _add_common(sp, samples=10 ** 6, budget=False)
     sp.set_defaults(func=_cmd_steiner)
 
     return ap

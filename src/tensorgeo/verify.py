@@ -2,23 +2,31 @@
 
 Each verifier assembles the exact right-hand side from the coefficient
 tables and the measures of the fixed polytope, estimates the left-hand
-integral from flat or motion samples, and reports per-coordinate
-agreement against 3 standard errors (with an absolute floor for exact
-zeros).
+integral by sampling, and reports per-coordinate agreement against 3
+standard errors (with an absolute floor for exact zeros).
 
-Both theorems describe each block of samples once, as sections
-{q + B y : g y <= h} under windows {x : Aw x <= bw}, for one of two
-evaluators: the batched section path (`_section_lhs`, d <= 3), or the
-per-sample path (`_generic_lhs`), which builds each section as a Polytope,
-calls `tcm`, and is the reference the batched one is tested against.  The
-per-sample path also keeps what the batched one has no closed form for:
-vertices of 3-dimensional sections, whose cones need not be orthogonal
-sums, j = d = n, and j = d = 3 < n.
+The index alone picks one of two evaluators (`_face_sum`).  The face sum
+draws rotations only: the integral over translations (x of the k-flats
+L + x, t of the motions rho . + t) is a closed-form sum over pairs of
+faces (`_face_pairs`).  It takes every index whose cones have a pointed
+part of dimension d - j <= 2 (d = k for flats, n for motions): a ray or an
+arc for `_cone_moment`.  The per-sample evaluator (`_generic_lhs`) builds
+each sampled section as a Polytope and calls `tcm`.  It keeps the vertex
+cones that can have three rays, Crofton (n, k, j) = (4, 3, 0) and motions
+in R^3 at j = 0 and in R^4 at j <= 1, and is the face sum's reference.
+
+What a pass proves.  Both sides take the face moments M_r(F cap beta)
+from `face_moments`, so a face-sum pass tests the coefficients, the cone
+moments and the pair weights, not the moments; those keep their own
+oracle (Lasserre's recursion against `triangulate` and `simplex_moment`),
+and the per-sample evaluator still checks everything end to end.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -26,13 +34,14 @@ import numpy as np
 
 from .coeffs import c_norm, d_coeff
 from .conemoment import _arc_ends, _cone_moment
-from .flats import _BATCH, random_rotation, sample_flats_hitting, sample_motions_coupling
+from .flats import (_BATCH, random_rotation, rotation_blocks, sample_flats_hitting,
+                    sample_motions_coupling)
 from .measures import tcm, valuation, MeasureIndex
-from .polytope import (DIRECTION_TOL, GeometryError, GrazingIntersectionError, Polytope, Region,
+from .polytope import (GeometryError, GrazingIntersectionError, Polytope, Region,
                        _flat_section)
 from .rng import purpose_key, stream
 from .special import kappa_ball, omega
-from .symtensor import SymTensor, metric_tensor, multi_degrees, vector_power
+from .symtensor import SymTensor, _product_table, metric_tensor, multi_degrees, vector_power
 
 __all__ = [
     "VerificationReport",
@@ -67,6 +76,7 @@ class VerificationReport:
     rhs_stderr: SymTensor
     samples: int
     rejections: int = 0     # grazing sections on the per-sample path, each scored zero
+    evaluator: str = "per-sample"   # or "face-sum" (`_face_sum`)
     wall_time: float = 0.0
     notes: str = "polytope verification; statement for general convex bodies not covered"
 
@@ -94,6 +104,7 @@ class VerificationReport:
             "max_excess": float(self.max_excess),
             "samples": int(self.samples),
             "rejections": int(self.rejections),
+            "evaluator": self.evaluator,
             "wall_time_s": float(self.wall_time),
             "notes": self.notes,
             "coordinates": [dict(r, index=list(r["index"])) for r in self.coordinate_rows()],
@@ -102,10 +113,13 @@ class VerificationReport:
 
 # -- right-hand sides -------------------------------------------------------
 
-def _check_orders(r, s, l):
-    """ValueError for a negative r, s or l: no measure has such an index."""
+def _check_orders(r, s, l, samples=1):
+    """ValueError for a negative r, s or l (no measure has such an index)
+    or fewer than one sample."""
     if min(r, s, l) < 0:
         raise ValueError(f"need r, s, l >= 0, got r = {r}, s = {s}, l = {l}")
+    if samples < 1:
+        raise ValueError(f"need at least one sample, got {samples}")
 
 
 def crofton_rhs(P, k, j, r=0, s=0, l=0, region=None, budget=20000, seed=0):
@@ -175,17 +189,20 @@ def _mean_and_stderr(values, weight, section_err=None):
 
 
 def _generic_lhs(n, j, r, s, l, N, sections, weight, budget, seed):
-    """Per-sample evaluator of the blocks `_section_lhs` takes: each section
-    is built as a Polytope and measured by `tcm` under its window, with
-    sample idx's sampled cones on seed ^ ((idx + 1) << 32).  A grazing
-    section (`_flat_section`) scores zero and counts as a rejection.
-    Returns (estimate, stderr, rejections)."""
+    """Per-sample evaluator: sections(block) gives the sections {q + B y :
+    g y <= h} of a block of samples, as the frames B (m, n, d), q (m, n),
+    g (m, F, d) and h (m, F), and their windows {x : Aw x <= bw}, Aw
+    (m, Fw, n) and bw (m, Fw).  Each section is built as a Polytope and
+    measured by `tcm` under its window, with sample idx's sampled cones on
+    seed ^ ((idx + 1) << 32).  A grazing section (`_flat_section`) scores
+    zero and counts as a rejection.  Returns (estimate, stderr,
+    rejections)."""
     rank = r + s + 2 * l
     values = np.zeros((N, len(multi_degrees(n, rank))))
     errors = np.zeros_like(values)
     rejections = 0
     for at in range(0, N, _BATCH):
-        B, _, q, g, h, Aw, bw = sections(slice(at, at + _BATCH))
+        B, q, g, h, Aw, bw = sections(slice(at, at + _BATCH))
         for i in range(len(q)):
             try:
                 sec = _flat_section(g[i], h[i], q[i], B[i])
@@ -200,219 +217,150 @@ def _generic_lhs(n, j, r, s, l, N, sections, weight, budget, seed):
     return est, err, rejections
 
 
-# -- the batched section path ---------------------------------------------------
+# -- the face sum -------------------------------------------------------------
 
-def _batched(n, d, j, l):
-    """Whether `_section_lhs` evaluates phi_j^{r,s,l} on d-dimensional
-    sections in R^n: d <= 3, and one of its four face kinds: the facets of
-    the section (j = d - 1), a segment or polygon itself (j = d < n, d <= 2),
-    or polygon vertices and polyhedron edges, whose normal cone is an arc
-    crossed with the section's complement (j = d - 2); points carry no
-    Q(F)^l."""
-    return d <= 3 and (l == 0 or j > 0) and (j in (d - 1, d - 2) or j == d < min(n, 3))
+def _face_sum(d, j):
+    """Whether phi_j on d-dimensional sections (d = k for k-flats, n for
+    motions) takes the face sum: its cones' pointed parts, of dimension
+    d - j, are rays or arcs."""
+    return d - j <= 2
 
 
-def _unit(g, h):
-    """The rows g y <= h scaled to unit normals (zero rows stay zero)."""
-    gn = np.linalg.norm(g, axis=-1)
-    gn[gn == 0] = 1.0
-    return g / gn[..., None], h / gn
+def _volume(v):
+    """The volume spanned by the rows of v (..., q, n)."""
+    return np.sqrt(np.maximum(np.linalg.det(v @ np.swapaxes(v, -1, -2)), 0.0))
 
 
-def _simplex_mean(vertices, r):
-    """The mean of x^r over the simplices with the k + 1 given vertices,
-    each (..., n): the sum over a_0 + ... + a_k = r of prod_i v_i^{a_i},
-    divided by C(r + k, k)."""
-    def total(vs, r):
-        if len(vs) == 1:
-            return vector_power(vs[0], r)
-        out = total(vs[1:], r)
-        for i in range(1, r + 1):
-            out = out + vector_power(vs[0], i) * total(vs[1:], r - i)
-        return out
-    return total(vertices, r).scale(1.0 / math.comb(r + len(vertices) - 1, r))
+def _facets(P, a):
+    """For each a-face of P, the indices (F, n - a) of the facets on it,
+    whose unit normals are the rays of its normal cone."""
+    tight = P._face_lattice()[a].tight
+    if np.any(tight.sum(axis=1) != P.dim - a):
+        raise GeometryError(f"a face of dimension {a} lies on a number of facets other than {P.dim - a}")
+    return np.nonzero(tight)[1].reshape(len(tight), -1)
 
 
-def _clip_lines(p, e, g, h, slack):
-    """The parameter interval [lo, hi] of each line y = p + t e (m, L, d)
-    under the unit rows g y <= h, g (m, F, d): its ends lo and hi (m, L),
-    the rows that bound them, and whether the line meets the section:
-    lo < hi, and no row parallel to the line (|g e| <= DIRECTION_TOL) violated by
-    more than slack.  The (m, L, F) arrays are updated in place, so a clip
-    holds two of them at a time."""
-    gt = np.swapaxes(g, 1, 2)
-    ge, gap = e @ gt, p @ gt
-    np.subtract(h[:, None], gap, out=gap)
-    rising, falling = ge > DIRECTION_TOL, ge < -DIRECTION_TOL
-    par = ~(rising | falling)
-    ruled_out = np.any(par & (gap < -slack), axis=-1)
-    lower = np.divide(gap, ge, out=gap, where=~par)
-    upper = ge                                      # ge is spent: it holds the upper bounds
-    np.copyto(upper, lower)
-    upper[~rising] = np.inf
-    lower[~falling] = -np.inf
-    lo_row, hi_row = np.argmax(lower, axis=-1), np.argmin(upper, axis=-1)
-    lo = np.take_along_axis(lower, lo_row[..., None], axis=-1)[..., 0]
-    hi = np.take_along_axis(upper, hi_row[..., None], axis=-1)[..., 0]
-    return lo, hi, lo_row, hi_row, (lo < hi) & ~ruled_out
+def _sectors(s, rays):
+    """The rank-s moments (..., c) of the planar sectors from angle 0 to
+    the angles of the rays (..., 2), or to 2 pi."""
+    t = 2.0 * math.pi if rays is None else np.arctan2(rays[..., 1], rays[..., 0])
+    return _cone_moment(2, s, np.zeros((2, 0)), np.zeros((2, 0)), (*np.eye(2), _arc_ends(0.0, t))).data
 
 
-def _edge_lines(g, h, pairs):
-    """The lines y = p + t e in which the planes g_f y = h_f and g_a y = h_a
-    of the unit rows g (m, R, 3) meet, for the pairs (f, a) (2, L): with
-    cos = g_f . g_a and sin = |g_f x g_a|, e = g_f x g_a / sin, and p is
-    the line's point in span{g_f, g_a}.  In plane f the line lies at signed
-    distance (h_a - cos h_f) / sin from the foot point h_f g_f, positive
-    when the foot point satisfies row a; in plane a at (h_f - cos h_a) / sin
-    from h_a g_a.  Returns p, e (m, L, 3), cos and sin (m, L); p = e = 0
-    where sin <= DIRECTION_TOL (parallel planes)."""
-    gf, ga, hf, ha = g[:, pairs[0]], g[:, pairs[1]], h[:, pairs[0]], h[:, pairs[1]]
-    c = np.stack([gf[..., 1] * ga[..., 2] - gf[..., 2] * ga[..., 1],
-                  gf[..., 2] * ga[..., 0] - gf[..., 0] * ga[..., 2],
-                  gf[..., 0] * ga[..., 1] - gf[..., 1] * ga[..., 0]], axis=-1)
-    cos, sin = np.einsum("mlc,mlc->ml", gf, ga), np.linalg.norm(c, axis=-1)
-    meet = sin > DIRECTION_TOL
-    scale = meet / np.where(meet, sin, 1.0)
-    p = (((hf - cos * ha) * scale ** 2)[..., None] * gf
-         + ((ha - cos * hf) * scale ** 2)[..., None] * ga)
-    return p, c * scale[..., None], cos, sin
+def _pointed(n, s, l, rays, W, sectors):
+    """For q <= 2 rays, each (..., n) and broadcasting to the batch,
+    orthogonal to the orthonormal columns of W (..., n, w), and unit where
+    there is no W: the volume they span, the moment M_s of the cone
+    pos(rays) + span(W) (a ray or the arc between two, by `_cone_moment`;
+    1 for the cone {0}), and at l > 0 the projector onto the cone's span.
+    An arc in R^2 is the difference of its rays' `sectors`, plus a full
+    turn where it crosses the angle pi."""
+    volume = 1.0
+    if W.shape[-1]:
+        length = [np.linalg.norm(x, axis=-1) for x in rays]
+        rays = [x / np.where(t > 0, t, 1.0)[..., None] for x, t in zip(rays, length)]
+        volume = functools.reduce(operator.mul, length, volume)
+    frame = rays
+    if len(rays) < 2:
+        cone = (_cone_moment(n, s, np.stack(rays, axis=-1) if rays else np.zeros((n, 0)), W)
+                if rays or W.shape[-1] else SymTensor.scalar(n, 1.0))     # the cone {0}: top measure
+    elif n == 2:
+        (a, b), (start, end), frame = rays, sectors, list(np.eye(2))
+        cos = a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+        sin = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+        delta = np.arctan2(sin, cos)                                    # from a to b, in (-pi, pi]
+        turns = np.round((np.arctan2(a[..., 1], a[..., 0]) + delta - np.arctan2(b[..., 1], b[..., 0]))
+                         / (2.0 * math.pi))
+        cone = SymTensor(2, s, (end - start + turns[..., None] * _sectors(s, None))
+                         * np.sign(delta)[..., None])
+        volume = volume * np.abs(sin)
+    else:
+        a, b = rays
+        cos = np.einsum("...i,...i->...", a, b)
+        turn = b - cos[..., None] * a
+        sin = np.linalg.norm(turn, axis=-1)
+        turn /= np.where(sin > 0, sin, 1.0)[..., None]
+        cone = _cone_moment(n, s, np.zeros((n, 0)), W, (a, turn, _arc_ends(0.0, np.arctan2(sin, cos))))
+        volume, frame = volume * sin, [a, turn]
+    if not l:
+        return volume, cone, None
+    span = sum(vector_power(x, 2).data for x in frame) \
+        + vector_power(np.swapaxes(W, -1, -2), 2).data.sum(axis=-2)
+    return volume, cone, SymTensor(n, 2, span)
 
 
-def _section_lhs(n, j, r, s, l, N, sections, weight, slack):
-    """phi_j^{r,s,l} of N sections {q + B y : g y <= h} of dimension d <= 3
-    under windows {x : Aw x <= bw}, for the face kinds `_batched` admits.
-    sections(block) gives the frames B (m, n, d) and W (m, n, n - d) of the
-    section and its complement, q (m, n), g (m, F, d), h (m, F), Aw
-    (m, Fw, n) and bw (m, Fw); Fw = 0 for the whole space.  A block holds
-    _BATCH samples; at d = 3 it holds _BATCH F / L of them (at least one),
-    so that its (m, L, F) clip of L lines is no larger than a d = 2 block's
-    (m, F, F).
+def _face_pairs(n, k, j, r, s, l, bodies, levels):
+    """The integrand of the face sum: for rotations rho (m, n, n), the
+    integral over translations of phi_j^{r,s,l} of the sections, per
+    rotation (m, c), in closed form (Schneider & Weil 2008, ch. 6): the sum
+    over pairs of faces F of P and G of
+    c / omega_{n-j} [F, G] w(G) M_r(F cap beta) Q(S)^l M_s(N(P, F) + N(G)).
+    S = F cap G is the sections' face; Q(S) is Q less the projector onto
+    the cone's span; [F, G], the volume spanned by orthonormal frames of
+    the two normal spaces, is the volume of all the cone's rays over those
+    of F's and of G's.
 
-    `_clip_lines` clips lines y = p + t e with the body's `slack`:
-    - d = 1: the section's own line y = t.  [lo, hi] is the segment, and
-      its ends lie on the two bounding rows.
-    - d = 2: the constraint lines y = h_f g_f + t e_f, with e_f = g_f turned
-      by +90 degrees, so they run counterclockwise.  Those that meet are
-      the edges.  Their hi ends are the vertices, whose normal cone is the
-      arc (< pi) from g_f counterclockwise to the bounding row's normal.
-    - d = 3: the line where the planes of rows f < a meet (`_edge_lines`).
-      Those that meet are the edges, whose normal cone is the arc from g_f
-      to g_a.
-    A polygon (a 2-face at d = 3, or the section itself at d = 2) is a fan
-    of signed triangles from the foot point h_f g_f of its plane (the origin
-    at d = 2) to the ends of its edges, each signed by the edge's in-plane
-    distance from that point.  A window restricts positions only.  Its
-    in-frame rows clip the lines once more; at j = 2 they also give lines
-    of their own, which bound the polygons but are never faces.  A point
-    counts if it meets them within `slack`.  Each face's size, position
-    moment and direction power (or Q(F)^l), times the closed-form moment of
-    its normal cone as in `tcm`, is scatter-added onto its sample.  Returns
-    (estimate, stderr, rejections = 0)."""
+    `bodies` are P and the body rho moves (None for flats); `levels`
+    holds, per pair of face levels, the moments M_r(F cap beta)
+    (F, c_r) and facet indices (F, q) of P's faces, and the weights w (G,)
+    and facet indices (G, q') of the moved faces, q + q' <= 2.  Every G has
+    W = rho[:, :, k:] in its normal space: for k-flats L + x, G is L itself,
+    with w = 1 and no facets, and P's normals are projected onto L; motions
+    have k = n, no W.  At j = n the cone is {0} and the constant that of
+    `tcm`'s top measure."""
     rank = r + s + 2 * l
-    values = np.zeros((N, len(multi_degrees(n, rank))))
-    _, _, _, g, _, Aw, _ = sections(slice(0, 1))
-    F, d = g.shape[1:]
-    R = F + Aw.shape[1] if j == 2 else F            # the rows whose lines bound the faces
-    pairs = np.array(np.triu_indices(F, 1, R))      # d = 3: the rows whose planes meet
-    size = max(1, _BATCH * F // pairs.shape[1]) if d == 3 else _BATCH
-    for at in range(0, N, size):
-        B, W, q, g, h, Aw, bw = sections(slice(at, at + size))
-        g, h = _unit(g, h)                                              # unit in-frame normals
-        windowed = Aw.shape[1] > 0
-        rows, offsets = g, h
-        if windowed:        # the window's in-frame rows
-            gw, hw = _unit(Aw @ B, bw - np.einsum("mfi,mi->mf", Aw, q))
-            if j == 2:
-                rows, offsets = np.concatenate([g, gw], axis=1), np.concatenate([h, hw], axis=1)
-        if d == 1:          # the section's own line: p = 0, e = 1
-            p, e = np.zeros((len(g), 1, 1)), np.ones((len(g), 1, 1))
-        elif d == 2:        # the constraint lines
-            p, e = offsets[..., None] * rows, np.stack([-rows[..., 1], rows[..., 0]], axis=-1)
-        else:               # the lines where two planes meet
-            p, e, cos, sin = _edge_lines(rows, offsets, pairs)
-        lo, hi, lo_row, hi_row, meets = _clip_lines(p, e, g, h, slack)
-        if d == 3:
-            meets &= sin > DIRECTION_TOL
-        if j and windowed:  # clipped once more by the window
-            wlo, whi, _, _, wmeets = _clip_lines(p, e, gw, hw, slack)
-            lo, hi = np.maximum(lo, wlo), np.minimum(hi, whi)
-            meets &= wmeets & (lo < hi)
-        if j == 2:          # polygons: fans of signed triangles
-            i, k = np.nonzero(meets)
-            length = hi[i, k] - lo[i, k]
-            ends = [p[i, k] + t[i, k, None] * e[i, k] for t in (lo, hi)]
-            if d == 2:      # the section itself, from y = 0: line k lies at distance h_k
-                f, dist = np.zeros_like(i), offsets[i, k]
-                apex = np.zeros_like(ends[0])
-            else:           # face f of the line (f, a), and face a where a is a section row
-                f, a = pairs[:, k]
-                hf, ha, c = offsets[i, f], offsets[i, a], cos[i, k]
-                dist, dist_a = (ha - c * hf) / sin[i, k], (hf - c * ha) / sin[i, k]
-                both = a < F
-                twice = np.concatenate([np.arange(len(k)), np.flatnonzero(both)])
-                i, length, ends = i[twice], length[twice], [v[twice] for v in ends]
-                f, dist = np.concatenate([f, a[both]]), np.concatenate([dist, dist_a[both]])
-                apex = h[i, f, None] * g[i, f]
-            area = 0.5 * dist * length
-            if r:
-                corners = [q[i] + np.einsum("kic,kc->ki", B[i], v) for v in (apex, *ends)]
-                triangles = _simplex_mean(corners, r).scale(area)
-            else:
-                triangles = SymTensor(n, 0, area[:, None])
-            key, of = np.unique(i * F + f, return_inverse=True)
-            moments = np.zeros((len(key), triangles.data.shape[-1]))
-            np.add.at(moments, of, triangles.data)
-            i, f = np.divmod(key, F)
-            rays = B[i] @ g[i, f, :, None] if d == 3 else np.zeros((n, 0))
-            vals = _cone_moment(n, s, rays, W[i]) * SymTensor(n, r, moments)
-            if l:           # Q(F): the section's span, less the face normal at d = 3
-                span = vector_power(np.swapaxes(B[i], 1, 2), 2).sum(axis=(1,))
-                if d == 3:
-                    span = span - vector_power(rays[..., 0], 2)
-                vals = vals * span.power(l)
-        elif j == 1:        # segments or edges: length, direction^{2l}, W (+ the edge normals)
-            i, f = np.nonzero(meets)
-            direction = np.einsum("kij,kj->ki", B[i], e[i, f])
-            if d == 3:      # the arc from g_f to g_a
-                ga, gb, c = g[i, pairs[0, f]], g[i, pairs[1, f]], cos[i, f]
-                pa = np.einsum("kij,kj->ki", B[i], ga)
-                pb = np.einsum("kij,kj->ki", B[i], gb - c[:, None] * ga) / sin[i, f, None]
-                cones = _cone_moment(n, s, np.zeros((n, 0)), W[i],
-                                     (pa, pb, _arc_ends(0.0 * c, np.arctan2(sin[i, f], c))))
-            else:
-                rays = np.einsum("kij,kj->ki", B[i], g[i, f])[..., None] if d == 2 else np.zeros((n, 0))
-                cones = _cone_moment(n, s, rays, W[i])
-            vals = (cones * vector_power(direction, 2 * l)).scale(hi[i, f] - lo[i, f])
-            if r:
-                ends = [q[i] + np.einsum("kic,kc->ki", B[i], p[i, f] + t[i, f, None] * e[i, f])
-                        for t in (lo, hi)]
-                vals = vals * _simplex_mean(ends, r)
-        else:               # points, times v^r: segment endpoints or polygon vertices
-            i, f = np.nonzero(meets)
-            if d == 1:      # both ends, and the rows that bound them
-                y = np.stack([lo, hi], axis=-1)[i, f].reshape(-1, 1)
-                f = np.stack([lo_row, hi_row], axis=-1)[i, f].ravel()
-                i = np.repeat(i, 2)
-            else:           # edge f's hi end
-                y = p[i, f] + hi[i, f, None] * e[i, f]
-            if windowed:
-                inside = np.all(np.einsum("kfc,kc->kf", gw[i], y) <= hw[i] + slack, axis=-1)
-                i, f, y = i[inside], f[inside], y[inside]
-            if d == 1:      # the ray of the bounding row, and W
-                ray = np.einsum("kij,kj->ki", B[i], g[i, f])
-                cones = _cone_moment(n, s, ray[..., None], W[i])
-            else:           # the arc from g_f to the bounding row's normal (+ W)
-                theta = np.arctan2(g[..., 1], g[..., 0])
-                start = theta[i, f]
-                turn = np.mod(theta[i, hi_row[i, f]] - start, 2.0 * math.pi)
-                cones = _cone_moment(n, s, np.zeros((n, 0)), W[i],
-                                     (B[i, :, 0], B[i, :, 1], _arc_ends(start, start + turn)))
-            vals = cones * (vector_power(q[i] + np.einsum("kic,kc->ki", B[i], y), r) if r
-                            else np.ones(len(i)))
-        starts = np.flatnonzero(np.diff(i, prepend=-1))                 # i is sorted by sample
-        values[at + i[starts]] = np.add.reduceat(vals.data, starts, axis=0)
-    est, err = _mean_and_stderr(SymTensor(n, rank, values), weight * c_norm(n, j, r, s, l) / omega(n - j))
-    return est, err, 0
+    if j < n:
+        const = c_norm(n, j, r, s, l) / omega(n - j)
+    else:
+        const = c_norm(n, n, r, 0, l) if s == 0 else 0.0
+    table = _product_table(n, r, s + 2 * l)
+    N, N2 = [np.zeros((0, n)) if B is None else B.ambient_halfspaces()[0] for B in bodies]
+    N, N2 = [A / np.linalg.norm(A, axis=1, keepdims=True) for A in (N, N2)]   # unit facet normals
+    # planar arcs take each normal's sector once per rotation
+    mine = _sectors(s, N) if n == 2 and k - j == 2 else None
+
+    def terms(turn, moved, sectors, M, R, w, R2):
+        """One level pair's sum (m, c) for the rotations turn (m, n, n), the
+        moved normals (m, f', n) and their sectors."""
+        W = turn[:, :, k:]
+        own = N if k == n else N - (N @ W) @ np.swapaxes(W, 1, 2)    # P's rays, or their parts in L
+
+        def per_ray(first, second):     # rows of P's rays at (..., F, 1), the moved ones at (m, 1, G)
+            return [first[..., R[:, i], None, :] for i in range(R.shape[1])] \
+                + [second[:, None, R2[:, i]] for i in range(R2.shape[1])]
+        volume, cone, span = _pointed(n, s, l, per_ray(own, moved), W[:, None, None],
+                                      None if mine is None else per_ray(mine, sectors))
+        if l:
+            cone = (metric_tensor(n) - span).power(l) * cone
+        weight = volume / (_volume(N[R])[:, None] * _volume(N2[R2])) * w
+        summed = cone.scale(np.broadcast_to(weight, (len(turn), len(R), len(R2)))).data.sum(axis=2)
+        return (M.T @ summed).reshape(len(turn), -1) @ table
+
+    # faces the windows miss add nothing
+    levels = [(M.data[M.data.any(axis=1)], R[M.data.any(axis=1)], w[w != 0], R2[w != 0])
+              for M, R, w, R2 in levels]
+
+    def integrand(rho):
+        out = np.zeros((len(rho), len(multi_degrees(n, rank))))
+        moved = N2 @ np.swapaxes(rho, 1, 2)
+        sectors = None if mine is None else _sectors(s, moved)
+        for level in levels:
+            size = max(1, 8 * _BATCH // max(len(level[1]) * len(level[3]), 1))
+            for at in range(0, len(rho), size):
+                block = slice(at, at + size)
+                out[block] += terms(rho[block], moved[block],
+                                    None if sectors is None else sectors[block], *level)
+        return const * out
+    return integrand
+
+
+def _face_sum_lhs(n, rank, samples, seed, integrand):
+    """The mean of the integrand over the samplers' rotations
+    (`rotation_blocks`), its standard error, and no rejections."""
+    values = np.empty((samples, len(multi_degrees(n, rank))))
+    for at, rho, _ in rotation_blocks(n, samples, seed):
+        values[at:at + len(rho)] = integrand(rho)
+    return _mean_and_stderr(SymTensor(n, rank, values), 1.0) + (0,)
 
 
 # -- left-hand sides ---------------------------------------------------------
@@ -438,78 +386,90 @@ def _moved(A, b, A2, b2, rho, t):
             np.concatenate([b, b2 + (Ag @ t[..., None])[..., 0]], axis=1))
 
 
-def _lhs(n, d, j, r, s, l, samples, sections, weight, P, budget, seed):
-    """The section blocks go to `_section_lhs` where `_batched` admits the
-    index, and to the per-sample `_generic_lhs` otherwise."""
-    if _batched(n, d, j, l):
-        return _section_lhs(n, j, r, s, l, samples, sections, weight, P.slack)
-    return _generic_lhs(n, j, r, s, l, samples, sections, weight, budget, seed)
+def _crofton_pairs(P, k, j, r, s, l, region=None):
+    """`_face_pairs` for k-flats (the whole space at k = n): P's faces of
+    dimension n - k + j."""
+    a = P.dim - k + j
+    return _face_pairs(P.dim, k, j, r, s, l, (P, None), [
+        (P.face_moments(a, r, region), _facets(P, a), np.ones(1), np.zeros((1, 0), dtype=int))])
 
 
-def crofton_lhs(P, k, j, r=0, s=0, l=0, region=None, samples=10000, seed=0,
-                margin=0.5, budget=20000):
+def crofton_lhs(P, k, j, r=0, s=0, l=0, region=None, samples=10000, seed=0, budget=20000):
     """Monte-Carlo estimate of the integral of phi_j^{r,s,l}(P cap E, region)
     over k-flats; returns (tensor, stderr, rejections)."""
-    _check_orders(r, s, l)
-    if samples < 1:
-        raise ValueError(f"need at least one sample, got {samples}")
+    _check_orders(r, s, l, samples)
+    n = P.dim
+    if not 0 <= j <= k <= n - 1 or k < 1:
+        raise ValueError(f"need 0 <= j <= k and 1 <= k <= n - 1, got {(n, j, k)}")
+    if _face_sum(k, j):
+        return _face_sum_lhs(n, r + s + 2 * l, samples, seed, _crofton_pairs(P, k, j, r, s, l, region))
     A, b = P.ambient_halfspaces()
-    Aw, bw = _rows(region, P.dim)
-    batch = sample_flats_hitting(P, k, samples, seed=seed, margin=margin)
+    Aw, bw = _rows(region, n)
+    batch = sample_flats_hitting(P, k, samples, seed=seed)
 
     def sections(block):
         B, q = batch.frames[block], batch.points[block]
-        return (B, batch.complements[block], q, A @ B, b - q @ A.T) + _each(Aw, bw, len(q))
-    return _lhs(P.dim, k, j, r, s, l, samples, sections, batch.weight, P, budget, seed)
+        return (B, q, A @ B, b - q @ A.T) + _each(Aw, bw, len(q))
+    return _generic_lhs(n, j, r, s, l, samples, sections, batch.weight, budget, seed)
 
 
-def crofton_verify(P, k, j, r=0, s=0, l=0, region=None, samples=10000, seed=0,
-                   margin=0.5, budget=20000):
+def crofton_verify(P, k, j, r=0, s=0, l=0, region=None, samples=10000, seed=0, budget=20000):
     t0 = time.perf_counter()
     rhs, rhs_err = crofton_rhs(P, k, j, r, s, l, region=region, budget=budget, seed=seed)
     lhs, err, rej = crofton_lhs(P, k, j, r, s, l, region=region, samples=samples,
-                                seed=seed, margin=margin, budget=budget)
+                                seed=seed, budget=budget)
     return VerificationReport(
         theorem="crofton", params={"n": P.dim, "k": k, "j": j, "r": r, "s": s, "l": l},
-        lhs=lhs, stderr=err, rhs=rhs, rhs_stderr=rhs_err,
-        samples=samples, rejections=rej, wall_time=time.perf_counter() - t0)
+        lhs=lhs, stderr=err, rhs=rhs, rhs_stderr=rhs_err, samples=samples, rejections=rej,
+        evaluator="face-sum" if _face_sum(k, j) else "per-sample", wall_time=time.perf_counter() - t0)
 
 
 # -- kinematic formula ------------------------------------------------------
 
+def _kinematic_pairs(P, P2, j, r, s, l, region=None, region2=None):
+    """`_face_pairs` for motions: the a-faces F of P against the
+    (n + j - a)-faces F' of P2, weighted by H(F' cap region2)."""
+    n = P.dim
+    if P2.dim != n or not 0 <= j <= n:
+        raise ValueError(f"need bodies in one R^n and 0 <= j <= n, got R^{n}, R^{P2.dim}, j = {j}")
+    return _face_pairs(n, n, j, r, s, l, (P, P2), [
+        (P.face_moments(a, r, region), _facets(P, a),
+         P2.face_moments(n + j - a, 0, region2).data[:, 0], _facets(P2, n + j - a))
+        for a in range(j, n + 1)])
+
+
 def kinematic_lhs(P, P2, j, r=0, s=0, l=0, region=None, region2=None,
-                  samples=10000, seed=0, margin=0.5, budget=20000):
+                  samples=10000, seed=0, budget=20000):
     """Monte-Carlo estimate of the integral of phi_j^{r,s,l}(P cap gP2,
     region cap g region2) over rigid motions g; returns (tensor, stderr,
     rejections)."""
-    _check_orders(r, s, l)
-    if samples < 1:
-        raise ValueError(f"need at least one sample, got {samples}")
+    _check_orders(r, s, l, samples)
     n = P.dim
+    if _face_sum(n, j):
+        return _face_sum_lhs(n, r + s + 2 * l, samples, seed,
+                             _kinematic_pairs(P, P2, j, r, s, l, region, region2))
     (A1, b1), (A2, b2) = P.ambient_halfspaces(), P2.ambient_halfspaces()
     (R1, c1), (R2, c2) = _rows(region, n), _rows(region2, n)
-    batch = sample_motions_coupling(P, P2, samples, seed=seed, margin=margin)
+    batch = sample_motions_coupling(P, P2, samples, seed=seed)
 
     def sections(block):
         rho, t = batch.rotations[block], batch.translations[block]
-        m = len(t)
-        return ((np.broadcast_to(np.eye(n), (m, n, n)), np.zeros((m, n, 0)), np.zeros((m, n)))
+        return ((np.broadcast_to(np.eye(n), (len(t), n, n)), np.zeros((len(t), n)))
                 + _moved(A1, b1, A2, b2, rho, t) + _moved(R1, c1, R2, c2, rho, t))
-    return _lhs(n, n, j, r, s, l, samples, sections, batch.weight, P, budget, seed)
+    return _generic_lhs(n, j, r, s, l, samples, sections, batch.weight, budget, seed)
 
 
 def kinematic_verify(P, P2, j, r=0, s=0, l=0, region=None, region2=None,
-                     samples=10000, seed=0, margin=0.5, budget=20000):
+                     samples=10000, seed=0, budget=20000):
     t0 = time.perf_counter()
     rhs, rhs_err = kinematic_rhs(P, P2, j, r, s, l, region=region, region2=region2,
                                  budget=budget, seed=seed)
     lhs, err, rej = kinematic_lhs(P, P2, j, r, s, l, region=region, region2=region2,
-                                  samples=samples, seed=seed, margin=margin,
-                                  budget=budget)
+                                  samples=samples, seed=seed, budget=budget)
     return VerificationReport(
         theorem="kinematic", params={"n": P.dim, "j": j, "r": r, "s": s, "l": l},
-        lhs=lhs, stderr=err, rhs=rhs, rhs_stderr=rhs_err,
-        samples=samples, rejections=rej, wall_time=time.perf_counter() - t0)
+        lhs=lhs, stderr=err, rhs=rhs, rhs_stderr=rhs_err, samples=samples, rejections=rej,
+        evaluator="face-sum" if _face_sum(P.dim, j) else "per-sample", wall_time=time.perf_counter() - t0)
 
 
 # -- linear independence ----------------------------------------------------

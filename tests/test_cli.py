@@ -52,10 +52,7 @@ class TestUsage:
         ["independence", "--n", "2", "--p", "2", "--trials", "0"],
         ["crofton-verify", "--builtin", "cube2", "--k", "0", "--j", "0"],
         ["crofton-verify", "--builtin", "cube2", "--k", "2", "--j", "0"],
-        ["crofton-verify", "--builtin", "cube2", "--k", "1", "--j", "0", "--margin", "-5"],
         ["kinematic-verify", "--builtin", "cube2", "--builtin2", "cube3", "--j", "0"],
-        ["kinematic-verify", "--builtin", "cube2", "--builtin2", "cube2", "--j", "0",
-         "--margin", "-1"],
         ["steiner-check", "--builtin", "cube2", "--eps", "0.5", "-0.5"],
         ["crofton-verify", "--builtin", "cube3", "--k", "2", "--j", "1", "--s", "-1"],
         ["kinematic-verify", "--builtin", "cube2", "--builtin2", "cube2", "--j", "1", "--s", "-1"],
@@ -66,8 +63,7 @@ class TestUsage:
              "crofton-l-at-j0", "kinematic-j-above-n", "kinematic-l-at-j0", "coeff-d-j-above-k",
              "coeff-thm31-k-above-n", "independence-n-0", "independence-n-1",
              "independence-p-negative", "independence-trials-0", "crofton-k-0", "crofton-k-n",
-             "crofton-margin-negative", "kinematic-dimensions-differ",
-             "kinematic-margin-negative", "steiner-eps-negative", "crofton-s-negative",
+             "kinematic-dimensions-differ", "steiner-eps-negative", "crofton-s-negative",
              "kinematic-s-negative", "measure-s-negative", "measure-r-negative",
              "measure-l-negative"])
     def test_index_out_of_range(self, capsys, argv):
@@ -235,6 +231,28 @@ class TestVerifyCommands:
                         "--samples", "20000", "--seed", "3")
         assert code == 0
         assert json.loads(out)["passed"] is True
+
+    @pytest.mark.parametrize("argv, evaluator", [
+        (["kinematic-verify", "--builtin", "cube3", "--builtin2", "cube3", "--rotate2", "1",
+          "--j", "1", "--s", "2", "--samples", "400"], "face-sum"),
+        (["crofton-verify", "--builtin", "cube4", "--k", "3", "--j", "0", "--samples", "40"],
+         "per-sample")], ids=["face-sum", "per-sample"])
+    def test_report_names_its_evaluator(self, capsys, argv, evaluator):
+        """Vertices of 3-flat sections of the 4-cube have cones with three
+        rays, which only the per-sample evaluator measures."""
+        code, out = run(capsys, *argv, "--seed", "1")
+        report = json.loads(out)
+        assert code == 0 and report["evaluator"] == evaluator
+        assert report["schema_version"] == 1
+
+    def test_margin_is_no_flag(self, capsys):
+        """Every flat or motion that meets the body lies in the samplers'
+        support without a margin, so there is none to set."""
+        with pytest.raises(SystemExit) as exc:
+            main(["crofton-verify", "--builtin", "cube2", "--k", "1", "--j", "0",
+                  "--margin", "0.5", "--samples", "10"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --margin" in capsys.readouterr().err
 
     def test_independence(self, capsys):
         code, out = run(capsys, "independence", "--n", "2", "--p", "2",

@@ -17,8 +17,8 @@ from tensorgeo.rng import stream
 
 def _hits(P, batch):
     """Whether each sampled line in the plane meets P: P's vertices lie on
-    both sides of it (the complement column is the line's normal)."""
-    normal = batch.complements[:, :, 0]
+    both sides of it (the frame turned by 90 degrees is the line's normal)."""
+    normal = np.stack([-batch.frames[:, 1, 0], batch.frames[:, 0, 0]], axis=1)
     side = normal @ P.vertices.T - np.einsum("mi,mi->m", normal, batch.points)[:, None]
     return (side.min(axis=1) <= 0) & (side.max(axis=1) >= 0)
 
@@ -89,40 +89,39 @@ class TestFlatSampler:
 
     def test_frames_orthonormal_and_invariants(self):
         P = cube(3)
+        c, R = P.circumdata()
         batch = sample_flats_hitting(P, 2, 200, seed=1)
         for i in range(0, 200, 17):
             B = batch.frames[i]
             assert np.max(np.abs(B.T @ B - np.eye(2))) < 1e-10
-            # the complement column completes the frame to an orthonormal basis
-            W = batch.complements[i]
-            assert W.shape == (3, 1)
-            assert np.max(np.abs(W.T @ W - np.eye(1))) < 1e-10
-            assert np.max(np.abs(B.T @ W)) < 1e-10
             # base point lies in the complement disk of radius R around the
-            # projected circumcenter
+            # projected vertex mean
             q = batch.points[i]
             assert abs(q @ B[:, 0]) < 1e-9 and abs(q @ B[:, 1]) < 1e-9
-        assert batch.weight > 0
+            assert np.linalg.norm(q - (c - B @ (B.T @ c))) <= R + 1e-12
+        assert batch.weight == pytest.approx(2 * R, rel=1e-15)     # kappa_1 R
 
     def test_draws_unchanged_for_a_fixed_seed(self):
-        """Carrying the complement columns changes no draw: frames and
-        points as drawn before, in the first and in a later block of
-        4096."""
+        """Frames and points of a fixed seed, in the first and in a later
+        block of 4096.  The frames (the rotations, which the face sums of
+        `verify` draw alone) are those drawn while the ball had a margin of
+        0.5 beyond the circumradius R; each point has moved towards the
+        projected vertex mean by the factor R / (R + 0.5)."""
         small = sample_flats_hitting(cube(3), 2, 200, seed=1)
         large = sample_flats_hitting(cube(3), 2, 5000, seed=1)
         expected = [
             (small, 0, [[0.5068718837435828, 0.2561413226797328],
                         [0.2196201681515176, 0.8849530796901441],
                         [-0.8335753566482941, 0.3889083048262226]],
-             [1.426216711085348, -0.7115422587764871, 0.6797707201102929]),
+             [1.0254092266801509, -0.5115786343346129, 0.4887358022173617]),
             (small, 199, [[-0.391736406055877, -0.004462559516995727],
                           [-0.5414896193155717, 0.8095869065274615],
                           [-0.7438626085130926, -0.5869830715973445]],
-             [1.3430746494000005, -0.3308148871196947, -0.4664818542552653]),
+             [0.9144309913168958, -0.22523497506738754, -0.31760368986827947]),
             (large, 4321, [[-0.2695905237571954, 0.45486736990052223],
                            [-0.706627382036091, -0.6922453349518553],
                            [0.6542160900322932, -0.5602607179137007]],
-             [-0.43169344302241236, -0.0745317761344817, -0.25839574695728357]),
+             [-0.04015642405349702, -0.0069329976081225105, -0.0240361519410386]),
         ]
         for batch, i, frame, point in expected:
             np.testing.assert_allclose(batch.frames[i], frame, rtol=0, atol=1e-15)
@@ -140,16 +139,16 @@ class TestFlatSampler:
         assert abs(est - expected) <= 3 * se
 
     def test_weight_compensates_margin(self):
-        # doubling the translation radius must not move the estimate
+        """The ball needs no margin beyond the circumradius: around the
+        vertex mean of a triangle, which is not its circumcentre, it still
+        holds every line that meets the triangle, so the weighted hit
+        fraction is the measure of those lines, alpha(2, 0, 1) V_1."""
         P = simplex(2)
-        est = []
-        se = []
-        for margin in (0.5, 0.5 + 1.0 + simplex(2).circumdata()[1]):
-            batch = sample_flats_hitting(P, 1, 100000, seed=9, margin=margin)
-            feasible = _hits(P, batch)
-            est.append(batch.weight * feasible.mean())
-            se.append(batch.weight * feasible.std() / math.sqrt(len(feasible)))
-        assert abs(est[0] - est[1]) <= 3 * math.hypot(*se)
+        batch = sample_flats_hitting(P, 1, 100000, seed=9)
+        feasible = _hits(P, batch)
+        est = batch.weight * feasible.mean()
+        se = batch.weight * feasible.std() / math.sqrt(len(feasible))
+        assert abs(est - alpha(2, 0, 1) * intrinsic_volume(P, 1)) <= 3 * se
 
     def test_bad_k_rejected(self):
         with pytest.raises(ValueError):
@@ -171,7 +170,7 @@ class TestMotionSampler:
         P, P2 = cube(2), cube(2)
         c, r0 = P.circumdata()
         c2, r2 = P2.circumdata()
-        h = r0 + r2 + 0.5
+        h = r0 + r2
         batch = sample_motions_coupling(P, P2, 1000, seed=13)
         center = c - np.einsum("mij,j->mi", batch.rotations, c2)
         assert np.all(np.abs(batch.translations - center) <= h + 1e-9)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from unittest import mock
@@ -7,14 +8,15 @@ import pytest
 
 from tensorgeo.coeffs import (alpha, c_norm, cor38_coeff, d_coeff, iota, kappa_coeff,
                               lambda_coeff, thm31_coeff)
-from tensorgeo.conemoment import _arc_ends, _arc_moment
 import tensorgeo.flats as flats_module
 import tensorgeo.verify as verify_module
-from tensorgeo.flats import random_rotation, sample_flats_hitting, sample_motions_coupling
+from tensorgeo.flats import (random_rotation, rotation_blocks, sample_flats_hitting,
+                             sample_motions_coupling)
 from tensorgeo.measures import curvature_measure, tcm
 from tensorgeo.polytope import (EmptyPolytopeError, GeometryError, GrazingIntersectionError,
                                 Polytope, Region, builtin_polytope, cross_polytope, cube,
-                                intersect_flat, random_polytope, simplex, triangulate)
+                                _flat_section, intersect_flat, random_polytope, simplex,
+                                simplex_moment, triangulate)
 from tensorgeo.rng import purpose_key, stream
 from tensorgeo.special import omega
 from tensorgeo.symtensor import SymTensor, metric_tensor, multi_degrees, vector_power
@@ -30,7 +32,7 @@ from tensorgeo.verify import (
     steiner_check,
 )
 
-from test_conemoment import _lune_per_integral, _product_cone_moment
+from test_conemoment import _arc_per_integral, _lune_per_integral, _product_cone_moment
 
 
 class TestCroftonRhsStructure:
@@ -189,20 +191,31 @@ class TestSpecialisedFamilyExpansions:
 
 
 def _crofton_reference(P, k, j, r=0, s=0, l=0, samples=10000, seed=0, **windows):
-    """crofton_lhs with its section blocks sent to the per-sample evaluator."""
-    with mock.patch.object(verify_module, "_batched", lambda *args: False):
+    """crofton_lhs on the per-sample evaluator, whatever the index."""
+    with mock.patch.object(verify_module, "_face_sum", lambda *args: False):
         return crofton_lhs(P, k, j, r, s, l, samples=samples, seed=seed, **windows)
 
 
 def _kinematic_reference(P, P2, j, r=0, s=0, l=0, samples=10000, seed=0, **windows):
-    """kinematic_lhs with its section blocks sent to the per-sample evaluator."""
-    with mock.patch.object(verify_module, "_batched", lambda *args: False):
+    """kinematic_lhs on the per-sample evaluator, whatever the index."""
+    with mock.patch.object(verify_module, "_face_sum", lambda *args: False):
         return kinematic_lhs(P, P2, j, r, s, l, samples=samples, seed=seed, **windows)
 
 
+def _agree(fast, slow):
+    """The face sum and the per-sample reference estimate one integral from
+    the same rotations, the first with the translations integrated exactly
+    and the second with them sampled: in every coordinate they differ by at
+    most four combined standard errors, with the 1e-9 floor of the
+    reports."""
+    gap = np.abs(fast[0].coordinates_array() - slow[0].coordinates_array())
+    allowed = 4.0 * np.hypot(fast[1].coordinates_array(), slow[1].coordinates_array()) + 1e-9
+    assert np.all(gap <= allowed), float(np.max(gap / allowed))
+
+
 class TestKernelsAgainstGenericPath:
-    """The vectorized sampling kernels must match the slow per-sample
-    polytope path on identical sample streams."""
+    """The face sum must agree with the per-sample polytope path on the
+    samplers' streams (`_agree`)."""
 
     @pytest.mark.parametrize("cfg", [
         dict(k=1, j=0), dict(k=1, j=1, s=2), dict(k=1, j=1, s=0, l=1),
@@ -211,7 +224,7 @@ class TestKernelsAgainstGenericPath:
         P = cube(2)
         fast = crofton_lhs(P, samples=400, seed=21, **cfg)
         slow = _crofton_reference(P, samples=400, seed=21, **cfg)
-        assert fast[0].max_abs_coordinate_diff(slow[0]) < 1e-10
+        _agree(fast, slow)
 
     @pytest.mark.parametrize("cfg", [
         dict(k=1, j=1, s=2), dict(k=1, j=0), dict(k=2, j=1, s=2),
@@ -221,14 +234,14 @@ class TestKernelsAgainstGenericPath:
         P = cube(3)
         fast = crofton_lhs(P, samples=250, seed=22, **cfg)
         slow = _crofton_reference(P, samples=250, seed=22, **cfg)
-        assert fast[0].max_abs_coordinate_diff(slow[0]) < 1e-10
+        _agree(fast, slow)
 
     def test_kernels_on_rotated_simplex(self):
         rho = random_rotation(stream(8, 0), 3)
         P = simplex(3).transformed(rho, np.array([0.2, -0.1, 0.4]))
         fast = crofton_lhs(P, k=2, j=1, s=2, samples=250, seed=23)
         slow = _crofton_reference(P, k=2, j=1, s=2, samples=250, seed=23)
-        assert fast[0].max_abs_coordinate_diff(slow[0]) < 1e-10
+        _agree(fast, slow)
 
     def test_motion_kernel(self):
         P = cube(2)
@@ -236,7 +249,7 @@ class TestKernelsAgainstGenericPath:
         for (r, s) in [(0, 0), (0, 1), (0, 2), (1, 1), (2, 0), (0, 4), (1, 3), (2, 2), (4, 0)]:
             fast = kinematic_lhs(P, P2, 0, r=r, s=s, samples=150, seed=24)
             slow = _kinematic_reference(P, P2, 0, r=r, s=s, samples=150, seed=24)
-            assert fast[0].max_abs_coordinate_diff(slow[0]) < 1e-10, (r, s)
+            _agree(fast, slow)
 
 
     @pytest.mark.parametrize("body, cfg", [
@@ -252,7 +265,7 @@ class TestKernelsAgainstGenericPath:
         P = _BODIES[body]()
         fast = crofton_lhs(P, samples=200, seed=25, **cfg)
         slow = _crofton_reference(P, samples=200, seed=25, **cfg)
-        assert fast[0].max_abs_coordinate_diff(slow[0]) < 1e-10
+        _agree(fast, slow)
 
     @pytest.mark.parametrize("j, r, s, l", [(0, 1, 5, 0), (1, 0, 2, 0), (1, 0, 3, 1)])
     def test_more_planar_motions(self, j, r, s, l):
@@ -260,13 +273,14 @@ class TestKernelsAgainstGenericPath:
         P2 = cube(2).transformed(random_rotation(stream(9, 0), 2), np.array([0.2, 0.1]))
         fast = kinematic_lhs(P, P2, j, r=r, s=s, l=l, samples=150, seed=26)
         slow = _kinematic_reference(P, P2, j, r=r, s=s, l=l, samples=150, seed=26)
-        assert fast[0].max_abs_coordinate_diff(slow[0]) < 1e-10
+        _agree(fast, slow)
 
     def test_blocks_of_samples(self, monkeypatch):
-        """Blocks of 7: 20 samples are two full blocks and a partial one.
-        Two cubes in R^3 have F = 12 rows and 66 lines, so their blocks
-        hold 7 * 12 // 66 = 1 sample."""
-        monkeypatch.setattr(verify_module, "_BATCH", 7)
+        """Evaluation blocks of 7 give the default blocks' estimates and
+        standard errors on both evaluators: 20 samples are two full blocks
+        and a partial one on the per-sample path, and the face sum's blocks
+        hold max(1, 56 // pairs) rotations, one for the 36 facet pairs of
+        two cubes."""
         P2 = cube(2).transformed(random_rotation(stream(9, 0), 2), np.array([0.2, 0.1]))
         runs = [(crofton_lhs, _crofton_reference, (cube(2), 1, 1), dict(s=2)),
                 (crofton_lhs, _crofton_reference, (cube(3), 2, 0), dict(s=2)),
@@ -274,11 +288,34 @@ class TestKernelsAgainstGenericPath:
                 (kinematic_lhs, _kinematic_reference, (cube(2), P2, 0), dict(r=1, s=1)),
                 (kinematic_lhs, _kinematic_reference, (cube(3), _turned_cube3(), 2),
                  dict(r=1, s=1))]
-        for batched, reference, args, kw in runs:
-            fast = batched(*args, samples=20, seed=27, **kw)
-            slow = reference(*args, samples=20, seed=27, **kw)
-            assert fast[0].max_abs_coordinate_diff(slow[0]) < 1e-10
-            assert fast[1].max_abs_coordinate_diff(slow[1]) < 1e-10
+        calls = [(lhs, args, kw) for batched, reference, args, kw in runs
+                 for lhs in (batched, reference)]
+        default = [lhs(*args, samples=20, seed=27, **kw) for lhs, args, kw in calls]
+        monkeypatch.setattr(verify_module, "_BATCH", 7)
+        for (lhs, args, kw), (est, err, _) in zip(calls, default):
+            est7, err7, _ = lhs(*args, samples=20, seed=27, **kw)
+            assert _relative_gap(est7, est) <= 1e-13
+            assert _relative_gap(err7, err) <= 1e-13
+
+    @pytest.mark.parametrize("theorem, run", [
+        ("kinematic", lambda lhs: lhs(cube(3), _turned_cube3(), 2, r=1, s=2, l=1, samples=200,
+                                      seed=49)),
+        ("kinematic", lambda lhs: lhs(cube(3), _turned_cube3(), 3, r=1, l=1, samples=200, seed=49)),
+        ("kinematic", lambda lhs: lhs(cube(4), _turned_cube4(), 2, s=2, samples=200, seed=49)),
+        ("kinematic", lambda lhs: lhs(cube(4), _turned_cube4(), 3, r=1, s=1, samples=200, seed=49)),
+        ("kinematic", lambda lhs: lhs(cube(4), _turned_cube4(), 4, r=1, l=1, samples=200, seed=49)),
+        ("crofton", lambda lhs: lhs(cube(4), 3, 3, r=1, s=2, l=1, samples=200, seed=49))],
+        ids=["motions3-j2", "motions3-j3", "motions4-j2", "motions4-j3", "motions4-j4",
+             "crofton-4-3-3"])
+    def test_indices_new_to_the_face_sum(self, theorem, run):
+        """Motions in R^3 at j = 2, 3 and in R^4 at j >= 2, and 3-flat
+        sections of the 4-cube at j = 3, which only the per-sample evaluator
+        measured before the face sum took them."""
+        lhs, reference = {"crofton": (crofton_lhs, _crofton_reference),
+                          "kinematic": (kinematic_lhs, _kinematic_reference)}[theorem]
+        fast, slow = run(lhs), run(reference)
+        _agree(fast, slow)
+        assert np.abs(fast[0].data).max() > 1e-3
 
     @pytest.mark.parametrize("body, window, cfg", [
         ("cube2", "box2", dict(k=1, j=0, s=2)), ("cube2", "half2", dict(k=1, j=1, s=2, l=1)),
@@ -290,8 +327,7 @@ class TestKernelsAgainstGenericPath:
         P = _BODIES[body]()
         fast = crofton_lhs(P, region=_WINDOWS[window], samples=200, seed=41, **cfg)
         slow = _crofton_reference(P, region=_WINDOWS[window], samples=200, seed=41, **cfg)
-        assert fast[0].max_abs_coordinate_diff(slow[0]) < 1e-10
-        assert fast[1].max_abs_coordinate_diff(slow[1]) < 1e-10
+        _agree(fast, slow)
         assert np.abs(fast[0].data).max() > 1e-3
 
     @pytest.mark.parametrize("which, j, r, s, l", [
@@ -302,8 +338,7 @@ class TestKernelsAgainstGenericPath:
         window = {which: _WINDOWS["box2" if which == "region" else "half2"]}
         fast = kinematic_lhs(cube(2), P2, j, r=r, s=s, l=l, samples=150, seed=42, **window)
         slow = _kinematic_reference(cube(2), P2, j, r=r, s=s, l=l, samples=150, seed=42, **window)
-        assert fast[0].max_abs_coordinate_diff(slow[0]) < 1e-10
-        assert fast[1].max_abs_coordinate_diff(slow[1]) < 1e-10
+        _agree(fast, slow)
 
     @pytest.mark.parametrize("body, cfg", [
         ("cube2", dict(k=1, j=1, r=1)), ("cube3", dict(k=1, j=1, r=2, s=2)),
@@ -313,16 +348,14 @@ class TestKernelsAgainstGenericPath:
         P = _BODIES[body]()
         fast = crofton_lhs(P, samples=150, seed=43, **cfg)
         slow = _crofton_reference(P, samples=150, seed=43, **cfg)
-        assert fast[0].max_abs_coordinate_diff(slow[0]) < 1e-10
-        assert fast[1].max_abs_coordinate_diff(slow[1]) < 1e-10
+        _agree(fast, slow)
 
     @pytest.mark.parametrize("r, s, l", [(1, 0, 0), (2, 1, 0), (1, 2, 1), (2, 0, 1)])
     def test_position_moments_of_motion_edges(self, r, s, l):
         P2 = cube(2).transformed(random_rotation(stream(9, 0), 2), np.array([0.2, 0.1]))
         fast = kinematic_lhs(cube(2), P2, 1, r=r, s=s, l=l, samples=150, seed=44)
         slow = _kinematic_reference(cube(2), P2, 1, r=r, s=s, l=l, samples=150, seed=44)
-        assert fast[0].max_abs_coordinate_diff(slow[0]) < 1e-10
-        assert fast[1].max_abs_coordinate_diff(slow[1]) < 1e-10
+        _agree(fast, slow)
 
     @pytest.mark.parametrize("j, r, s, l", [
         (1, 0, 0, 0), (1, 1, 2, 1), (1, 2, 3, 0), (2, 0, 0, 0), (2, 0, 2, 1), (2, 1, 3, 1),
@@ -331,8 +364,7 @@ class TestKernelsAgainstGenericPath:
         """Edges (arcs) and 2-faces (rays) of P cap gP2 in R^3."""
         fast = kinematic_lhs(cube(3), _turned_cube3(), j, r=r, s=s, l=l, samples=150, seed=45)
         slow = _kinematic_reference(cube(3), _turned_cube3(), j, r=r, s=s, l=l, samples=150, seed=45)
-        assert fast[0].max_abs_coordinate_diff(slow[0]) < 1e-10
-        assert fast[1].max_abs_coordinate_diff(slow[1]) < 1e-10
+        _agree(fast, slow)
 
     @pytest.mark.parametrize("j, r, s, l", [(1, 0, 2, 0), (2, 1, 1, 1)])
     def test_cube_against_a_cross_polytope(self, j, r, s, l):
@@ -342,8 +374,7 @@ class TestKernelsAgainstGenericPath:
                                            np.array([0.3, 0.1, 0.0]))
         fast = kinematic_lhs(cube(3), P2, j, r=r, s=s, l=l, samples=150, seed=46)
         slow = _kinematic_reference(cube(3), P2, j, r=r, s=s, l=l, samples=150, seed=46)
-        assert fast[0].max_abs_coordinate_diff(slow[0]) < 1e-10
-        assert fast[1].max_abs_coordinate_diff(slow[1]) < 1e-10
+        _agree(fast, slow)
 
     @pytest.mark.parametrize("body, cfg", [
         ("cube4", dict(k=3, j=1, s=2)), ("cube4", dict(k=3, j=2, r=1, s=1, l=1)),
@@ -355,8 +386,7 @@ class TestKernelsAgainstGenericPath:
         P = _BODIES[body]()
         fast = crofton_lhs(P, samples=120, seed=47, **cfg)
         slow = _crofton_reference(P, samples=120, seed=47, **cfg)
-        assert fast[0].max_abs_coordinate_diff(slow[0]) < 1e-10
-        assert fast[1].max_abs_coordinate_diff(slow[1]) < 1e-10
+        _agree(fast, slow)
         assert np.abs(fast[0].data).max() > 1e-3
 
     @pytest.mark.parametrize("which, j, r, s, l", [("region", 2, 1, 2, 0), ("region2", 1, 0, 2, 1)])
@@ -366,13 +396,17 @@ class TestKernelsAgainstGenericPath:
                              **window)
         slow = _kinematic_reference(cube(3), _turned_cube3(), j, r=r, s=s, l=l, samples=150,
                                     seed=48, **window)
-        assert fast[0].max_abs_coordinate_diff(slow[0]) < 1e-10
-        assert fast[1].max_abs_coordinate_diff(slow[1]) < 1e-10
+        _agree(fast, slow)
         assert np.abs(fast[0].data).max() > 1e-3
+
 
 
 def _turned_cube3():
     return cube(3).transformed(random_rotation(stream(12, 0), 3), np.array([0.1, 0.2, -0.1]))
+
+
+def _turned_cube4():
+    return cube(4).transformed(random_rotation(stream(12, 0), 4), np.array([0.1, 0.2, -0.1, 0.3]))
 
 
 _WINDOWS = {"box2": Region.box([-1, -1], [0.5, 2]), "half2": Region([[1.0, 1.0]], [1.2]),
@@ -386,112 +420,115 @@ _BODIES = {
 }
 
 
-def _spread(t, on):
-    """max - min of t over the entries marked `on` (last axis); 0 where none."""
-    hi = np.max(np.where(on, t, -np.inf), axis=-1)
-    lo = np.min(np.where(on, t, np.inf), axis=-1)
-    return np.where(on.any(axis=-1), hi - lo, 0.0)
-
-
-def _subset_vertices(g, h, subsets, slack):
-    """Solutions y (d, m, P) of g_S y = h_S for the d-subsets S (rows of
-    `subsets`) of the constraints g y <= h with unit rows g (m, F, d),
-    d <= 2, by Cramer's rule, and which of them satisfy every constraint
-    within slack."""
-    G, H = g[:, subsets], h[:, subsets]                                  # (m, P, d, d), (m, P, d)
-    if subsets.shape[1] == 1:
-        det, y = G[..., 0, 0], [H[..., 0]]
-    else:
-        det = G[..., 0, 0] * G[..., 1, 1] - G[..., 0, 1] * G[..., 1, 0]
-        y = [H[..., 0] * G[..., 1, 1] - H[..., 1] * G[..., 0, 1],
-             G[..., 0, 0] * H[..., 1] - G[..., 1, 0] * H[..., 0]]
-    ok = np.abs(det) > 1e-12
-    y = np.stack(y)
-    y /= np.where(ok, det, 1.0)
-    if subsets.shape[1] == 1:   # rows are +-1 (or 0), so the worst residual is the nearest bound
-        up = g[..., 0] > 0
-        excess = np.maximum(y[0] - np.min(np.where(ok & up, y[0], np.inf), axis=1)[:, None],
-                            np.max(np.where(ok & ~up, y[0], -np.inf), axis=1)[:, None] - y[0])
-        excess = np.maximum(excess, np.max(np.where(ok, -np.inf, -h), axis=1)[:, None])
-    else:
-        excess = np.full(ok.shape, -np.inf)
-        for f in range(g.shape[1]):
-            np.maximum(excess, np.einsum("cmp,mc->mp", y, g[:, f]) - h[:, f, None], out=excess)
-    return y, ok & (excess <= slack)
-
-
-def _dense_section_lhs(n, j, r, s, l, B, W, q, g, h, weight, slack):
-    """The all-subsets assembly the batched path replaced, kept as its
-    oracle: every d-subset of the constraints is a candidate vertex, and the
-    infeasible ones enter the face sum with zero length or a zero arc."""
-    N, F, d = g.shape
-    gn = np.linalg.norm(g, axis=-1)
-    gn[gn == 0] = 1.0
-    unit, h = g / gn[..., None], h / gn
-    subsets = np.array(list(itertools.combinations(range(F), d)), dtype=np.intp)
-    members = np.argsort(subsets.ravel(), kind="stable").reshape(F, -1)
-    y, feas = _subset_vertices(unit, h, subsets, slack)
-    vr = vector_power(q[:, None] + np.einsum("mic,cmp->mpi", B, y), r) if r else 1.0
-    if j == d:
-        vals = (_product_cone_moment(n, s, np.zeros((n, 0)), W)
-                * vector_power(B[..., 0], 2 * l)).scale(_spread(y[0], feas))
-    elif j == d - 1:
-        on = np.repeat(feas, d, axis=1)[:, members]
-        nu = np.einsum("mij,mfj->mfi", B, unit)
-        if d == 1:
-            fmom = on[..., 0] * vr
-        else:
-            e = np.stack([-unit[..., 1], unit[..., 0]], axis=-1)
-            t = np.einsum("mpkc,cmp->mpk", e[:, subsets], y).reshape(N, -1)[:, members]
-            fmom = vector_power(np.einsum("mij,mfj->mfi", B, e), 2 * l).scale(_spread(t, on))
-        vals = (_product_cone_moment(n, s, nu[..., None], W[:, None]) * fmom).sum(axis=1)
-    else:
-        theta = np.arctan2(unit[..., 1], unit[..., 0])[:, subsets]
-        delta = np.mod(theta[..., 1] - theta[..., 0], 2.0 * math.pi)
-        start = np.where(delta <= math.pi, theta[..., 0], theta[..., 1])
-        end = start + np.where(feas, np.minimum(delta, 2.0 * math.pi - delta), 0.0)
-        pa, pb = B[:, None, :, 0], B[:, None, :, 1]
-        cones = (_arc_moment(n, s, pa, pb, _arc_ends(start, end)) if n == d
-                 else _lune_per_integral(n, s, pa, pb, start, end, W[:, None, :, 0]))
-        vals = (cones * vr).sum(axis=1)
-    rank = r + s + 2 * l
-    values = np.broadcast_to(vals.data, (N, len(multi_degrees(n, rank))))
-    return verify_module._mean_and_stderr(SymTensor(n, rank, values),
-                                          weight * c_norm(n, j, r, s, l) / omega(n - j))
-
-
-def _flat_sections(P, k, samples, seed):
-    """crofton_lhs's sections, for all samples at once."""
-    A, b = P.ambient_halfspaces()
-    batch = sample_flats_hitting(P, k, samples, seed=seed, margin=0.5)
-    return (batch.frames, batch.complements, batch.points, A @ batch.frames,
-            b - batch.points @ A.T, batch.weight)
-
-
-def _motion_sections(P, P2, samples, seed):
-    """kinematic_lhs's sections P cap gP2 in the plane, for all samples at once."""
-    (A1, b1), (A2, b2) = P.ambient_halfspaces(), P2.ambient_halfspaces()
-    batch = sample_motions_coupling(P, P2, samples, seed=seed, margin=0.5)
-    Ag = A2 @ np.swapaxes(batch.rotations, 1, 2)
-    g = np.concatenate([np.broadcast_to(A1, (samples,) + A1.shape), Ag], axis=1)
-    h = np.concatenate([np.broadcast_to(b1, (samples, len(b1))),
-                        b2 + (Ag @ batch.translations[..., None])[..., 0]], axis=1)
-    return (np.broadcast_to(np.eye(2), (samples, 2, 2)), np.zeros((samples, 2, 0)),
-            np.zeros((samples, 2)), g, h, batch.weight)
-
-
 def _hexagon(turn, shift):
     angles = 2 * math.pi * np.arange(6) / 6 + turn
     return Polytope.from_vertices(np.c_[np.cos(angles), np.sin(angles)] + shift)
 
 
-def _relative_gap(a, b):
-    return np.abs(a.data - b.data).max() / np.abs(b.data).max()
+def _relative_gap(a, b, floor=0.0):
+    """max |a - b| relative to max |b|, or to the floor where that is larger."""
+    return np.abs(a.data - b.data).max() / max(np.abs(b.data).max(), floor)
+
+
+# -- a face sum from other code ------------------------------------------------
+
+def _normal_frame(face, n):
+    """An orthonormal basis (n, n - dim F) of the normal space of a face."""
+    return np.linalg.svd(np.eye(n) - face.frame @ face.frame.T)[0][:, :n - face.j]
+
+
+def _triangulated_moment(face, r, n):
+    """M_r(F) from a triangulation of the face."""
+    if face.j == 0:
+        return vector_power(face.vertices[0], r)
+    pieces = triangulate(Polytope.from_vertices(face.vertices))
+    return functools.reduce(SymTensor.__add__, [simplex_moment(p, r) for p in pieces],
+                            SymTensor.zero(n, r))
+
+
+def _oracle_cone(n, s, rays, W):
+    """M_s of pos(rays) + span(W) for q <= 2 unit rays (m, q, n) orthogonal
+    to W (m, n, w), by `test_conemoment`'s per-integral closed forms: an
+    orthant product, an arc, or a lune about one line."""
+    if rays.shape[1] < 2:
+        return _product_cone_moment(n, s, np.swapaxes(rays, 1, 2), W)
+    a, b = rays[:, 0], rays[:, 1]
+    cos = np.einsum("mi,mi->m", a, b)
+    turn = b - cos[:, None] * a
+    sin = np.linalg.norm(turn, axis=1)
+    pb = turn / sin[:, None]
+    if W.shape[2] == 0:
+        return _arc_per_integral(n, s, a, pb, 0.0, np.arctan2(sin, cos))
+    return _lune_per_integral(n, s, a, pb, 0.0, np.arctan2(sin, cos), W[:, :, 0])
+
+
+def _oracle_pair(n, j, r, s, l, moment, V, rays, weight, W):
+    """One pair's term for each rotation: [F, G] from the determinant of
+    the Gram matrix of the normal frames V (m, n, n - j), Q(S) from an
+    orthonormal basis of their orthogonal complement, and the cone of the
+    unit rays (m, q, n) and W."""
+    m = len(V)
+    size = np.sqrt(np.linalg.det(np.swapaxes(V, 1, 2) @ V))
+    basis = np.linalg.svd(V)[0][:, :, n - j:]
+    qs = vector_power(np.swapaxes(basis, 1, 2), 2).sum(axis=(1,))
+    cone = _oracle_cone(n, s, rays, W)
+    term = (SymTensor(n, r, np.broadcast_to(moment.data, (m,) + moment.data.shape))
+            * qs.power(l) * cone)
+    return term.scale(size * weight)
+
+
+def _dense_crofton(P, k, j, r, s, l, rho):
+    """Per rotation, the translation integral of the Crofton integrand by a
+    loop over the faces F: the rays of N(P, F) projected onto L and
+    normalised, with L's complement W."""
+    n, m = P.dim, len(rho)
+    L, W = rho[:, :, :k], rho[:, :, k:]
+    out = SymTensor(n, r + s + 2 * l, np.zeros((m, len(multi_degrees(n, r + s + 2 * l)))))
+    for face in P.faces(n - k + j):
+        V = np.concatenate([np.broadcast_to(_normal_frame(face, n), (m, n, k - j)), W], axis=2)
+        rays = np.einsum("qi,mik,mjk->mqj", P.normal_cone(face).rays, L, L)
+        rays /= np.linalg.norm(rays, axis=2)[..., None]
+        out = out + _oracle_pair(n, j, r, s, l, _triangulated_moment(face, r, n), V, rays, 1.0, W)
+    return out.scale(c_norm(n, j, r, s, l) / omega(n - j))
+
+
+def _dense_motions(P, P2, j, r, s, l, rho):
+    """The same for motions in the plane at j < 2: a loop over the pairs of
+    faces F of P and F' of P2 with dim F + dim F' = 2 + j, weighted by the
+    size of F'."""
+    n, m = 2, len(rho)
+    out = SymTensor(n, r + s + 2 * l, np.zeros((m, len(multi_degrees(n, r + s + 2 * l)))))
+    for a in range(j, n + 1):
+        for F in P.faces(a):
+            for G in P2.faces(n + j - a):
+                V = np.concatenate([np.broadcast_to(_normal_frame(F, n), (m, n, n - a)),
+                                    rho @ _normal_frame(G, n)], axis=2)
+                rays = np.concatenate([np.broadcast_to(P.normal_cone(F).rays, (m, n - a, n)),
+                                       P2.normal_cone(G).rays @ np.swapaxes(rho, 1, 2)], axis=1)
+                out = out + _oracle_pair(n, j, r, s, l, _triangulated_moment(F, r, n), V, rays,
+                                         _triangulated_moment(G, 0, n).value(), np.zeros((m, n, 0)))
+    return out.scale(c_norm(n, j, r, s, l) / omega(n - j))
+
+
+def _drawn_rotations(n, samples, seed):
+    return np.concatenate([rho for _, rho, _ in rotation_blocks(n, samples, seed)])
+
+
+def _mean_and_stderr(values):
+    coords = values.coordinates_array()
+    mean = coords.mean(axis=0)
+    se = np.sqrt(np.maximum((coords ** 2).mean(axis=0) - mean ** 2, 0.0) / len(coords))
+    return (SymTensor.from_coordinates(values.dim, values.rank, mean),
+            SymTensor.from_coordinates(values.dim, values.rank, se))
 
 
 class TestFacesThatExist:
-    """The batched path sums cone moments over the faces that exist only;
-    the dense all-subsets assembly is its oracle."""
+    """The face sum's integrand, per rotation, against a loop over faces
+    or face pairs from other code (`_dense_crofton`, `_dense_motions`): the
+    estimates over the samplers' rotations agree to 1e-12 and their
+    standard errors to 1e-9, relative to the estimate or to the bodies'
+    unit scale, where the estimate is smaller (odd s at j = 1 cancels to
+    rounding)."""
 
     @pytest.mark.parametrize("body, cfg", [
         ("cube2", dict(k=1, j=0)), ("cube2", dict(k=1, j=1, s=2, l=1)),
@@ -504,10 +541,10 @@ class TestFacesThatExist:
         P = _BODIES[body]()
         est, err, _ = crofton_lhs(P, samples=1500, seed=seed, **cfg)
         cfg = dict(dict(r=0, s=0, l=0), **cfg)
-        dense = _dense_section_lhs(P.dim, cfg["j"], cfg["r"], cfg["s"], cfg["l"],
-                                   *_flat_sections(P, cfg["k"], 1500, seed), P.slack)
-        assert _relative_gap(est, dense[0]) <= 1e-14
-        assert _relative_gap(err, dense[1]) <= 1e-14
+        dense = _mean_and_stderr(_dense_crofton(P, cfg["k"], cfg["j"], cfg["r"], cfg["s"], cfg["l"],
+                                                _drawn_rotations(P.dim, 1500, seed)))
+        assert _relative_gap(est, dense[0], 1.0) <= 1e-12
+        assert _relative_gap(err, dense[1], 1.0) <= 1e-9
 
     @pytest.mark.parametrize("pair, j, r, s, l", [
         ("squares", 0, 1, 3, 0), ("squares", 1, 0, 2, 1),
@@ -518,111 +555,79 @@ class TestFacesThatExist:
                                                            np.array([0.2, 0.1]))),
                  "hexagons": (_hexagon(0.1, [0.0, 0.0]), _hexagon(0.4, [0.3, -0.2]))}[pair]
         est, err, _ = kinematic_lhs(P, P2, j, r=r, s=s, l=l, samples=1500, seed=seed)
-        dense = _dense_section_lhs(2, j, r, s, l, *_motion_sections(P, P2, 1500, seed), P.slack)
-        assert _relative_gap(est, dense[0]) <= 1e-14
-        assert _relative_gap(err, dense[1]) <= 1e-14
+        dense = _mean_and_stderr(_dense_motions(P, P2, j, r, s, l, _drawn_rotations(2, 1500, seed)))
+        assert _relative_gap(est, dense[0], 1.0) <= 1e-12
+        assert _relative_gap(err, dense[1], 1.0) <= 1e-9
 
     @staticmethod
     def _record(monkeypatch):
-        """Per block, the number of samples with a hit, of vertices and of
-        facets, read off the clipped lines; and the batch each cone-moment
-        call receives.  A line section (d = 1, one line) that meets has two
-        endpoints, its vertices and facets; in a plane section each line
-        that meets is an edge, and its hi end a vertex."""
-        blocks, cones = [], []
-        real_clip = verify_module._clip_lines
+        """Per `_pointed` call, the number of rays of its cones and the
+        number of face pairs it receives."""
+        calls = []
+        real = verify_module._pointed
 
-        def clip(p, e, g, h, slack):
-            lo, hi, lo_row, hi_row, meets = real_clip(p, e, g, h, slack)
-            faces = (2 if e.shape[1] == 1 else 1) * int(meets.sum())
-            blocks.append(dict(hits=int(meets.any(axis=-1).sum()), vertices=faces, facets=faces))
-            return lo, hi, lo_row, hi_row, meets
-
-        def recording(name, rows):
-            real = getattr(verify_module, name)
-
-            def moment(*args):
-                cones.append((name, rows(*args)))
-                return real(*args)
-            monkeypatch.setattr(verify_module, name, moment)
-
-        monkeypatch.setattr(verify_module, "_clip_lines", clip)
-        # the complement W (rows, n, n - d) is batched for every kind; the
-        # kind is "arc", or the number of rays
-        recording("_cone_moment", lambda n, s, rays, W, arc=None: (
-            "arc" if arc is not None else rays.shape[-1], len(W)))
+        def pointed(n, s, l, rays, W, sectors):
+            shape = np.broadcast_shapes(W.shape[:-2], *[x.shape[:-1] for x in rays])
+            calls.append((len(rays), math.prod(shape)))
+            return real(n, s, l, rays, W, sectors)
+        monkeypatch.setattr(verify_module, "_pointed", pointed)
         monkeypatch.setattr(verify_module, "_BATCH", 50)
-        return blocks, cones
+        return calls
 
-    @pytest.mark.parametrize("run, kind, faces", [
+    @pytest.mark.parametrize("run, rays, pairs", [
         (lambda: kinematic_lhs(cube(2), _hexagon(0.4, [0.3, -0.2]), 0, s=2, samples=200, seed=35),
-         "arc", "vertices"),
-        (lambda: crofton_lhs(cube(3), 2, 0, s=2, samples=200, seed=35), "arc", "vertices"),
-        (lambda: crofton_lhs(cube(4), 2, 0, s=2, samples=200, seed=35), "arc", "vertices"),
-        (lambda: crofton_lhs(_BODIES["simplex3"](), 2, 1, s=2, samples=200, seed=35), 1, "facets"),
-        (lambda: crofton_lhs(cube(3), 1, 0, r=1, s=2, samples=200, seed=35), 1, "facets"),
-        (lambda: crofton_lhs(cube(3), 1, 1, s=2, samples=200, seed=35), 0, "hits")],
+         2, [4, 24, 6]),
+        (lambda: crofton_lhs(cube(3), 2, 0, s=2, samples=200, seed=35), 2, [12]),
+        (lambda: crofton_lhs(cube(4), 2, 0, s=2, samples=200, seed=35), 2, [24]),
+        (lambda: crofton_lhs(_BODIES["simplex3"](), 2, 1, s=2, samples=200, seed=35), 1, [4]),
+        (lambda: crofton_lhs(cube(3), 1, 0, r=1, s=2, samples=200, seed=35), 1, [6]),
+        (lambda: crofton_lhs(cube(3), 1, 1, s=2, samples=200, seed=35), 0, [1])],
         ids=["motion", "plane3", "plane4", "simplex-edges", "line-ends", "segments"])
-    def test_cone_moments_receive_only_faces_that_exist(self, monkeypatch, run, kind, faces):
-        blocks, cones = self._record(monkeypatch)
+    def test_cone_moments_receive_only_faces_that_exist(self, monkeypatch, run, rays, pairs):
+        """Every pair of faces once per rotation, each level pair in blocks
+        of 8 * 50 pairs: for the square and the hexagon, its 4 vertices
+        against the hexagon, 4 x 6 edge pairs, and the square against the
+        hexagon's 6 vertices."""
+        calls = self._record(monkeypatch)
         run()
-        assert len(blocks) == 4
-        assert [rows for _, (_, rows) in cones] == [block[faces] for block in blocks]
-        assert {got for _, (got, _) in cones} == {kind}
+        blocks = [p * min(200 - at, max(1, 400 // p)) for p in pairs
+                  for at in range(0, 200, max(1, 400 // p))]
+        assert [size for _, size in calls] == blocks
+        assert {got for got, _ in calls} == {rays}
 
     def test_blocks_without_a_hit(self, monkeypatch):
-        """Blocks of 7 samples, some of which hit nothing, give the estimate
-        and stderr of the default blocks."""
-        P2 = cube(2).transformed(random_rotation(stream(9, 0), 2), np.array([0.2, 0.1]))
-        runs = [lambda: kinematic_lhs(cube(2), P2, 0, s=2, samples=40, seed=27),
-                lambda: kinematic_lhs(cube(2), P2, 1, s=1, l=1, samples=40, seed=27),
-                lambda: crofton_lhs(cube(3), 2, 0, r=1, s=1, samples=40, seed=27, margin=2.0),
-                lambda: crofton_lhs(cube(3), 2, 1, s=2, samples=40, seed=27, margin=2.0),
-                lambda: crofton_lhs(cube(3), 1, 1, s=2, samples=40, seed=27, margin=4.0),
-                lambda: crofton_lhs(cube(3), 1, 0, samples=40, seed=27, margin=4.0)]
+        """Blocks of 7 samples on the per-sample path, some of which hit
+        nothing, give the estimate and stderr of the default blocks."""
+        P2 = _turned_cube3()
+        runs = [lambda: kinematic_lhs(cube(3), P2, 0, s=2, samples=40, seed=27, budget=400),
+                lambda: crofton_lhs(cube(4), 3, 0, r=1, samples=40, seed=27)]
         default = [run() for run in runs]
-        blocks, _ = self._record(monkeypatch)
         monkeypatch.setattr(verify_module, "_BATCH", 7)
         for run, (est, err, _) in zip(runs, default):
-            blocks.clear()
             est7, err7, _ = run()
-            assert len(blocks) == 6 and min(block["hits"] for block in blocks) == 0
             assert _relative_gap(est7, est) <= 1e-14
             assert _relative_gap(err7, err) <= 1e-14
+        (A1, b1), (A2, b2) = cube(3).ambient_halfspaces(), P2.ambient_halfspaces()
 
+        def hit(rho, t):        # whether P meets rho P2 + t
+            try:
+                Polytope.from_halfspaces(np.vstack([A1, A2 @ rho.T]),
+                                         np.concatenate([b1, b2 + A2 @ rho.T @ t]))
+            except EmptyPolytopeError:
+                return False
+            return True
+        batch = sample_motions_coupling(cube(3), P2, 40, seed=27)
+        hits = [hit(rho, t) for rho, t in zip(batch.rotations, batch.translations)]
+        assert min(sum(hits[at:at + 7]) for at in range(0, 40, 7)) == 0
+
+
+# -- one rotation, integrated by quadrature --------------------------------------
 
 # the unit square, a corner cut (unnormalised) and a far row that no vertex touches
 _PENTAGON = (np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 1.0], [-1.0, 2.0]]),
              np.array([1.0, 0.0, 1.0, 0.0, 1.5, 10.0]))
 _ONE_SECTION_INDICES = [(0, r, s, 0) for r in range(3) for s in range(4)] \
     + [(1, r, s, l) for r in range(3) for s in range(4) for l in range(2)]
-
-
-def _one_section(kind):
-    """(n, B, W, q, g, h) of one section {q + B y : g y <= h}: the pentagon
-    in R^2 or in a plane of R^3, or the pentagon cut by the line y = 0.8,
-    which is parallel to the square's rows y <= 1 and -y <= 0."""
-    A, b = _PENTAGON
-    if kind == "line":
-        B, q = np.array([[1.0], [0.0]]), np.array([0.0, 0.8])
-        return 2, B, np.array([[0.0], [1.0]]), q, A @ B, b - A @ q
-    n = {"polygon": 2, "polygon in R^3": 3}[kind]
-    R = random_rotation(stream(13, n), n)
-    return n, R[:, :2], R[:, 2:], 0.3 * R[:, 0] - 0.2, A, b
-
-
-def _one_window(kind, n, B, q):
-    """An ambient window that cuts the section of `_one_section`: a box
-    around the point at in-frame (0.6, 0.6), or 0.6 on the line, that holds
-    a vertex and cuts edges; or a halfspace through in-frame (0.5, 0.4), or
-    0.4, with an oblique normal."""
-    c = q + B @ np.array([0.6, 0.6][:B.shape[1]])
-    if kind == "box":
-        return Region.box(c - 0.35, c + 0.35)
-    a = stream(14, n).standard_normal(n)
-    return Region(a[None], [a @ (q + B @ np.array([0.5, 0.4][:B.shape[1]]))])
-
-
 # the unit cube with the corner at (1, 1, 1) cut off (unnormalised) and a far
 # row that no vertex touches
 _TRUNCATED_CUBE = (np.vstack([np.eye(3), -np.eye(3), [[1.0, 1.0, 1.0], [1.0, -2.0, 0.5]]]),
@@ -630,96 +635,216 @@ _TRUNCATED_CUBE = (np.vstack([np.eye(3), -np.eye(3), [[1.0, 1.0, 1.0], [1.0, -2.
 _SOLID_INDICES = [(j, r, s, l) for j in (1, 2) for r in range(3) for s in range(4) for l in range(2)]
 
 
-def _one_solid(n):
-    """(n, B, W, q, g, h) of the truncated cube in R^3 or in a 3-flat of R^4."""
-    A, b = _TRUNCATED_CUBE
-    R = random_rotation(stream(15, n), n)
-    return n, R[:, :3], R[:, 3:], 0.3 * R[:, 0] - 0.2, A, b
+def _prism(rows, n):
+    """The rows of the body times [0, 1]^(n - d) in R^n."""
+    A, b = rows
+    d = A.shape[1]
+    unit = np.vstack([np.eye(n - d), -np.eye(n - d)])
+    return (np.block([[A, np.zeros((len(A), n - d))], [np.zeros((len(unit), d)), unit]]),
+            np.concatenate([b, np.ones(n - d), np.zeros(n - d)]))
+
+
+# kind -> (body rows, n, k, seed of the flat's rotation): the pentagon with
+# lines, and with the whole plane as its one flat; its prism in R^3 with
+# planes; the truncated cube with planes, and its prism in R^4 with 3-flats
+_ONE_FLATS = {"line": (_PENTAGON, 2, 1, 13), "polygon": (_PENTAGON, 2, 2, 13),
+              "polygon in R^3": (_prism(_PENTAGON, 3), 3, 2, 13),
+              "axis line": (_PENTAGON, 2, 1, None),
+              3: (_TRUNCATED_CUBE, 3, 2, 15), 4: (_prism(_TRUNCATED_CUBE, 4), 4, 3, 15)}
+
+
+@functools.cache
+def _one_flat(kind, window):
+    """(P, k, rho, region, pieces) for one flat direction: rho's first k
+    columns span L and the rest its complement.  The direction is a
+    rotation from its seed's stream, or the x-axis, which is parallel to
+    two of the pentagon's rows ("axis line").  The window is a box around
+    (0.8, 0.6, 0.5, 0.5), which holds the pentagon's vertex (1, 0.5), or an
+    oblique halfspace through (0.5, 0.4, 0.5, 0.5), each in the first n
+    coordinates, and cuts the body.  pieces lists
+    the sections P cap (L + h w), k = n - 1, at the 3-point Gauss-Legendre
+    nodes between consecutive heights h = <w, v> of the vertices v of P and
+    of its clip, with their weights: between them the sections' faces keep
+    their combinatorics, so their moments are polynomials of degree
+    j + r <= 5 in h, which the rule integrates exactly.  At k = n the one
+    flat is the whole space."""
+    rows, n, k, seed = _ONE_FLATS[kind]
+    P = Polytope.from_halfspaces(*rows)
+    rho = np.eye(n) if seed is None else random_rotation(stream(seed, n), n)
+    region = {None: Region.universe(),
+              "box": Region.box(np.array([0.8, 0.6, 0.5, 0.5][:n]) - 0.35,
+                                np.array([0.8, 0.6, 0.5, 0.5][:n]) + 0.35),
+              "halfspace": Region(stream(14, n).standard_normal(n)[None],
+                                  [stream(14, n).standard_normal(n) @ [0.5, 0.4, 0.5, 0.5][:n]])}[window]
+    if k == n:
+        return P, k, rho, region, [(1.0, P)]
+    A, b = P.ambient_halfspaces()
+    B, w = rho[:, :k], rho[:, k]
+    clip = P.intersect_region(region)
+    heights = np.unique(np.round(np.concatenate([P.vertices @ w, clip.vertices @ w]), 12))
+    nodes, weights = np.polynomial.legendre.leggauss(3)
+    pieces = []
+    for lo, hi in zip(heights[:-1], heights[1:]):
+        for x, wt in zip(nodes, weights):
+            q = (lo + hi) / 2 + (hi - lo) / 2 * x
+            pieces.append(((hi - lo) / 2 * wt, _flat_section(A @ B, b - q * (A @ w), q * w, B)))
+    return P, k, rho, region, pieces
+
+
+def _one_rotation(kind, window, j, r, s, l):
+    """(the face sum's integrand at the flat's rotation, the integral of
+    tcm over the sections under the window)."""
+    P, k, rho, region, pieces = _one_flat(kind, window)
+    n = P.dim
+    integrand = verify_module._crofton_pairs(P, k, j, r, s, l, region)
+    got = SymTensor(n, r + s + 2 * l, integrand(rho[None])[0])
+    want = functools.reduce(SymTensor.__add__, [tcm(sec, j, r, s, l, region=region).tensor.scale(wt)
+                                                for wt, sec in pieces])
+    return got, want
+
+
+def _close(got, want):
+    return got.max_abs_coordinate_diff(want) <= 1e-10 * max(1.0, np.abs(want.data).max())
 
 
 class TestOneSection:
-    """One hand-built section with weight 1: `_section_lhs` is `tcm` of the
-    section built as a Polytope, with no Monte-Carlo."""
-
-    @staticmethod
-    def _lhs(j, r, s, l, n, B, W, q, g, h, window=Region.universe(), body=_PENTAGON):
-        Aw, bw = verify_module._rows(window, n)
-        sections = lambda block: (B[None], W[None], q[None], g[None], h[None], Aw[None], bw[None])
-        slack = Polytope.from_halfspaces(*body).slack
-        return verify_module._section_lhs(n, j, r, s, l, 1, sections, 1.0, slack)[0]
+    """For one flat direction L, the face sum's integrand is the integral
+    over L's translates of `tcm` of the sections (`_one_flat`), at every
+    face level, with windows and with r, s, l > 0: hyperplanes in R^2, R^3
+    and R^4, and the whole plane as the one flat."""
 
     @pytest.mark.parametrize("kind", ["polygon", "polygon in R^3", "line"])
     @pytest.mark.parametrize("j, r, s, l", _ONE_SECTION_INDICES)
     def test_equals_tcm(self, kind, j, r, s, l):
-        n, B, W, q, g, h = _one_section(kind)
-        assert verify_module._batched(n, B.shape[1], j, l)
-        got = self._lhs(j, r, s, l, n, B, W, q, g, h)
-        want = tcm(Polytope.from_halfspaces(g, h, origin=q, frame=B), j, r, s, l).tensor
-        assert got.max_abs_coordinate_diff(want) <= 1e-12
+        assert _close(*_one_rotation(kind, None, j, r, s, l))
 
     @pytest.mark.parametrize("kind", ["polygon", "polygon in R^3", "line"])
     @pytest.mark.parametrize("window", ["box", "halfspace"])
     @pytest.mark.parametrize("j, r, s, l", _ONE_SECTION_INDICES)
     def test_windowed_equals_tcm(self, kind, window, j, r, s, l):
-        n, B, W, q, g, h = _one_section(kind)
-        region = _one_window(window, n, B, q)
-        got = self._lhs(j, r, s, l, n, B, W, q, g, h, region)
-        section = Polytope.from_halfspaces(g, h, origin=q, frame=B)
-        want = tcm(section, j, r, s, l, region=region).tensor
-        assert got.max_abs_coordinate_diff(want) <= 1e-12
-        if r + s + l == 0:      # the window keeps part of the section, not all of it
-            assert 0.0 < want.value() < tcm(section, j).tensor.value()
+        got, want = _one_rotation(kind, window, j, r, s, l)
+        assert _close(got, want)
+        if r + s + l == 0:      # the window keeps part of the integral, not all of it
+            assert 0.0 < want.value() < _one_rotation(kind, None, j, 0, 0, 0)[1].value()
 
     @pytest.mark.parametrize("window", [None, "box", "halfspace"])
     @pytest.mark.parametrize("r, s, l", [(r, s, l) for r in range(3) for s in range(4)
                                          for l in range(2)])
     def test_the_polygon_itself_equals_tcm(self, window, r, s, l):
-        """j = d = 2 < n: the section is its own face, with the complement
-        as its normal cone."""
-        n, B, W, q, g, h = _one_section("polygon in R^3")
-        assert verify_module._batched(n, 2, 2, l)
-        region = Region.universe() if window is None else _one_window(window, n, B, q)
-        got = self._lhs(2, r, s, l, n, B, W, q, g, h, region)
-        section = Polytope.from_halfspaces(g, h, origin=q, frame=B)
-        want = tcm(section, 2, r, s, l, region=region).tensor
-        assert got.max_abs_coordinate_diff(want) <= 1e-12
+        """j = k = 2 < n: each section is its own face, with the complement
+        of L as its normal cone."""
+        got, want = _one_rotation("polygon in R^3", window, 2, r, s, l)
+        assert _close(got, want)
         if window and r + s + l == 0:
-            assert 0.0 < want.value() < tcm(section, 2).tensor.value()
+            assert 0.0 < want.value() < _one_rotation("polygon in R^3", None, 2, 0, 0, 0)[1].value()
 
     @pytest.mark.parametrize("n", [3, 4])
     @pytest.mark.parametrize("window", [False, True])
     @pytest.mark.parametrize("j, r, s, l", _SOLID_INDICES)
     def test_truncated_cube_equals_tcm(self, n, window, j, r, s, l):
-        """Edges and 2-faces of a solid section, in R^3 and in a 3-flat of
-        R^4, whole or under a box around in-frame (0.8, 0.8, 0.6) that cuts
-        the corner's triangle and the edges and faces around it."""
-        n, B, W, q, g, h = _one_solid(n)
-        assert verify_module._batched(n, 3, j, l)
-        c = q + B @ np.array([0.8, 0.8, 0.6])
-        region = Region.box(c - 0.35, c + 0.35) if window else Region.universe()
-        got = self._lhs(j, r, s, l, n, B, W, q, g, h, region, _TRUNCATED_CUBE)
-        section = Polytope.from_halfspaces(g, h, origin=q, frame=B)
-        want = tcm(section, j, r, s, l, region=region).tensor
-        assert got.max_abs_coordinate_diff(want) <= 1e-12
+        """Edges and 2-faces of plane sections of the truncated cube, and of
+        3-flat sections of its prism in R^4, whole or under the box, which
+        cuts the corner's triangle and the edges and faces around it."""
+        got, want = _one_rotation(n, "box" if window else None, j, r, s, l)
+        assert _close(got, want)
         if window and r + s + l == 0:
-            assert 0.0 < want.value() < tcm(section, j).tensor.value()
+            assert 0.0 < want.value() < _one_rotation(n, None, j, 0, 0, 0)[1].value()
 
     def test_line_parallel_to_a_violated_row_is_empty(self):
-        """y = 1.2 crosses the other rows' lines in [0, 0.3] but lies above y <= 1."""
-        A, b = _PENTAGON
-        B, q = np.array([[1.0], [0.0]]), np.array([0.0, 1.2])
-        with pytest.raises(EmptyPolytopeError):
-            Polytope.from_halfspaces(A @ B, b - A @ q, origin=q, frame=B)
+        """Lines along the x-axis are parallel to the rows y <= 1 and
+        -y <= 0: the edges on those rows meet such a line in a point at
+        most, so [F, L] = 0 drops them, and every index still equals the
+        integral over the offsets."""
+        P, k, rho, _, _ = _one_flat("axis line", None)
+        assert np.allclose(np.abs(P._normal_rays(1)[:, 0] @ rho[:, 0]).min(), 0.0)
         for j, r, s, l in _ONE_SECTION_INDICES:
-            got = self._lhs(j, r, s, l, 2, B, np.array([[0.0], [1.0]]), q, A @ B, b - A @ q)
-            assert not got.data.any()
+            assert _close(*_one_rotation("axis line", None, j, r, s, l))
+
+
+# -- n = 2 by quadrature over the angle ------------------------------------------
+
+def _polygon(points, seed):
+    return Polytope.from_vertices(np.random.default_rng(seed).standard_normal((points, 2)))
+
+
+_PLANAR = {"P": _polygon(6, 3), "P2": _polygon(5, 4)}
+_PLANAR_WINDOW = Region.box([-0.5, -1.0], [1.0, 0.4])
+_PLANAR_INDICES = [(j, r, s, l) for j in (0, 1, 2) for r in range(3) for s in range(5)
+                   for l in range(2) if not (j == 0 and l) and not (j == 2 and s)]
+
+
+def _angles(breaks, nodes=16):
+    """Gauss-Legendre nodes and weights on [0, 2 pi), piecewise between the
+    breakpoints (taken mod 2 pi), weights summing to one."""
+    cuts = np.unique(np.concatenate([np.mod(breaks, 2 * math.pi), [0.0, 2 * math.pi]]))
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    lo, hi = cuts[:-1, None], cuts[1:, None]
+    return ((lo + hi) / 2 + (hi - lo) / 2 * x).ravel(), ((hi - lo) / 2 * w).ravel() / (2 * math.pi)
+
+
+def _turns(theta):
+    c, s = np.cos(theta), np.sin(theta)
+    return np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
+
+
+def _normal_angles(P):
+    rays = P._normal_rays(1)[:, 0]
+    return np.arctan2(rays[:, 1], rays[:, 0])
+
+
+def _planar_gap(theorem, j, r, s, l, window):
+    """The gap between the face sum integrated over the angle and the
+    right-hand side, relative to the right-hand side or, where that is
+    below 1 (it vanishes at odd s and j = k), to the bodies' unit scale.  The integrand
+    is smooth between the angles where a direction of L is orthogonal to an
+    edge normal (Crofton), or a moved edge normal is parallel to one of P's
+    (motions)."""
+    P, P2 = _PLANAR["P"], _PLANAR["P2"]
+    region = _PLANAR_WINDOW if window else None
+    phi = _normal_angles(P)
+    if theorem == "crofton":
+        theta, weight = _angles(np.concatenate([phi + math.pi / 2, phi - math.pi / 2]))
+        values = verify_module._crofton_pairs(P, 1, j, r, s, l, region)(_turns(theta))
+        want = crofton_rhs(P, 1, j, r, s, l, region=region)[0]
+    else:
+        diff = (phi[:, None] - _normal_angles(P2)[None]).ravel()
+        theta, weight = _angles(np.concatenate([diff, diff + math.pi]))
+        values = verify_module._kinematic_pairs(P, P2, j, r, s, l, region, region)(_turns(theta))
+        want = kinematic_rhs(P, P2, j, r, s, l, region=region, region2=region)[0]
+    return np.abs(weight @ values - want.data).max() / max(np.abs(want.data).max(), 1.0)
+
+
+class TestPlanarQuadrature:
+    """In R^2 the rotation integral is one angle, and the face sum's
+    integrand a piecewise trigonometric polynomial: Gauss-Legendre between
+    its breakpoints makes the left-hand side exact, so it must equal the
+    right-hand side to 1e-12 for Crofton lines (k = 1) and motions of two
+    random polygons, with and without windows."""
+
+    def test_every_index_equals_the_right_hand_side(self):
+        worst = max(_planar_gap(theorem, j, r, s, l, window)
+                    for theorem in ("crofton", "kinematic") for window in (False, True)
+                    for j, r, s, l in _PLANAR_INDICES if theorem == "kinematic" or j < 2)
+        assert worst <= 1e-12
+
+    def test_a_wrong_coefficient_fails(self, monkeypatch):
+        """d_{2,1,1}^{2,0,1,1} (the top-measure term of the line Crofton
+        formula at s = 2) off by 1e-6 relative: the quadrature sees it."""
+        real = verify_module.d_coeff
+
+        def wrong(n, j, k, s, l, i, m):
+            value = real(n, j, k, s, l, i, m)
+            return value * (1 + 1e-6) if (n, j, k, s, l, i, m) == (2, 1, 1, 2, 0, 1, 1) else value
+        monkeypatch.setattr(verify_module, "d_coeff", wrong)
+        assert _planar_gap("crofton", 1, 0, 2, 0, False) > 1e-12
+        assert _planar_gap("kinematic", 1, 0, 2, 0, False) > 1e-12
 
 
 class TestSampleCount:
     P2 = cube(2).transformed(random_rotation(stream(9, 0), 2), np.array([0.2, 0.1]))
 
-    # generic: an index the batched path does not take (vertices of
-    # 3-dimensional sections, or j = d = n)
+    # generic: an index the face sum does not take (vertices of 3-flat
+    # sections in R^4, or of intersections in R^3)
     @pytest.mark.parametrize("samples", [0, -3])
     @pytest.mark.parametrize("generic", [False, True])
     def test_crofton_lhs_needs_a_sample(self, samples, generic):
@@ -733,7 +858,10 @@ class TestSampleCount:
     @pytest.mark.parametrize("generic", [False, True])
     def test_kinematic_lhs_needs_a_sample(self, samples, generic):
         with pytest.raises(ValueError, match="at least one sample"):
-            kinematic_lhs(cube(2), self.P2, 2 * int(generic), samples=samples)
+            if generic:
+                kinematic_lhs(cube(3), _turned_cube3(), 0, samples=samples)
+            else:
+                kinematic_lhs(cube(2), self.P2, 0, samples=samples)
 
     @pytest.mark.parametrize("samples", [0, -3])
     def test_steiner_check_needs_a_sample(self, samples):
@@ -742,15 +870,11 @@ class TestSampleCount:
 
 
 class TestRejectedInput:
-    """Arguments under which the identities do not hold as computed: a
-    sampler support that need not cover the body, bodies in different
-    spaces, negative parallel distances, ranks outside the theorem, and
-    negative orders r, s, l."""
+    """Arguments under which the identities do not hold as computed: bodies
+    in different spaces, negative parallel distances, ranks outside the
+    theorem, and negative orders r, s, l."""
 
     @pytest.mark.parametrize("call", [
-        lambda: sample_flats_hitting(cube(2), 1, 10, margin=-0.1),
-        lambda: sample_motions_coupling(cube(2), cube(2), 10, margin=-0.1),
-        lambda: crofton_lhs(cube(3), 2, 1, samples=10, margin=-1.0),
         lambda: kinematic_lhs(cube(2), cube(3), 0, samples=10),
         lambda: kinematic_rhs(cube(2), cube(3), 0),
         lambda: kinematic_rhs(cube(3), cube(2), 1),
@@ -762,73 +886,57 @@ class TestRejectedInput:
         lambda: kinematic_rhs(cube(2), cube(2), 1, r=-1),
         lambda: crofton_lhs(cube(3), 2, 1, l=-1, samples=10),
         lambda: kinematic_lhs(cube(2), cube(2), 1, s=-2, samples=10)],
-        ids=["flats-margin", "motions-margin", "crofton-lhs-margin", "kinematic-lhs-dims",
-             "kinematic-rhs-dims", "kinematic-rhs-dims-swapped", "steiner-eps", "independence-n",
-             "independence-p", "independence-trials", "crofton-rhs-s", "kinematic-rhs-r",
-             "crofton-lhs-l", "kinematic-lhs-s"])
+        ids=["kinematic-lhs-dims", "kinematic-rhs-dims", "kinematic-rhs-dims-swapped",
+             "steiner-eps", "independence-n", "independence-p", "independence-trials",
+             "crofton-rhs-s", "kinematic-rhs-r", "crofton-lhs-l", "kinematic-lhs-s"])
     def test_raises_value_error(self, call):
         with pytest.raises(ValueError):
             call()
 
 
 class TestRouting:
-    """Which indices take the batched section path and which the per-sample
-    generic path."""
+    """The index alone routes: d - j <= 2 takes the face sum (d = k for
+    k-flats, d = n for motions), and the per-sample evaluator takes exactly
+    Crofton (n, k, j) = (4, 3, 0), motions in R^3 at j = 0 and motions in
+    R^4 at j <= 1."""
 
     @staticmethod
-    def _refuse_generic(monkeypatch):
-        class Generic(Exception):
+    def _refuse(monkeypatch, name):
+        class Refused(Exception):
             pass
 
-        def generic(*args, **kwargs):
-            raise Generic
-        monkeypatch.setattr(verify_module, "_generic_lhs", generic)
-        return Generic
+        def refuse(*args, **kwargs):
+            raise Refused
+        monkeypatch.setattr(verify_module, name, refuse)
+        return Refused
 
     def test_table_rows_take_the_batched_path(self, monkeypatch):
-        self._refuse_generic(monkeypatch)
-        line_rows = [dict(k=1, j=0), dict(k=1, j=1, s=2), dict(k=1, j=1, s=0, l=1),
-                     dict(k=1, j=1, s=4), dict(k=1, j=1, s=2, l=1)]
-        rows_3d = [dict(k=1, j=1, s=2), dict(k=1, j=0), dict(k=2, j=1, s=2),
-                   dict(k=2, j=1, s=0), dict(k=2, j=1, s=1), dict(k=2, j=1, s=2, l=1),
-                   dict(k=2, j=1, s=4), dict(k=2, j=1, s=3, l=1), dict(k=1, j=1, s=4, l=1)]
-        for cfg in line_rows:
-            crofton_lhs(cube(2), samples=20, seed=21, **cfg)
-        for cfg in rows_3d:
-            crofton_lhs(cube(3), samples=20, seed=22, **cfg)
-        crofton_lhs(_BODIES["simplex3"](), k=2, j=1, s=2, samples=20, seed=23)
-        P2 = cube(2).transformed(random_rotation(stream(9, 0), 2), np.array([0.2, 0.1]))
-        for (r, s) in [(0, 0), (0, 1), (0, 2), (1, 1), (2, 0), (0, 4), (1, 3), (2, 2), (4, 0)]:
-            kinematic_lhs(cube(2), P2, 0, r=r, s=s, samples=20, seed=24)
-        # windows, and position moments of segments and edges
+        self._refuse(monkeypatch, "_generic_lhs")
+        for n in (2, 3, 4):
+            for k in range(1, n):
+                for j in range(k + 1):
+                    if (n, k, j) != (4, 3, 0):
+                        crofton_lhs(cube(n), k, j, s=2, l=int(j > 0), samples=5, seed=1)
+        bodies = {2: (cube(2), cube(2).transformed(random_rotation(stream(9, 0), 2))),
+                  3: (cube(3), _turned_cube3()), 4: (cube(4), _turned_cube4())}
+        for n, (P, P2) in bodies.items():
+            for j in range(max(0, n - 2), n + 1):
+                kinematic_lhs(P, P2, j, s=2 * (j < n), samples=5, seed=1)
         window = Region.box([-1, -1], [0.5, 2])
         crofton_lhs(cube(2), 1, 1, region=window, samples=5, seed=1)
-        kinematic_lhs(cube(2), P2, 0, region2=window, samples=5, seed=1)
-        crofton_lhs(cube(3), 2, 1, r=1, s=1, samples=5, seed=1)
-        crofton_lhs(cube(3), 1, 1, r=1, samples=5, seed=1)
-        kinematic_lhs(cube(2), P2, 1, r=1, samples=5, seed=1)
-        # edges and 2-faces of solid sections, and plane sections themselves
-        for j in (1, 2):
-            kinematic_lhs(cube(3), _turned_cube3(), j, r=1, s=1, samples=5, seed=1)
-            crofton_lhs(cube(4), 3, j, s=2, samples=5, seed=1)
-        kinematic_lhs(cube(3), _turned_cube3(), 2, region=_WINDOWS["box3"], samples=5, seed=1)
-        crofton_lhs(cube(3), 2, 2, l=1, samples=5, seed=1)
-        crofton_lhs(cube(4), 2, 2, s=2, samples=5, seed=1)
-        # plane-section vertices in R^4: arcs plus the section's complement
-        crofton_lhs(cube(4), 2, 0, s=2, samples=5, seed=1)
+        kinematic_lhs(*bodies[2], 0, region2=window, samples=5, seed=1)
 
     def test_the_rest_reaches_the_generic_path(self, monkeypatch):
-        Generic = self._refuse_generic(monkeypatch)
-        P2 = cube(2).transformed(random_rotation(stream(9, 0), 2), np.array([0.2, 0.1]))
+        self._refuse(monkeypatch, "_face_sum_lhs")
+        Refused = self._refuse(monkeypatch, "_generic_lhs")
         cases = [
-            lambda: kinematic_lhs(cube(3), cube(3), 0, samples=5, seed=1),
-            lambda: kinematic_lhs(cube(2), P2, 2, samples=5, seed=1),
-            lambda: kinematic_lhs(cube(3), _turned_cube3(), 3, samples=5, seed=1),
-            lambda: crofton_lhs(cube(4), 3, 3, samples=5, seed=1),
             lambda: crofton_lhs(cube(4), 3, 0, samples=5, seed=1),
+            lambda: kinematic_lhs(cube(3), cube(3), 0, samples=5, seed=1),
+            lambda: kinematic_lhs(cube(4), _turned_cube4(), 0, samples=5, seed=1),
+            lambda: kinematic_lhs(cube(4), _turned_cube4(), 1, samples=5, seed=1),
         ]
         for case in cases:
-            with pytest.raises(Generic):
+            with pytest.raises(Refused):
                 case()
 
 
@@ -875,9 +983,8 @@ class TestGenericPathErrors:
             def block(at):
                 B = np.array([flats[i][0] for i in rows])[at]
                 q = np.array([flats[i][1] for i in rows])[at]
-                W = np.stack([-B[:, 1], B[:, 0]], axis=1)
-                return (B, W, q, A @ B, b - q @ A.T) + verify_module._each(np.zeros((0, 2)),
-                                                                           np.zeros(0), len(q))
+                return (B, q, A @ B, b - q @ A.T) + verify_module._each(np.zeros((0, 2)),
+                                                                        np.zeros(0), len(q))
             return block
 
         def lhs(rows):
@@ -887,7 +994,6 @@ class TestGenericPathErrors:
         assert (rejections, none) == (2, 0)
         assert np.array_equal(est.data, miss_est.data) and np.array_equal(err.data, miss_err.data)
         assert np.abs(est.data).max() > 0.01
-
 
     def test_sections_draw_their_own_cone_streams(self, monkeypatch):
         """Sampled vertex cones of different sections never share a stream:
@@ -913,9 +1019,9 @@ class TestGenericPathErrors:
 
 
 class TestSectionBlocks:
-    """The window rows each theorem hands to the evaluators: the region for
-    every flat, and for a motion g = (rho, t) the region stacked with
-    region2 moved by g."""
+    """The window rows each theorem hands to the per-sample evaluator: the
+    region for every flat, and for a motion g = (rho, t) the region stacked
+    with region2 moved by g."""
 
     @staticmethod
     def _blocks(monkeypatch, run):
@@ -924,31 +1030,30 @@ class TestSectionBlocks:
         def record(n, j, r, s, l, N, sections, *args):
             seen.append(sections(slice(0, N)))
             return None, None, 0
-        monkeypatch.setattr(verify_module, "_section_lhs", record)
+        monkeypatch.setattr(verify_module, "_generic_lhs", record)
         run()
         return seen[0]
 
     def test_flats_carry_the_region(self, monkeypatch):
-        region = Region([[1.0, 1.0, -0.5]], [0.9])
-        *_, Aw, bw = self._blocks(monkeypatch, lambda: crofton_lhs(cube(3), 2, 1, region=region,
+        region = Region([[1.0, 1.0, -0.5, 0.2]], [0.9])
+        *_, Aw, bw = self._blocks(monkeypatch, lambda: crofton_lhs(cube(4), 3, 0, region=region,
                                                                    samples=30, seed=3))
-        assert Aw.shape == (30, 1, 3) and np.all(Aw == region.A) and np.all(bw == region.b)
+        assert Aw.shape == (30, 1, 4) and np.all(Aw == region.A) and np.all(bw == region.b)
 
     def test_motions_carry_the_region_and_the_moved_region2(self, monkeypatch):
-        P2 = cube(2).transformed(random_rotation(stream(9, 0), 2), np.array([0.2, 0.1]))
-        region, region2 = Region.box([-1, -1], [0.5, 2]), Region([[1.0, 1.0]], [1.2])
+        P2 = _turned_cube3()
+        region, region2 = Region.box([-1, -1, -1], [0.5, 2, 2]), Region([[1.0, 1.0, 0.0]], [1.2])
         *_, Aw, bw = self._blocks(monkeypatch, lambda: kinematic_lhs(
-            cube(2), P2, 0, region=region, region2=region2, samples=30, seed=3))
-        batch = sample_motions_coupling(cube(2), P2, 30, seed=3)
+            cube(3), P2, 0, region=region, region2=region2, samples=30, seed=3))
+        batch = sample_motions_coupling(cube(3), P2, 30, seed=3)
         for i, (rho, t) in enumerate(zip(batch.rotations, batch.translations)):
             moved = region2.transformed(rho, t)
             np.testing.assert_allclose(Aw[i], np.vstack([region.A, moved.A]), rtol=0, atol=1e-15)
             np.testing.assert_allclose(bw[i], np.concatenate([region.b, moved.b]), rtol=0, atol=1e-14)
 
     def test_the_whole_space_has_no_rows(self, monkeypatch):
-        P2 = cube(2).transformed(random_rotation(stream(9, 0), 2), np.array([0.2, 0.1]))
-        for run in (lambda: crofton_lhs(cube(3), 2, 1, samples=30, seed=3),
-                    lambda: kinematic_lhs(cube(2), P2, 0, samples=30, seed=3)):
+        for run in (lambda: crofton_lhs(cube(4), 3, 0, samples=30, seed=3),
+                    lambda: kinematic_lhs(cube(3), _turned_cube3(), 0, samples=30, seed=3)):
             *_, Aw, bw = self._blocks(monkeypatch, run)
             assert Aw.shape[:2] == bw.shape == (30, 0)
 
