@@ -28,7 +28,7 @@ from .rng import purpose_key, stream
 from .special import gamma_half, omega
 from .symtensor import DIRECTION_TOL, SymTensor, multi_degrees, vector_power
 
-__all__ = ["MomentResult", "ConeMomentBudgetError", "cone_sphere_moment", "trig_integral"]
+__all__ = ["MomentResult", "ConeMomentBudgetError", "cone_sphere_moment"]
 
 _RATE_FLOOR = 1e-4   # sampled cones accepting fewer directions than this raise
 _MC_BATCH = 20000    # directions drawn per stream
@@ -56,19 +56,13 @@ class MomentResult:
     samples: int
 
 
-def trig_integral(p, q, t1, t2):
-    """Definite integral of cos^p(t) sin^q(t) over [t1, t2], by the standard
-    power-reduction recurrence.  Accepts scalars or numpy arrays for the
-    endpoints."""
-    return _trig_recurrence(p, q, *_arc_ends(t1, t2))
-
-
 def _arc_ends(t1, t2):
     """`_trig_recurrence`'s endpoint arguments, shared by all integrals on an arc."""
     return t1, t2, np.cos(t1), np.sin(t1), np.cos(t2), np.sin(t2)
 
 
 def _trig_recurrence(p, q, t1, t2, c1, s1, c2, s2):
+    """Integral of cos^p(t) sin^q(t) over [t1, t2], given c1, s1, c2, s2 at its ends."""
     if p >= 2:
         term = (c2 ** (p - 1) * s2 ** (q + 1) - c1 ** (p - 1) * s1 ** (q + 1)) / (p + q)
         return term + (p - 1) / (p + q) * _trig_recurrence(p - 2, q, t1, t2, c1, s1, c2, s2)

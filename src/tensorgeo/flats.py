@@ -1,5 +1,9 @@
 """Samplers for random rotations, flats and rigid motions.
 
+A Haar rotation is the Q of a Gaussian matrix's QR with R's diagonal
+positive, signed to det Q = +1 (Mezzadri 2007), computed in closed form by
+Gram-Schmidt and, in R^2 and R^3, a quarter turn or a cross product.
+
 Integrals over the invariant measure of k-flats are estimated by
 importance sampling: a flat is a Haar-random rotation of a fixed k-plane
 translated within a ball (in the orthogonal complement) that covers every
@@ -30,17 +34,40 @@ _BATCH = 4096
 
 
 def random_rotation(rng, n, count=None):
-    """Haar-distributed rotation(s) from SO(n): QR of a Gaussian matrix with
-    the sign ambiguity fixed, then determinant forced to +1."""
+    """Haar rotation(s) of SO(n) from one Gaussian draw z of shape (n, n) or
+    (count, n, n): the Q of z = QR with R's diagonal positive, its first
+    column negated where det z < 0 (Mezzadri 2007), in closed form (`_haar`)."""
     shape = (n, n) if count is None else (count, n, n)
-    z = rng.standard_normal(shape)
-    q, r = np.linalg.qr(z)
-    d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
-    d[d == 0] = 1.0
-    q = q * d[..., None, :]
-    det = np.linalg.det(q)
-    q[..., :, 0] *= np.where(det < 0, -1.0, 1.0)[..., None]
-    return q
+    return _haar(rng.standard_normal(shape))
+
+
+def _perp(*vs):
+    """w with <w, x> = det[*vs, x] for the n - 1 vectors vs of R^n, n = 2 or
+    3, components first: a quarter turn, or the cross product."""
+    if len(vs) == 1:
+        return np.stack([-vs[0][1], vs[0][0]])
+    a, b = vs
+    return a[[1, 2, 0]] * b[[2, 0, 1]] - a[[2, 0, 1]] * b[[1, 2, 0]]
+
+
+def _haar(z):
+    """`random_rotation`'s Q for z (..., n, n): Gram-Schmidt on z's columns,
+    re-orthogonalised once, the first negated beforehand where det z < 0
+    (which negates Q's first column alone).  In R^2 and R^3 the rotation's
+    last column, and det z, come from `_perp`."""
+    n = z.shape[-1]
+    col = np.ascontiguousarray(np.moveaxis(z, (-1, -2), (0, 1)))   # col[j][i] = z[..., i, j]
+    closed = n in (2, 3)
+    det = (_perp(*col[:-1]) * col[-1]).sum(0) if closed else np.linalg.det(z)
+    q = []
+    for v in [col[0] * np.copysign(1.0, det), *col[1:n - closed]]:
+        for _ in range(2):
+            for u in q:
+                v = v - (u * v).sum(0) * u
+        q.append(v / np.sqrt((v * v).sum(0)))
+    if closed:
+        q.append(_perp(*q))
+    return np.ascontiguousarray(np.moveaxis(np.array(q), (0, 1), (-1, -2)))
 
 
 def rotation_blocks(n, count, seed=0):

@@ -7,8 +7,9 @@ import pytest
 from tensorgeo import conemoment, flats
 from tensorgeo.conemoment import (
     cone_sphere_moment,
-    trig_integral,
+    _arc_ends,
     _monte_carlo_moment,
+    _trig_recurrence,
 )
 from tensorgeo.flats import sample_flats_hitting
 from tensorgeo.measures import tcm
@@ -17,6 +18,12 @@ from tensorgeo.polytope import (SLACK, Polytope, cross_polytope, cube, intersect
 from tensorgeo.rng import stream
 from tensorgeo.special import gamma_half, omega
 from tensorgeo.symtensor import SymTensor, multi_degrees, multinomial, vector_power
+
+
+def trig_integral(p, q, t1, t2):
+    """Definite integral of cos^p(t) sin^q(t) over [t1, t2] by the
+    power-reduction recurrence, for scalar or array endpoints."""
+    return _trig_recurrence(p, q, *_arc_ends(t1, t2))
 
 
 class TestTrigIntegral:

@@ -6,6 +6,7 @@ from scipy import stats
 
 from tensorgeo.coeffs import alpha
 from tensorgeo.flats import (
+    _haar,
     random_rotation,
     sample_flats_hitting,
     sample_motions_coupling,
@@ -23,6 +24,27 @@ def _hits(P, batch):
     return (side.min(axis=1) <= 0) & (side.max(axis=1) >= 0)
 
 
+def _qr_rotation(rng, n, count=None):
+    """The reference for `random_rotation`: LAPACK's QR of the same Gaussian
+    draw, Q's columns signed to make R's diagonal positive, then the first
+    column negated where det Q < 0."""
+    shape = (n, n) if count is None else (count, n, n)
+    z = rng.standard_normal(shape)
+    q, r = np.linalg.qr(z)
+    d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+    d[d == 0] = 1.0
+    q = q * d[..., None, :]
+    det = np.linalg.det(q)
+    q[..., :, 0] *= np.where(det < 0, -1.0, 1.0)[..., None]
+    return q
+
+
+def _orthogonality_and_det_errors(q):
+    n = q.shape[-1]
+    orth = np.max(np.abs(np.einsum("mij,mkj->mik", q, q) - np.eye(n)))
+    return orth, np.max(np.abs(np.linalg.det(q) - 1.0))
+
+
 class TestStream:
     @pytest.mark.parametrize("seed", [-1, 2 ** 64])
     def test_seed_outside_key_word_raises(self, seed):
@@ -35,11 +57,38 @@ class TestStream:
 
 class TestRandomRotation:
     def test_orthogonal_det_one(self):
-        rng = stream(0, 0)
-        q = random_rotation(rng, 4, count=50)
-        err = np.max(np.abs(np.einsum("mij,mkj->mik", q, q) - np.eye(4)))
-        assert err < 1e-12
-        assert np.allclose(np.linalg.det(q), 1.0, atol=1e-12)
+        for n in range(1, 5):
+            q = random_rotation(stream(0, n), n, count=100000)
+            orth, det = _orthogonality_and_det_errors(q)
+            assert orth < 1e-14 and det < 1e-14, (n, orth, det)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_the_qr_reference(self, n):
+        """The closed form is the QR recipe's Q to rounding, for single
+        draws and for full blocks of 4096, and leaves the stream where the
+        QR recipe leaves it."""
+        for seed in (0, 1, 7, 2 ** 40):
+            for count in (None, 4096):
+                rng, ref = stream(seed, n), stream(seed, n)
+                q = random_rotation(rng, n, count)
+                expected = _qr_rotation(ref, n, count)
+                assert q.shape == expected.shape
+                np.testing.assert_allclose(q, expected, rtol=0, atol=1e-13)
+                assert np.array_equal(rng.standard_normal(8), ref.standard_normal(8))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_nearly_dependent_columns(self, n):
+        """Columns 1e-12 apart still give a rotation whose first column is
+        the first column's direction, signed by det z."""
+        rng = stream(3, n)
+        z = rng.standard_normal((1000, n, n))
+        z[:, :, 1] = z[:, :, 0] + 1e-12 * rng.standard_normal((1000, n))
+        q = _haar(z)
+        orth, det = _orthogonality_and_det_errors(q)
+        assert orth < 1e-14 and det < 1e-14, (orth, det)
+        first = z[:, :, 0] / np.linalg.norm(z[:, :, 0], axis=1, keepdims=True)
+        sign = np.sign(np.linalg.det(z))[:, None]
+        np.testing.assert_allclose(q[:, :, 0], sign * first, rtol=0, atol=1e-15)
 
     def test_group_closure(self):
         rng = stream(1, 0)
