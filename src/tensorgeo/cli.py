@@ -61,14 +61,6 @@ def _load_region(path):
         return Region.from_json(json.load(fh))
 
 
-def _check_indices(j, k, n, l=0):
-    """Usage errors (exit 2) for indices outside 0 <= j <= k <= n, or l > 0 at j = 0."""
-    if not 0 <= j <= k <= n:
-        raise ValueError(f"need 0 <= j <= k <= n, got j = {j}, k = {k}, n = {n}")
-    if j == 0 and l:
-        raise ValueError("j = 0 requires l = 0")
-
-
 def _run_config(args, command):
     cfg = {k: v for k, v in sorted(vars(args).items())
            if k != "func" and v is not None}
@@ -102,7 +94,8 @@ def _json_default(obj):
 
 def _cmd_measure(args):
     P = _load_polytope(args)
-    _check_indices(args.j, P.dim, P.dim)   # tcm extends by zero in s and l past their range
+    if not 0 <= args.j <= P.dim:        # tcm extends by zero past the range
+        raise ValueError(f"need 0 <= j <= n, got j = {args.j}, n = {P.dim}")
     _check_orders(args.r, args.s, args.l)
     region = _load_region(args.region)
     mv = tcm(P, args.j, args.r, args.s, args.l, region=region,
@@ -124,38 +117,25 @@ def _cmd_measure(args):
     return 0
 
 
+# per family, its CSV rows from the arguments a and ms = range(floor(s/2) + 1)
+_COEFF_ROWS = {
+    "d": lambda a, ms: [{"i": i, "m": m, "value": coeffs.d_coeff(a.n, a.j, a.k, a.s, a.l, i, m)}
+                        for m in ms for i in range(m + 1)],
+    "alpha": lambda a, ms: [{"j": a.j, "k": a.k, "value": coeffs.alpha(a.n, a.j, a.k)}],
+    "thm31": lambda a, ms: [{"k": a.k, "s": a.s, "value": coeffs.thm31_coeff(a.n, a.k, a.s)}],
+    "iota": lambda a, ms: [{"m": m, "value": coeffs.iota(a.n, a.k, a.s, m)} for m in ms],
+    "lambda": lambda a, ms: [{"m": m, "value": coeffs.lambda_coeff(a.n, a.k, a.s, m)}
+                             for m in range(len(ms) + 1)],    # m runs to floor(s/2) + 1
+    "kappa": lambda a, ms: [{"m": m, "value": coeffs.kappa_coeff(a.n, a.k, a.s, m)} for m in ms],
+    "cor38": lambda a, ms: [{"s": a.s, "value": coeffs.cor38_coeff(a.n, a.s)}],
+}
+
+
 def _cmd_coeff(args):
-    fam = args.family
     # m = 0 is always evaluated, so the families themselves reject a negative s
-    ms = range(max(args.s, 0) // 2 + 1)
-    if fam == "d":
-        rows = [{"i": i, "m": m, "value": coeffs.d_coeff(args.n, args.j, args.k, args.s,
-                                                          args.l, i, m)}
-                for m in ms for i in range(m + 1)]
-        header = ["i", "m", "value"]
-    elif fam == "alpha":
-        rows = [{"j": args.j, "k": args.k, "value": coeffs.alpha(args.n, args.j, args.k)}]
-        header = ["j", "k", "value"]
-    elif fam == "thm31":
-        rows = [{"k": args.k, "s": args.s, "value": coeffs.thm31_coeff(args.n, args.k, args.s)}]
-        header = ["k", "s", "value"]
-    elif fam == "iota":
-        rows = [{"m": m, "value": coeffs.iota(args.n, args.k, args.s, m)} for m in ms]
-        header = ["m", "value"]
-    elif fam == "lambda":
-        rows = [{"m": m, "value": coeffs.lambda_coeff(args.n, args.k, args.s, m)}
-                for m in range(len(ms) + 1)]   # m runs to floor(s/2) + 1
-        header = ["m", "value"]
-    elif fam == "kappa":
-        rows = [{"m": m, "value": coeffs.kappa_coeff(args.n, args.k, args.s, m)} for m in ms]
-        header = ["m", "value"]
-    elif fam == "cor38":
-        rows = [{"s": args.s, "value": coeffs.cor38_coeff(args.n, args.s)}]
-        header = ["s", "value"]
-    else:
-        raise ValueError(f"unknown coefficient family {fam!r}")
+    rows = _COEFF_ROWS[args.family](args, range(max(args.s, 0) // 2 + 1))
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=header)
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
     writer.writeheader()
     writer.writerows(rows)
     text = buf.getvalue()
@@ -168,7 +148,6 @@ def _cmd_coeff(args):
 
 def _cmd_crofton(args):
     P = _load_polytope(args)
-    _check_indices(args.j, args.k, P.dim, args.l)
     region = _load_region(args.region)
     rep = crofton_verify(P, args.k, args.j, args.r, args.s, args.l, region=region,
                          samples=args.samples, seed=args.seed, budget=args.budget)
@@ -179,7 +158,6 @@ def _cmd_crofton(args):
 def _cmd_kinematic(args):
     P = _load_polytope(args)
     P2 = _load_polytope(args, attr="builtin2", file_attr="polytope2")
-    _check_indices(args.j, P.dim, P.dim, args.l)
     if args.rotate2 is not None:
         from .flats import random_rotation
         from .rng import purpose_key, stream
@@ -257,8 +235,7 @@ def build_parser():
     sp.set_defaults(func=_cmd_measure)
 
     sp = sub.add_parser("coeff", help="coefficient tables (CSV)")
-    sp.add_argument("family", choices=["d", "alpha", "thm31", "iota", "lambda",
-                                       "kappa", "cor38"])
+    sp.add_argument("family", choices=list(_COEFF_ROWS))
     for flag in ("n", "j", "k", "s", "l"):
         sp.add_argument(f"--{flag}", type=int, default=0)
     sp.add_argument("--out")

@@ -9,9 +9,11 @@ a pointed part C of dimension lin_dim - dim W.  Full subspaces, rays,
 pointed cones with pairwise orthogonal rays and planar arcs, each plus W,
 are orthogonal sums with one closed form (`_cone_moment`).  One classifier,
 `_closed_forms`, sorts a batch of cones (a face level of a body, or one
-cone) into these kinds and evaluates each kind in one array call.  The
-rest fall back to Monte-Carlo sampling on the sphere of lin(N), filtered
-by the cone's membership oracle, with per-coordinate standard errors.
+cone) into these kinds and evaluates each kind in one array call.  An arc,
+the pointed part of a cone of exactly two rays, has one kernel, `_arc`, in
+the mean-ray form, which the face sum of `verify` shares.  The rest fall
+back to Monte-Carlo sampling on the sphere of lin(N), filtered by the
+cone's membership oracle, with per-coordinate standard errors.
 """
 
 from __future__ import annotations
@@ -129,6 +131,23 @@ def _cone_moment(n, s, rays, W, arc=None):
     return acc[s].scale(1.0 / norm)
 
 
+def _arc(n, s, a, b, W):
+    """The rank-s moment of pos(a, b) + span(W) for unit rays a, b (..., n)
+    orthogonal to the orthonormal columns of W (..., n, w), leading axes
+    broadcasting into the batch, in the mean-ray form: the arc runs over
+    [-h, h] from pa = (a + b) / |a + b| towards pb = (b - a) / |b - a|,
+    orthogonal to pa, with h = atan2(|b - a|, |a + b|).  Returns the moment,
+    the angle 2 h between the rays, its sine |a + b| |b - a| / 2 and the
+    frame (pa, pb) of their plane; a zero sum or difference leaves its
+    frame vector zero."""
+    plus, minus = a + b, b - a
+    lp, lm = np.linalg.norm(plus, axis=-1), np.linalg.norm(minus, axis=-1)
+    pa, pb = (v / np.where(x > 0, x, 1.0)[..., None] for v, x in ((plus, lp), (minus, lm)))
+    half = np.arctan2(lm, lp)
+    moment = _cone_moment(n, s, np.zeros((n, 0)), W, (pa, pb, _arc_ends(-half, half)))
+    return moment, 2.0 * half, lp * lm / 2.0, (pa, pb)
+
+
 def _closed_forms(s, rays, W):
     """Rank-s moments of the cones {sum_i a_i rays_i + W c : a_i >= 0}, rays
     (F, q, n) padded with zero rows and W (n, w) common to all, and each
@@ -137,7 +156,7 @@ def _closed_forms(s, rays, W):
     (F, q, n), w = rays.shape, W.shape[1]
     out, method = np.zeros((F, len(multi_degrees(n, s)))), np.full(F, "monte-carlo", dtype=object)
     valid = np.any(rays != 0.0, axis=2)
-    plane, sv, _ = np.linalg.svd(np.swapaxes(rays, 1, 2), full_matrices=False)
+    sv = np.linalg.svd(np.swapaxes(rays, 1, 2), compute_uv=False)
     dc = np.sum(sv > DIRECTION_TOL, axis=1)     # the dimension of the pointed part
     gram = rays @ np.swapaxes(rays, 1, 2) - np.eye(q) * valid[:, None, :]
     orthonormal = (valid.sum(axis=1) == dc) & (np.abs(gram).max(axis=(1, 2), initial=0.0) <= DIRECTION_TOL)
@@ -147,21 +166,12 @@ def _closed_forms(s, rays, W):
         at = ortho & (dc == k)
         method[at] = "full-sphere" if k == 0 else "point" if k == 1 and w == 0 else "product"
         out[at] = _cone_moment(n, s, np.swapaxes(rays[at, :k], 1, 2), W).data
-    at = np.flatnonzero(~ortho & (dc == 2))
+    at = np.flatnonzero(~ortho & (dc == 2) & (valid.sum(axis=1) == 2))
     if len(at):
-        # pa the mean ray, pb turned from it by +90 degrees in the rays' plane
-        pa = rays[at].sum(axis=1)
-        pa /= np.linalg.norm(pa, axis=1)[:, None]
-        c = np.einsum("kic,ki->kc", plane[at, :, :2], pa)
-        pb = np.einsum("kic,kc->ki", plane[at, :, :2], np.stack([-c[:, 1], c[:, 0]], axis=1))
-        pb /= np.linalg.norm(pb, axis=1)[:, None]
-        rel = np.arctan2(rays[at] @ pb[:, :, None], rays[at] @ pa[:, :, None])[..., 0]
-        t1 = np.min(np.where(valid[at], rel, np.inf), axis=1)
-        t2 = np.max(np.where(valid[at], rel, -np.inf), axis=1)
-        keep = t2 - t1 < math.pi - _ARC_GAP
-        at, pa, pb, ends = at[keep], pa[keep], pb[keep], _arc_ends(t1[keep], t2[keep])
-        method[at] = "arc"
-        out[at] = _cone_moment(n, s, np.zeros((n, 0)), W, (pa, pb, ends)).data
+        moment, angle, _, _ = _arc(n, s, rays[at, 0], rays[at, 1], W)
+        keep = angle < math.pi - _ARC_GAP
+        method[at[keep]] = "arc"
+        out[at[keep]] = moment.data[keep]
     return out, method
 
 

@@ -540,6 +540,12 @@ class Region:
             return self
         return Region(self.A, lam * self.b)
 
+    def intersect(self, other):
+        """The window self cap other: both sets of rows, self's first."""
+        if self.is_universe or other.is_universe:
+            return other if self.is_universe else self
+        return Region(np.vstack([self.A, other.A]), np.concatenate([self.b, other.b]))
+
     def to_json(self):
         if self.is_universe:
             return {"universe": True}
@@ -770,7 +776,8 @@ def _free_direction(unit):
 def intersect_flat(P, B, q):
     """Intersection of a full-dimensional polytope with the affine k-flat
     {q + B y}, returned as an ambient (lower-dimensional) Polytope, or None
-    when empty; a grazing flat raises (`_flat_section`)."""
+    when empty; a grazing flat raises (`_flat_section`).  The per-sample
+    Crofton evaluator (`verify.crofton_lhs`) builds every section here."""
     B = np.asarray(B, dtype=float)
     q = np.asarray(q, dtype=float)
     A_amb, b_amb = P.ambient_halfspaces()

@@ -11,6 +11,7 @@ Seeds are integers in [0, 2^64), the range of one Philox key word.
 """
 
 import hashlib
+import operator
 
 import numpy as np
 
@@ -20,7 +21,12 @@ _BLOCK = 1 << 40  # counter states reserved per index; far above any batch use
 
 
 def check_seed(seed):
-    """`seed` itself; ValueError unless it lies in [0, 2^64)."""
+    """`seed` as an int; ValueError unless it is an integer (numpy's
+    included) in [0, 2^64): numpy would truncate 1.7 to the key 1."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ValueError(f"seed must be an integer, got {seed!r}") from None
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
     return seed
@@ -29,7 +35,7 @@ def check_seed(seed):
 def stream(seed, index=0, purpose=0):
     """Generator for sample block `index` of the stream keyed by `seed` and
     `purpose`."""
-    check_seed(seed)
+    seed = check_seed(seed)
     bg = np.random.Philox(key=np.array([np.uint64(seed), np.uint64(purpose)]))
     bg.advance(int(index) * _BLOCK)
     return np.random.Generator(bg)

@@ -10,10 +10,13 @@ draws rotations only: the integral over translations (x of the k-flats
 L + x, t of the motions rho . + t) is a closed-form sum over pairs of
 faces (`_face_pairs`).  It takes every index whose cones have a pointed
 part of dimension d - j <= 2 (d = k for flats, n for motions): a ray or an
-arc for `_cone_moment`.  The per-sample evaluator (`_generic_lhs`) builds
-each sampled section as a Polytope and calls `tcm`.  It keeps the vertex
-cones that can have three rays, Crofton (n, k, j) = (4, 3, 0) and motions
-in R^3 at j = 0 and in R^4 at j <= 1, and is the face sum's reference.
+arc for `_cone_moment` and `conemoment._arc`.  The per-sample evaluator
+(`_generic_lhs`) measures each sampled section with `tcm` under its
+window: `intersect_flat` builds P cap E for a flat E, and a motion's
+section is P's rows stacked with those of the moved body (`_flat_section`)
+under the region cut by the moved region2.  It keeps the vertex cones that
+can have three rays, Crofton (n, k, j) = (4, 3, 0) and motions in R^3 at
+j = 0 and in R^4 at j <= 1, and is the face sum's reference.
 
 What a pass proves.  Both sides take the face moments M_r(F cap beta)
 from `face_moments`, so a face-sum pass tests the coefficients, the cone
@@ -33,12 +36,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coeffs import c_norm, d_coeff
-from .conemoment import _arc_ends, _cone_moment
+from .conemoment import _arc, _arc_ends, _cone_moment
 from .flats import (_BATCH, random_rotation, rotation_blocks, sample_flats_hitting,
                     sample_motions_coupling)
 from .measures import tcm, valuation, MeasureIndex
 from .polytope import (GeometryError, GrazingIntersectionError, Polytope, Region,
-                       _flat_section)
+                       _flat_section, intersect_flat)
 from .rng import purpose_key, stream
 from .special import kappa_ball, omega
 from .symtensor import SymTensor, _product_table, metric_tensor, multi_degrees, vector_power
@@ -188,31 +191,27 @@ def _mean_and_stderr(values, weight, section_err=None):
             SymTensor.from_coordinates(values.dim, values.rank, se))
 
 
-def _generic_lhs(n, j, r, s, l, N, sections, weight, budget, seed):
-    """Per-sample evaluator: sections(block) gives the sections {q + B y :
-    g y <= h} of a block of samples, as the frames B (m, n, d), q (m, n),
-    g (m, F, d) and h (m, F), and their windows {x : Aw x <= bw}, Aw
-    (m, Fw, n) and bw (m, Fw).  Each section is built as a Polytope and
-    measured by `tcm` under its window, with sample idx's sampled cones on
-    seed ^ ((idx + 1) << 32).  A grazing section (`_flat_section`) scores
-    zero and counts as a rejection.  Returns (estimate, stderr,
-    rejections)."""
+def _generic_lhs(n, j, r, s, l, sections, weight, budget, seed):
+    """Per-sample evaluator: `sections` holds, per sample, a builder of its
+    section (`intersect_flat` or `_flat_section`: a Polytope, or None when
+    empty) and the section's window.  Each section is measured by `tcm`
+    under its window, with sample i's sampled cones on
+    seed ^ ((i + 1) << 32).  A grazing section (the builder raises
+    GrazingIntersectionError) scores zero and counts as a rejection.
+    Returns (estimate, stderr, rejections)."""
     rank = r + s + 2 * l
-    values = np.zeros((N, len(multi_degrees(n, rank))))
+    values = np.zeros((len(sections), len(multi_degrees(n, rank))))
     errors = np.zeros_like(values)
     rejections = 0
-    for at in range(0, N, _BATCH):
-        B, q, g, h, Aw, bw = sections(slice(at, at + _BATCH))
-        for i in range(len(q)):
-            try:
-                sec = _flat_section(g[i], h[i], q[i], B[i])
-            except GrazingIntersectionError:
-                rejections += 1
-                continue
-            if sec is not None:
-                mv = tcm(sec, j, r, s, l, region=Region(Aw[i], bw[i]), budget=budget,
-                         seed=seed ^ ((at + i + 1) << 32))
-                values[at + i], errors[at + i] = mv.tensor.data, mv.stderr.data
+    for i, (build, window) in enumerate(sections):
+        try:
+            sec = build()
+        except GrazingIntersectionError:
+            rejections += 1
+            continue
+        if sec is not None:
+            mv = tcm(sec, j, r, s, l, region=window, budget=budget, seed=seed ^ ((i + 1) << 32))
+            values[i], errors[i] = mv.tensor.data, mv.stderr.data
     est, err = _mean_and_stderr(SymTensor(n, rank, values), weight, SymTensor(n, rank, errors))
     return est, err, rejections
 
@@ -251,10 +250,10 @@ def _pointed(n, s, l, rays, W, sectors):
     """For q <= 2 rays, each (..., n) and broadcasting to the batch,
     orthogonal to the orthonormal columns of W (..., n, w), and unit where
     there is no W: the volume they span, the moment M_s of the cone
-    pos(rays) + span(W) (a ray or the arc between two, by `_cone_moment`;
-    1 for the cone {0}), and at l > 0 the projector onto the cone's span.
-    An arc in R^2 is the difference of its rays' `sectors`, plus a full
-    turn where it crosses the angle pi."""
+    pos(rays) + span(W) (a ray by `_cone_moment`, the arc between two by
+    `_arc`; 1 for the cone {0}), and at l > 0 the projector onto the cone's
+    span.  An arc in R^2 is the difference of its rays' `sectors`, plus a
+    full turn where it crosses the angle pi."""
     volume = 1.0
     if W.shape[-1]:
         length = [np.linalg.norm(x, axis=-1) for x in rays]
@@ -275,13 +274,8 @@ def _pointed(n, s, l, rays, W, sectors):
                          * np.sign(delta)[..., None])
         volume = volume * np.abs(sin)
     else:
-        a, b = rays
-        cos = np.einsum("...i,...i->...", a, b)
-        turn = b - cos[..., None] * a
-        sin = np.linalg.norm(turn, axis=-1)
-        turn /= np.where(sin > 0, sin, 1.0)[..., None]
-        cone = _cone_moment(n, s, np.zeros((n, 0)), W, (a, turn, _arc_ends(0.0, np.arctan2(sin, cos))))
-        volume, frame = volume * sin, [a, turn]
+        cone, _, sin, frame = _arc(n, s, *rays, W)
+        volume = volume * sin
     if not l:
         return volume, cone, None
     span = sum(vector_power(x, 2).data for x in frame) \
@@ -365,27 +359,6 @@ def _face_sum_lhs(n, rank, samples, seed, integrand):
 
 # -- left-hand sides ---------------------------------------------------------
 
-def _rows(region, n):
-    """A window's ambient rows (A, b); the whole space has none."""
-    if region is None or region.is_universe:
-        return np.zeros((0, n)), np.zeros(0)
-    return region.A, region.b
-
-
-def _each(A, b, m):
-    """The rows A x <= b, repeated for m samples."""
-    return np.broadcast_to(A, (m,) + A.shape), np.broadcast_to(b, (m, len(b)))
-
-
-def _moved(A, b, A2, b2, rho, t):
-    """Per motion, the rows A x <= b stacked with A2 x <= b2 moved by
-    x -> rho x + t."""
-    Ag = A2 @ np.swapaxes(rho, 1, 2)                                    # (m, F2, n): A2 rho^T
-    A, b = _each(A, b, len(t))
-    return (np.concatenate([A, Ag], axis=1),
-            np.concatenate([b, b2 + (Ag @ t[..., None])[..., 0]], axis=1))
-
-
 def _crofton_pairs(P, k, j, r, s, l, region=None):
     """`_face_pairs` for k-flats (the whole space at k = n): P's faces of
     dimension n - k + j."""
@@ -403,14 +376,10 @@ def crofton_lhs(P, k, j, r=0, s=0, l=0, region=None, samples=10000, seed=0, budg
         raise ValueError(f"need 0 <= j <= k and 1 <= k <= n - 1, got {(n, j, k)}")
     if _face_sum(k, j):
         return _face_sum_lhs(n, r + s + 2 * l, samples, seed, _crofton_pairs(P, k, j, r, s, l, region))
-    A, b = P.ambient_halfspaces()
-    Aw, bw = _rows(region, n)
     batch = sample_flats_hitting(P, k, samples, seed=seed)
-
-    def sections(block):
-        B, q = batch.frames[block], batch.points[block]
-        return (B, q, A @ B, b - q @ A.T) + _each(Aw, bw, len(q))
-    return _generic_lhs(n, j, r, s, l, samples, sections, batch.weight, budget, seed)
+    sections = [(functools.partial(intersect_flat, P, B, q), region)
+                for B, q in zip(batch.frames, batch.points)]
+    return _generic_lhs(n, j, r, s, l, sections, batch.weight, budget, seed)
 
 
 def crofton_verify(P, k, j, r=0, s=0, l=0, region=None, samples=10000, seed=0, budget=20000):
@@ -449,14 +418,16 @@ def kinematic_lhs(P, P2, j, r=0, s=0, l=0, region=None, region2=None,
         return _face_sum_lhs(n, r + s + 2 * l, samples, seed,
                              _kinematic_pairs(P, P2, j, r, s, l, region, region2))
     (A1, b1), (A2, b2) = P.ambient_halfspaces(), P2.ambient_halfspaces()
-    (R1, c1), (R2, c2) = _rows(region, n), _rows(region2, n)
+    region, region2 = (Region() if w is None else w for w in (region, region2))
     batch = sample_motions_coupling(P, P2, samples, seed=seed)
 
-    def sections(block):
-        rho, t = batch.rotations[block], batch.translations[block]
-        return ((np.broadcast_to(np.eye(n), (len(t), n, n)), np.zeros((len(t), n)))
-                + _moved(A1, b1, A2, b2, rho, t) + _moved(R1, c1, R2, c2, rho, t))
-    return _generic_lhs(n, j, r, s, l, samples, sections, batch.weight, budget, seed)
+    def section(rho, t):        # P's rows stacked with those of rho P2 + t
+        Ag = A2 @ rho.T
+        return _flat_section(np.vstack([A1, Ag]), np.concatenate([b1, b2 + Ag @ t]),
+                             np.zeros(n), np.eye(n))
+    sections = [(functools.partial(section, rho, t), region.intersect(region2.transformed(rho, t)))
+                for rho, t in zip(batch.rotations, batch.translations)]
+    return _generic_lhs(n, j, r, s, l, sections, batch.weight, budget, seed)
 
 
 def kinematic_verify(P, P2, j, r=0, s=0, l=0, region=None, region2=None,

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from tensorgeo import conemoment, flats
+from tensorgeo import conemoment, flats, verify
 from tensorgeo.conemoment import (
     cone_sphere_moment,
     _arc_ends,
@@ -201,6 +201,9 @@ class TestOrthogonalSums:
 
 
 class TestArcGap:
+    """Both callers of `conemoment._arc`: `_closed_forms` and the face sum's
+    `_pointed`."""
+
     @pytest.mark.parametrize("n,w", [(3, 0), (3, 1), (4, 0)])
     def test_arcs_near_a_half_turn(self, n, w):
         # arcs closer to a half turn than eps / SLACK are sampled; farther,
@@ -213,7 +216,8 @@ class TestArcGap:
                 rays = np.array([[math.cos(a), math.sin(a)],
                                  [math.cos(a + math.pi - delta), math.sin(a + math.pi - delta)]])
                 W = Q[:, 2:2 + w]
-                out, method = conemoment._closed_forms(3, (rays @ Q[:, :2].T)[None], W)
+                a_ray, b_ray = rays @ Q[:, :2].T
+                out, method = conemoment._closed_forms(3, np.array([[a_ray, b_ray]]), W)
                 if delta < conemoment._ARC_GAP:
                     assert method[0] == "monte-carlo"
                     continue
@@ -224,7 +228,10 @@ class TestArcGap:
                 want = (_lune_per_integral(n, 3, pa, pb, t1, t2, W[:, 0]) if w
                         else _arc_per_integral(n, 3, pa, pb, t1, t2)).data[0]
                 assert method[0] == "arc"
-                assert np.max(np.abs(out[0] - want)) <= SLACK * np.max(np.abs(want))
+                # the face sum's arcs (`_pointed`) share the kernel and its bound
+                pointed = verify._pointed(n, 3, 0, [a_ray, b_ray], W, None)[1].data
+                for got in (out[0], pointed):
+                    assert np.max(np.abs(got - want)) <= SLACK * np.max(np.abs(want))
 
 
 class TestExactPaths:

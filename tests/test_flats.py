@@ -11,9 +11,10 @@ from tensorgeo.flats import (
     sample_flats_hitting,
     sample_motions_coupling,
 )
-from tensorgeo.measures import intrinsic_volume
+from tensorgeo.measures import intrinsic_volume, tcm
 from tensorgeo.polytope import cube, simplex
-from tensorgeo.rng import stream
+from tensorgeo.rng import check_seed, stream
+from tensorgeo.verify import crofton_verify
 
 
 def _hits(P, batch):
@@ -53,6 +54,24 @@ class TestStream:
 
     def test_largest_seed(self):
         assert stream(2 ** 64 - 1).random() != stream(0).random()
+
+    @pytest.mark.parametrize("seed", [1.7, 2.5, "3", None])
+    def test_a_seed_that_is_no_integer_raises(self, seed):
+        """numpy would truncate 1.7 to the key 1, so two seeds would share
+        a stream."""
+        with pytest.raises(ValueError, match="integer"):
+            stream(seed)
+
+    def test_non_integer_seeds_reach_the_check(self):
+        with pytest.raises(ValueError, match="integer"):
+            crofton_verify(cube(2), 1, 0, samples=200, seed=1.7)
+        with pytest.raises(ValueError, match="integer"):
+            tcm(simplex(3), 0, seed=2.5)
+
+    @pytest.mark.parametrize("seed", [np.int64(5), np.uint64(2 ** 63 + 5), True])
+    def test_numpy_and_bool_integers_are_seeds(self, seed):
+        assert check_seed(seed) == int(seed) and type(check_seed(seed)) is int
+        assert stream(seed).random() == stream(int(seed)).random()
 
 
 class TestRandomRotation:

@@ -970,7 +970,6 @@ class TestGenericPathErrors:
         and one that misses.  The two grazing ones, which `intersect_flat`
         rejects, are counted, and they score as the miss does: zero."""
         P = cube(2)
-        A, b = P.ambient_halfspaces()
         diagonal = np.array([[1.0], [-1.0]]) / math.sqrt(2.0)
         flats = [(np.array([[1.0], [0.0]]), np.array([0.0, 0.5])), (diagonal, np.zeros(2)),
                  (np.array([[1.0], [0.0]]), np.array([0.0, 1.0])),
@@ -979,16 +978,9 @@ class TestGenericPathErrors:
             with pytest.raises(GrazingIntersectionError):
                 intersect_flat(P, B, q)
 
-        def sections(rows):
-            def block(at):
-                B = np.array([flats[i][0] for i in rows])[at]
-                q = np.array([flats[i][1] for i in rows])[at]
-                return (B, q, A @ B, b - q @ A.T) + verify_module._each(np.zeros((0, 2)),
-                                                                        np.zeros(0), len(q))
-            return block
-
         def lhs(rows):
-            return verify_module._generic_lhs(2, 1, 0, 2, 0, 4, sections(rows), 1.0, 20000, 0)
+            sections = [(functools.partial(intersect_flat, P, *flats[i]), None) for i in rows]
+            return verify_module._generic_lhs(2, 1, 0, 2, 0, sections, 1.0, 20000, 0)
         est, err, rejections = lhs([0, 1, 2, 3])
         miss_est, miss_err, none = lhs([0, 3, 3, 3])
         assert (rejections, none) == (2, 0)
@@ -1019,16 +1011,17 @@ class TestGenericPathErrors:
 
 
 class TestSectionBlocks:
-    """The window rows each theorem hands to the per-sample evaluator: the
-    region for every flat, and for a motion g = (rho, t) the region stacked
-    with region2 moved by g."""
+    """The sections and windows each theorem hands to the per-sample
+    evaluator: for every flat E, P cap E by `intersect_flat` and the
+    region, and for a motion g = (rho, t) the region cut by region2 moved
+    by g."""
 
     @staticmethod
-    def _blocks(monkeypatch, run):
+    def _sections(monkeypatch, run):
         seen = []
 
-        def record(n, j, r, s, l, N, sections, *args):
-            seen.append(sections(slice(0, N)))
+        def record(n, j, r, s, l, sections, *args):
+            seen.append(sections)
             return None, None, 0
         monkeypatch.setattr(verify_module, "_generic_lhs", record)
         run()
@@ -1036,26 +1029,33 @@ class TestSectionBlocks:
 
     def test_flats_carry_the_region(self, monkeypatch):
         region = Region([[1.0, 1.0, -0.5, 0.2]], [0.9])
-        *_, Aw, bw = self._blocks(monkeypatch, lambda: crofton_lhs(cube(4), 3, 0, region=region,
+        sections = self._sections(monkeypatch, lambda: crofton_lhs(cube(4), 3, 0, region=region,
                                                                    samples=30, seed=3))
-        assert Aw.shape == (30, 1, 4) and np.all(Aw == region.A) and np.all(bw == region.b)
+        batch = sample_flats_hitting(cube(4), 3, 30, seed=3)
+        assert len(sections) == 30 and all(window is region for _, window in sections)
+        for (build, _), B, q in zip(sections, batch.frames, batch.points):
+            got, want = build(), intersect_flat(cube(4), B, q)
+            assert (got is None) == (want is None)
+            assert got is None or np.array_equal(got.vertices, want.vertices)
 
     def test_motions_carry_the_region_and_the_moved_region2(self, monkeypatch):
         P2 = _turned_cube3()
         region, region2 = Region.box([-1, -1, -1], [0.5, 2, 2]), Region([[1.0, 1.0, 0.0]], [1.2])
-        *_, Aw, bw = self._blocks(monkeypatch, lambda: kinematic_lhs(
+        sections = self._sections(monkeypatch, lambda: kinematic_lhs(
             cube(3), P2, 0, region=region, region2=region2, samples=30, seed=3))
         batch = sample_motions_coupling(cube(3), P2, 30, seed=3)
-        for i, (rho, t) in enumerate(zip(batch.rotations, batch.translations)):
+        assert len(sections) == 30
+        for (_, window), rho, t in zip(sections, batch.rotations, batch.translations):
             moved = region2.transformed(rho, t)
-            np.testing.assert_allclose(Aw[i], np.vstack([region.A, moved.A]), rtol=0, atol=1e-15)
-            np.testing.assert_allclose(bw[i], np.concatenate([region.b, moved.b]), rtol=0, atol=1e-14)
+            np.testing.assert_allclose(window.A, np.vstack([region.A, moved.A]), rtol=0, atol=1e-15)
+            np.testing.assert_allclose(window.b, np.concatenate([region.b, moved.b]), rtol=0, atol=1e-14)
 
     def test_the_whole_space_has_no_rows(self, monkeypatch):
         for run in (lambda: crofton_lhs(cube(4), 3, 0, samples=30, seed=3),
                     lambda: kinematic_lhs(cube(3), _turned_cube3(), 0, samples=30, seed=3)):
-            *_, Aw, bw = self._blocks(monkeypatch, run)
-            assert Aw.shape[:2] == bw.shape == (30, 0)
+            sections = self._sections(monkeypatch, run)
+            assert len(sections) == 30
+            assert all(window is None or window.is_universe for _, window in sections)
 
 
 class TestSmallVerifications:
