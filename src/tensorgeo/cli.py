@@ -17,8 +17,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import coeffs
 from .measures import tcm
 from .polytope import Polytope, Region, builtin_polytope
@@ -72,22 +70,12 @@ def _emit(report, args, command):
     report = dict(report)
     report["schema_version"] = SCHEMA_VERSION
     report["config"] = _run_config(args, command)
-    text = json.dumps(report, indent=2, default=_json_default)
+    text = json.dumps(report, indent=2)
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     print(text)
     return report
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 # -- subcommands ------------------------------------------------------------

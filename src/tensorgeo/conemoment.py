@@ -188,6 +188,14 @@ def cone_sphere_moment(cone, s, budget=20000, seed=0):
     return MomentResult(SymTensor(n, s, moment[0]), SymTensor.zero(n, s), method[0], 0)
 
 
+def _sample_mean(n, s, sums, sq_sums, count):
+    """The mean of `count` rank-s samples from their coordinates' sums and
+    sums of squares, and its standard error: the samples' spread."""
+    mean = sums / count
+    se = np.sqrt(np.maximum(sq_sums / count - mean ** 2, 0.0) / count)
+    return SymTensor.from_coordinates(n, s, mean), SymTensor.from_coordinates(n, s, se)
+
+
 def _monte_carlo_moment(cone, s, budget, seed):
     n = cone.lin_frame.shape[0]
     d = cone.lin_dim
@@ -213,11 +221,7 @@ def _monte_carlo_moment(cone, s, budget, seed):
         sums = sums + vals.sum(axis=0)
         sq_sums = sq_sums + (vals ** 2).sum(axis=0)
         total += m
-    mean = sums / total
-    var = np.maximum(sq_sums / total - mean ** 2, 0.0)
-    se = np.sqrt(var / total)
-    result = MomentResult(SymTensor.from_coordinates(n, s, mean),
-                          SymTensor.from_coordinates(n, s, se), "monte-carlo", total)
+    result = MomentResult(*_sample_mean(n, s, sums, sq_sums, total), "monte-carlo", total)
     if accepted < _RATE_FLOOR * total:
         raise ConeMomentBudgetError(
             f"acceptance rate {accepted}/{total} below {_RATE_FLOOR} with budget exhausted", result)

@@ -27,6 +27,7 @@ import numpy as np
 from .coeffs import c_norm
 from .conemoment import _closed_forms, cone_sphere_moment
 from .polytope import Region, polytope_moment
+from .rng import check_seed
 from .special import omega
 from .symtensor import SymTensor, metric_tensor, vector_power
 
@@ -74,7 +75,9 @@ def tcm(P, j, r=0, s=0, l=0, region=None, budget=20000, seed=0):
 
     Out-of-range indices return the zero tensor (the measures are
     extended by zero); j = n requires s = 0.  `budget` (directions per
-    sampled cone) must be at least 1."""
+    sampled cone) must be at least 1 and `seed` an integer in [0, 2^64).
+    Faces' errors add in quadrature: each face samples its own stream."""
+    seed = check_seed(seed)
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
     n = P.dim
@@ -91,7 +94,7 @@ def tcm(P, j, r=0, s=0, l=0, region=None, budget=20000, seed=0):
         if P.aff_dim < n:
             return zero
         mom = polytope_moment(P, r, region)
-        tensor = (metric_tensor(n).power(l) * mom).scale(c_norm(n, n, r, 0, l))
+        tensor = (metric_tensor(n).power(l) * mom).scale(_weight(n, n, r, 0, l))
         return MeasureValue(tensor, SymTensor.zero(n, rank), 1, 0, {"empty": 1})
 
     faces = P.faces(j)
@@ -104,11 +107,17 @@ def tcm(P, j, r=0, s=0, l=0, region=None, budget=20000, seed=0):
     # summed in face order: numpy's pairwise sum would round rank-0 sums
     # otherwise, and sampled values keep their bits
     total = np.cumsum((qf * moments * cones).data, axis=0)[-1]
-    err = (np.cumsum(abs(qf * abs(moments) * cone_err).data, axis=0)[-1] if cone_err.data.any()
-           else np.zeros_like(total))
-    const = c_norm(n, j, r, s, l) / omega(n - j)
+    err = np.sqrt(((abs(qf) * abs(moments) * cone_err).data ** 2).sum(axis=0))
+    const = _weight(n, j, r, s, l)
     return MeasureValue(SymTensor(n, rank, const * total), SymTensor(n, rank, abs(const) * err),
                         len(faces), mc_samples, dict(methods))
+
+
+def _weight(n, j, r, s, l):
+    """The face sum's weight c_{n,j}^{r,s,l} / omega_{n-j}; at j = n, c_{n,n}^{r,0,l} or 0."""
+    if j == n:
+        return c_norm(n, n, r, 0, l) if s == 0 else 0.0
+    return c_norm(n, j, r, s, l) / omega(n - j)
 
 
 def _cone_moments(P, j, s, budget, seed):

@@ -535,11 +535,6 @@ class Region:
         A = self.A @ rho.T
         return Region(A, self.b + A @ t)
 
-    def scaled(self, lam):
-        if self.is_universe:
-            return self
-        return Region(self.A, lam * self.b)
-
     def intersect(self, other):
         """The window self cap other: both sets of rows, self's first."""
         if self.is_universe or other.is_universe:

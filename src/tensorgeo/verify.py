@@ -23,6 +23,10 @@ from `face_moments`, so a face-sum pass tests the coefficients, the cone
 moments and the pair weights, not the moments; those keep their own
 oracle (Lasserre's recursion against `triangulate` and `simplex_moment`),
 and the per-sample evaluator still checks everything end to end.
+
+One error rule: a sample mean's stderr is its samples' spread; errors of
+distinct streams add in quadrature (`tcm`'s faces, a report's two sides,
+which never share a seed and purpose), and the rest linearly.
 """
 
 from __future__ import annotations
@@ -35,15 +39,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coeffs import c_norm, d_coeff
-from .conemoment import _arc, _arc_ends, _cone_moment
+from .coeffs import d_coeff
+from .conemoment import _arc, _arc_ends, _cone_moment, _sample_mean
 from .flats import (_BATCH, random_rotation, rotation_blocks, sample_flats_hitting,
                     sample_motions_coupling)
-from .measures import tcm, valuation, MeasureIndex
+from .measures import _weight, tcm, valuation, MeasureIndex
 from .polytope import (GeometryError, GrazingIntersectionError, Polytope, Region,
                        _flat_section, intersect_flat)
 from .rng import purpose_key, stream
-from .special import kappa_ball, omega
+from .special import kappa_ball
 from .symtensor import SymTensor, _product_table, metric_tensor, multi_degrees, vector_power
 
 __all__ = [
@@ -85,7 +89,7 @@ class VerificationReport:
 
     def coordinate_rows(self):
         lhs, rhs = self.lhs.coordinates_array().tolist(), self.rhs.coordinates_array().tolist()
-        se = (self.stderr.coordinates_array() + self.rhs_stderr.coordinates_array()).tolist()
+        se = np.hypot(self.stderr.coordinates_array(), self.rhs_stderr.coordinates_array()).tolist()
         return [{"index": beta, "lhs": a, "rhs": b, "stderr": e, "abs_diff": abs(a - b),
                  "allowed": max(3.0 * e, ABS_FLOOR)}
                 for beta, a, b, e in zip(multi_degrees(self.lhs.dim, self.lhs.rank), lhs, rhs, se)]
@@ -130,7 +134,8 @@ def crofton_rhs(P, k, j, r=0, s=0, l=0, region=None, budget=20000, seed=0):
     k-flats, as (tensor, stderr tensor): the sum over 0 <= i <= m <= s/2 of
     d_{n,j,k}^{s,l,i,m} Q^{m-i} phi_{n-k+j}^{r,s-2m,l+i}(P, region).  At
     j = k, d_coeff is the redefined coefficient, nonzero only at
-    i = m = s/2, so the sum is the single top-measure term."""
+    i = m = s/2, so the sum is the single top-measure term.  Errors add
+    linearly: terms of different s reuse the same faces' cone draws."""
     n = P.dim
     _check_orders(r, s, l)
     if not 0 <= j <= k <= n:
@@ -156,7 +161,8 @@ def kinematic_rhs(P, P2, j, r=0, s=0, l=0, region=None, region2=None,
     k = j..n of C_k(P2, region2) times the Crofton right-hand side
     `crofton_rhs(P, k, j, ...)` for sections by k-flats.  With t, e that
     side and its stderr and c, c_err the scalar measure and its stderr,
-    a term contributes c t with stderr e (|c| + c_err) + |t| c_err."""
+    a term contributes c t with stderr e (|c| + c_err) + |t| c_err, added
+    linearly: faces of P and P2 with equal vertex indices share a stream."""
     n = P.dim
     _check_orders(r, s, l)
     if P2.dim != n:
@@ -175,20 +181,12 @@ def kinematic_rhs(P, P2, j, r=0, s=0, l=0, region=None, region2=None,
 
 # -- estimator core ---------------------------------------------------------
 
-def _mean_and_stderr(values, weight, section_err=None):
-    """Mean over the sample axis of weight * values, and its standard error
-    per tensor coordinate.  The sections' own Monte-Carlo errors
-    (section_err, one tensor per sample) enter linearly, averaged with the
-    same weight."""
+def _mean_and_stderr(values, weight):
+    """Mean over the sample axis of weight * values and its standard error
+    per coordinate: the spread, which holds each sample's own cone errors."""
     coords = weight * values.coordinates_array()
-    count = len(coords)
-    mean = coords.sum(axis=0) / count
-    var = np.maximum((coords ** 2).sum(axis=0) / count - mean ** 2, 0.0)
-    se = np.sqrt(var / count)
-    if section_err is not None:
-        se = se + weight * section_err.coordinates_array().sum(axis=0) / count
-    return (SymTensor.from_coordinates(values.dim, values.rank, mean),
-            SymTensor.from_coordinates(values.dim, values.rank, se))
+    return _sample_mean(values.dim, values.rank, coords.sum(axis=0), (coords ** 2).sum(axis=0),
+                        len(coords))
 
 
 def _generic_lhs(n, j, r, s, l, sections, weight, budget, seed):
@@ -198,10 +196,9 @@ def _generic_lhs(n, j, r, s, l, sections, weight, budget, seed):
     under its window, with sample i's sampled cones on
     seed ^ ((i + 1) << 32).  A grazing section (the builder raises
     GrazingIntersectionError) scores zero and counts as a rejection.
-    Returns (estimate, stderr, rejections)."""
+    Returns (estimate, stderr: the spread, rejections)."""
     rank = r + s + 2 * l
     values = np.zeros((len(sections), len(multi_degrees(n, rank))))
-    errors = np.zeros_like(values)
     rejections = 0
     for i, (build, window) in enumerate(sections):
         try:
@@ -210,10 +207,9 @@ def _generic_lhs(n, j, r, s, l, sections, weight, budget, seed):
             rejections += 1
             continue
         if sec is not None:
-            mv = tcm(sec, j, r, s, l, region=window, budget=budget, seed=seed ^ ((i + 1) << 32))
-            values[i], errors[i] = mv.tensor.data, mv.stderr.data
-    est, err = _mean_and_stderr(SymTensor(n, rank, values), weight, SymTensor(n, rank, errors))
-    return est, err, rejections
+            values[i] = tcm(sec, j, r, s, l, region=window, budget=budget,
+                            seed=seed ^ ((i + 1) << 32)).tensor.data
+    return _mean_and_stderr(SymTensor(n, rank, values), weight) + (rejections,)
 
 
 # -- the face sum -------------------------------------------------------------
@@ -303,10 +299,7 @@ def _face_pairs(n, k, j, r, s, l, bodies, levels):
     have k = n, no W.  At j = n the cone is {0} and the constant that of
     `tcm`'s top measure."""
     rank = r + s + 2 * l
-    if j < n:
-        const = c_norm(n, j, r, s, l) / omega(n - j)
-    else:
-        const = c_norm(n, n, r, 0, l) if s == 0 else 0.0
+    const = _weight(n, j, r, s, l)
     table = _product_table(n, r, s + 2 * l)
     N, N2 = [np.zeros((0, n)) if B is None else B.ambient_halfspaces()[0] for B in bodies]
     N, N2 = [A / np.linalg.norm(A, axis=1, keepdims=True) for A in (N, N2)]   # unit facet normals

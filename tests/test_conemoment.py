@@ -351,6 +351,21 @@ class TestMonteCarloPath:
         # a cone hit within the budget draws exactly the budget, as before
         assert cone_sphere_moment(cone, 0, budget=400, seed=7).samples == 400
 
+    def test_a_cone_below_the_rate_floor_raises_with_its_partial(self):
+        """The apex of a square pyramid 1e-3 high has a normal cone of about
+        3e-7 of the sphere, which 1 / _RATE_FLOOR directions miss: the
+        sampler raises and carries what it drew, and tcm passes it on."""
+        base = [[x, y, 0.0] for x in (-1.0, 1.0) for y in (-1.0, 1.0)]
+        P = Polytope.from_vertices(base + [[0.0, 0.0, 1e-3]])
+        apex = [f for f in P.faces(0) if f.point[2] > 0.0][0]
+        with pytest.raises(conemoment.ConeMomentBudgetError) as info:
+            cone_sphere_moment(P.normal_cone(apex), 0, budget=100, seed=0)
+        partial = info.value.partial
+        assert partial.method == "monte-carlo" and partial.samples == round(1 / conemoment._RATE_FLOOR)
+        assert partial.tensor.value() == 0.0 and partial.stderr.value() == 0.0
+        with pytest.raises(conemoment.ConeMomentBudgetError):
+            tcm(P, 0, budget=100)
+
 
 def _record_draws(module, monkeypatch):
     """Patch module.stream so every stream it opens records its first draws."""
@@ -486,18 +501,19 @@ class TestNormalCones:
         (simplex(3), 60000,
          [0.0783968187552003, -2.1148725654883375e-05, 0.0003312850729987171, 0.0783714921697716,
           0.00029411404601472626, 0.07967227253234788],
-         [0.0010851159441970521, 0.0006833945173320319, 0.0006892927245172336, 0.0010838906549900586,
-          0.0006869316381556987, 0.0010973986445027778]),
+         [0.0006367199136902643, 0.0003986082298608064, 0.0004019027685974022, 0.0006366564487052675,
+          0.00040133797228506397, 0.0006442885005729207]),
         (cross_polytope(4), 160000,
          [0.07849010958317446, -0.00041592591497020554, 0.0003451904958360775, 0.00024467791357538765,
           0.07899968904375308, -0.0004685430573823538, 0.0003966006666138227, 0.0790476545657057,
           -8.077063491537971e-05, 0.07943285532770658],
-         [0.0017573160965551656, 0.0011993901664173513, 0.0012065394865985255, 0.0011959900933385126,
-          0.0017566572236042072, 0.0012083857279399466, 0.0012060127562657642, 0.0017655935009248237,
-          0.0012013174996868068, 0.001760255085310251]),
+         [0.000747998244888367, 0.0004559400052215672, 0.0004578709028746824, 0.0004543022172188609,
+          0.0007477135002383284, 0.0004596216831527799, 0.00045999159675592786, 0.0007495706180397017,
+          0.0004568504857017887, 0.0007538577677507293]),
     ], ids=["simplex3", "cross4"])
     def test_monte_carlo_vertex_measures_keep_their_draws(self, body, samples, tensor, stderr):
-        """tcm(P, 0, s=2) as measured while cones carried generator lists.
+        """tcm(P, 0, s=2) as measured while cones carried generator lists,
+        with the stderr of the vertices' own streams added in quadrature.
         The values are bit-identical on x86-64 with OpenBLAS; the tolerance
         lets other BLAS builds round the sums differently, while other draws
         would move them by about one stderr."""

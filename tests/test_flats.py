@@ -14,7 +14,7 @@ from tensorgeo.flats import (
 from tensorgeo.measures import intrinsic_volume, tcm
 from tensorgeo.polytope import cube, simplex
 from tensorgeo.rng import check_seed, stream
-from tensorgeo.verify import crofton_verify
+from tensorgeo.verify import crofton_rhs, crofton_verify, kinematic_rhs
 
 
 def _hits(P, batch):
@@ -67,6 +67,18 @@ class TestStream:
             crofton_verify(cube(2), 1, 0, samples=200, seed=1.7)
         with pytest.raises(ValueError, match="integer"):
             tcm(simplex(3), 0, seed=2.5)
+
+    @pytest.mark.parametrize("call", [
+        lambda: tcm(cube(3), 0, seed=2.5),
+        lambda: tcm(cube(3), 7, seed=-4),
+        lambda: crofton_rhs(cube(3), 2, 1, seed=0.5),
+        lambda: kinematic_rhs(cube(3), cube(3), 1, seed="x"),
+    ], ids=["exact-cones", "zero-extension", "crofton-rhs", "kinematic-rhs"])
+    def test_seeds_are_checked_where_no_cone_is_sampled(self, call):
+        """A cube's cones are all closed forms and j = 7 is extended by
+        zero, so no stream is drawn; the seed is still rejected."""
+        with pytest.raises(ValueError, match="seed"):
+            call()
 
     @pytest.mark.parametrize("seed", [np.int64(5), np.uint64(2 ** 63 + 5), True])
     def test_numpy_and_bool_integers_are_seeds(self, seed):

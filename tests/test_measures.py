@@ -70,6 +70,12 @@ class TestOutOfRangeIndices:
         assert tcm(P, 0, l=1).tensor.coeffs == {}
         assert tcm(P, 2, s=2).tensor.coeffs == {}
 
+    def test_the_top_measure_of_a_lower_dimensional_body_is_zero(self):
+        square = Polytope.from_vertices([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]])
+        assert square.aff_dim == 2
+        mv = tcm(square, 3, r=1, l=1)
+        assert mv.tensor.coeffs == {} and mv.exact and mv.face_count == 0
+
     def test_index_rank(self):
         idx = MeasureIndex(j=1, r=1, s=2, l=1, m=1)
         assert idx.rank == 7

@@ -941,10 +941,10 @@ class TestRouting:
 
 
 class TestGenericPathErrors:
-    def test_section_stderr_adds_to_the_estimate(self, monkeypatch):
+    def test_the_per_sample_error_is_the_weighted_sample_spread(self, monkeypatch):
         """Motions in n = 3 with j = 0: the intersections' vertex cones are
-        sampled, and the mean of weight * section stderr adds linearly to
-        the sampling error."""
+        sampled, each section on its own streams, so their errors are part
+        of the spread of weight * values and do not add to it."""
         seen = []
 
         def recording_tcm(*args, **kwargs):
@@ -959,10 +959,9 @@ class TestGenericPathErrors:
         weight = sample_motions_coupling(P, P2, 1).weight
         hits = [weight * mv.tensor.coordinates_array() for mv in seen]
         coords = np.vstack(hits + [np.zeros_like(hits[0])] * (samples - len(hits)))
-        sampling = coords.std(axis=0) / math.sqrt(samples)
-        propagated = weight * sum(mv.stderr.coordinates_array() for mv in seen) / samples
-        assert propagated.min() > 0.0
-        np.testing.assert_allclose(err.coordinates_array(), sampling + propagated, rtol=1e-9)
+        assert sum(mv.stderr.coordinates_array() for mv in seen).min() > 0.0     # sections carry errors
+        np.testing.assert_allclose(err.coordinates_array(), coords.std(axis=0) / math.sqrt(samples),
+                                   rtol=1e-9)
 
     def test_grazing_sections_are_counted_and_score_zero(self):
         """Lines in the square: one through the middle, one through the
@@ -1008,6 +1007,40 @@ class TestGenericPathErrors:
         kinematic_lhs(cube(3), P2, 0, samples=12, seed=3, budget=200)
         assert len({s for owners in keys.values() for s in owners}) >= 2
         assert all(len(owners) == 1 for owners in keys.values())
+
+
+class TestErrorCalibration:
+    """A reported standard error is the spread an estimate has over seeds:
+    the median |estimate - exact| / stderr is near 0.67, a Gaussian's.
+    Summing errors that are independent, rather than adding them in
+    quadrature, would put it far below."""
+
+    @staticmethod
+    def _median_z(est, exact, se):
+        return float(np.median(np.abs(np.subtract(est, exact)) / np.asarray(se)))
+
+    def test_vertex_cones_add_in_quadrature(self):
+        """V_0 = 1 of a random body in R^3 whose nine vertex cones are
+        sampled, over 100 seeds."""
+        P = Polytope.from_vertices(stream(1, 0).standard_normal((12, 3)))
+        mvs = [tcm(P, 0, budget=2000, seed=seed) for seed in range(100)]
+        assert all(not mv.exact for mv in mvs)
+        z = self._median_z([mv.tensor.value() for mv in mvs], 1.0, [mv.stderr.value() for mv in mvs])
+        assert 0.45 <= z <= 0.95, z
+
+    def test_the_per_sample_error_is_the_spread(self):
+        """Motions of two cubes in R^3 at j = 0, s = 2 on the per-sample
+        evaluator, whose sections' vertex cones are sampled, over 12 seeds;
+        the cubes' right-hand side is exact."""
+        P2 = cube(3).transformed(random_rotation(stream(12, 0), 3), np.array([0.1, 0.2, -0.1]))
+        rows = []
+        for seed in range(12):
+            rep = kinematic_verify(cube(3), P2, 0, s=2, samples=50, seed=seed, budget=200)
+            assert rep.evaluator == "per-sample" and not rep.rhs_stderr.data.any()
+            rows += rep.coordinate_rows()
+        z = self._median_z([r["lhs"] for r in rows], [r["rhs"] for r in rows],
+                           [r["stderr"] for r in rows])
+        assert 0.45 <= z <= 0.95, z
 
 
 class TestSectionBlocks:
