@@ -23,7 +23,6 @@ from .polytope import Polytope, Region, builtin_polytope
 from .rng import check_seed
 from .symtensor import multi_degrees
 from .verify import (
-    _check_orders,
     crofton_verify,
     independence_rank,
     kinematic_verify,
@@ -82,9 +81,9 @@ def _emit(report, args, command):
 
 def _cmd_measure(args):
     P = _load_polytope(args)
-    if not 0 <= args.j <= P.dim:        # tcm extends by zero past the range
-        raise ValueError(f"need 0 <= j <= n, got j = {args.j}, n = {P.dim}")
-    _check_orders(args.r, args.s, args.l)
+    if not 0 <= args.j <= P.dim or min(args.r, args.s, args.l) < 0:    # tcm extends by zero there
+        raise ValueError(f"need 0 <= j <= n and r, s, l >= 0, got j = {args.j}, n = {P.dim}, "
+                         f"r = {args.r}, s = {args.s}, l = {args.l}")
     region = _load_region(args.region)
     mv = tcm(P, args.j, args.r, args.s, args.l, region=region,
              budget=args.budget, seed=args.seed)

@@ -152,7 +152,8 @@ def _closed_forms(s, rays, W):
     """Rank-s moments of the cones {sum_i a_i rays_i + W c : a_i >= 0}, rays
     (F, q, n) padded with zero rows and W (n, w) common to all, and each
     cone's method.  The kind tests run on the stacked rays; each kind with
-    a closed form is one array call, the rest are zero rows "monte-carlo"."""
+    a closed form is one array call, the rest are zero rows "monte-carlo";
+    the cone {0} ("empty") has moment 1 at s = 0."""
     (F, q, n), w = rays.shape, W.shape[1]
     out, method = np.zeros((F, len(multi_degrees(n, s)))), np.full(F, "monte-carlo", dtype=object)
     valid = np.any(rays != 0.0, axis=2)
@@ -162,6 +163,7 @@ def _closed_forms(s, rays, W):
     orthonormal = (valid.sum(axis=1) == dc) & (np.abs(gram).max(axis=(1, 2), initial=0.0) <= DIRECTION_TOL)
     ortho = (dc <= 1) | orthonormal                    # products of the first dc rays
     method[dc + w == 0] = "empty"
+    out[dc + w == 0] = s == 0
     for k in np.unique(dc[ortho & (dc + w > 0)]):
         at = ortho & (dc == k)
         method[at] = "full-sphere" if k == 0 else "point" if k == 1 and w == 0 else "product"
@@ -178,7 +180,7 @@ def _closed_forms(s, rays, W):
 def cone_sphere_moment(cone, s, budget=20000, seed=0):
     """Rank-s spherical moment tensor of a normal cone; exact whenever one
     of the closed-form geometries applies (`_closed_forms` on a batch of
-    one), Monte-Carlo otherwise."""
+    one), Monte-Carlo otherwise; the cone {0} has moment 1 at s = 0."""
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
     n = cone.lin_frame.shape[0]

@@ -8,9 +8,9 @@ moments from the body's lattice and window clip, Q(F) from the level's
 frames, and cone moments from one classifier call per level, exact for
 orthogonal sums of rays, lines and one arc (every face of a polygon or a
 box) and sampled otherwise.  Both constant factors are kept literally
-(they cancel for 0 < j < n), so j = 0 needs no separate code path.  The
-top index j = n is the volume case and has its own short branch: the
-body's moment times Q^l, with no faces or cones.
+(they cancel for 0 < j < n), so neither j = 0 nor the top index j = n
+needs its own code path: at j = n the one face is the body, with the
+normal cone {0} of moment 1.
 
 Lower-dimensional polytopes (flat sections) evaluate through the same
 face sum: their top face is the polytope itself, whose normal cone is
@@ -26,7 +26,7 @@ import numpy as np
 
 from .coeffs import c_norm
 from .conemoment import _closed_forms, cone_sphere_moment
-from .polytope import Region, polytope_moment
+from .polytope import Region
 from .rng import check_seed
 from .special import omega
 from .symtensor import SymTensor, metric_tensor, vector_power
@@ -73,8 +73,9 @@ class MeasureValue:
 def tcm(P, j, r=0, s=0, l=0, region=None, budget=20000, seed=0):
     """The measure phi_j^{r,s,l}(P, region) as a rank r+s+2l tensor.
 
+    One face sum for every j (at j = n, the body with the cone {0}).
     Out-of-range indices return the zero tensor (the measures are
-    extended by zero); j = n requires s = 0.  `budget` (directions per
+    extended by zero), as does j = n with s != 0.  `budget` (directions per
     sampled cone) must be at least 1 and `seed` an integer in [0, 2^64).
     Faces' errors add in quadrature: each face samples its own stream."""
     seed = check_seed(seed)
@@ -83,19 +84,8 @@ def tcm(P, j, r=0, s=0, l=0, region=None, budget=20000, seed=0):
     n = P.dim
     rank = r + s + 2 * l
     zero = MeasureValue(SymTensor.zero(n, rank), SymTensor.zero(n, rank), 0, 0)
-    if j < 0 or j > n or r < 0 or s < 0 or l < 0:
+    if not 0 <= j <= n or min(r, s, l) < 0 or (j == n and s) or (j == 0 and l):
         return zero
-    if j == n and s != 0:
-        return zero
-    if j == 0 and l >= 1:
-        return zero
-
-    if j == n:
-        if P.aff_dim < n:
-            return zero
-        mom = polytope_moment(P, r, region)
-        tensor = (metric_tensor(n).power(l) * mom).scale(_weight(n, n, r, 0, l))
-        return MeasureValue(tensor, SymTensor.zero(n, rank), 1, 0, {"empty": 1})
 
     faces = P.faces(j)
     if not faces:

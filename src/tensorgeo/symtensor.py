@@ -11,8 +11,8 @@ A `SymTensor` holds the coefficients as one dense float array `data` of
 shape batch + (len(multi_degrees(n, p)),), in `multi_degrees` order.  The
 leading batch axes hold many tensors of one dim and rank (one per sample,
 per face, ...); every operation broadcasts over them, so a face sum over
-many sections is a handful of array operations.  Products, powers of
-vectors and rotations use index tables cached per (n, ranks).
+many sections is a handful of array operations.  Products use index
+tables cached per (n, ranks); rotations substitute into the polynomial.
 """
 
 from __future__ import annotations
@@ -74,19 +74,6 @@ def _product_table(dim, r1, r2):
         for j, y in enumerate(b2.degrees):
             table[i * len(b2.degrees) + j, out.index[tuple(p + q for p, q in zip(x, y))]] = 1.0
     return table
-
-
-@functools.lru_cache(maxsize=None)
-def _full_tables(dim, rank):
-    """For the full (dim,)*rank coordinate array: the multi-degree index of
-    every entry, and one entry per multi-degree to read it back."""
-    basis = _basis(dim, rank)
-    entries = np.indices((dim,) * rank).reshape(rank, -1).T
-    degrees = [tuple(np.bincount(e, minlength=dim)) for e in entries]
-    to_sym = np.array([basis.index[b] for b in degrees], dtype=int).reshape((dim,) * rank)
-    representative = np.array([sum(([i] * b for i, b in enumerate(beta)), [])
-                               for beta in basis.degrees], dtype=int).reshape(-1, rank)
-    return to_sym, tuple(representative.T)
 
 
 def _float(x):
@@ -227,17 +214,15 @@ class SymTensor:
         return out
 
     def rotate(self, rho):
-        """Push forward by a rotation rho: the result has polynomial
-        y -> T(rho^T y), matching coordinate-wise rotation of the tensor."""
-        if self.rank == 0:
-            return self
-        rho = np.asarray(rho, dtype=float)
-        to_sym, representative = _full_tables(self.dim, self.rank)
-        full = np.moveaxis(self.coordinates_array(), -1, 0)[to_sym]   # (n,)*rank + batch
-        for _ in range(self.rank):
-            # contracts the last tensor axis, prepends the rotated one
-            full = np.tensordot(rho, full, axes=([1], [self.rank - 1]))
-        return SymTensor.from_coordinates(self.dim, self.rank, np.moveaxis(full[representative], 0, -1))
+        """Push forward by a rotation rho: the polynomial y -> T(rho^T y),
+        matching coordinate-wise rotation of the tensor.  Substitution makes
+        y^beta the product of beta_i linear forms <rho[:, i], y> for each i."""
+        exps = _basis(self.dim, self.rank).exps
+        forms = np.repeat(np.tile(np.asarray(rho, dtype=float).T, (len(exps), 1)), exps.ravel(), axis=0)
+        images = SymTensor(self.dim, 0, np.ones((len(exps), 1)))     # the monomials' images
+        for form in forms.reshape(len(exps), self.rank, self.dim).swapaxes(0, 1):
+            images = images * SymTensor(self.dim, 1, form)
+        return SymTensor(self.dim, self.rank, self.data @ images.data)
 
     def max_abs_coordinate_diff(self, other):
         """Infinity norm of self - other over tensor coordinates (and batches)."""

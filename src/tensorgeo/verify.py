@@ -120,11 +120,17 @@ class VerificationReport:
 
 # -- right-hand sides -------------------------------------------------------
 
-def _check_orders(r, s, l, samples=1):
-    """ValueError for a negative r, s or l (no measure has such an index)
-    or fewer than one sample."""
+def _check_orders(n, k, j, r, s, l, samples=1, proper=False):
+    """ValueError for an index of sections by k-flats of R^n (k = n:
+    motions) with no measure: r, s or l negative, j outside [0, k], k
+    outside [0, n] ([1, n - 1] if `proper`), or l != 0 at j = 0; or for
+    fewer than one sample.  Both sides and the verifiers check first."""
     if min(r, s, l) < 0:
         raise ValueError(f"need r, s, l >= 0, got r = {r}, s = {s}, l = {l}")
+    if not 0 <= j <= k <= n or proper and not 1 <= k <= n - 1:
+        raise ValueError(f"need 0 <= j <= k <= n{' - 1 and k >= 1' if proper else ''}, got {(n, j, k)}")
+    if j == 0 and l != 0:
+        raise ValueError("j = 0 requires l = 0")
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
 
@@ -137,11 +143,7 @@ def crofton_rhs(P, k, j, r=0, s=0, l=0, region=None, budget=20000, seed=0):
     i = m = s/2, so the sum is the single top-measure term.  Errors add
     linearly: terms of different s reuse the same faces' cone draws."""
     n = P.dim
-    _check_orders(r, s, l)
-    if not 0 <= j <= k <= n:
-        raise ValueError(f"need 0 <= j <= k <= n, got {(n, j, k)}")
-    if j == 0 and l != 0:
-        raise ValueError("j = 0 requires l = 0")
+    _check_orders(n, k, j, r, s, l)
     total = err = SymTensor.zero(n, r + s + 2 * l)
     for m in range(s // 2 + 1):
         for i in range(m + 1):
@@ -164,11 +166,9 @@ def kinematic_rhs(P, P2, j, r=0, s=0, l=0, region=None, region2=None,
     a term contributes c t with stderr e (|c| + c_err) + |t| c_err, added
     linearly: faces of P and P2 with equal vertex indices share a stream."""
     n = P.dim
-    _check_orders(r, s, l)
     if P2.dim != n:
         raise ValueError(f"the bodies lie in R^{n} and R^{P2.dim}")
-    if j > n:       # crofton_rhs checks the rest
-        raise ValueError(f"need 0 <= j <= n, got {(n, j)}")
+    _check_orders(n, n, j, r, s, l)
     total = err = SymTensor.zero(n, r + s + 2 * l)
     for k in range(n, j - 1, -1):
         t, e = crofton_rhs(P, k, j, r, s, l, region=region, budget=budget, seed=seed)
@@ -363,10 +363,8 @@ def _crofton_pairs(P, k, j, r, s, l, region=None):
 def crofton_lhs(P, k, j, r=0, s=0, l=0, region=None, samples=10000, seed=0, budget=20000):
     """Monte-Carlo estimate of the integral of phi_j^{r,s,l}(P cap E, region)
     over k-flats; returns (tensor, stderr, rejections)."""
-    _check_orders(r, s, l, samples)
     n = P.dim
-    if not 0 <= j <= k <= n - 1 or k < 1:
-        raise ValueError(f"need 0 <= j <= k and 1 <= k <= n - 1, got {(n, j, k)}")
+    _check_orders(n, k, j, r, s, l, samples, proper=True)
     if _face_sum(k, j):
         return _face_sum_lhs(n, r + s + 2 * l, samples, seed, _crofton_pairs(P, k, j, r, s, l, region))
     batch = sample_flats_hitting(P, k, samples, seed=seed)
@@ -377,6 +375,7 @@ def crofton_lhs(P, k, j, r=0, s=0, l=0, region=None, samples=10000, seed=0, budg
 
 def crofton_verify(P, k, j, r=0, s=0, l=0, region=None, samples=10000, seed=0, budget=20000):
     t0 = time.perf_counter()
+    _check_orders(P.dim, k, j, r, s, l, samples, proper=True)
     rhs, rhs_err = crofton_rhs(P, k, j, r, s, l, region=region, budget=budget, seed=seed)
     lhs, err, rej = crofton_lhs(P, k, j, r, s, l, region=region, samples=samples,
                                 seed=seed, budget=budget)
@@ -392,8 +391,6 @@ def _kinematic_pairs(P, P2, j, r, s, l, region=None, region2=None):
     """`_face_pairs` for motions: the a-faces F of P against the
     (n + j - a)-faces F' of P2, weighted by H(F' cap region2)."""
     n = P.dim
-    if P2.dim != n or not 0 <= j <= n:
-        raise ValueError(f"need bodies in one R^n and 0 <= j <= n, got R^{n}, R^{P2.dim}, j = {j}")
     return _face_pairs(n, n, j, r, s, l, (P, P2), [
         (P.face_moments(a, r, region), _facets(P, a),
          P2.face_moments(n + j - a, 0, region2).data[:, 0], _facets(P2, n + j - a))
@@ -405,8 +402,10 @@ def kinematic_lhs(P, P2, j, r=0, s=0, l=0, region=None, region2=None,
     """Monte-Carlo estimate of the integral of phi_j^{r,s,l}(P cap gP2,
     region cap g region2) over rigid motions g; returns (tensor, stderr,
     rejections)."""
-    _check_orders(r, s, l, samples)
     n = P.dim
+    if P2.dim != n:
+        raise ValueError(f"the bodies lie in R^{n} and R^{P2.dim}")
+    _check_orders(n, n, j, r, s, l, samples)
     if _face_sum(n, j):
         return _face_sum_lhs(n, r + s + 2 * l, samples, seed,
                              _kinematic_pairs(P, P2, j, r, s, l, region, region2))
@@ -426,6 +425,7 @@ def kinematic_lhs(P, P2, j, r=0, s=0, l=0, region=None, region2=None,
 def kinematic_verify(P, P2, j, r=0, s=0, l=0, region=None, region2=None,
                      samples=10000, seed=0, budget=20000):
     t0 = time.perf_counter()
+    _check_orders(P.dim, P.dim, j, r, s, l, samples)   # kinematic_rhs checks the bodies first
     rhs, rhs_err = kinematic_rhs(P, P2, j, r, s, l, region=region, region2=region2,
                                  budget=budget, seed=seed)
     lhs, err, rej = kinematic_lhs(P, P2, j, r, s, l, region=region, region2=region2,

@@ -175,6 +175,16 @@ class TestMeasure:
     def test_bad_file(self, capsys):
         assert main(["measure", "--polytope", "/nonexistent.json"]) == 2
 
+    def test_collapsed_sampling_is_an_internal_error(self, tmp_path, capsys):
+        # the apex cone of a square pyramid 1e-3 high takes about 3e-7 of
+        # the sphere: no direction of 1 / _RATE_FLOOR hits it
+        path = tmp_path / "pyramid.json"
+        path.write_text(json.dumps({"vertices": [[-1, -1, 0], [1, -1, 0], [1, 1, 0], [-1, 1, 0],
+                                                 [0, 0, 1e-3]]}))
+        assert main(["measure", "--polytope", str(path), "--j", "0", "--budget", "2000"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "ConeMomentBudgetError" in captured.err
+
     def test_thin_slab_is_a_segment(self, tmp_path, capsys):
         # eight points in a slab 2.2e-7 thick, within its slack: V_1 is the
         # length of the segment between the outermost two

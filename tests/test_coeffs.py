@@ -123,6 +123,28 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="s >= 0|l, i >= 0"):
             call()
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: alpha(3, 2, 1), "0 <= j <= k <= n"),
+        (lambda: alpha(3, 1.5, 2), "j must be an integer"),
+        (lambda: c_norm(3, 4, 0, 0, 0), "bad index"),
+        (lambda: c_norm(3, 1, -1, 0, 0), "bad index"),
+        (lambda: c_norm(3, 3, 0, 1, 0), "j = n requires s = 0"),
+        (lambda: c_norm(3, 1, 0, 0, 0.5), "l must be an integer"),
+        (lambda: iota(3, 3, 0, 0), "0 < k < n"),
+        (lambda: iota(3, 1, 2, 2), "0 <= m"),
+        (lambda: lambda_coeff(3, 1, 0, 0), "1 < k < n"),
+        (lambda: lambda_coeff(4, 2, 2, 3), "0 <= m"),
+        (lambda: kappa_coeff(3, 3, 0, 0), "1 <= k < n"),
+        (lambda: kappa_coeff(3, 1, 2, 2), "0 <= m"),
+        (lambda: cor38_coeff(1, 0), "n >= 2"),
+        (lambda: cor38_coeff(3, 0.5), "s must be an integer")],
+        ids=["alpha-range", "alpha-integer", "c-norm-j", "c-norm-r", "c-norm-top-s",
+             "c-norm-integer", "iota-k", "iota-m", "lambda-k", "lambda-m", "kappa-k",
+             "kappa-m", "cor38-n", "cor38-integer"])
+    def test_range_and_integer_errors(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
 
 class TestAgainstQuadratureOracle:
     def test_d_values(self):

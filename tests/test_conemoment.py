@@ -252,6 +252,15 @@ class TestExactPaths:
             res = cone_sphere_moment(cone, s)
             assert all(abs(c) < 1e-14 for c in res.tensor.coeffs.values())
 
+    @pytest.mark.parametrize("s", range(4))
+    def test_body_cone_is_the_origin(self, s):
+        # the normal cone of a full-dimensional body at itself is {0}:
+        # moment 1 at s = 0, as the face sum's top measure needs
+        P = simplex(3)
+        res = cone_sphere_moment(P.normal_cone(P.faces(3)[0]), s)
+        assert res.method == "empty" and res.samples == 0
+        assert res.tensor.data.tolist() == ([1.0] if s == 0 else [0.0] * len(multi_degrees(3, s)))
+
     def test_halfspace_point_s0(self):
         # facet of the square: cone is a single ray; s = 0 moment is 1 (a
         # zero-dimensional sphere point has counting measure 1)

@@ -263,3 +263,7 @@ class TestMotionSampler:
         tiny = cube(2).scaled(1e-3)
         batch = sample_motions_coupling(cube(2), tiny, 100, seed=1)
         assert batch.weight > 0
+
+    def test_bodies_in_different_spaces(self):
+        with pytest.raises(ValueError, match="R\\^2 and R\\^3"):
+            sample_motions_coupling(cube(2), cube(3), 10)

@@ -147,6 +147,10 @@ class TestMetricRelation:
         P = random_polytope(3, npoints=9, seed=seed)
         assert tcm_relation_check(P, r=seed % 2, s_prime=seed % 2) < 1e-10
 
+    def test_needs_two_dimensions(self):
+        with pytest.raises(ValueError, match="n >= 2"):
+            tcm_relation_check(cube(1))
+
 
 class TestValuation:
     def test_metric_power_prefix(self):

@@ -67,6 +67,14 @@ class TestConstruction:
         assert seg.aff_dim == 1
         assert seg.volume() == pytest.approx(math.sqrt(3))
 
+    def test_no_vertices(self):
+        with pytest.raises(EmptyPolytopeError):
+            Polytope.from_vertices([])
+
+    def test_ambient_halfspaces_need_a_full_dimensional_body(self):
+        with pytest.raises(GeometryError, match="full-dimensional"):
+            Polytope.from_vertices([[0.0, 0.0], [1.0, 1.0]]).ambient_halfspaces()
+
 
 class TestFaces:
     def test_cube_face_counts(self):
@@ -205,6 +213,9 @@ class TestRegionsAndJson:
 
     def test_universe_roundtrip(self):
         assert Region.from_json(Region.universe().to_json()).is_universe
+
+    def test_universe_contains_everything(self):
+        assert Region().contains(np.array([[1e9, -1e9], [0.0, 0.0]])).tolist() == [True, True]
 
 
 class TestBuiltins:

@@ -110,6 +110,13 @@ class TestOmegaKappa:
     def test_ball_volumes(self, d, expected):
         assert kappa_ball(d) == pytest.approx(expected, rel=1e-14)
 
+    @pytest.mark.parametrize("call", [lambda: omega(0), lambda: omega(1.5),
+                                      lambda: kappa_ball(-1), lambda: kappa_ball(0.5)],
+                             ids=["omega-0", "omega-fraction", "kappa-negative", "kappa-fraction"])
+    def test_dimension_out_of_range(self, call):
+        with pytest.raises(ValueError, match="integer d"):
+            call()
+
     def test_omega_kappa_relation(self):
         for d in range(1, 8):
             assert omega(d) == pytest.approx(d * kappa_ball(d), rel=1e-13)

@@ -40,6 +40,30 @@ class TestBasics:
         with pytest.raises(ValueError):
             SymTensor(2, 2, {(1, 0): 1.0})
 
+    @pytest.mark.parametrize("call", [
+        lambda: SymTensor(2, 2, np.zeros(4)),
+        lambda: SymTensor(2, 2, 1.0),
+        lambda: SymTensor(2, 2).coordinate((1, 0)),
+        lambda: SymTensor(2, 2).value(),
+        lambda: SymTensor(2, 1).power(-1),
+        lambda: SymTensor(2, 1).power(1.5),
+        lambda: vector_power(np.ones(2), -1),
+        lambda: SymTensor(2, 1) + SymTensor(3, 1),
+        lambda: SymTensor(2, 1) + SymTensor(2, 2),
+        lambda: SymTensor(2, 1) * SymTensor(3, 1),
+        lambda: SymTensor(2, 1).max_abs_coordinate_diff(SymTensor(2, 2)),
+        lambda: SymTensor(2, 1, np.zeros((3, 2))).coeffs,
+        lambda: subspace_metric_tensor(np.ones(2))],
+        ids=["shape", "scalar-array", "coordinate-degree", "value-rank", "power-negative",
+             "power-fraction", "vector-power-negative", "add-dim", "add-rank", "mul-dim",
+             "diff-rank", "coeffs-batched", "subspace-basis-shape"])
+    def test_shape_rank_and_dimension_errors(self, call):
+        with pytest.raises(ValueError):
+            call()
+
+    def test_batched_repr(self):
+        assert repr(SymTensor(3, 2, np.zeros((4, 6)))) == "SymTensor(dim=3, rank=2, batch=(4,))"
+
 
 class TestAlgebra:
     @given(x=vectors(3), y=vectors(3))
@@ -109,6 +133,19 @@ class TestRotation:
         rng = np.random.default_rng(2)
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         assert metric_tensor(3).rotate(q).max_abs_coordinate_diff(metric_tensor(3)) < 1e-12
+
+    @pytest.mark.parametrize("rank", range(9))
+    def test_batched_rotation_in_r4(self, rank):
+        # (rho . T)(y) = T(rho^T y) for each tensor of a batch, and rotating
+        # twice is rotating by the product
+        rng = np.random.default_rng(rank)
+        (q1, _), (q2, _) = (np.linalg.qr(rng.standard_normal((4, 4))) for _ in range(2))
+        t = SymTensor(4, rank, rng.standard_normal((6, len(multi_degrees(4, rank)))))
+        y = rng.standard_normal((6, 4))
+        scale = np.abs(t.data).sum(axis=1) * np.linalg.norm(y, axis=1) ** rank
+        assert np.all(np.abs(t.rotate(q1)(y) - t(y @ q1)) <= 1e-13 * scale)
+        twice, once = t.rotate(q2).rotate(q1), t.rotate(q1 @ q2)
+        assert np.abs(twice.data - once.data).max() <= 1e-13 * np.abs(once.data).max()
 
 
 class TestBatched:

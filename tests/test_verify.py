@@ -131,8 +131,11 @@ class TestCroftonRhsStructure:
     @pytest.mark.parametrize("rhs", [lambda j, l: crofton_rhs(cube(2), 1, j, l=l),
                                      lambda j, l: kinematic_rhs(cube(2), cube(2), j, l=l),
                                      lambda j, l: kinematic_verify(cube(2), cube(2), j, l=l,
-                                                                   samples=10)],
-                             ids=["crofton_rhs", "kinematic_rhs", "kinematic_verify"])
+                                                                   samples=10),
+                                     lambda j, l: crofton_lhs(cube(3), 1, j, l=l, samples=200),
+                                     lambda j, l: kinematic_lhs(cube(2), cube(2), j, l=l, samples=50)],
+                             ids=["crofton_rhs", "kinematic_rhs", "kinematic_verify", "crofton_lhs",
+                                  "kinematic_lhs"])
     @pytest.mark.parametrize("j, l", [(0, 1), (-1, 0), (3, 0)])
     def test_indices_out_of_range_raise(self, rhs, j, l):
         # the measures vanish there, so a right-hand side would be compared
@@ -862,6 +865,19 @@ class TestSampleCount:
                 kinematic_lhs(cube(3), _turned_cube3(), 0, samples=samples)
             else:
                 kinematic_lhs(cube(2), self.P2, 0, samples=samples)
+
+    @pytest.mark.parametrize("verify", [
+        lambda samples: crofton_verify(cube(3), 2, 0, s=2, samples=samples),
+        lambda samples: kinematic_verify(cube(3), _turned_cube3(), 0, samples=samples)],
+        ids=["crofton", "kinematic"])
+    def test_verifiers_check_before_measuring(self, monkeypatch, verify):
+        # no measure of either side is computed for a count that fails
+        def measure(*args, **kwargs):
+            raise AssertionError("a measure was computed")
+        monkeypatch.setattr(verify_module, "tcm", measure)
+        monkeypatch.setattr(verify_module, "_face_pairs", measure)
+        with pytest.raises(ValueError, match="at least one sample"):
+            verify(0)
 
     @pytest.mark.parametrize("samples", [0, -3])
     def test_steiner_check_needs_a_sample(self, samples):
