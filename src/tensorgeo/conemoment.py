@@ -99,7 +99,8 @@ def _cone_moment(n, s, rays, W, arc=None):
     a half-line along r, twice that at even a (zero at odd a) for a line,
     and 2^{a/2} Gamma(a/2 + 1) times the arc moment for the sector; and
     G_s(C) = 2^{(s+d)/2-1} Gamma((s+d)/2) M_s(C) for C of dimension d >= 1.
-    The last part enters at degree s only; degree-0 moments stay numbers."""
+    No parts give the cone {0}, with moment 1 at s = 0 and zero above.  The
+    last part enters at degree s only; degree-0 moments stay numbers."""
     half = [2.0 ** ((a - 1) / 2) * gamma_half((a + 1) / 2) for a in range(s + 1)]
 
     def line(v, whole):     # a half-line along v, or the whole line
@@ -123,7 +124,7 @@ def _cone_moment(n, s, rays, W, arc=None):
             new[a] = functools.reduce(operator.add, terms) if terms else None
         acc = new
     d = len(parts) + (arc is not None)  # the sector spans two dimensions
-    norm = 2.0 ** ((s + d) / 2 - 1) * gamma_half((s + d) / 2)
+    norm = 2.0 ** ((s + d) / 2 - 1) * gamma_half((s + d) / 2) if d else 1.0
     if acc[s] is None:
         return SymTensor.zero(n, s)
     if s == 0:                          # a number, or an array over the batch
@@ -152,8 +153,8 @@ def _closed_forms(s, rays, W):
     """Rank-s moments of the cones {sum_i a_i rays_i + W c : a_i >= 0}, rays
     (F, q, n) padded with zero rows and W (n, w) common to all, and each
     cone's method.  The kind tests run on the stacked rays; each kind with
-    a closed form is one array call, the rest are zero rows "monte-carlo";
-    the cone {0} ("empty") has moment 1 at s = 0."""
+    a closed form is one array call, the cone {0} ("empty") among them, the
+    rest are zero rows "monte-carlo"."""
     (F, q, n), w = rays.shape, W.shape[1]
     out, method = np.zeros((F, len(multi_degrees(n, s)))), np.full(F, "monte-carlo", dtype=object)
     valid = np.any(rays != 0.0, axis=2)
@@ -162,11 +163,10 @@ def _closed_forms(s, rays, W):
     gram = rays @ np.swapaxes(rays, 1, 2) - np.eye(q) * valid[:, None, :]
     orthonormal = (valid.sum(axis=1) == dc) & (np.abs(gram).max(axis=(1, 2), initial=0.0) <= DIRECTION_TOL)
     ortho = (dc <= 1) | orthonormal                    # products of the first dc rays
-    method[dc + w == 0] = "empty"
-    out[dc + w == 0] = s == 0
-    for k in np.unique(dc[ortho & (dc + w > 0)]):
+    for k in np.unique(dc[ortho]):
         at = ortho & (dc == k)
-        method[at] = "full-sphere" if k == 0 else "point" if k == 1 and w == 0 else "product"
+        method[at] = ("empty" if k + w == 0 else "full-sphere" if k == 0
+                      else "point" if k == 1 and w == 0 else "product")
         out[at] = _cone_moment(n, s, np.swapaxes(rays[at, :k], 1, 2), W).data
     at = np.flatnonzero(~ortho & (dc == 2) & (valid.sum(axis=1) == 2))
     if len(at):
@@ -180,7 +180,7 @@ def _closed_forms(s, rays, W):
 def cone_sphere_moment(cone, s, budget=20000, seed=0):
     """Rank-s spherical moment tensor of a normal cone; exact whenever one
     of the closed-form geometries applies (`_closed_forms` on a batch of
-    one), Monte-Carlo otherwise; the cone {0} has moment 1 at s = 0."""
+    one, the cone {0} included), Monte-Carlo otherwise."""
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
     n = cone.lin_frame.shape[0]

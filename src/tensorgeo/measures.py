@@ -26,7 +26,6 @@ import numpy as np
 
 from .coeffs import c_norm
 from .conemoment import _closed_forms, cone_sphere_moment
-from .polytope import Region
 from .rng import check_seed
 from .special import omega
 from .symtensor import SymTensor, metric_tensor, vector_power
@@ -71,25 +70,25 @@ class MeasureValue:
 
 
 def tcm(P, j, r=0, s=0, l=0, region=None, budget=20000, seed=0):
-    """The measure phi_j^{r,s,l}(P, region) as a rank r+s+2l tensor.
+    """The measure phi_j^{r,s,l}(P, region) as a rank r+s+2l tensor; a
+    `region` of None is the whole space.
 
-    One face sum for every j (at j = n, the body with the cone {0}).
-    Out-of-range indices return the zero tensor (the measures are
-    extended by zero), as does j = n with s != 0.  `budget` (directions per
-    sampled cone) must be at least 1 and `seed` an integer in [0, 2^64).
-    Faces' errors add in quadrature: each face samples its own stream."""
+    One face sum for every j (at j = n, the body with the cone {0}).  A j
+    outside [0, n] gives the zero tensor (the measures are extended by
+    zero), as does j = n with s != 0; r, s and l must be at least 0,
+    `budget` (directions per cone sampled) at least 1 and `seed` an integer
+    in [0, 2^64).  Faces' errors add in quadrature: each has its stream."""
     seed = check_seed(seed)
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
+    if min(r, s, l) < 0:
+        raise ValueError(f"need r, s, l >= 0, got r = {r}, s = {s}, l = {l}")
     n = P.dim
     rank = r + s + 2 * l
     zero = MeasureValue(SymTensor.zero(n, rank), SymTensor.zero(n, rank), 0, 0)
-    if not 0 <= j <= n or min(r, s, l) < 0 or (j == n and s) or (j == 0 and l):
+    if not 0 <= j <= n or (j == n and s) or (j == 0 and l) or not P.faces(j):
         return zero
 
-    faces = P.faces(j)
-    if not faces:
-        return zero
     moments = P.face_moments(j, r, region)
     frames = np.swapaxes(P._face_lattice()[j].frames, 1, 2)        # Q(F)^l of every face
     qf = vector_power(frames, 2).sum(axis=(1,)).power(l) if l else SymTensor.scalar(n, 1.0)
@@ -100,7 +99,7 @@ def tcm(P, j, r=0, s=0, l=0, region=None, budget=20000, seed=0):
     err = np.sqrt(((abs(qf) * abs(moments) * cone_err).data ** 2).sum(axis=0))
     const = _weight(n, j, r, s, l)
     return MeasureValue(SymTensor(n, rank, const * total), SymTensor(n, rank, abs(const) * err),
-                        len(faces), mc_samples, dict(methods))
+                        len(P.faces(j)), mc_samples, dict(methods))
 
 
 def _weight(n, j, r, s, l):
@@ -142,7 +141,7 @@ def curvature_measure(P, q, region=None, budget=20000, seed=0):
 
 def intrinsic_volume(P, q, budget=20000, seed=0):
     """Intrinsic volume V_q(P)."""
-    return curvature_measure(P, q, Region.universe(), budget=budget, seed=seed)
+    return curvature_measure(P, q, budget=budget, seed=seed)
 
 
 def tcm_relation_check(P, region=None, r=0, s_prime=0):

@@ -365,11 +365,11 @@ class Polytope:
         return self._moments[k, r]
 
     def face_moments(self, j, r, region=None):
-        """Moments of F cut by `region` for the j-faces F, in `faces(j)`
-        order; zero where the cut is empty or of dimension below j."""
+        """Moments of F cut by `region` (None: F itself) for the j-faces F,
+        in `faces(j)` order; zero where the cut is empty or of dimension below j."""
         faces = self.faces(j)
         out = np.zeros((len(faces), len(multi_degrees(self.dim, r))))
-        clip = self.intersect_region(Region.universe() if region is None else region)
+        clip = self.intersect_region(region)
         if clip is None or not faces or j > clip.aff_dim:
             return SymTensor(self.dim, r, out)
         levels = clip._face_lattice()
@@ -416,8 +416,9 @@ class Polytope:
     # -- set operations --------------------------------------------------
 
     def intersect_region(self, region):
-        """P intersected with a Region (cached per window); None when empty."""
-        if region.is_universe:
+        """P intersected with a Region (cached per window), P itself for
+        None (the whole space); None when empty."""
+        if region is None:
             return self
         key = (region.A.shape, region.A.tobytes(), region.b.tobytes())
         if key not in self._clips:
@@ -441,13 +442,12 @@ class Polytope:
     def to_json(self):
         obj = {"dim": self.dim, "vertices": self.vertices.tolist()}
         if self.aff_dim == self.dim:
-            A, b = self.ambient_halfspaces()
-            obj["halfspaces"] = [{"normal": a.tolist(), "offset": float(o)} for a, o in zip(A, b)]
+            obj.update(Region(*self.ambient_halfspaces()).to_json())
         return obj
 
     @staticmethod
     def from_json(obj):
-        return Polytope.from_vertices(np.asarray(obj["vertices"], dtype=float))
+        return Polytope.from_vertices(np.asarray(_json_field(obj, "vertices", "polytope"), dtype=float))
 
 
 @dataclass(frozen=True)
@@ -492,43 +492,23 @@ class Cone:
 
 
 class Region:
-    """Observation window beta: either the whole space (no rows) or a
-    convex H-polyhedron {x : A x <= b}."""
+    """Observation window beta: the convex H-polyhedron {x : A x <= b}.  The
+    whole space is no Region: every function taking a window reads None so."""
 
-    def __init__(self, A=None, b=None):
-        if A is None or np.size(A) == 0:
-            self.A = None
-            self.b = None
-        else:
-            self.A = np.atleast_2d(np.asarray(A, dtype=float))
-            self.b = np.atleast_1d(np.asarray(b, dtype=float))
-
-    @property
-    def is_universe(self):
-        return self.A is None
-
-    @staticmethod
-    def universe():
-        return Region()
+    def __init__(self, A, b):
+        self.A = np.atleast_2d(np.asarray(A, dtype=float))
+        self.b = np.atleast_1d(np.asarray(b, dtype=float))
 
     @staticmethod
     def box(lo, hi):
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        n = len(lo)
-        A = np.vstack([np.eye(n), -np.eye(n)])
-        b = np.concatenate([hi, -lo])
-        return Region(A, b)
+        eye = np.eye(len(lo))
+        return Region(np.vstack([eye, -eye]), np.concatenate([hi, -np.asarray(lo, dtype=float)]))
 
     def contains(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        if self.is_universe:
-            return np.ones(len(x), dtype=bool)
         return np.all(x @ self.A.T <= self.b + SLACK * np.linalg.norm(x, axis=1)[:, None], axis=1)
 
     def transformed(self, rho=None, t=None):
-        if self.is_universe:
-            return self
         n = self.A.shape[1]
         rho = np.eye(n) if rho is None else np.asarray(rho, dtype=float)
         t = np.zeros(n) if t is None else np.asarray(t, dtype=float)
@@ -537,22 +517,30 @@ class Region:
 
     def intersect(self, other):
         """The window self cap other: both sets of rows, self's first."""
-        if self.is_universe or other.is_universe:
-            return other if self.is_universe else self
         return Region(np.vstack([self.A, other.A]), np.concatenate([self.b, other.b]))
 
     def to_json(self):
-        if self.is_universe:
-            return {"universe": True}
         return {"halfspaces": [{"normal": a.tolist(), "offset": float(o)}
                                for a, o in zip(self.A, self.b)]}
 
     @staticmethod
     def from_json(obj):
-        if obj.get("universe"):
-            return Region.universe()
-        hs = obj["halfspaces"]
-        return Region([h["normal"] for h in hs], [h["offset"] for h in hs])
+        """The window of a JSON object; None, the whole space, for
+        {"universe": true} or an empty halfspace list."""
+        if isinstance(obj, dict) and obj.get("universe"):
+            return None
+        hs = _json_field(obj, "halfspaces", "region")
+        if not isinstance(hs, list):
+            raise GeometryError(f"a region's 'halfspaces' must be a JSON list, got {hs!r:.80}")
+        return Region([_json_field(h, "normal", "halfspace") for h in hs],
+                      [_json_field(h, "offset", "halfspace") for h in hs]) if hs else None
+
+
+def _json_field(obj, key, what):
+    """obj[key] of the JSON object describing a `what`, or GeometryError."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise GeometryError(f"a {what} must be a JSON object with the key {key!r}, got {obj!r:.80}")
+    return obj[key]
 
 
 # -- d-subset enumeration ---------------------------------------------------
@@ -886,16 +874,12 @@ def random_polytope(n, npoints=10, seed=0):
 
 def builtin_polytope(name):
     """Named generators used by the CLI: cube2, cube3, simplex3,
-    cross3, random3-<seed>, ..."""
+    cross3, random3-<seed>, ..., in dimension 1 to 4, the library's scope."""
     import re
-    m = re.fullmatch(r"(cube|simplex|cross|random)(\d)(?:-(\d+))?", name)
+    m = re.fullmatch(r"(cube|simplex|cross|random)([1-4])(?:-(\d+))?", name)
     if not m:
-        raise GeometryError(f"unknown built-in polytope {name!r}")
+        raise GeometryError(f"unknown built-in polytope {name!r}: cube, simplex, cross or "
+                            "random in dimension 1 to 4 (the scope n <= 4), as in cube3 or random3-7")
     kind, n, seed = m.group(1), int(m.group(2)), m.group(3)
-    if kind == "cube":
-        return cube(n)
-    if kind == "simplex":
-        return simplex(n)
-    if kind == "cross":
-        return cross_polytope(n)
-    return random_polytope(n, seed=int(seed or 0))
+    make = {"cube": cube, "simplex": simplex, "cross": cross_polytope}.get(kind)
+    return make(n) if make else random_polytope(n, seed=int(seed or 0))

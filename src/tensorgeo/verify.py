@@ -246,10 +246,10 @@ def _pointed(n, s, l, rays, W, sectors):
     """For q <= 2 rays, each (..., n) and broadcasting to the batch,
     orthogonal to the orthonormal columns of W (..., n, w), and unit where
     there is no W: the volume they span, the moment M_s of the cone
-    pos(rays) + span(W) (a ray by `_cone_moment`, the arc between two by
-    `_arc`; 1 for the cone {0}), and at l > 0 the projector onto the cone's
-    span.  An arc in R^2 is the difference of its rays' `sectors`, plus a
-    full turn where it crosses the angle pi."""
+    pos(rays) + span(W) (`_cone_moment` for no ray, the cone {0} of the top
+    measure included, or one; `_arc` for two), and at l > 0 the projector
+    onto the cone's span.  An arc in R^2 is the difference of its rays'
+    `sectors`, plus a full turn where it crosses the angle pi."""
     volume = 1.0
     if W.shape[-1]:
         length = [np.linalg.norm(x, axis=-1) for x in rays]
@@ -257,8 +257,7 @@ def _pointed(n, s, l, rays, W, sectors):
         volume = functools.reduce(operator.mul, length, volume)
     frame = rays
     if len(rays) < 2:
-        cone = (_cone_moment(n, s, np.stack(rays, axis=-1) if rays else np.zeros((n, 0)), W)
-                if rays or W.shape[-1] else SymTensor.scalar(n, 1.0))     # the cone {0}: top measure
+        cone = _cone_moment(n, s, np.stack(rays, axis=-1) if rays else np.zeros((n, 0)), W)
     elif n == 2:
         (a, b), (start, end), frame = rays, sectors, list(np.eye(2))
         cos = a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
@@ -410,14 +409,17 @@ def kinematic_lhs(P, P2, j, r=0, s=0, l=0, region=None, region2=None,
         return _face_sum_lhs(n, r + s + 2 * l, samples, seed,
                              _kinematic_pairs(P, P2, j, r, s, l, region, region2))
     (A1, b1), (A2, b2) = P.ambient_halfspaces(), P2.ambient_halfspaces()
-    region, region2 = (Region() if w is None else w for w in (region, region2))
     batch = sample_motions_coupling(P, P2, samples, seed=seed)
 
     def section(rho, t):        # P's rows stacked with those of rho P2 + t
         Ag = A2 @ rho.T
         return _flat_section(np.vstack([A1, Ag]), np.concatenate([b1, b2 + Ag @ t]),
                              np.zeros(n), np.eye(n))
-    sections = [(functools.partial(section, rho, t), region.intersect(region2.transformed(rho, t)))
+
+    def window(rho, t):         # region cap (rho region2 + t), None for a missing side
+        moved = None if region2 is None else region2.transformed(rho, t)
+        return moved if region is None else region if moved is None else region.intersect(moved)
+    sections = [(functools.partial(section, rho, t), window(rho, t))
                 for rho, t in zip(batch.rotations, batch.translations)]
     return _generic_lhs(n, j, r, s, l, sections, batch.weight, budget, seed)
 

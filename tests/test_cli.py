@@ -175,6 +175,39 @@ class TestMeasure:
     def test_bad_file(self, capsys):
         assert main(["measure", "--polytope", "/nonexistent.json"]) == 2
 
+    @pytest.mark.parametrize("flag, obj, key", [
+        ("--polytope", {"halfspaces": [{"normal": [1, 0, 0], "offset": 1}]}, "vertices"),
+        ("--polytope", [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], "vertices"),
+        ("--region", {"vertices": [[0, 0, 0], [1, 0, 0]]}, "halfspaces"),
+        ("--region", {"halfspaces": [{"normal": [1, 0, 0]}]}, "offset")],
+        ids=["polytope-halfspaces-only", "polytope-list", "region-without-halfspaces",
+             "halfspace-without-offset"])
+    def test_malformed_json_is_a_usage_error(self, tmp_path, capsys, flag, obj, key):
+        # a region file passed as --polytope, and the like, is an input
+        # error (exit 2) that names the missing key, not a KeyError (exit 3)
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(obj))
+        body = [] if flag == "--polytope" else ["--builtin", "cube3"]
+        assert main(["measure", *body, flag, str(path), "--j", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ") and repr(key) in captured.err
+
+    @pytest.mark.parametrize("name", ["cube5", "cross5", "simplex7", "random9"])
+    def test_builtin_outside_the_scope_is_a_usage_error(self, capsys, name):
+        assert main(["measure", "--builtin", name, "--j", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "dimension 1 to 4" in captured.err
+
+    @pytest.mark.parametrize("region", [{"universe": True}, {"halfspaces": []}])
+    def test_whole_space_region_file(self, tmp_path, capsys, region):
+        rpath = tmp_path / "region.json"
+        rpath.write_text(json.dumps(region))
+        code, windowed = run(capsys, "measure", "--builtin", "cube3", "--j", "1", "--s", "2",
+                             "--region", str(rpath))
+        _, plain = run(capsys, "measure", "--builtin", "cube3", "--j", "1", "--s", "2")
+        assert code == 0
+        assert json.loads(windowed)["coordinates"] == json.loads(plain)["coordinates"]
+
     def test_collapsed_sampling_is_an_internal_error(self, tmp_path, capsys):
         # the apex cone of a square pyramid 1e-3 high takes about 3e-7 of
         # the sphere: no direction of 1 / _RATE_FLOOR hits it

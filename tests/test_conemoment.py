@@ -261,6 +261,26 @@ class TestExactPaths:
         assert res.method == "empty" and res.samples == 0
         assert res.tensor.data.tolist() == ([1.0] if s == 0 else [0.0] * len(multi_degrees(3, s)))
 
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("batch", [(), (5,)], ids=["unbatched", "batched"])
+    def test_no_parts_are_the_origin(self, n, batch):
+        # _cone_moment of no rays, no lines and no arc is the cone {0}: 1 at
+        # s = 0 and zero above, a number that broadcasts into the batch
+        rays, W = np.zeros(batch + (n, 0)), np.zeros(batch + (n, 0))
+        assert conemoment._cone_moment(n, 0, rays, W).data.tolist() == [1.0]
+        top = conemoment._cone_moment(n, 2, rays, W)
+        assert top.rank == 2 and top.data.tolist() == [0.0] * len(multi_degrees(n, 2))
+
+    @pytest.mark.parametrize("s", [0, 2])
+    def test_the_classifier_takes_the_origin_from_the_closed_form(self, s, monkeypatch):
+        # a level of three cones {0} is one `_cone_moment` call of no parts
+        calls, closed_form = [], conemoment._cone_moment
+        monkeypatch.setattr(conemoment, "_cone_moment",
+                            lambda *args: calls.append(args) or closed_form(*args))
+        moment, method = conemoment._closed_forms(s, np.zeros((3, 0, 3)), np.zeros((3, 0)))
+        assert method.tolist() == ["empty"] * 3 and len(calls) == 1
+        assert np.array_equal(moment, np.ones((3, 1)) if s == 0 else np.zeros((3, 6)))
+
     def test_halfspace_point_s0(self):
         # facet of the square: cone is a single ray; s = 0 moment is 1 (a
         # zero-dimensional sphere point has counting measure 1)

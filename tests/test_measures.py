@@ -70,6 +70,17 @@ class TestOutOfRangeIndices:
         assert tcm(P, 0, l=1).tensor.coeffs == {}
         assert tcm(P, 2, s=2).tensor.coeffs == {}
 
+    @pytest.mark.parametrize("orders", [{"s": -1}, {"r": 1, "s": -1}, {"r": -1}, {"l": -2},
+                                        {"j": 5, "s": -2}])
+    def test_negative_orders_raise(self, orders):
+        # j keeps its extension by zero; a negative r, s or l has no tensor
+        # (at s = -1 a rank -1 SymTensor, at r = 1, s = -1 a zero scalar)
+        index = dict({"j": 1}, **orders)
+        with pytest.raises(ValueError, match="r, s, l >= 0"):
+            tcm(cube(3), **index)
+        with pytest.raises(ValueError, match="r, s, l >= 0"):
+            valuation(cube(3), MeasureIndex(**index))
+
     def test_the_top_measure_of_a_lower_dimensional_body_is_zero(self):
         square = Polytope.from_vertices([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]])
         assert square.aff_dim == 2
@@ -253,7 +264,7 @@ class TestPerFaceRoute:
         def moment(vertices, r, region):
             key = (vertices.tobytes(), region is None)
             if key not in simplices:
-                clipped = Polytope.from_vertices(vertices).intersect_region(region or Region.universe())
+                clipped = Polytope.from_vertices(vertices).intersect_region(region)
                 simplices[key] = triangulate(clipped) if clipped is not None else []
             if key + (r,) not in simplices:
                 simplices[key + (r,)] = sum((simplex_moment(simp, r) for simp in simplices[key]),

@@ -212,10 +212,30 @@ class TestRegionsAndJson:
         assert reg.contains(x).tolist() == reg2.contains(x).tolist()
 
     def test_universe_roundtrip(self):
-        assert Region.from_json(Region.universe().to_json()).is_universe
+        assert Region.from_json({"universe": True}) is None
 
-    def test_universe_contains_everything(self):
-        assert Region().contains(np.array([[1e9, -1e9], [0.0, 0.0]])).tolist() == [True, True]
+    @pytest.mark.parametrize("obj", [{"universe": True}, {"halfspaces": []}])
+    def test_the_whole_space_is_none(self, obj):
+        # both JSON spellings of R^n read as no window, and measure as none
+        assert Region.from_json(obj) is None
+        P = random_polytope(3, 12, seed=4)
+        want = tcm(P, 1, r=1, s=2, region=None).tensor.data
+        assert np.array_equal(tcm(P, 1, r=1, s=2, region=Region.from_json(obj)).tensor.data, want)
+        assert P.intersect_region(Region.from_json(obj)) is P
+
+    @pytest.mark.parametrize("read, obj, key", [
+        (Polytope.from_json, {"halfspaces": [{"normal": [1, 0], "offset": 1}]}, "vertices"),
+        (Polytope.from_json, [[0, 0], [1, 0], [0, 1]], "vertices"),
+        (Region.from_json, {"vertices": [[0, 0], [1, 0], [0, 1]]}, "halfspaces"),
+        (Region.from_json, {"halfspaces": [{"normal": [1, 0]}]}, "offset"),
+        (Region.from_json, {"halfspaces": [[1, 0, 1]]}, "normal"),
+        (Region.from_json, "box", "halfspaces"),
+        (Region.from_json, {"halfspaces": 3}, "halfspaces")],
+        ids=["polytope-halfspaces-only", "polytope-list", "region-without-halfspaces",
+             "halfspace-without-offset", "halfspace-list", "region-string", "halfspaces-number"])
+    def test_malformed_json_names_the_missing_key(self, read, obj, key):
+        with pytest.raises(GeometryError, match=f"'{key}'"):
+            read(obj)
 
 
 class TestBuiltins:
@@ -228,6 +248,16 @@ class TestBuiltins:
     def test_unknown_name(self):
         with pytest.raises(GeometryError):
             builtin_polytope("dodecahedron")
+
+    @pytest.mark.parametrize("name", ["cube5", "cross5", "simplex7", "random9", "cube0"])
+    def test_names_outside_the_scope(self, name):
+        # the scope is n <= 4: cube9's polar search alone has C(512, 9) subsets
+        with pytest.raises(GeometryError, match="dimension 1 to 4"):
+            builtin_polytope(name)
+
+    def test_names_in_dimension_one(self):
+        assert builtin_polytope("cube1").volume() == pytest.approx(1.0)
+        assert builtin_polytope("random1-2").aff_dim == 1
 
 
 # -- per-subset loops: the reference for the batched d-subset enumeration ----

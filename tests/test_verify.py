@@ -369,6 +369,14 @@ class TestKernelsAgainstGenericPath:
         slow = _kinematic_reference(cube(3), _turned_cube3(), j, r=r, s=s, l=l, samples=150, seed=45)
         _agree(fast, slow)
 
+    @pytest.mark.parametrize("n, r, s, l", [(2, 0, 2, 0), (3, 0, 1, 1), (3, 1, 2, 0)])
+    def test_top_measure_with_s_is_zero(self, n, r, s, l):
+        # at j = n the cone {0} has a zero moment at s > 0: both sides are
+        # the zero tensor of rank r + s + 2l
+        rep = kinematic_verify(cube(n), cube(n), n, r=r, s=s, l=l, samples=20, seed=1)
+        assert rep.evaluator == "face-sum" and rep.passed
+        assert rep.lhs.rank == r + s + 2 * l and not rep.lhs.data.any() and not rep.rhs.data.any()
+
     @pytest.mark.parametrize("j, r, s, l", [(1, 0, 2, 0), (2, 1, 1, 1)])
     def test_cube_against_a_cross_polytope(self, j, r, s, l):
         """Four facets meet at each apex of the cross-polytope, so lines of
@@ -674,7 +682,7 @@ def _one_flat(kind, window):
     rows, n, k, seed = _ONE_FLATS[kind]
     P = Polytope.from_halfspaces(*rows)
     rho = np.eye(n) if seed is None else random_rotation(stream(seed, n), n)
-    region = {None: Region.universe(),
+    region = {None: None,
               "box": Region.box(np.array([0.8, 0.6, 0.5, 0.5][:n]) - 0.35,
                                 np.array([0.8, 0.6, 0.5, 0.5][:n]) + 0.35),
               "halfspace": Region(stream(14, n).standard_normal(n)[None],
@@ -1087,24 +1095,37 @@ class TestSectionBlocks:
             assert (got is None) == (want is None)
             assert got is None or np.array_equal(got.vertices, want.vertices)
 
-    def test_motions_carry_the_region_and_the_moved_region2(self, monkeypatch):
+    def _check_motion_windows(self, monkeypatch, region, region2):
+        """Each motion's window is region cap the moved region2, the rows of
+        both, region's first; a missing side (None) adds no rows."""
         P2 = _turned_cube3()
-        region, region2 = Region.box([-1, -1, -1], [0.5, 2, 2]), Region([[1.0, 1.0, 0.0]], [1.2])
         sections = self._sections(monkeypatch, lambda: kinematic_lhs(
             cube(3), P2, 0, region=region, region2=region2, samples=30, seed=3))
         batch = sample_motions_coupling(cube(3), P2, 30, seed=3)
         assert len(sections) == 30
         for (_, window), rho, t in zip(sections, batch.rotations, batch.translations):
-            moved = region2.transformed(rho, t)
-            np.testing.assert_allclose(window.A, np.vstack([region.A, moved.A]), rtol=0, atol=1e-15)
-            np.testing.assert_allclose(window.b, np.concatenate([region.b, moved.b]), rtol=0, atol=1e-14)
+            if region2 is None:
+                assert window is region
+                continue
+            rows = [w for w in (region, region2.transformed(rho, t)) if w is not None]
+            np.testing.assert_allclose(window.A, np.vstack([w.A for w in rows]), rtol=0, atol=1e-15)
+            np.testing.assert_allclose(window.b, np.concatenate([w.b for w in rows]), rtol=0, atol=1e-14)
+
+    def test_motions_carry_the_region_and_the_moved_region2(self, monkeypatch):
+        self._check_motion_windows(monkeypatch, Region.box([-1, -1, -1], [0.5, 2, 2]),
+                                   Region([[1.0, 1.0, 0.0]], [1.2]))
+
+    @pytest.mark.parametrize("side", ["region", "region2"])
+    def test_motions_carry_one_window(self, monkeypatch, side):
+        box, half = Region.box([-1, -1, -1], [0.5, 2, 2]), Region([[1.0, 1.0, 0.0]], [1.2])
+        self._check_motion_windows(monkeypatch, *((box, None) if side == "region" else (None, half)))
 
     def test_the_whole_space_has_no_rows(self, monkeypatch):
         for run in (lambda: crofton_lhs(cube(4), 3, 0, samples=30, seed=3),
                     lambda: kinematic_lhs(cube(3), _turned_cube3(), 0, samples=30, seed=3)):
             sections = self._sections(monkeypatch, run)
             assert len(sections) == 30
-            assert all(window is None or window.is_universe for _, window in sections)
+            assert all(window is None for _, window in sections)
 
 
 class TestSmallVerifications:
