@@ -11,9 +11,13 @@ are orthogonal sums with one closed form (`_cone_moment`).  One classifier,
 `_closed_forms`, sorts a batch of cones (a face level of a body, or one
 cone) into these kinds and evaluates each kind in one array call.  An arc,
 the pointed part of a cone of exactly two rays, has one kernel, `_arc`, in
-the mean-ray form, which the face sum of `verify` shares.  The rest fall
-back to Monte-Carlo sampling on the sphere of lin(N), filtered by the
-cone's membership oracle, with per-coordinate standard errors.
+the mean-ray form, which the face sum of `verify` shares.  The rest are
+sampled on the half-sphere of lin(N) that holds the cone: a uniform
+direction u on the sphere is flipped to -u where <u, c> < 0, for the
+cone's axis c = x0 - g (x0 the face's point, g the mean of the body's
+vertices, so that every ray r has <r, c> > 0), kept where the cone's
+membership oracle accepts it and weighted by half the sphere's area;
+each coordinate carries the spread of its samples as standard error.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polytope import SLACK
+from .polytope import SLACK, GeometryError
 from .rng import purpose_key, stream
 from .special import gamma_half, omega
 from .symtensor import DIRECTION_TOL, SymTensor, multi_degrees, vector_power
@@ -157,6 +161,10 @@ def _closed_forms(s, rays, W):
     rest are zero rows "monte-carlo"."""
     (F, q, n), w = rays.shape, W.shape[1]
     out, method = np.zeros((F, len(multi_degrees(n, s)))), np.full(F, "monte-carlo", dtype=object)
+    if q == 0:      # no rays: every cone is span(W), the cone {0} at w = 0
+        out[:] = _cone_moment(n, s, np.zeros((n, 0)), W).data
+        method[:] = "empty" if w == 0 else "full-sphere"
+        return out, method
     valid = np.any(rays != 0.0, axis=2)
     sv = np.linalg.svd(np.swapaxes(rays, 1, 2), compute_uv=False)
     dc = np.sum(sv > DIRECTION_TOL, axis=1)     # the dimension of the pointed part
@@ -199,9 +207,21 @@ def _sample_mean(n, s, sums, sq_sums, count):
 
 
 def _monte_carlo_moment(cone, s, budget, seed):
+    """The sampled moment.  Directions are drawn uniformly on the sphere of
+    lin(N) and, for a cone with rays, folded onto the half-sphere
+    <u, axis> >= 0 of the cone's `axis`, which holds N because every ray r
+    has <r, axis> > 0 (else GeometryError): the sign flip maps the uniform
+    sphere onto the uniform half-sphere, of area omega(d) / 2, and keeps
+    every draw.  A cone without rays is a subspace and is not folded."""
     n = cone.lin_frame.shape[0]
     d = cone.lin_dim
-    area = omega(d)
+    fold = len(cone.rays) > 0
+    axis = cone.axis if fold else np.zeros(n)
+    if fold and np.min(cone.rays @ axis) <= 0.0:
+        raise GeometryError(f"the axis of the normal cone at face {cone.face_key} "
+                            "does not separate its rays")
+    axis = axis @ cone.lin_frame
+    area = omega(d) / (1 + fold)
     sums = sq_sums = np.zeros(len(multi_degrees(n, s)))
     total = 0
     accepted = 0
@@ -215,9 +235,9 @@ def _monte_carlo_moment(cone, s, budget, seed):
         rng = stream(seed, batch_idx, purpose)
         batch_idx += 1
         z = rng.standard_normal((m, d))
-        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        z *= (np.where(z @ axis < 0.0, -1.0, 1.0) / np.sqrt(np.einsum("ij,ij->i", z, z)))[:, None]
         u = z @ cone.lin_frame.T
-        ua = u[cone.contains(u)]
+        ua = np.compress(cone.contains(u), u, axis=0)     # a few times faster than u[mask]
         accepted += len(ua)
         vals = area * vector_power(ua, s).coordinates_array()
         sums = sums + vals.sum(axis=0)

@@ -393,7 +393,7 @@ class Polytope:
         """The rays of the k-faces' normal cones as `normal_cone` lists them,
         in one array (F, q, n) padded with zero rows."""
         tight = self._face_lattice()[k].tight
-        normals = np.array([self.frame @ a for a in self.A]).reshape(-1, self.dim)
+        normals = self.A @ self.frame.T
         order = np.argsort(~tight, axis=1, kind="stable")[:, :tight.sum(axis=1).max(initial=0)]
         return (np.take_along_axis(tight, order, axis=1)[..., None] * normals[order]
                 / np.linalg.norm(normals, axis=1)[order, None])
@@ -420,6 +420,8 @@ class Polytope:
         None (the whole space); None when empty."""
         if region is None:
             return self
+        if region.A.shape[1] != self.dim:
+            raise GeometryError(f"a window in R^{region.A.shape[1]} does not fit a body in R^{self.dim}")
         key = (region.A.shape, region.A.tobytes(), region.b.tobytes())
         if key not in self._clips:
             self._clips[key] = self._clip(region)
@@ -484,6 +486,13 @@ class Cone:
     def lin_dim(self):
         return self.lin_frame.shape[1]
 
+    @property
+    def axis(self):
+        """x0 minus the mean g of the parent's vertices: every u in N has
+        <u, x0 - g> >= 0, and each ray r_i, the normal of a facet a_i x <= b_i
+        at the face, has <r_i, x0 - g> = b_i - a_i g > 0, g lying inside."""
+        return self.apex_point - self.parent_vertices.mean(axis=0)
+
     def contains(self, u):
         u = np.atleast_2d(np.asarray(u, dtype=float))
         # (vertices, directions): the reduction runs over the short axis
@@ -493,11 +502,14 @@ class Cone:
 
 class Region:
     """Observation window beta: the convex H-polyhedron {x : A x <= b}.  The
-    whole space is no Region: every function taking a window reads None so."""
+    whole space is no Region: every function taking a window reads None so,
+    and a Region of no halfspaces raises."""
 
     def __init__(self, A, b):
         self.A = np.atleast_2d(np.asarray(A, dtype=float))
         self.b = np.atleast_1d(np.asarray(b, dtype=float))
+        if not self.A.size:
+            raise GeometryError("a Region needs a halfspace: the whole space is None")
 
     @staticmethod
     def box(lo, hi):

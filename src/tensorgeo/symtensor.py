@@ -49,16 +49,18 @@ def multinomial(p, beta):
 def multi_degrees(dim, rank):
     """All multi-degrees beta over `dim` variables with |beta| = rank,
     in lexicographic order."""
-    if dim == 0:
-        return [()] if rank == 0 else []
-    return [(head,) + tail for head in range(rank, -1, -1) for tail in multi_degrees(dim - 1, rank - head)]
+    return list(_basis(dim, rank).degrees)
 
 
 @functools.lru_cache(maxsize=None)
 def _basis(dim, rank):
     """Tables of the degree-`rank` monomials in `dim` variables: their
     multi-degrees, the position of each, exponents and multinomials."""
-    degrees = tuple(multi_degrees(dim, rank))
+    if dim == 0:
+        degrees = ((),) if rank == 0 else ()
+    else:
+        degrees = tuple((head,) + tail for head in range(rank, -1, -1)
+                        for tail in _basis(dim - 1, rank - head).degrees)
     return SimpleNamespace(degrees=degrees, index={b: i for i, b in enumerate(degrees)},
                            exps=np.array(degrees, dtype=int).reshape(len(degrees), dim),
                            multinom=np.array([float(multinomial(rank, b)) for b in degrees]))

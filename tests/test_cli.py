@@ -192,6 +192,17 @@ class TestMeasure:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ") and repr(key) in captured.err
 
+    @pytest.mark.parametrize("normal, message", [([1, 0], "a window in R^2 does not fit a body in R^3"),
+                                                 ([], "needs a halfspace")], ids=["narrow", "empty"])
+    def test_region_of_the_wrong_width_is_a_usage_error(self, tmp_path, capsys, normal, message):
+        # a window must be as wide as the body; a halfspace with an empty
+        # normal is no window (the whole space is a file of no halfspaces)
+        path = tmp_path / "region.json"
+        path.write_text(json.dumps({"halfspaces": [{"normal": normal, "offset": 1}]}))
+        assert main(["measure", "--builtin", "cube3", "--j", "1", "--region", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
     @pytest.mark.parametrize("name", ["cube5", "cross5", "simplex7", "random9"])
     def test_builtin_outside_the_scope_is_a_usage_error(self, capsys, name):
         assert main(["measure", "--builtin", name, "--j", "0"]) == 2

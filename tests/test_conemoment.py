@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from tensorgeo.conemoment import (
 )
 from tensorgeo.flats import sample_flats_hitting
 from tensorgeo.measures import tcm
-from tensorgeo.polytope import (SLACK, Polytope, cross_polytope, cube, intersect_flat,
+from tensorgeo.polytope import (SLACK, GeometryError, Polytope, cross_polytope, cube, intersect_flat,
                                 random_polytope, simplex)
 from tensorgeo.rng import stream
 from tensorgeo.special import gamma_half, omega
@@ -396,6 +397,68 @@ class TestMonteCarloPath:
             tcm(P, 0, budget=100)
 
 
+class TestHalfSphereFold:
+    """The sampler folds each direction onto the half-sphere <u, axis> >= 0
+    that holds the cone, at half the sphere's area."""
+
+    @staticmethod
+    def _cones():
+        """An orthant, a lune plus a lineality space and an arc 2e-3 short
+        of a half turn, each with a closed form."""
+        orthant = cube(3).normal_cone([f for f in cube(3).faces(0) if not f.point.any()][0])
+        section = intersect_flat(cube(3), flats.random_rotation(stream(4, 0), 3)[:, :2],
+                                 np.full(3, 0.5))
+        lune = section.normal_cone(section.faces(0)[0])
+        thin = Polytope.from_vertices([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-3]])
+        arc = thin.normal_cone([f for f in thin.faces(0) if not f.point.any()][0])
+        return {"orthant": orthant, "lune": lune, "arc": arc}
+
+    @pytest.mark.parametrize("which, method", [("orthant", "product"), ("lune", "arc"), ("arc", "arc")])
+    def test_sampled_cones_agree_with_their_closed_forms(self, which, method):
+        cone = self._cones()[which]
+        assert cone_sphere_moment(cone, 0).method == method
+        assert cone.lineality.shape[1] == (which == "lune")
+        assert (cone.rays[0] @ cone.rays[1] < -0.999) == (which == "arc")
+        for s in range(5):
+            exact = cone_sphere_moment(cone, s).tensor.coordinates_array()
+            mc = _monte_carlo_moment(cone, s, budget=100000, seed=30 + s)
+            se = np.maximum(mc.stderr.coordinates_array(), 1e-12)
+            assert np.all(np.abs(mc.tensor.coordinates_array() - exact) <= 4 * se), s
+
+    def test_orthant_variance_is_that_of_the_half_sphere(self):
+        # at s = 0 each draw is omega_3 / 2 with probability Omega / (omega_3 / 2)
+        # and 0 otherwise: N stderr^2 = Omega (omega_3 / 2 - Omega), 3 Omega^2
+        # for the octant, where the whole sphere gave Omega (omega_3 - Omega)
+        cone, N = self._cones()["orthant"], 40000
+        mc = _monte_carlo_moment(cone, 0, budget=N, seed=2)
+        big_omega = omega(3) / 8
+        assert mc.stderr.value() ** 2 * N == pytest.approx(big_omega * (omega(3) / 2 - big_omega), rel=0.1)
+
+    def test_every_sampled_cone_has_a_separating_axis(self):
+        rng = np.random.default_rng(8)
+        bodies = [simplex(3), cross_polytope(3), cross_polytope(4), random_polytope(3, npoints=12, seed=1),
+                  random_polytope(4, npoints=12, seed=2)]
+        bodies += _plane_sections() + [
+            intersect_flat(P, flats.random_rotation(rng, P.dim)[:, :k], P.vertices.mean(axis=0))
+            for P in bodies + [cube(4)] for k in range(1, P.dim)]
+        sampled = 0
+        for P in bodies:
+            for j in range(P.aff_dim + 1):
+                _, method = conemoment._closed_forms(0, P._normal_rays(j), P.complement_basis)
+                for i in np.flatnonzero(method == "monte-carlo"):
+                    cone = P.normal_cone(P.faces(j)[i])
+                    assert len(cone.rays) and np.min(cone.rays @ cone.axis) > 0.0
+                    sampled += 1
+        assert sampled > 100
+
+    def test_an_axis_that_does_not_separate_the_rays_raises(self):
+        P = simplex(3)
+        cone = P.normal_cone(P.faces(0)[1])
+        centred = dataclasses.replace(cone, apex_point=P.vertices.mean(axis=0))
+        with pytest.raises(GeometryError, match="does not separate"):
+            _monte_carlo_moment(centred, 0, budget=100, seed=0)
+
+
 def _record_draws(module, monkeypatch):
     """Patch module.stream so every stream it opens records its first draws."""
     draws = []
@@ -528,21 +591,22 @@ class TestNormalCones:
 
     @pytest.mark.parametrize("body, samples, tensor, stderr", [
         (simplex(3), 60000,
-         [0.0783968187552003, -2.1148725654883375e-05, 0.0003312850729987171, 0.0783714921697716,
-          0.00029411404601472626, 0.07967227253234788],
-         [0.0006367199136902643, 0.0003986082298608064, 0.0004019027685974022, 0.0006366564487052675,
-          0.00040133797228506397, 0.0006442885005729207]),
+         [0.07921749680386901, 8.915904500083739e-06, 9.321942728895334e-05, 0.07934196398407187,
+          4.0846792877200874e-05, 0.07970742564135844],
+         [0.00040044842390263557, 0.00028237289685199005, 0.0002826145856521575, 0.0004007339608045454,
+          0.00028239391194737783, 0.00040258120860559515]),
         (cross_polytope(4), 160000,
-         [0.07849010958317446, -0.00041592591497020554, 0.0003451904958360775, 0.00024467791357538765,
-          0.07899968904375308, -0.0004685430573823538, 0.0003966006666138227, 0.0790476545657057,
-          -8.077063491537971e-05, 0.07943285532770658],
-         [0.000747998244888367, 0.0004559400052215672, 0.0004578709028746824, 0.0004543022172188609,
-          0.0007477135002383284, 0.0004596216831527799, 0.00045999159675592786, 0.0007495706180397017,
-          0.0004568504857017887, 0.0007538577677507293]),
+         [0.07955634498558434, -0.0006122444854973257, 0.0001575796786222005, -9.855167740223256e-05,
+          0.0793453191214602, -8.173161046213072e-05, 0.0003736218754249156, 0.07962354355865114,
+          -0.00023564895104891332, 0.07907643902133608],
+         [0.0004999019750693158, 0.00032366716450210473, 0.00032440649026538917, 0.0003238373913098698,
+          0.0004970920077309794, 0.0003262300853304577, 0.0003245601192066719, 0.0004994280344604421,
+          0.00032348585602421157, 0.0004968581346508146]),
     ], ids=["simplex3", "cross4"])
     def test_monte_carlo_vertex_measures_keep_their_draws(self, body, samples, tensor, stderr):
-        """tcm(P, 0, s=2) as measured while cones carried generator lists,
-        with the stderr of the vertices' own streams added in quadrature.
+        """tcm(P, 0, s=2) as measured when the sampler first folded each
+        vertex cone's draws onto the half-sphere of its axis, with the stderr
+        of the vertices' own streams added in quadrature.
         The values are bit-identical on x86-64 with OpenBLAS; the tolerance
         lets other BLAS builds round the sums differently, while other draws
         would move them by about one stderr."""

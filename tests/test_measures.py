@@ -16,6 +16,7 @@ from tensorgeo.measures import (
     valuation,
 )
 from tensorgeo.polytope import (
+    GeometryError,
     Polytope,
     Region,
     cross_polytope,
@@ -115,6 +116,22 @@ class TestLocality:
         P = cube(2)
         corner = Region.box([-0.1, -0.1], [0.1, 0.1])
         assert curvature_measure(P, 0, corner) == pytest.approx(0.25)
+
+
+class TestWindowChecks:
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_a_window_of_another_width_raises(self, width):
+        # named by both dimensions, not by a matmul shape, on every face level
+        window = Region(np.eye(width)[:1], [0.5])
+        for j in range(4):
+            with pytest.raises(GeometryError, match=f"a window in R\\^{width} does not fit a body in R\\^3"):
+                tcm(cube(3), j, region=window)
+
+    @pytest.mark.parametrize("A, b", [([], []), ([[]], [1.0]), (np.zeros((0, 3)), np.zeros(0))])
+    def test_a_region_of_no_halfspaces_raises(self, A, b):
+        # the whole space is None, so no Region stands for it
+        with pytest.raises(GeometryError, match="needs a halfspace"):
+            Region(A, b)
 
 
 class TestCovariance:
