@@ -156,9 +156,10 @@ def _arc(n, s, a, b, W):
 def _closed_forms(s, rays, W):
     """Rank-s moments of the cones {sum_i a_i rays_i + W c : a_i >= 0}, rays
     (F, q, n) padded with zero rows and W (n, w) common to all, and each
-    cone's method.  The kind tests run on the stacked rays; each kind with
-    a closed form is one array call, the cone {0} ("empty") among them, the
-    rest are zero rows "monte-carlo"."""
+    cone's method.  A batch without rays is span(W) throughout ("full-sphere",
+    the cone {0} "empty" at w = 0); otherwise every cone has a ray, the kind
+    tests run on the stacked rays, each kind with a closed form is one array
+    call and the rest are zero rows "monte-carlo"."""
     (F, q, n), w = rays.shape, W.shape[1]
     out, method = np.zeros((F, len(multi_degrees(n, s)))), np.full(F, "monte-carlo", dtype=object)
     if q == 0:      # no rays: every cone is span(W), the cone {0} at w = 0
@@ -170,11 +171,10 @@ def _closed_forms(s, rays, W):
     dc = np.sum(sv > DIRECTION_TOL, axis=1)     # the dimension of the pointed part
     gram = rays @ np.swapaxes(rays, 1, 2) - np.eye(q) * valid[:, None, :]
     orthonormal = (valid.sum(axis=1) == dc) & (np.abs(gram).max(axis=(1, 2), initial=0.0) <= DIRECTION_TOL)
-    ortho = (dc <= 1) | orthonormal                    # products of the first dc rays
+    ortho = (dc == 1) | orthonormal                    # products of the first dc rays
     for k in np.unique(dc[ortho]):
         at = ortho & (dc == k)
-        method[at] = ("empty" if k + w == 0 else "full-sphere" if k == 0
-                      else "point" if k == 1 and w == 0 else "product")
+        method[at] = "point" if k == 1 and w == 0 else "product"
         out[at] = _cone_moment(n, s, np.swapaxes(rays[at, :k], 1, 2), W).data
     at = np.flatnonzero(~ortho & (dc == 2) & (valid.sum(axis=1) == 2))
     if len(at):

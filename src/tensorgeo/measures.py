@@ -76,14 +76,16 @@ def tcm(P, j, r=0, s=0, l=0, region=None, budget=20000, seed=0):
     One face sum for every j (at j = n, the body with the cone {0}).  A j
     outside [0, n] gives the zero tensor (the measures are extended by
     zero), as does j = n with s != 0; r, s and l must be at least 0,
-    `budget` (directions per cone sampled) at least 1 and `seed` an integer
-    in [0, 2^64).  Faces' errors add in quadrature: each has its stream."""
+    `budget` (directions per cone sampled) at least 1, `seed` an integer
+    in [0, 2^64) and `region` a window in R^n.  Faces' errors add in quadrature: each has its stream."""
     seed = check_seed(seed)
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
     if min(r, s, l) < 0:
         raise ValueError(f"need r, s, l >= 0, got r = {r}, s = {s}, l = {l}")
     n = P.dim
+    if region is not None:              # checked where the measure is zero too
+        region.check_width(n)
     rank = r + s + 2 * l
     zero = MeasureValue(SymTensor.zero(n, rank), SymTensor.zero(n, rank), 0, 0)
     if not 0 <= j <= n or (j == n and s) or (j == 0 and l) or not P.faces(j):

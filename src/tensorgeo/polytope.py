@@ -420,8 +420,7 @@ class Polytope:
         None (the whole space); None when empty."""
         if region is None:
             return self
-        if region.A.shape[1] != self.dim:
-            raise GeometryError(f"a window in R^{region.A.shape[1]} does not fit a body in R^{self.dim}")
+        region.check_width(self.dim)
         key = (region.A.shape, region.A.tobytes(), region.b.tobytes())
         if key not in self._clips:
             self._clips[key] = self._clip(region)
@@ -510,6 +509,11 @@ class Region:
         self.b = np.atleast_1d(np.asarray(b, dtype=float))
         if not self.A.size:
             raise GeometryError("a Region needs a halfspace: the whole space is None")
+
+    def check_width(self, n):
+        """Raise GeometryError, naming both dimensions, unless the window lies in R^n."""
+        if self.A.shape[1] != n:
+            raise GeometryError(f"a window in R^{self.A.shape[1]} does not fit a body in R^{n}")
 
     @staticmethod
     def box(lo, hi):

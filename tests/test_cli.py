@@ -199,9 +199,11 @@ class TestMeasure:
         # normal is no window (the whole space is a file of no halfspaces)
         path = tmp_path / "region.json"
         path.write_text(json.dumps({"halfspaces": [{"normal": normal, "offset": 1}]}))
-        assert main(["measure", "--builtin", "cube3", "--j", "1", "--region", str(path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and message in captured.err
+        # also where the measure is zero: j = n with s != 0, j = 0 with l != 0
+        for index in (["--j", "1"], ["--j", "3", "--s", "2"], ["--j", "0", "--l", "1"]):
+            assert main(["measure", "--builtin", "cube3", *index, "--region", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and message in captured.err
 
     @pytest.mark.parametrize("name", ["cube5", "cross5", "simplex7", "random9"])
     def test_builtin_outside_the_scope_is_a_usage_error(self, capsys, name):

@@ -122,10 +122,11 @@ class TestWindowChecks:
     @pytest.mark.parametrize("width", [2, 4])
     def test_a_window_of_another_width_raises(self, width):
         # named by both dimensions, not by a matmul shape, on every face level
+        # and where the measure is zero by extension
         window = Region(np.eye(width)[:1], [0.5])
-        for j in range(4):
+        for j, s, l in [(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (3, 2, 0), (5, 0, 0), (0, 0, 1)]:
             with pytest.raises(GeometryError, match=f"a window in R\\^{width} does not fit a body in R\\^3"):
-                tcm(cube(3), j, region=window)
+                tcm(cube(3), j, s=s, l=l, region=window)
 
     @pytest.mark.parametrize("A, b", [([], []), ([[]], [1.0]), (np.zeros((0, 3)), np.zeros(0))])
     def test_a_region_of_no_halfspaces_raises(self, A, b):
